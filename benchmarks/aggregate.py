@@ -1,13 +1,14 @@
 """Fold every ``benchmarks/BENCH_*.json`` into one trajectory file.
 
 Each bench writes (or merges into) its own per-subsystem artifact;
-this module concatenates them into the committed repo-root
-``BENCH_TRAJECTORY.json`` so one file tracks the whole performance
-story run over run — decode throughput, parallel/distributed scaling,
+this module concatenates them into the repo-root
+``BENCH_TRAJECTORY.json`` so one file holds the whole performance
+story of a run — decode throughput, parallel/distributed scaling,
 chaos overhead, adaptive and campaign sampling efficiency.
 
-Deliberately timestamp-free: the trajectory is committed, and its diff
-should show *performance* movement, not clock noise.  Runnable as a
+Deliberately timestamp-free, so two trajectories diff on *performance*
+movement, not clock noise.  Like every ``BENCH_*.json`` it is a run
+artifact, ignored by git.  Runnable as a
 module (CI calls ``python benchmarks/aggregate.py`` after the bench
 jobs) and from the bench suite itself.
 """

@@ -19,19 +19,8 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.experiments import table4
 from repro.reliability.sampling.sequential import AdaptivePolicy
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_adaptive.json"
 
@@ -40,7 +29,6 @@ SEED = 2022
 POLICY = AdaptivePolicy(ci_target=0.1, metric="failure", max_trials=20_000)
 
 
-@requires_numpy
 def test_adaptive_table_iv_saves_trials_without_losing_accuracy():
     table4.build(trials=200, seed=SEED)  # warm caches (searches, engines)
 

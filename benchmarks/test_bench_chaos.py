@@ -19,21 +19,10 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from artifacts import merge_artifact
 from repro.distribute import DistributedSession
 from repro.engine import resolve_backend
 from repro.reliability.monte_carlo import build_table_iv
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_chaos.json"
 
@@ -45,7 +34,6 @@ CHUNK_SIZE = 4_096
 CHAOS = "seed=7,reset=0.05,dup=0.1,torn=0.03"
 
 
-@requires_numpy
 def test_chaos_table_iv_parity_and_overhead():
     build_table_iv(trials=200, seed=SEED)  # warm caches (searches, engines)
 

@@ -19,33 +19,21 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from artifacts import merge_artifact
 from repro.distribute import DistributedSession
 from repro.engine import resolve_backend
 from repro.reliability.monte_carlo import build_table_iv
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
 ARTIFACT = Path(__file__).parent / "BENCH_distributed.json"
 
-# 100k trials keeps the run compute-dominated even on the fused native/
-# numba backends (~5x-13x over numpy): with fewer trials the fixed
+# 100k trials keeps the run compute-dominated even on the fused native
+# backend (~5x-13x over numpy): with fewer trials the fixed
 # worker-spawn cost swamps the overhead ratio asserted below.
 TRIALS = 100_000
 SEED = 2022
 CHUNK_SIZE = 4_096
 
 
-@requires_numpy
 def test_distributed_table_iv_parity_and_scaling():
     build_table_iv(trials=200, seed=SEED)  # warm caches (searches, engines)
 

@@ -15,17 +15,12 @@ import time
 import pytest
 
 from repro.core.codes import muse_144_132
-from repro.engine import get_engine, msed_corruption_batch, numpy_available
+from repro.engine import get_engine, msed_corruption_batch
 from repro.reliability.monte_carlo import MuseMsedSimulator, build_table_iv
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 
 BATCH_SIZES = (1_000, 10_000, 100_000)
 
 
-@requires_numpy
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_backend_tallies_identical(trials):
     code = muse_144_132()
@@ -34,7 +29,6 @@ def test_backend_tallies_identical(trials):
     assert scalar == vector
 
 
-@requires_numpy
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_numpy_decode_throughput(benchmark, trials):
     code = muse_144_132()
@@ -47,7 +41,6 @@ def test_numpy_decode_throughput(benchmark, trials):
     assert len(result) == trials
 
 
-@requires_numpy
 def test_scalar_decode_throughput(benchmark):
     code = muse_144_132()
     words = msed_corruption_batch(code, 10_000, seed=2022)
@@ -58,7 +51,6 @@ def test_scalar_decode_throughput(benchmark):
     assert len(result) == 10_000
 
 
-@requires_numpy
 def test_numpy_speedup_at_100k():
     """The acceptance bar: >= 20x decodes/sec over the scalar path."""
     code = muse_144_132()
@@ -83,7 +75,6 @@ def test_numpy_speedup_at_100k():
     )
 
 
-@requires_numpy
 def test_full_table_iv_parity_at_paper_trials(benchmark):
     """build_table_iv(trials=10_000, seed=2022): byte-identical tallies
     on both backends, at the paper's full trial count."""

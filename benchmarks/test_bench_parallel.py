@@ -22,8 +22,6 @@ import resource
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.orchestrate import CodeRef, DEFAULT_CHUNK_SIZE
 from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
@@ -31,26 +29,16 @@ from repro.reliability.monte_carlo import (
     muse_design_point,
 )
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
 ARTIFACT = Path(__file__).parent / "BENCH_parallel.json"
 
 # 100k trials keeps the measurement compute-dominated now that the
-# fused native/numba backends cut per-trial cost by ~an order of
+# fused native backend cuts per-trial cost by ~an order of
 # magnitude; below that, pool spin-up swamps the speedup ratio.
 TRIALS = 100_000
 SEED = 2022
 CHUNK_SIZE = 4_096
 
 
-@requires_numpy
 def test_table_iv_parallel_parity_and_bench():
     """jobs=2 equals jobs=1 byte-for-byte; both timings go to the
     artifact with the derived multi-process speedup."""
@@ -112,14 +100,13 @@ def test_table_iv_parallel_parity_and_bench():
     )
 
 
-@requires_numpy
 def test_streamed_run_is_memory_flat():
     """A large streamed run never materialises (trials, limbs) arrays:
     a small-chunk run tallies identically to a large-chunk run while
     peak traced allocation stays bounded by the chunk, not the run."""
     import tracemalloc
 
-    # Pin the numpy backend: the fused native/numba chunk kernels never
+    # Pin the numpy backend: the fused native chunk kernels never
     # materialise batch arrays at any chunk size, which would make this
     # comparison vacuous — the contract under test is that the *batched*
     # generate-then-decode path streams one chunk at a time.

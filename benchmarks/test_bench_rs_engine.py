@@ -23,20 +23,10 @@ from repro.reliability.monte_carlo import RsMsedSimulator, build_table_iv
 from repro.rs.engine import get_rs_engine, rs_msed_corruption_batch
 from repro.rs.reed_solomon import rs_144_128, rs_for_channel
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
 BATCH_SIZES = (1_000, 10_000, 100_000)
 ARTIFACT = Path(__file__).parent / "BENCH_table4.json"
 
 
-@requires_numpy
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_rs_backend_tallies_identical(trials):
     code = rs_144_128()
@@ -45,7 +35,6 @@ def test_rs_backend_tallies_identical(trials):
     assert scalar == vector
 
 
-@requires_numpy
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_rs_numpy_decode_throughput(benchmark, trials):
     code = rs_144_128()
@@ -58,7 +47,6 @@ def test_rs_numpy_decode_throughput(benchmark, trials):
     assert len(result) == trials
 
 
-@requires_numpy
 def test_rs_scalar_decode_throughput(benchmark):
     code = rs_144_128()
     words = rs_msed_corruption_batch(code, 10_000, seed=2022)
@@ -69,7 +57,6 @@ def test_rs_scalar_decode_throughput(benchmark):
     assert len(result) == 10_000
 
 
-@requires_numpy
 @pytest.mark.parametrize("b", (8, 5), ids=["b8", "b5_partial"])
 def test_rs_numpy_speedup_at_10k(b):
     """The acceptance bar: >= 10x decodes/sec over the scalar PGZ path,
@@ -96,7 +83,6 @@ def test_rs_numpy_speedup_at_10k(b):
     )
 
 
-@requires_numpy
 def test_full_table_iv_cross_backend_parity_and_speedup():
     """Reduced-trial ``build_table_iv``: byte-identical tallies on both
     backends, vectorised measurably faster, timing saved as an artifact."""
@@ -119,7 +105,7 @@ def test_full_table_iv_cross_backend_parity_and_speedup():
         f"({scalar_seconds:.3f}s vs {numpy_seconds:.3f}s at {trials} trials)"
     )
 
-    # Merge, don't overwrite: the numba/native benches contribute their
+    # Merge, don't overwrite: the native bench contributes its
     # own timing columns to the same artifact (see artifacts.py).
     merge_artifact(
         ARTIFACT,

@@ -7,13 +7,11 @@ file measures what that costs: trials/second for every registered
 fault scenario against the plain msed stream on the same code and
 trial budget, plus the scalar-reference overhead ratio on a smaller
 budget.  Results land in ``benchmarks/BENCH_scenarios.json`` and the
-committed repo-root ``BENCH_TRAJECTORY.json``.
+repo-root ``BENCH_TRAJECTORY.json``.
 """
 
 import time
 from pathlib import Path
-
-import pytest
 
 from aggregate import TRAJECTORY, aggregate
 from artifacts import merge_artifact
@@ -21,15 +19,6 @@ from repro.core.codes import muse_80_69
 from repro.engine import resolve_backend
 from repro.reliability.monte_carlo import MuseMsedSimulator
 from repro.scenarios import resolve_scenario, scenario_names
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_scenarios.json"
 
@@ -49,7 +38,6 @@ def _timed_run(scenario: str, trials: int, backend: str = "auto"):
     return time.perf_counter() - start, result
 
 
-@requires_numpy
 def test_scenario_throughput_within_an_order_of_msed():
     """Every scenario's generate-then-decode path must stay within 10x
     of the fused msed kernel's wall time at the same budget — the
@@ -86,7 +74,6 @@ def test_scenario_throughput_within_an_order_of_msed():
     )
 
 
-@requires_numpy
 def test_scalar_reference_parity_and_overhead():
     """The pure-Python scalar reference must agree with the batch path
     (the determinism contract, re-checked at bench scale) — and its

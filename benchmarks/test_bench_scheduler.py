@@ -15,8 +15,6 @@ campaign, and the result cache's zero-recompute guarantee — and writes
 import time
 from pathlib import Path
 
-import pytest
-
 from aggregate import TRAJECTORY, aggregate
 from artifacts import merge_artifact
 from repro.engine import resolve_backend
@@ -29,15 +27,6 @@ from repro.reliability.monte_carlo import (
     run_design_points_adaptive,
 )
 from repro.reliability.sampling.sequential import AdaptivePolicy, AdaptiveRunner
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_scheduler.json"
 
@@ -74,7 +63,6 @@ def _table_iv_simulators():
     return simulators
 
 
-@requires_numpy
 def test_campaign_beats_uniform_adaptive_by_a_quarter():
     simulators = _table_iv_simulators()
 
@@ -128,7 +116,6 @@ def test_campaign_beats_uniform_adaptive_by_a_quarter():
     )
 
 
-@requires_numpy
 def test_campaign_loopback_matches_in_process():
     """Acceptance: trials_used and tallies are byte-identical between
     jobs=1 and a 2-worker loopback session at the same seed."""
@@ -162,7 +149,6 @@ def test_campaign_loopback_matches_in_process():
     )
 
 
-@requires_numpy
 def test_campaign_cache_rerun_executes_zero_trials(tmp_path):
     """Acceptance: a re-run of a completed cell folds entirely from the
     fingerprint-keyed cache — zero new trials recorded."""

@@ -12,22 +12,11 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from artifacts import merge_artifact
 from repro.core.codes import muse_80_69
 from repro.engine import resolve_backend
 from repro.reliability.monte_carlo import MuseMsedSimulator, run_design_points
 from repro.telemetry import telemetry_session
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_telemetry.json"
 
@@ -63,7 +52,6 @@ def _paired_ratios(repeats, off, on):
     return pairs
 
 
-@requires_numpy
 def test_telemetry_overhead_under_five_percent(tmp_path):
     simulator = MuseMsedSimulator(muse_80_69(), backend="numpy")
     run_design_points([simulator], 500, SEED)  # warm engines + caches

@@ -225,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "decode engine for the Monte-Carlo experiments: choices "
             "come from the backend registry ('scalar' is the big-int "
-            "reference path, 'numpy' vectorises batches, 'native'/"
-            "'numba' run compiled fused kernels); 'auto' picks the "
-            "fastest backend available on this host (table4, "
+            "reference path, 'numpy' vectorises batches, 'native' runs "
+            "self-compiled fused C kernels); 'auto' picks the fastest "
+            "backend that can run each code on this host (table4, "
             "ablations, extension-double-device; also the worker "
             "subcommand's engine override)"
         ),

@@ -5,9 +5,9 @@ The checkpoint journal (:mod:`repro.distribute.checkpoint`) makes one
 across runs.  Every folded chunk tally is filed under its **cell** —
 the ``(stream key, spec fingerprint)`` pair — where the fingerprint is
 :func:`~repro.distribute.checkpoint.spec_fingerprint`: the spec's
-structural identity minus the decode backend (scalar, numpy, numba and
-native tally byte-identically, so a cell computed on one backend is
-served to all of them).  Because every chunk's tally is a pure
+structural identity minus the decode backend (scalar, numpy and native
+tally byte-identically, so a cell computed on one backend is served to
+all of them).  Because every chunk's tally is a pure
 function of ``(spec, chunk range, key)``, a cache hit *is* the
 recomputation: re-running any completed ``(code, scenario, seed)``
 cell folds straight off disk with zero new trials.
@@ -26,7 +26,6 @@ both flush at round barriers and at close.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Any
 

@@ -3,27 +3,28 @@
 Entry points:
 
 * :func:`register_backend` — add a backend (name, availability probe,
-  engine factories) to the registry; the built-in ``scalar``, ``numpy``,
-  ``numba`` and ``native`` backends register themselves below, and a
-  future ``cupy`` backend slots in the same way without touching any
-  call site.
+  engine factories) to the registry; the built-in ``scalar``, ``numpy``
+  and ``native`` backends register themselves below, and a future
+  ``cupy`` backend slots in the same way without touching any call
+  site.
 * :func:`get_engine` — resolve a backend name ("scalar", "numpy",
-  "numba", "native" or "auto") into a cached
-  :class:`DecodeEngine` for one code.
+  "native" or "auto") into a cached :class:`DecodeEngine` for one code.
 * :func:`msed_corruption_batch` — vectorised Monte-Carlo corruption
   generation shared by all backends (:mod:`repro.engine.trials`).
-* :func:`registered_backends` / :func:`available_backends` /
-  :func:`numpy_available` — capability probes for callers that build
-  CLI choices, gate features or skip tests.
+* :func:`registered_backends` / :func:`available_backends` —
+  capability probes for callers that build CLI choices, gate features
+  or skip tests.
 
-The scalar backend is always available; every other backend degrades
-gracefully when its dependency is absent: ``auto`` falls through to the
-fastest available backend, while an *explicit* request for a missing
-backend raises :class:`BackendUnavailableError` rather than silently
-running something else.  Setting ``REPRO_DISABLE_BACKENDS`` (a comma
-list, e.g. ``"numba,native"``) force-disables backends, which is how
-the degradation paths are exercised even on hosts that have everything
-installed.
+Every backend decodes the one counter-hashed trial stream of
+:mod:`repro.orchestrate.corruption`, so the choice changes speed, never
+a tally.  ``auto`` starts at the fastest available backend and steps
+down a rung when that backend's factory refuses a code (native past its
+kernels' fixed scratch, say); an *explicit* request for a backend that
+is unavailable or refuses the code raises
+:class:`BackendUnavailableError` rather than silently running something
+else.  Setting ``REPRO_DISABLE_BACKENDS`` (a comma list, e.g.
+``"native"``) force-disables backends, which is how the degradation
+paths are exercised even on hosts that have a C compiler.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.engine.base import (
     STATUS_NAMES,
     status_of,
 )
+from repro.engine.cc import native_kernels_available
 from repro.engine.trials import msed_corruption_batch
 
 if TYPE_CHECKING:
@@ -56,10 +58,11 @@ class RegisteredBackend:
 
     ``factory(code, ripple_check)`` builds the MUSE decode engine;
     ``rs_factory(code, device_bits)`` builds the Reed-Solomon engine
-    (``None`` for MUSE-only backends).  ``probe`` must be cheap — it
-    runs on every :func:`available_backends` call — and must not raise.
-    ``priority`` orders ``auto`` resolution: the highest-priority
-    available backend wins.
+    (``None`` for MUSE-only backends).  A factory raises
+    :class:`BackendUnavailableError` for a code it cannot run.
+    ``probe`` must be cheap — it runs on every :func:`available_backends`
+    call — and must not raise.  ``priority`` orders ``auto``
+    resolution: the highest-priority available backend is tried first.
     """
 
     name: str
@@ -71,7 +74,7 @@ class RegisteredBackend:
 
 _REGISTRY: dict[str, RegisteredBackend] = {}
 
-#: Environment switch that force-disables backends ("numba,native").
+#: Environment switch that force-disables backends ("numpy,native").
 DISABLE_ENV = "REPRO_DISABLE_BACKENDS"
 
 
@@ -134,43 +137,13 @@ def available_backends() -> tuple[str, ...]:
     )
 
 
-def numpy_available() -> bool:
-    """True when the vectorised backend's dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def numba_available() -> bool:
-    """True when the numba JIT backend can run (numba + numpy import)."""
-    if not numpy_available():
-        return False
-    try:
-        from repro.engine._jit import NUMBA_AVAILABLE
-    except ImportError:  # pragma: no cover - _jit only needs stdlib
-        return False
-    return NUMBA_AVAILABLE
-
-
-def native_available() -> bool:
-    """True when the C kernels compiled+loaded (cc + ctypes + numpy)."""
-    if not numpy_available():
-        return False
-    try:
-        from repro.engine.cc import native_kernels_available
-    except ImportError:  # pragma: no cover
-        return False
-    return native_kernels_available()
-
-
 def resolve_backend(backend: str = "auto") -> str:
     """Normalise a backend request.
 
-    ``auto`` picks the highest-priority available backend (numba >
-    native > numpy > scalar for the built-ins); an explicit name must
-    be registered (else ``ValueError``) *and* available (else
+    ``auto`` names the highest-priority available backend (native >
+    numpy > scalar for the built-ins), the first rung
+    :func:`get_engine` tries; an explicit name must be registered (else
+    ``ValueError``) *and* available (else
     :class:`BackendUnavailableError` — an explicit request never
     silently degrades).
     """
@@ -189,48 +162,71 @@ def resolve_backend(backend: str = "auto") -> str:
     return backend
 
 
-def backend_entry(backend: str) -> RegisteredBackend:
-    """Resolve ``backend`` and return its registry entry."""
-    return _REGISTRY[resolve_backend(backend)]
+def _built(cache: dict, name: str, code, option, rs: bool):
+    """The engine of backend ``name`` for ``code``, built at most once."""
+    engine = cache.get((name, option))
+    if engine is None:
+        entry = _REGISTRY[name]
+        factory = entry.rs_factory if rs else entry.factory
+        if factory is None:
+            raise BackendUnavailableError(
+                f"backend {name!r} has no Reed-Solomon engine"
+            )
+        # Table construction: the classic hidden startup cost, as a
+        # visible span.
+        with telemetry.span("engine_build", backend=name):
+            engine = factory(code, option)
+        cache[(name, option)] = engine
+    return engine
 
 
-def rs_engine_factory(backend: str) -> Callable[..., object]:
-    """The Reed-Solomon engine factory of a resolved backend.
+def cached_engine(code, backend: str, option, *, rs: bool = False):
+    """The engine binding ``code`` to ``backend``, cached on the code.
 
-    Raises :class:`BackendUnavailableError` for MUSE-only backends, so
-    ``get_rs_engine`` shares the same degradation semantics.
+    The one resolver behind :func:`get_engine` (``option`` is
+    ``ripple_check``) and :func:`repro.rs.engine.get_rs_engine`
+    (``option`` is ``device_bits``, ``rs=True``).  Engines precompute
+    dense lookup tables from the code, so they live in a dict on the
+    code instance keyed per ``(backend, option)`` — a worker process
+    pays table construction once per code, not once per chunk.
+
+    ``auto`` tries the available rungs from the top down and keeps the
+    first whose factory accepts the code.  Its choice is cached too
+    (keyed by the available rungs, so ``REPRO_DISABLE_BACKENDS`` still
+    takes effect), so a refusing rung is tried once per code rather
+    than once per chunk.
+
+    Every call counts one ``engine.resolve`` labelled with the backend
+    that answered; every build is an ``engine_build`` span.
     """
-    entry = backend_entry(backend)
-    if entry.rs_factory is None:
-        raise BackendUnavailableError(
-            f"backend {entry.name!r} has no Reed-Solomon engine"
-        )
-    return entry.rs_factory
+    cache = code.__dict__.setdefault(
+        "_rs_engine_cache" if rs else "_engine_cache", {}
+    )
+    if backend != "auto":
+        engine = _built(cache, resolve_backend(backend), code, option, rs)
+    else:
+        rungs = available_backends()
+        key = ("auto", rungs, option)
+        engine = cache.get(key)
+        if engine is None:
+            for name in reversed(rungs):
+                try:
+                    engine = _built(cache, name, code, option, rs)
+                    break
+                except BackendUnavailableError:
+                    if name == rungs[0]:
+                        raise
+            cache[key] = engine
+    telemetry.counter("engine.resolve", backend=engine.name)
+    return engine
 
 
 def get_engine(
     code: "MuseCode", backend: str = "auto", ripple_check: bool = True
 ) -> DecodeEngine:
-    """Build (or fetch the cached) engine binding ``code`` to a backend.
-
-    Engines precompute dense lookup tables from the code's ELC and
-    layout (and, for the JIT backends, hold the compiled kernels), so
-    they are cached per ``(backend, ripple_check)`` on the code
-    instance — a worker process pays table construction and kernel
-    compilation once per code, not once per chunk.
-    """
-    entry = backend_entry(backend)
-    telemetry.counter("engine.resolve", backend=entry.name)
-    cache = code.__dict__.setdefault("_engine_cache", {})
-    key = (entry.name, ripple_check)
-    engine = cache.get(key)
-    if engine is None:
-        # Table construction + (for JIT backends) kernel compilation:
-        # the classic hidden startup cost, now a visible span.
-        with telemetry.span("engine_build", backend=entry.name):
-            engine = entry.factory(code, ripple_check)
-        cache[key] = engine
-    return engine
+    """Build (or fetch the cached) MUSE engine binding ``code`` to a
+    backend — see :func:`cached_engine` for caching and ``auto``."""
+    return cached_engine(code, backend, ripple_check)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +234,7 @@ def get_engine(
 # ----------------------------------------------------------------------
 #
 # Factories import lazily so that registering a backend costs nothing
-# until it is actually selected (numba import alone is ~1s).
+# until it is actually selected.
 
 def _scalar_factory(code, ripple_check=True):
     from repro.engine.scalar import ScalarDecodeEngine
@@ -264,18 +260,6 @@ def _numpy_rs_factory(code, device_bits=4):
     return NumpyRsEngine(code, device_bits)
 
 
-def _numba_factory(code, ripple_check=True):
-    from repro.engine.numba_backend import NumbaDecodeEngine
-
-    return NumbaDecodeEngine(code, ripple_check)
-
-
-def _numba_rs_factory(code, device_bits=4):
-    from repro.rs.engine_numba import NumbaRsEngine
-
-    return NumbaRsEngine(code, device_bits)
-
-
 def _native_factory(code, ripple_check=True):
     from repro.engine.native import NativeDecodeEngine
 
@@ -297,26 +281,17 @@ register_backend(
 )
 register_backend(
     "numpy",
-    # Call through the module attribute so tests can monkeypatch
-    # ``numpy_available`` and exercise the degradation paths.
-    probe=lambda: numpy_available(),
+    probe=lambda: True,
     factory=_numpy_factory,
     rs_factory=_numpy_rs_factory,
     priority=10,
 )
 register_backend(
     "native",
-    probe=lambda: native_available(),
+    probe=native_kernels_available,
     factory=_native_factory,
     rs_factory=_native_rs_factory,
     priority=20,
-)
-register_backend(
-    "numba",
-    probe=lambda: numba_available(),
-    factory=_numba_factory,
-    rs_factory=_numba_rs_factory,
-    priority=30,
 )
 
 
@@ -331,15 +306,11 @@ __all__ = [
     "STATUS_DETECTED_RIPPLE",
     "STATUS_NAMES",
     "available_backends",
-    "backend_entry",
+    "cached_engine",
     "get_engine",
     "msed_corruption_batch",
-    "native_available",
-    "numba_available",
-    "numpy_available",
     "register_backend",
     "registered_backends",
     "resolve_backend",
-    "rs_engine_factory",
     "status_of",
 ]

@@ -1,21 +1,19 @@
 """Self-compiled C kernels backing the ``native`` backend.
 
-The third rung of the backend ladder: the same four kernels as the
-numba backend (MUSE decode, MUSE fused chunk, RS PGZ decode, RS fused
-chunk) written once in portable C99 over the identical table layouts,
-compiled at first use with the system compiler (``cc -O3 -shared
--fPIC``) into a content-addressed cache under the temp directory, and
-loaded with ctypes.  uint64 arithmetic wraps natively in C, so the
-kernels are line-for-line the numba ones with no casting discipline
-needed — and the backend works on any host with a C compiler, no
-package installs required (which is exactly the environment the
-acceptance benchmarks run in when numba is absent).
+The top rung of the backend ladder: four kernels (MUSE decode, MUSE
+fused chunk, RS PGZ decode, RS fused chunk) written once in portable
+C99 over the numpy engines' table layouts, compiled at first use with
+the system compiler (``cc -O3 -shared -fPIC``) into a content-addressed
+cache under the temp directory, and loaded with ctypes.  uint64
+arithmetic wraps natively in C, so the splitmix64 mixing and the limb
+adds need no casting discipline — and the backend works on any host
+with a C compiler, no package installs required.
 
 Availability is probed by actually compiling (cached across processes
 by the content hash), so ``available_backends()`` never advertises a
-backend that cannot run.  Any failure — no compiler, no numpy, a
-read-only temp dir — just reports unavailable; ``auto`` then falls
-back down the ladder.
+backend that cannot run.  Any failure — no compiler, a read-only temp
+dir — just reports unavailable; ``auto`` then falls back down the
+ladder.
 """
 
 from __future__ import annotations
@@ -379,9 +377,14 @@ def load_library() -> "ctypes.CDLL | None":
     return _lib
 
 
+def ptr(array) -> ctypes.c_void_p:
+    """The address of an ndarray's buffer, as a kernel pointer argument."""
+    return ctypes.c_void_p(array.ctypes.data)
+
+
 def native_kernels_available() -> bool:
     """Probe for the registry: can the C kernels compile and load here?"""
     return load_library() is not None
 
 
-__all__ = ["load_library", "native_kernels_available"]
+__all__ = ["load_library", "native_kernels_available", "ptr"]

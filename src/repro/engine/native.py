@@ -1,48 +1,51 @@
-"""The native backend: self-compiled C kernels behind the numba tables.
+"""The native backend: self-compiled C kernels over the numpy tables.
 
-:class:`NativeDecodeEngine` subclasses the numba engine purely for its
-table construction (chunk weights, dense ELC, confinement masks, the
-rectangular symbol-bit table) and swaps the kernel dispatch for the
-ctypes library built by :mod:`repro.engine.cc` — the same four kernels,
-compiled ahead of time by the system C compiler instead of by numba.
-Tallies are byte-identical to every other backend at a fixed seed; the
-point is speed on hosts that have ``cc`` but not numba (such as the
-acceptance environment for this repo).
+:class:`NativeDecodeEngine` subclasses the numpy engine for its table
+construction (dense ELC, confinement masks), adds the few flat tables
+the C kernels take (chunk weights, the rectangular symbol-bit table),
+and dispatches batch decode and the fused corruption->decode->tally
+chunk to the ctypes library built by :mod:`repro.engine.cc`.  Tallies
+are byte-identical to every other backend at a fixed seed.
+
+:meth:`NativeDecodeEngine.fused_chunk_counts` replays the counter-
+hashed corruption stream of :mod:`repro.orchestrate.corruption` in C
+and tallies the 4 statuses without materialising any batch array.  It
+is exact for ``k_symbols <= 2``: there the generator's
+``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
+arg-2nd-min)``, which the kernel reproduces with a two-minimum scan.
+For larger ``k`` the order of the remaining slots is an implementation
+detail of introselect, so the method returns ``None`` and the caller
+generates then decodes.
 
 Only registered as available when the probe's trial compile+load
-succeeds, so ``auto`` resolution never lands here on a compiler-less
-host.
+succeeds.  A code the kernels cannot take (more than
+:data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0, 64)``) raises
+:class:`BackendUnavailableError`, and ``auto`` steps down to numpy.
 """
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from repro.engine.base import BackendUnavailableError
-from repro.engine.numba_backend import NumbaDecodeEngine
-from repro.engine.numpy_backend import NumpyBatchResult
+from repro.engine.cc import load_library, ptr
+from repro.engine.limbs import LIMB_BITS, int_to_limb_row
+from repro.engine.numpy_backend import NumpyBatchResult, NumpyDecodeEngine
+from repro.orchestrate.corruption import stream_keys
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
 
 
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
-
-
-class NativeDecodeEngine(NumbaDecodeEngine):
-    """C-kernel MUSE backend; numba's tables, ``cc``'s code."""
+class NativeDecodeEngine(NumpyDecodeEngine):
+    """C-kernel MUSE backend; numpy's tables, ``cc``'s code."""
 
     name = "native"
 
     def __init__(self, code, ripple_check: bool = True):
         super().__init__(code, ripple_check)
-        from repro.engine.cc import load_library
-
-        library = load_library()
-        if library is None:
+        self._lib = load_library()
+        if self._lib is None:
             raise BackendUnavailableError(
                 "native kernels unavailable (no working C compiler?)"
             )
@@ -51,7 +54,28 @@ class NativeDecodeEngine(NumbaDecodeEngine):
                 f"native kernels support up to {MAX_NATIVE_LIMBS} limbs, "
                 f"code needs {self.limbs}"
             )
-        self._lib = library
+        if not 0 < code.r < LIMB_BITS:
+            raise BackendUnavailableError(
+                f"fused encode needs 0 < r < {LIMB_BITS}, got {code.r}"
+            )
+        # 2^(32 j) mod m chunk weights, one pair per limb.
+        self._weights = np.array(
+            [pow(2, 32 * j, code.m) for j in range(2 * self.limbs)],
+            dtype=np.uint64,
+        )
+        self._hit_u8 = self._elc_hit.astype(np.uint8)
+        self._k_mask = int_to_limb_row((1 << code.k) - 1, self.limbs)
+        # Per-symbol bit positions as a rectangular table for in-kernel
+        # extract/insert (device-local bit order, like the layout).
+        symbols = code.layout.symbols
+        self._sym_widths = np.array(
+            [len(bits) for bits in symbols], dtype=np.int64
+        )
+        self._sym_bits = np.zeros(
+            (len(symbols), int(self._sym_widths.max())), dtype=np.int64
+        )
+        for index, bits in enumerate(symbols):
+            self._sym_bits[index, : len(bits)] = bits
 
     def decode_limbs(self, words: np.ndarray) -> NumpyBatchResult:
         words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -60,56 +84,40 @@ class NativeDecodeEngine(NumbaDecodeEngine):
         statuses = np.empty(batch, dtype=np.uint8)
         rems = np.empty(batch, dtype=np.uint64)
         self._lib.muse_decode_batch(
-            _ptr(words), batch, self.limbs, _ptr(corrected), _ptr(statuses),
-            _ptr(rems), int(self._m_u64), _ptr(self._weights),
-            _ptr(self._hit_u8), _ptr(self._elc_addend), _ptr(self._low_mask),
-            _ptr(self._above_mask), _ptr(self._bit_symbol),
-            _ptr(self._symbol_outside_masks), int(self.ripple_check),
+            ptr(words), batch, self.limbs, ptr(corrected), ptr(statuses),
+            ptr(rems), self.code.m, ptr(self._weights),
+            ptr(self._hit_u8), ptr(self._elc_addend), ptr(self._low_mask),
+            ptr(self._above_mask), ptr(self._bit_symbol),
+            ptr(self._symbol_outside_masks), int(self.ripple_check),
         )
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
     def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
-        """Fused corruption->decode->tally in C; ``None`` outside k<=2."""
-        layout = self.code.layout
-        if not 1 <= k_symbols <= min(2, layout.symbol_count):
-            return None
-        from repro.orchestrate.corruption import (
-            STREAM_CHOICE,
-            STREAM_DATA,
-            STREAM_VALUE,
-        )
-        from repro.orchestrate.rng import derive_key
+        """The 4-status counts of one fused corruption->decode chunk.
 
-        data_keys = np.array(
-            [derive_key(key, STREAM_DATA, j) for j in range(self.limbs)],
-            dtype=np.uint64,
-        )
-        choice_keys = np.array(
-            [
-                derive_key(key, STREAM_CHOICE, s)
-                for s in range(layout.symbol_count)
-            ],
-            dtype=np.uint64,
-        )
-        value_keys = np.array(
-            [derive_key(key, STREAM_VALUE, slot) for slot in range(k_symbols)],
-            dtype=np.uint64,
+        Returns ``(clean, corrected, no_match, ripple)`` —
+        byte-identical to decoding ``muse_corruption_chunk`` — or
+        ``None`` when ``k_symbols`` is outside the exactly-replayable
+        1..2 range, telling the caller to take the unfused path.
+        """
+        symbol_count = self.code.layout.symbol_count
+        if not 1 <= k_symbols <= min(2, symbol_count):
+            return None
+        data_keys, choice_keys, value_keys = stream_keys(
+            key, self.limbs, symbol_count, k_symbols
         )
         counts = np.zeros(4, dtype=np.int64)
         self._lib.muse_fused_chunk(
             chunk.start, chunk.size, k_symbols, self.limbs, self.code.r,
-            int(self._m_u64), _ptr(self._weights), _ptr(self._k_mask),
-            _ptr(self._hit_u8), _ptr(self._elc_addend), _ptr(self._low_mask),
-            _ptr(self._above_mask), _ptr(self._bit_symbol),
-            _ptr(self._symbol_outside_masks), _ptr(self._sym_bits),
-            _ptr(self._sym_widths), self._sym_bits.shape[1],
-            layout.symbol_count, _ptr(data_keys), _ptr(choice_keys),
-            _ptr(value_keys), int(self.ripple_check), _ptr(counts),
+            self.code.m, ptr(self._weights), ptr(self._k_mask),
+            ptr(self._hit_u8), ptr(self._elc_addend), ptr(self._low_mask),
+            ptr(self._above_mask), ptr(self._bit_symbol),
+            ptr(self._symbol_outside_masks), ptr(self._sym_bits),
+            ptr(self._sym_widths), self._sym_bits.shape[1],
+            symbol_count, ptr(data_keys), ptr(choice_keys),
+            ptr(value_keys), int(self.ripple_check), ptr(counts),
         )
         return tuple(int(count) for count in counts)
-
-    def warmup(self) -> None:
-        """Nothing to JIT — compilation happened at import probe time."""
 
 
 __all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine"]

@@ -3,7 +3,7 @@
 This wraps the original :meth:`MuseCode.decode` /
 :meth:`MuseCode.decode_without_ripple_check` loop behind the
 :class:`DecodeEngine` interface.  It is the semantics oracle the numpy
-backend is tested against, and the fallback when numpy is absent.
+and native backends are tested against.
 """
 
 from __future__ import annotations

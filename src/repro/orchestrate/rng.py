@@ -12,8 +12,8 @@ evaluates the hash at counters ``a..b-1``.
 Two synchronised implementations:
 
 * :func:`trial_seed` / :func:`derive_key` — pure-Python 64-bit ints,
-  used to seed the per-trial :class:`random.Random` of the numpy-free
-  sequential paths (the "hash-derived ints" scalar scheme);
+  used for stream keys and by the scalar scenario reference streams
+  (:mod:`repro.scenarios`);
 * :func:`counter_draws` — the same hash over a uint64 counter ndarray,
   feeding the vectorised corruption generators.
 
@@ -24,10 +24,7 @@ scalar and vectorised chunkings agree about which trial is which.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,8 +69,6 @@ def counter_draws(key: int, trials: "np.ndarray") -> "np.ndarray":
     any integer dtype — it is coerced to uint64); element ``i`` equals
     ``trial_seed(key, trials[i])``.
     """
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError("numpy is required for vectorised counter draws")
     # A default-dtype arange is int64; mixing it with uint64 scalars
     # promotes to float64 and breaks the shift ufuncs.  asarray is a
     # no-copy view when the input is already uint64.

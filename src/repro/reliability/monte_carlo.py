@@ -29,7 +29,6 @@ master seed the folded tally is byte-identical for every
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +37,7 @@ from repro.core.codec import DecodeStatus, DetectionReason, MuseCode
 from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
-from repro.engine import BackendUnavailableError, get_engine
+from repro.engine import get_engine
 from repro.orchestrate.corruption import (
     muse_corruption_chunk,
     muse_scenario_chunk,
@@ -49,7 +48,7 @@ from repro.orchestrate.corruption import (
 )
 from repro.orchestrate.plan import Chunk, plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_sharded
-from repro.orchestrate.rng import derive_key, trial_seed
+from repro.orchestrate.rng import derive_key
 from repro.orchestrate.worker import (
     ChunkTask,
     CodeRef,
@@ -112,6 +111,38 @@ def _adaptive_run(
     return runner.run_one(simulator, seed, jobs, chunk_size, progress, executor)
 
 
+def _tally(counts) -> MsedTally:
+    """Fold one chunk's 4-status counts into a tally.
+
+    Tallies classify the delivered word: CLEAN means the corruption
+    aliased to a valid codeword (silent), CORRECTED a single-symbol
+    miscorrection, and the fourth status is MUSE's ripple veto or the
+    RS device-confinement veto.
+    """
+    clean, corrected, no_match, vetoed = counts
+    tally = MsedTally()
+    tally.record_counts(
+        silent=clean,
+        miscorrected=corrected,
+        detected_no_match=no_match,
+        detected_confinement=vetoed,
+    )
+    return tally
+
+
+def _msed_counts(engine, generate, code, chunk: Chunk, key: int,
+                 k_symbols: int):
+    """The counts of one msed chunk: one compiled draw->decode->tally
+    pass on engines exposing ``fused_chunk_counts`` (native, k <= 2),
+    else ``generate`` the chunk and batch-decode it."""
+    fused = getattr(engine, "fused_chunk_counts", None)
+    counts = fused(chunk, key, k_symbols) if fused is not None else None
+    if counts is None:
+        words = generate(code, chunk, key, k_symbols)
+        counts = engine.decode_batch(words).counts()
+    return counts
+
+
 @dataclass
 class MuseMsedSimulator:
     """Inject k-symbol errors into a MUSE code and classify outcomes.
@@ -119,20 +150,15 @@ class MuseMsedSimulator:
     Corruptions are generated chunk by chunk by
     :func:`repro.orchestrate.corruption.muse_corruption_chunk` and
     classified by vectorised batch decodes.  ``backend`` selects the
-    decode engine ("scalar", "numpy" or "auto"); the counter-hashed
-    trial stream depends on neither the backend nor the chunking, so
-    the tally of a fixed ``(trials, seed)`` run is byte-identical
-    across backends and across every ``(chunk_size, jobs)`` split.
+    decode engine ("scalar", "numpy", "native" or "auto"); the
+    counter-hashed trial stream depends on neither the backend nor the
+    chunking, so the tally of a fixed ``(trials, seed)`` run is
+    byte-identical across backends and across every
+    ``(chunk_size, jobs)`` split.
 
     ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef` or a
     ``"module:callable"`` string) is only needed for ``jobs > 1``: it
     lets worker processes rebuild the code instead of pickling it.
-
-    Without numpy the simulator transparently falls back to the
-    sequential big-int path, whose per-trial :class:`random.Random`
-    streams are seeded from the same counter hash — still
-    split-invariant, though distinct from the vectorised generator's
-    stream.
     """
 
     code: MuseCode
@@ -185,46 +211,20 @@ class MuseMsedSimulator:
 
         The unit of work the shard runner executes; folding the
         returned tallies over a run's chunks reproduces ``run``.
-
-        Engines exposing ``fused_chunk_counts`` (the numba and native
-        backends) run corruption draw, decode, and tally in one
-        compiled pass — byte-identical counts, no intermediate batch
-        arrays; every other engine decodes the generated chunk.
         Non-default scenarios bypass the fused kernels (those compile
         the msed stream only) and generate-then-decode instead.
         """
         if self.scenario != "msed":
             return self._scenario_chunk(chunk, key)
-        try:
-            engine = get_engine(
-                self.code, self.backend, ripple_check=self.ripple_check
-            )
-            fused = getattr(engine, "fused_chunk_counts", None)
-            counts = (
-                fused(chunk, key, self.k_symbols) if fused is not None else None
-            )
-            if counts is None:
-                words = muse_corruption_chunk(
-                    self.code, chunk, key, self.k_symbols
-                )
-                counts = engine.decode_batch(words).counts()
-        except BackendUnavailableError:
-            if self.backend != "auto":
-                raise  # an explicit request must not silently degrade
-            return self._sequential_chunk(chunk, key)
-        clean, corrected, no_match, ripple = counts
-        tally = MsedTally()
-        # k >= 2 symbols were corrupted, so a delivered word is never
-        # the original: CLEAN means the corruption aliased to a valid
-        # codeword (silent), CORRECTED means a single-symbol
-        # miscorrection.
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=ripple,
+        engine = get_engine(
+            self.code, self.backend, ripple_check=self.ripple_check
         )
-        return tally
+        return _tally(
+            _msed_counts(
+                engine, muse_corruption_chunk, self.code, chunk, key,
+                self.k_symbols,
+            )
+        )
 
     def _task_spec(self) -> MuseSimSpec:
         return MuseSimSpec(
@@ -236,44 +236,24 @@ class MuseMsedSimulator:
         )
 
     def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream.
-
-        Generate-then-decode on whatever engine ``backend`` resolves
-        to; scenarios carry a byte-identical scalar reference, so the
-        numpy-free fallback tallies the *same* stream (unlike the msed
-        sequential path) and even an explicit ``backend="scalar"``
-        request may take it without degrading.
-        """
+        """One chunk of a registered (non-msed) scenario stream,
+        generated then decoded on whatever engine ``backend`` resolves
+        to."""
         from repro.scenarios import resolve_scenario
 
         scenario = resolve_scenario(self.scenario)
-        try:
-            engine = get_engine(
-                self.code, self.backend, ripple_check=self.ripple_check
-            )
-            words = muse_scenario_chunk(
-                scenario, self.code, chunk, key, self.k_symbols
-            )
-            counts = engine.decode_batch(words).counts()
-        except BackendUnavailableError:
-            if self.backend not in ("auto", "scalar"):
-                raise  # an explicit request must not silently degrade
-            return self._scenario_sequential(scenario, chunk, key)
-        clean, corrected, no_match, ripple = counts
-        tally = MsedTally()
-        # Tallies classify the delivered word: CLEAN means the
-        # scenario's disturbance aliased to a valid codeword (silent),
-        # CORRECTED a symbol-confined miscorrection.
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=ripple,
+        engine = get_engine(
+            self.code, self.backend, ripple_check=self.ripple_check
         )
-        return tally
+        words = muse_scenario_chunk(
+            scenario, self.code, chunk, key, self.k_symbols
+        )
+        return _tally(engine.decode_batch(words).counts())
 
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
-        """Numpy-free scenario chunk: the scalar reference stream."""
+        """The scalar reference of one scenario chunk: one
+        ``corrupt_word`` and one big-int decode per trial — the oracle
+        the scenario tests pin :meth:`_scenario_chunk` against."""
         code = self.code
         tally = MsedTally()
         for trial in range(chunk.start, chunk.stop):
@@ -294,48 +274,6 @@ class MuseMsedSimulator:
                 tally.record_detected_confinement()
         return tally
 
-    def _run_sequential(self, trials: int, seed: int) -> MsedResult:
-        """Numpy-free fallback: the per-trial big-int loop."""
-        return self._sequential_chunk(Chunk(0, trials), derive_key(seed)).freeze()
-
-    def _sequential_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One-word-at-a-time chunk, per-trial counter-seeded RNGs."""
-        code = self.code
-        layout = code.layout
-        tally = MsedTally()
-        for trial in range(chunk.start, chunk.stop):
-            rng = random.Random(trial_seed(key, trial))
-            data = rng.randrange(1 << code.k)
-            codeword = code.encode(data)
-            corrupted = self._corrupt(codeword, layout, rng)
-            if self.ripple_check:
-                result = code.decode(corrupted)
-            else:
-                result = code.decode_without_ripple_check(corrupted)
-            if result.status is DecodeStatus.CLEAN:
-                tally.record_silent()
-            elif result.status is DecodeStatus.CORRECTED:
-                tally.record_miscorrected()
-            elif result.reason is DetectionReason.REMAINDER_NOT_FOUND:
-                tally.record_detected_no_match()
-            else:
-                tally.record_detected_confinement()
-        return tally
-
-    def _corrupt(
-        self, codeword: int, layout: SymbolLayout, rng: random.Random
-    ) -> int:
-        symbols = rng.sample(range(layout.symbol_count), self.k_symbols)
-        corrupted = codeword
-        for index in symbols:
-            width = len(layout.symbols[index])
-            original = layout.extract_symbol(corrupted, index)
-            value = rng.randrange(1 << width)
-            while value == original:
-                value = rng.randrange(1 << width)
-            corrupted = layout.insert_symbol(corrupted, index, value)
-        return corrupted
-
 
 @dataclass
 class RsMsedSimulator:
@@ -348,9 +286,7 @@ class RsMsedSimulator:
     (:func:`repro.orchestrate.corruption.rs_corruption_chunk`), so the
     tally of a fixed ``(trials, seed)`` run is byte-identical across
     backends and every ``(chunk_size, jobs)`` split.  ``code_ref``
-    names a factory for worker processes (``jobs > 1``).  Without
-    numpy the simulator falls back to the sequential path (per-trial
-    counter-seeded RNGs, split-invariant but a distinct stream).
+    names a factory for worker processes (``jobs > 1``).
     """
 
     code: RSCode
@@ -392,44 +328,19 @@ class RsMsedSimulator:
         )
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """Classify one chunk of the stream keyed by ``key``.
-
-        Like the MUSE simulator, engines exposing
-        ``fused_chunk_counts`` tally the chunk in one compiled
-        draw->decode pass; other engines decode the generated batch,
-        and non-default scenarios always generate-then-decode.
-        """
+        """Classify one chunk of the stream keyed by ``key`` — the RS
+        twin of :meth:`MuseMsedSimulator.run_chunk`."""
         if self.scenario != "msed":
             return self._scenario_chunk(chunk, key)
-        try:
-            engine = get_rs_engine(
-                self.code, self.backend, device_bits=self.device_bits
-            )
-            fused = getattr(engine, "fused_chunk_counts", None)
-            counts = (
-                fused(chunk, key, self.k_symbols) if fused is not None else None
-            )
-            if counts is None:
-                words = rs_corruption_chunk(
-                    self.code, chunk, key, self.k_symbols
-                )
-                counts = engine.decode_batch(words).counts()
-        except BackendUnavailableError:
-            if self.backend != "auto":
-                raise  # an explicit request must not silently degrade
-            return self._sequential_chunk(chunk, key)
-        clean, corrected, no_match, confinement = counts
-        tally = MsedTally()
-        # k >= 2 corrupted symbols: CLEAN means the corruption aliased
-        # to a valid codeword (silent), CORRECTED is a miscorrection the
-        # device policy failed to veto.
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=confinement,
+        engine = get_rs_engine(
+            self.code, self.backend, device_bits=self.device_bits
         )
-        return tally
+        return _tally(
+            _msed_counts(
+                engine, rs_corruption_chunk, self.code, chunk, key,
+                self.k_symbols,
+            )
+        )
 
     def _task_spec(self) -> RsSimSpec:
         return RsSimSpec(
@@ -441,39 +352,22 @@ class RsMsedSimulator:
         )
 
     def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream.
-
-        See :meth:`MuseMsedSimulator._scenario_chunk` — same
-        generate-then-decode shape, same byte-identical scalar
-        fallback.
-        """
+        """One chunk of a registered (non-msed) scenario stream; see
+        :meth:`MuseMsedSimulator._scenario_chunk`."""
         from repro.scenarios import resolve_scenario
 
         scenario = resolve_scenario(self.scenario)
-        try:
-            engine = get_rs_engine(
-                self.code, self.backend, device_bits=self.device_bits
-            )
-            words = rs_scenario_chunk(
-                scenario, self.code, chunk, key, self.k_symbols
-            )
-            counts = engine.decode_batch(words).counts()
-        except BackendUnavailableError:
-            if self.backend not in ("auto", "scalar"):
-                raise  # an explicit request must not silently degrade
-            return self._scenario_sequential(scenario, chunk, key)
-        clean, corrected, no_match, confinement = counts
-        tally = MsedTally()
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=confinement,
+        engine = get_rs_engine(
+            self.code, self.backend, device_bits=self.device_bits
         )
-        return tally
+        words = rs_scenario_chunk(
+            scenario, self.code, chunk, key, self.k_symbols
+        )
+        return _tally(engine.decode_batch(words).counts())
 
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
-        """Numpy-free scenario chunk: the scalar reference stream."""
+        """The scalar reference of one scenario chunk (see
+        :meth:`MuseMsedSimulator._scenario_sequential`)."""
         code = self.code
         tally = MsedTally()
         for trial in range(chunk.start, chunk.stop):
@@ -493,50 +387,6 @@ class RsMsedSimulator:
             else:
                 tally.record_miscorrected()
         return tally
-
-    def _run_sequential(self, trials: int, seed: int) -> MsedResult:
-        """Numpy-free fallback: the per-trial loop."""
-        return self._sequential_chunk(Chunk(0, trials), derive_key(seed)).freeze()
-
-    def _sequential_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One-word-at-a-time chunk, per-trial counter-seeded RNGs."""
-        code = self.code
-        tally = MsedTally()
-        for trial in range(chunk.start, chunk.stop):
-            rng = random.Random(trial_seed(key, trial))
-            data = self._random_data(rng)
-            codeword = list(code.encode(data))
-            self._corrupt(codeword, rng)
-            result = code.decode(codeword)
-            if result.status is RSDecodeStatus.CLEAN:
-                tally.record_silent()
-            elif result.status is RSDecodeStatus.DETECTED:
-                tally.record_detected_no_match()
-            elif self.device_bits is not None and not device_confined(
-                code, result.error_position, result.error_magnitude,
-                self.device_bits,
-            ):
-                tally.record_detected_confinement()
-            else:
-                tally.record_miscorrected()
-        return tally
-
-    def _random_data(self, rng: random.Random) -> list[int]:
-        code = self.code
-        return [
-            rng.randrange(1 << code.symbol_widths[index])
-            for index in range(code.data_symbols)
-        ]
-
-    def _corrupt(self, codeword: list[int], rng: random.Random) -> None:
-        code = self.code
-        symbols = rng.sample(range(code.n_symbols), self.k_symbols)
-        for index in symbols:
-            width = code.symbol_widths[index]
-            value = rng.randrange(1 << width)
-            while value == codeword[index]:
-                value = rng.randrange(1 << width)
-            codeword[index] = value
 
 
 # ----------------------------------------------------------------------

@@ -282,8 +282,8 @@ def _execute_chunk_task(task: ChunkTask) -> tuple[ChunkTask, MsedTally]:
 def _splitting_estimator(simulator: Any) -> Any | None:
     """Build the splitting twin of ``simulator``, or None if unknown.
 
-    Imported lazily: splitting needs numpy, and campaigns that never
-    escalate must not.  Returns None for fault scenarios the splitting
+    Imported lazily, so campaigns that never escalate never load the
+    splitting module.  Returns None for fault scenarios the splitting
     estimator does not support — the prefix stream it branches over is
     the plain msed one — so the campaign reports a Clopper-Pearson
     bound for those points instead.
@@ -528,15 +528,9 @@ class CampaignRunner:
                     metric=base.metric,
                 )
                 continue
-            try:
-                tail_bounds[i] = estimator.run(
-                    self.policy.escalation_trials, seed=seed
-                )
-            except Exception:
-                # Splitting needs numpy (BackendUnavailableError when
-                # absent); an escalated point then simply keeps its
-                # zero-event plain interval.
-                tail_bounds[i] = None
+            tail_bounds[i] = estimator.run(
+                self.policy.escalation_trials, seed=seed
+            )
 
         return [
             CampaignOutcome(

@@ -2,10 +2,11 @@
 
 The RS analogue of :mod:`repro.engine`: one :class:`RsDecodeEngine`
 binds an :class:`~repro.rs.reed_solomon.RSCode` to a batch execution
-strategy behind the same backend registry semantics the MUSE engine
-uses (``resolve_backend`` — explicit ``numpy`` raises
-:class:`BackendUnavailableError` when numpy is missing, ``auto``
-degrades to ``scalar``).
+strategy behind the same backend registry the MUSE engine uses
+(:func:`repro.engine.cached_engine` — an explicit backend that cannot
+run a code raises :class:`~repro.engine.base.BackendUnavailableError`,
+``auto`` steps down to the next rung).  The native rung
+(:mod:`repro.rs.engine_native`) subclasses :class:`NumpyRsEngine`.
 
 Codeword batches are ``(batch, n_symbols)`` uint32 symbol arrays.  The
 numpy backend runs the whole t=1 PGZ flow vectorised:
@@ -36,20 +37,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine import resolve_backend
+import numpy as np
+
+from repro.engine import cached_engine
 from repro.engine.base import (
-    BackendUnavailableError,
     STATUS_CLEAN,
     STATUS_CORRECTED,
     STATUS_DETECTED_NO_MATCH,
     STATUS_DETECTED_RIPPLE,
 )
 from repro.rs.reed_solomon import RSCode, RSDecodeResult, RSDecodeStatus
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 #: RS name for the fourth status bucket: the PGZ correction was valid
 #: but could not have been produced by a single failed device.
@@ -186,7 +183,7 @@ class RsDecodeEngine:
     "corrected" status buckets a PGZ correction lands in.
     """
 
-    #: registry name of the backend ("scalar" or "numpy")
+    #: registry name of the backend ("scalar", "numpy" or "native")
     name: str
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
@@ -255,10 +252,6 @@ class NumpyRsEngine(RsDecodeEngine):
     name = "numpy"
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
-        if np is None:
-            raise BackendUnavailableError(
-                "numpy backend requested but numpy is missing"
-            )
         super().__init__(code, device_bits)
         field = code.field
         order = field.order
@@ -426,22 +419,13 @@ def get_rs_engine(
 ) -> RsDecodeEngine:
     """Build (or fetch the cached) RS engine for one code.
 
-    Shares the MUSE backend registry (:mod:`repro.engine`): backends
-    registered with an ``rs_factory`` are selectable here by name, an
-    explicit request for an unavailable backend raises
-    :class:`BackendUnavailableError`, and ``auto`` resolves to the
-    fastest available backend.
+    Shares the MUSE backend registry and its resolver
+    (:func:`repro.engine.cached_engine`): engines are cached per
+    ``(backend, device_bits)`` on the code, an explicit backend that
+    cannot run the code raises, and ``auto`` takes the fastest rung
+    that can.
     """
-    from repro.engine import rs_engine_factory
-
-    name = resolve_backend(backend)
-    cache = code.__dict__.setdefault("_rs_engine_cache", {})
-    key = (name, device_bits)
-    engine = cache.get(key)
-    if engine is None:
-        engine = rs_engine_factory(name)(code, device_bits)
-        cache[key] = engine
-    return engine
+    return cached_engine(code, backend, device_bits, rs=True)
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +443,7 @@ def rs_msed_corruption_batch(
     ``(trials, seed)`` run tallies identically scalar-vs-numpy.  A thin
     wrapper over chunk ``[0, trials)`` of the counter-hashed stream in
     :mod:`repro.orchestrate.corruption`, so the monolithic and chunked
-    generators can never diverge.  Requires numpy (it is the
-    generator, not a decoder).
+    generators can never diverge.
     """
     from repro.orchestrate.corruption import rs_corruption_chunk
     from repro.orchestrate.plan import Chunk

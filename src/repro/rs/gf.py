@@ -13,8 +13,7 @@ Two execution styles share the same tables:
   path needs no ``% order`` reduction;
 * :meth:`GaloisField.mul_batch` / :meth:`div_batch` /
   :meth:`pow_alpha_batch` run the same lookups over whole ndarrays for
-  the vectorised Reed-Solomon engine (they require numpy and raise
-  :class:`~repro.engine.base.BackendUnavailableError` without it).
+  the vectorised Reed-Solomon engine.
 
 Symbol sizes 2..16 bits are supported — Table IV needs 5-, 6-, 7- and
 8-bit symbols.
@@ -25,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 #: Primitive polynomials (with the x^m term) for each supported field size.
 PRIMITIVE_POLYNOMIALS: dict[int, int] = {
@@ -137,7 +133,7 @@ class GaloisField:
         return result
 
     # ------------------------------------------------------------------
-    # Vectorised field operations (numpy required)
+    # Vectorised field operations
     # ------------------------------------------------------------------
 
     def _nd_tables(self):
@@ -147,12 +143,6 @@ class GaloisField:
         and ``log_nd`` the log table (int64; index 0 holds a harmless 0
         sentinel — callers must mask zero operands themselves).
         """
-        if np is None:
-            from repro.engine.base import BackendUnavailableError
-
-            raise BackendUnavailableError(
-                "numpy is required for vectorised GF arithmetic"
-            )
         tables = self.__dict__.get("_nd")
         if tables is None:
             tables = (

@@ -41,6 +41,8 @@ never return the original by construction.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
 from repro.scenarios import (
     BatchSymbolView,
@@ -48,11 +50,6 @@ from repro.scenarios import (
     WordSymbolView,
     register_scenario,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 #: Sub-stream tags under the scenario stream key.  Every scenario uses
 #: its own key (hashed from its name), so tags may overlap *across*

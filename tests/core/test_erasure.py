@@ -138,8 +138,6 @@ class TestBatchDecode:
         return words, pairs
 
     def test_batch_matches_scalar_per_word(self):
-        from repro.engine import numpy_available
-
         code = muse_144_132()
         decoder = ErasureDecoder(code)
         words, pairs = self._mixed_batch(code, 200, seed=23)
@@ -147,8 +145,7 @@ class TestBatchDecode:
         assert scalar == [
             decoder.decode(word, pair) for word, pair in zip(words, pairs)
         ]
-        if numpy_available():
-            assert decoder.decode_batch(words, pairs, backend="numpy") == scalar
+        assert decoder.decode_batch(words, pairs, backend="numpy") == scalar
 
     def test_single_shared_window_shorthand(self):
         code = muse_80_69()

@@ -7,18 +7,15 @@ import pytest
 
 from repro.core.codec import DecodeStatus, MuseCode
 from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
+from repro.core.symbols import SymbolLayout
 from repro.engine import (
     BackendUnavailableError,
     available_backends,
     get_engine,
     msed_corruption_batch,
-    numpy_available,
     resolve_backend,
 )
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
+from repro.reliability.monte_carlo import MuseMsedSimulator
 
 ALL_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
 CODE_IDS = ["144_132", "80_69", "80_67_eq5", "80_70_eq6_hybrid"]
@@ -32,7 +29,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             resolve_backend("cuda")
 
-    @requires_numpy
     def test_auto_resolves_highest_priority_available(self):
         """auto picks the fastest available rung of the backend ladder."""
         backends = available_backends()
@@ -48,7 +44,6 @@ class TestRegistry:
             code, "scalar", ripple_check=False
         )
 
-    @requires_numpy
     def test_numpy_backend_rejects_oversized_multiplier(self):
         from repro.core.symbols import SymbolLayout
         from repro.engine.numpy_backend import NumpyDecodeEngine
@@ -61,7 +56,6 @@ class TestRegistry:
             NumpyDecodeEngine(FakeCode())
 
 
-@requires_numpy
 class TestEncodeEquivalence:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_encode_batch_matches_scalar(self, factory):
@@ -84,7 +78,6 @@ class TestEncodeEquivalence:
 VECTOR_BACKENDS = [b for b in available_backends() if b != "scalar"]
 
 
-@requires_numpy
 class TestDecodeEquivalence:
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
@@ -148,7 +141,51 @@ class TestDecodeEquivalence:
         assert batch.results() == [code.decode(w) for w in words]
 
 
-@requires_numpy
+def wide_code():
+    """A valid 528-bit MUSE code: nine limbs, one past the native
+    kernels' fixed scratch, so native refuses it and numpy does not."""
+    return MuseCode(SymbolLayout.sequential(528, 4), 32745)
+
+
+class TestSimulatorParity:
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("k_symbols", [1, 3])
+    def test_other_symbol_counts_tallies_identical(self, k_symbols, backend):
+        """k=1 rides the fused kernel; k=3 is generated then decoded."""
+        code = muse_144_132()
+        scalar = MuseMsedSimulator(
+            code, k_symbols=k_symbols, backend="scalar"
+        ).run(1000, seed=11)
+        vector = MuseMsedSimulator(
+            code, k_symbols=k_symbols, backend=backend
+        ).run(1000, seed=11)
+        assert scalar == vector
+
+    def test_auto_past_native_limb_limit_runs_the_numpy_stream(self):
+        """``auto`` steps down past a rung that refuses the code and
+        tallies the same stream as the rung it lands on."""
+        code = wide_code()
+        assert get_engine(code, "auto") is get_engine(code, "numpy")
+        auto = MuseMsedSimulator(code, backend="auto").run(2000, seed=2022)
+        numpy = MuseMsedSimulator(code, backend="numpy").run(2000, seed=2022)
+        scalar = MuseMsedSimulator(code, backend="scalar").run(2000, seed=2022)
+        assert auto == numpy == scalar
+
+    def test_auto_steps_down_for_scenarios_too(self):
+        code = wide_code()
+        auto = MuseMsedSimulator(code, scenario="mbu", backend="auto")
+        numpy = MuseMsedSimulator(code, scenario="mbu", backend="numpy")
+        assert auto.run(1000, seed=5) == numpy.run(1000, seed=5)
+
+    def test_explicit_backend_never_steps_down(self):
+        """An explicit rung that refuses the code raises at run time."""
+        with pytest.raises(BackendUnavailableError):
+            get_engine(wide_code(), "native")
+        simulator = MuseMsedSimulator(wide_code(), backend="native")
+        with pytest.raises(BackendUnavailableError):
+            simulator.run(50, seed=1)
+
+
 class TestLimbHelpers:
     def test_int_round_trip(self):
         from repro.engine.limbs import ints_to_limbs, limbs_to_ints
@@ -192,7 +229,6 @@ class TestLimbHelpers:
             residue(ints_to_limbs([1], 2), 1 << 30)
 
 
-@requires_numpy
 class TestSymbolBatchOps:
     """Vectorised extract/insert must mirror SymbolLayout bit for bit."""
 
@@ -236,7 +272,6 @@ class TestSymbolBatchOps:
 
 
 class TestTrialGeneration:
-    @requires_numpy
     def test_deterministic_under_seed(self):
         import numpy as np
 
@@ -245,7 +280,6 @@ class TestTrialGeneration:
         second = msed_corruption_batch(code, 500, seed=11)
         assert np.array_equal(first, second)
 
-    @requires_numpy
     def test_every_word_has_exactly_k_corrupted_symbols(self):
         """Recover the clean words from the shared counter-hashed data
         stream, then diff symbols against the corrupted batch."""
@@ -271,7 +305,6 @@ class TestTrialGeneration:
                 )
                 assert differing == k
 
-    @requires_numpy
     def test_k_symbols_bounds_checked(self):
         code = muse_80_69()
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
-"""The native (self-compiled C) MUSE backend.
+"""The native (self-compiled C) MUSE backend and the backend registry.
 
-Skipped wholesale on hosts without a working C compiler — the registry
-probe is the same gate ``auto`` resolution uses, so skipping here means
-the backend can never have been selected either.
+The native suites skip on hosts without a working C compiler — the
+registry probe is the same gate ``auto`` resolution uses, so skipping
+here means the backend can never have been selected either.  Registry
+semantics (priority order, env-var disabling, explicit-unavailable
+errors, ``auto`` stepping down past a refusing rung) run everywhere,
+against the real registry rather than a mock.
 """
 
 import numpy as np
@@ -10,10 +13,16 @@ import pytest
 
 from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
 from repro.engine import (
+    DISABLE_ENV,
+    BackendUnavailableError,
+    RegisteredBackend,
+    _REGISTRY,
     available_backends,
     get_engine,
     msed_corruption_batch,
-    numpy_available,
+    register_backend,
+    registered_backends,
+    resolve_backend,
 )
 from repro.orchestrate.corruption import muse_corruption_chunk
 from repro.orchestrate.plan import Chunk
@@ -21,8 +30,8 @@ from repro.orchestrate.rng import derive_key
 
 # Gate on the registry (not the raw compiler probe) so the suite also
 # skips when REPRO_DISABLE_BACKENDS hides the backend from `auto`.
-pytestmark = pytest.mark.skipif(
-    not (numpy_available() and "native" in available_backends()),
+requires_native = pytest.mark.skipif(
+    "native" not in available_backends(),
     reason="native backend unavailable (no C compiler, or disabled)",
 )
 
@@ -30,17 +39,81 @@ ALL_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
 CODE_IDS = ["144_132", "80_69", "80_67_eq5", "80_70_eq6_hybrid"]
 
 
-class TestNativeRegistration:
-    def test_probe_and_registry_agree(self):
-        assert "native" in available_backends()
+class TestRegistrySemantics:
+    def test_three_rungs_registered(self):
+        assert registered_backends() == ("scalar", "numpy", "native")
 
+    def test_register_rejects_reserved_names(self):
+        with pytest.raises(ValueError):
+            register_backend("auto", lambda: True, lambda code: None)
+        with pytest.raises(ValueError):
+            register_backend("", lambda: True, lambda code: None)
+
+    def test_env_var_disables_a_backend(self, monkeypatch):
+        monkeypatch.setenv(DISABLE_ENV, "native")
+        assert "native" not in available_backends()
+        assert resolve_backend("auto") == "numpy"
+        monkeypatch.setenv(DISABLE_ENV, "numpy,native")
+        assert available_backends() == ("scalar",)
+        assert resolve_backend("auto") == "scalar"
+
+    def test_explicit_disabled_backend_raises(self, monkeypatch):
+        """An explicit request must never silently degrade."""
+        monkeypatch.setenv(DISABLE_ENV, "numpy")
+        with pytest.raises(BackendUnavailableError):
+            resolve_backend("numpy")
+        with pytest.raises(BackendUnavailableError):
+            get_engine(muse_80_69(), "numpy")
+
+    def test_unknown_backend_lists_registered(self):
+        with pytest.raises(ValueError) as err:
+            resolve_backend("tpu")
+        assert "scalar" in str(err.value)
+
+    def test_auto_is_the_last_available(self):
+        assert resolve_backend("auto") == available_backends()[-1]
+
+    def test_auto_engine_is_the_explicit_best(self):
+        """auto and the explicit top rung share one cached engine."""
+        code = muse_80_69()
+        best = available_backends()[-1]
+        assert get_engine(code, "auto") is get_engine(code, best)
+
+    def test_auto_steps_down_past_a_refusing_rung(self, monkeypatch):
+        """A top rung whose factory refuses a code hands ``auto`` to the
+        next rung — tried once per code, not once per call — while an
+        explicit request for it raises."""
+        calls = []
+
+        def refuse(code, ripple_check=True):
+            calls.append(code)
+            raise BackendUnavailableError("refuses every code")
+
+        monkeypatch.setitem(
+            _REGISTRY,
+            "refuser",
+            RegisteredBackend("refuser", lambda: True, refuse, None, 99),
+        )
+        code = muse_80_69()
+        below = available_backends()[-2]
+        assert get_engine(code, "auto") is get_engine(code, below)
+        assert get_engine(code, "auto") is get_engine(code, below)
+        assert len(calls) == 1
+        with pytest.raises(BackendUnavailableError):
+            get_engine(code, "refuser")
+
+
+@requires_native
+class TestNativeRegistration:
     def test_native_outranks_numpy_for_auto(self):
         backends = available_backends()
         assert backends.index("native") > backends.index("numpy")
 
-    def test_engine_cached_per_code(self):
+    def test_engine_cached_per_code_and_flavour(self):
         code = muse_80_69()
-        assert get_engine(code, "native") is get_engine(code, "native")
+        first = get_engine(code, "native")
+        assert get_engine(code, "native") is first
+        assert get_engine(code, "native", ripple_check=False) is not first
 
     def test_library_compiled_once(self):
         from repro.engine.cc import load_library
@@ -48,6 +121,7 @@ class TestNativeRegistration:
         assert load_library() is load_library()
 
 
+@requires_native
 class TestNativeDecodeParity:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_corrupted_stream_matches_numpy(self, factory):
@@ -68,7 +142,30 @@ class TestNativeDecodeParity:
         assert np.array_equal(ref.statuses, nat.statuses)
         assert ref.results() == nat.results()
 
+    def test_stream_exercises_every_status(self):
+        """The parity stream is only a real pin if all 4 statuses occur,
+        including the ripple path and its in-kernel ctz/confinement."""
+        # The weakened eq-6 hybrid code miscorrects often enough that a
+        # short 2-symbol stream also lands silent-clean aliases.
+        code = muse_80_70()
+        words = msed_corruption_batch(code, 600, seed=2022, k_symbols=2)
+        statuses = set(get_engine(code, "native").decode_batch(words).statuses)
+        assert statuses == {0, 1, 2, 3}
 
+    def test_wrapping_correction_add(self):
+        """Corrections whose addend wraps the top limb stay exact."""
+        code = muse_144_132()
+        # Flip the top bit of words near the wrap boundary: the ELC
+        # addend for these remainders carries across all three limbs.
+        top = code.n - 1
+        words = [code.encode(0) ^ (1 << top), code.encode(1) ^ (1 << top)]
+        got = get_engine(code, "native").decode_batch(words)
+        expect = get_engine(code, "numpy").decode_batch(words)
+        assert list(got.statuses) == list(expect.statuses)
+        assert got.results() == expect.results()
+
+
+@requires_native
 class TestNativeFusedChunk:
     @pytest.mark.parametrize("k_symbols", [1, 2])
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
@@ -81,20 +178,36 @@ class TestNativeFusedChunk:
             expect = get_engine(code, "numpy").decode_batch(words).counts()
             assert engine.fused_chunk_counts(chunk, key, k_symbols) == expect
 
-    def test_declines_beyond_two_symbols(self):
-        code = muse_80_69()
-        engine = get_engine(code, "native")
+    @pytest.mark.parametrize("k_symbols", [1, 2])
+    @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
+    def test_ablation_counts_match(self, factory, k_symbols):
+        code = factory()
+        engine = get_engine(code, "native", ripple_check=False)
+        key = derive_key(21)
+        chunk = Chunk(11, 150)
+        words = muse_corruption_chunk(code, chunk, key, k_symbols)
+        expect = (
+            get_engine(code, "numpy", ripple_check=False)
+            .decode_batch(words)
+            .counts()
+        )
+        assert engine.fused_chunk_counts(chunk, key, k_symbols) == expect
+
+    def test_declines_outside_one_or_two_symbols(self):
+        """k > 2 is not exactly replayable -> the caller must fall back."""
+        engine = get_engine(muse_80_69(), "native")
         assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 3) is None
+        assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 0) is None
 
-    def test_matches_numba_kernel_exactly(self):
-        """C and the (fallback or JIT) numba kernel are twins."""
-        from repro.engine.numba_backend import NumbaDecodeEngine
-
-        code = muse_144_132()
-        native = get_engine(code, "native")
-        jit = NumbaDecodeEngine(code)
-        key = derive_key(99)
-        for chunk in (Chunk(0, 300), Chunk(777, 123)):
-            assert native.fused_chunk_counts(
-                chunk, key, 2
-            ) == jit.fused_chunk_counts(chunk, key, 2)
+    @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
+    def test_chunk_splits_compose(self, factory):
+        """Tallies are a pure function of the global trial index."""
+        engine = get_engine(factory(), "native")
+        key = derive_key(33)
+        whole = engine.fused_chunk_counts(Chunk(0, 300), key, 2)
+        parts = [
+            engine.fused_chunk_counts(Chunk(0, 110), key, 2),
+            engine.fused_chunk_counts(Chunk(110, 90), key, 2),
+            engine.fused_chunk_counts(Chunk(200, 100), key, 2),
+        ]
+        assert tuple(sum(c) for c in zip(*parts)) == whole

@@ -258,9 +258,7 @@ class TestCliDispatch:
 
 class TestTable4Report:
     """Regression: reports print 'rate [lo, hi] @ 95%' with trial
-    counts, never bare rates, in both fixed and adaptive modes.
-    (Backend-agnostic: without numpy the sequential fallback feeds the
-    same rendering.)"""
+    counts, never bare rates, in both fixed and adaptive modes."""
 
     def test_fixed_budget_report_includes_intervals(self, capsys):
         from repro.experiments import table4

@@ -1,5 +1,6 @@
 """Chunk-plan and counter-RNG unit tests."""
 
+import numpy as np
 import pytest
 
 from repro.orchestrate.plan import (
@@ -10,15 +11,6 @@ from repro.orchestrate.plan import (
     resolve_chunk_size,
 )
 from repro.orchestrate.rng import derive_key, mix64, trial_seed
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 class TestPlanChunks:
@@ -113,7 +105,6 @@ class TestCounterRng:
         assert trial_seed(key, 5) != trial_seed(key, 6)
         assert trial_seed(key, 5) != trial_seed(derive_key(8), 5)
 
-    @requires_numpy
     def test_counter_draws_match_scalar_trial_seed(self):
         """The vectorised and scalar hashes are the same function, so
         the scalar fallback and the numpy generators agree about which
@@ -126,7 +117,6 @@ class TestCounterRng:
             expected = [trial_seed(key, t) for t in range(start, stop)]
             assert draws.tolist() == expected
 
-    @requires_numpy
     def test_counter_draws_coerces_default_dtype_counters(self):
         """A plain arange (int64) must work, not TypeError in the
         shift ufuncs — the docstring recommends exactly that input."""
@@ -137,7 +127,6 @@ class TestCounterRng:
         typed = counter_draws(key, np.arange(0, 16, dtype=np.uint64))
         assert plain.tolist() == typed.tolist()
 
-    @requires_numpy
     def test_counter_draws_split_invariant(self):
         from repro.orchestrate.rng import counter_draws
 

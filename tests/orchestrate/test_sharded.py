@@ -20,15 +20,6 @@ from repro.reliability.monte_carlo import (
 )
 from repro.rs.reed_solomon import rs_144_128
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
 #: 193 = 3*64 + 1: chunk size 64 is a power of two *and* leaves a
 #: one-trial remainder chunk; 100 leaves a 93-trial remainder; 193 is
 #: the full run in a single chunk.
@@ -160,7 +151,6 @@ class TestTableIVSharded:
     """Acceptance: build_table_iv tallies byte-identical across
     (chunk_size, jobs), including jobs=1 vs jobs>1."""
 
-    @requires_numpy
     def test_table_iv_invariant_under_chunking_and_jobs(self):
         trials, seed = 240, 11
         baseline = build_table_iv(trials=trials, seed=seed)

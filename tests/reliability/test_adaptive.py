@@ -30,14 +30,6 @@ from repro.reliability.sampling.sequential import (
 )
 from repro.rs.reed_solomon import rs_144_128
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def _muse(backend="auto"):
@@ -211,7 +203,6 @@ class TestExecutionShapeInvariance:
 
 
 class TestTableIVAdaptive:
-    @requires_numpy
     def test_build_table_iv_adaptive_attaches_outcomes(self):
         policy = AdaptivePolicy(
             ci_target=0.5, metric="failure", initial_trials=150,
@@ -225,7 +216,6 @@ class TestTableIVAdaptive:
             assert point.result.trials <= policy.max_trials
             assert point.result == point.sampling.result
 
-    @requires_numpy
     def test_build_table_iv_adaptive_jobs_invariant(self):
         policy = AdaptivePolicy(
             ci_target=0.5, metric="failure", initial_trials=150,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.codes import muse_80_69, muse_144_132
+from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
+from repro.engine import available_backends
 from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
@@ -13,6 +14,9 @@ from repro.reliability.monte_carlo import (
 )
 from repro.rs.reed_solomon import rs_144_128
 
+VECTOR_BACKENDS = [b for b in available_backends() if b != "scalar"]
+MUSE_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
+MUSE_CODE_IDS = ["144_132", "80_69", "80_67_eq5", "80_70_eq6_hybrid"]
 
 class TestMuseSimulator:
     def test_deterministic_under_seed(self):
@@ -21,30 +25,21 @@ class TestMuseSimulator:
         second = simulator.run(trials=500, seed=7)
         assert first == second
 
-    def test_backends_produce_identical_tallies(self):
-        """Same (trials, seed) -> byte-identical MsedResult on both
-        backends: generation is shared, only the decoder differs."""
-        from repro.engine import available_backends
-
-        if "numpy" not in available_backends():
-            pytest.skip("numpy backend unavailable")
-        for code in (muse_80_69(), muse_144_132()):
-            for ripple in (True, False):
-                scalar = MuseMsedSimulator(
-                    code, ripple_check=ripple, backend="scalar"
-                ).run(trials=1200, seed=2022)
-                vector = MuseMsedSimulator(
-                    code, ripple_check=ripple, backend="numpy"
-                ).run(trials=1200, seed=2022)
-                assert scalar == vector
-
-    def test_sequential_fallback_matches_buckets_invariant(self):
-        """The numpy-free path still partitions every trial."""
-        simulator = MuseMsedSimulator(muse_80_69())
-        result = simulator._run_sequential(trials=400, seed=3)
-        assert (
-            result.detected + result.miscorrected + result.silent == result.trials
-        )
+    @pytest.mark.parametrize("ripple", [True, False], ids=["ripple", "noripple"])
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("factory", MUSE_CODES, ids=MUSE_CODE_IDS)
+    def test_backends_produce_identical_tallies(self, factory, backend, ripple):
+        """Same (trials, seed) -> byte-identical MsedResult on every
+        backend: generation is shared, only the decoder differs (the
+        native rung takes the fused chunk path here)."""
+        code = factory()
+        scalar = MuseMsedSimulator(
+            code, ripple_check=ripple, backend="scalar"
+        ).run(trials=1200, seed=2022)
+        vector = MuseMsedSimulator(
+            code, ripple_check=ripple, backend=backend
+        ).run(trials=1200, seed=2022)
+        assert scalar == vector
 
     def test_buckets_partition_trials(self):
         result = MuseMsedSimulator(muse_80_69()).run(trials=800, seed=1)

@@ -35,14 +35,6 @@ from repro.reliability.sampling.scheduler import (
 from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.reed_solomon import rs_144_128
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def _muse(backend="auto"):
@@ -240,7 +232,6 @@ class TestEscalation:
         assert outcome.trials_used < self.ZERO_EVENT.max_trials
         assert "importance splitting" in outcome.describe()
 
-    @requires_numpy
     def test_escalated_point_carries_a_splitting_tail_bound(self):
         policy = CampaignPolicy(
             base=self.ZERO_EVENT, escalate_after=400, escalation_trials=400
@@ -248,6 +239,21 @@ class TestEscalation:
         (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
         assert outcome.tail_bound is not None
         assert outcome.tail_bound.prefixes > 0
+
+    def test_splitting_failure_propagates(self, monkeypatch):
+        """A broken estimator is a bug to surface, never a silently
+        missing tail bound."""
+        from repro.reliability.sampling.splitting import MuseSplittingEstimator
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("estimator bug")
+
+        monkeypatch.setattr(MuseSplittingEstimator, "run", broken)
+        policy = CampaignPolicy(
+            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=200
+        )
+        with pytest.raises(RuntimeError, match="estimator bug"):
+            CampaignRunner(policy).run([_muse()], seed=7)
 
     def test_without_escalation_the_point_runs_to_the_ceiling(self):
         policy = CampaignPolicy(base=self.ZERO_EVENT)

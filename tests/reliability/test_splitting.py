@@ -27,8 +27,6 @@ from repro.reliability.sampling.splitting import (
     StratumTally,
 )
 
-pytest.importorskip("numpy", reason="splitting generation is vectorised")
-
 TOY_REF = "repro.core.codes:toy_16_7"
 
 BRUTE_TRIALS = 200_000
@@ -192,17 +190,3 @@ class TestValidation:
         left = StratumTally(1, 2, 4, 3, 9)
         left.merge(StratumTally(1, 1, 1, 1, 1))
         assert left == StratumTally(2, 3, 5, 4, 10)
-
-    def test_without_numpy_raises_backend_unavailable(self, monkeypatch):
-        """Regression: a numpy-free host must get the typed error, not
-        a raw ModuleNotFoundError from a late import."""
-        from repro.engine.base import BackendUnavailableError
-        from repro.reliability.sampling import splitting
-
-        monkeypatch.setattr(splitting, "np", None)
-        with pytest.raises(BackendUnavailableError, match="numpy"):
-            MuseSplittingEstimator(toy_16_7(), k_symbols=3).run(
-                trials=10, seed=1
-            )
-        with pytest.raises(BackendUnavailableError, match="numpy"):
-            RsSplittingEstimator(rs_design_point(6)).run(trials=10, seed=1)

@@ -1,5 +1,6 @@
 """Galois-field arithmetic tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,8 +108,6 @@ class TestDoubledExpTable:
 class TestVectorisedOps:
     """GF ndarray arithmetic must mirror the scalar tables exactly."""
 
-    numpy = pytest.importorskip("numpy")
-
     @given(
         pairs=st.lists(
             st.tuples(st.integers(0, 255), st.integers(0, 255)),
@@ -118,7 +117,6 @@ class TestVectorisedOps:
     )
     @settings(max_examples=100)
     def test_mul_batch_matches_scalar(self, pairs):
-        np = self.numpy
         field = get_field(8)
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
@@ -135,7 +133,6 @@ class TestVectorisedOps:
     )
     @settings(max_examples=100)
     def test_div_batch_matches_scalar(self, pairs):
-        np = self.numpy
         field = get_field(5)
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
@@ -144,13 +141,11 @@ class TestVectorisedOps:
         ]
 
     def test_div_batch_rejects_zero_divisor(self):
-        np = self.numpy
         field = get_field(4)
         with pytest.raises(ZeroDivisionError):
             field.div_batch(np.array([1, 2]), np.array([3, 0]))
 
     def test_pow_alpha_batch_handles_negative_exponents(self):
-        np = self.numpy
         field = get_field(6)
         exponents = np.array([-130, -1, 0, 1, 62, 63, 200])
         assert field.pow_alpha_batch(exponents).tolist() == [
@@ -159,7 +154,7 @@ class TestVectorisedOps:
 
     def test_mul_batch_broadcasts_scalars(self):
         field = get_field(8)
-        values = self.numpy.arange(256)
+        values = np.arange(256)
         assert field.mul_batch(values, 1).tolist() == list(range(256))
         assert field.mul_batch(values, 0).tolist() == [0] * 256
 

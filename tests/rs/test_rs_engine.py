@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.engine import available_backends, numpy_available
+from repro.engine import available_backends
 from repro.engine.base import BackendUnavailableError
 from repro.reliability.monte_carlo import RsMsedSimulator
 from repro.rs.engine import (
@@ -25,10 +25,6 @@ from repro.rs.engine import (
     rs_msed_corruption_batch,
 )
 from repro.rs.reed_solomon import RSDecodeStatus, rs_for_channel
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 
 #: All four Table-IV RS design points; b=7 and b=5 shorten mid-symbol.
 TABLE_IV_B = (8, 7, 6, 5)
@@ -54,23 +50,12 @@ class TestRegistry:
             code, "scalar", device_bits=None
         )
 
-    @requires_numpy
     def test_auto_prefers_fastest_available(self):
         """auto lands on the registry's top rung; every vector backend
         subclasses the numpy engine, so the tables are shared."""
         engine = get_rs_engine(make_code(8), "auto")
         assert isinstance(engine, NumpyRsEngine)
         assert engine.name == available_backends()[-1]
-
-    def test_explicit_numpy_raises_without_numpy(self, monkeypatch):
-        """Shared registry semantics: explicit numpy must not degrade."""
-        import repro.engine as engine_pkg
-
-        monkeypatch.setattr(engine_pkg, "numpy_available", lambda: False)
-        with pytest.raises(BackendUnavailableError):
-            get_rs_engine(make_code(8), "numpy")
-        # auto degrades instead of raising
-        assert get_rs_engine(make_code(8), "auto").name == "scalar"
 
 
 class TestDeviceConfined:
@@ -105,7 +90,6 @@ class TestDeviceConfined:
             )
 
 
-@requires_numpy
 class TestEncodeEquivalence:
     @pytest.mark.parametrize("b", TABLE_IV_B)
     def test_encode_batch_matches_scalar(self, b):
@@ -135,7 +119,6 @@ class TestEncodeEquivalence:
 VECTOR_BACKENDS = [b for b in available_backends() if b != "scalar"]
 
 
-@requires_numpy
 class TestDecodeEquivalence:
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("b", TABLE_IV_B)
@@ -230,52 +213,77 @@ class TestDecodeEquivalence:
 
 
 class TestSimulatorParity:
-    @requires_numpy
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("b", TABLE_IV_B)
     def test_fixed_seed_tallies_identical(self, b, backend):
         """The Table-IV contract: byte-identical MsedResult per backend
-        (the JIT/native rungs take the fused chunk path here)."""
+        (the native rung takes the fused chunk path here)."""
         code = make_code(b)
         scalar = RsMsedSimulator(code, backend="scalar").run(1200, seed=2022)
         vector = RsMsedSimulator(code, backend=backend).run(1200, seed=2022)
         assert scalar == vector
 
-    @requires_numpy
-    def test_policy_off_tallies_identical(self):
-        code = make_code(8)
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("b", TABLE_IV_B)
+    def test_policy_off_tallies_identical(self, b, backend):
+        code = make_code(b)
         scalar = RsMsedSimulator(
             code, device_bits=None, backend="scalar"
         ).run(1000, seed=5)
         vector = RsMsedSimulator(
-            code, device_bits=None, backend="numpy"
+            code, device_bits=None, backend=backend
         ).run(1000, seed=5)
         assert scalar == vector
         assert scalar.detected_confinement == 0
 
-    def test_explicit_numpy_raises_when_generator_unavailable(self, monkeypatch):
-        import repro.rs.engine as rs_engine
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("k_symbols", [1, 3])
+    def test_other_symbol_counts_tallies_identical(self, k_symbols, backend):
+        """k=1 rides the fused kernel; k=3 is generated then decoded."""
+        code = make_code(8)
+        scalar = RsMsedSimulator(
+            code, k_symbols=k_symbols, backend="scalar"
+        ).run(1000, seed=11)
+        vector = RsMsedSimulator(
+            code, k_symbols=k_symbols, backend=backend
+        ).run(1000, seed=11)
+        assert scalar == vector
 
-        monkeypatch.setattr(rs_engine, "np", None)
-        simulator = RsMsedSimulator(make_code(8), backend="numpy")
+    @pytest.mark.parametrize("device_bits", [4, None], ids=["x4", "nopolicy"])
+    @pytest.mark.parametrize(
+        "b, channel", [(8, 576), (7, 576), (8, 1024)], ids=["72", "83", "128"]
+    )
+    def test_auto_past_native_symbol_limit_matches_numpy(
+        self, b, channel, device_bits
+    ):
+        """Regression: a code wider than the native kernels' 64-symbol
+        scratch once sent ``auto`` to a separate numpy-free stream (113
+        miscorrections on the 72-symbol code with the x4 policy, vs 86
+        on numpy and scalar).  For every such code, shortened mid-symbol
+        or not, policy on or off, ``auto`` now lands on numpy's engine
+        and tallies its stream, while an explicit ``native`` raises."""
+        code = rs_for_channel(b, channel)
+        assert code.n_symbols > 64
+        with pytest.raises(BackendUnavailableError):
+            get_rs_engine(code, "native", device_bits)
+        assert get_rs_engine(code, "auto", device_bits) is get_rs_engine(
+            code, "numpy", device_bits
+        )
+        auto = RsMsedSimulator(code, device_bits=device_bits, backend="auto")
+        numpy = RsMsedSimulator(code, device_bits=device_bits, backend="numpy")
+        result = numpy.run(3000, seed=2022)
+        assert auto.run(3000, seed=2022) == result
+        if (b, channel, device_bits) == (8, 576, 4):
+            assert result.miscorrected == 86
+
+    def test_explicit_backend_never_steps_down(self):
+        """An explicit rung that refuses the code raises at run time."""
+        simulator = RsMsedSimulator(rs_for_channel(8, 576), backend="native")
         with pytest.raises(BackendUnavailableError):
             simulator.run(50, seed=1)
 
-    def test_auto_falls_back_to_sequential(self, monkeypatch):
-        """Without numpy, auto degrades to the original scalar loop."""
-        import repro.rs.engine as rs_engine
-
-        monkeypatch.setattr(rs_engine, "np", None)
-        result = RsMsedSimulator(make_code(8), backend="auto").run(200, seed=1)
-        assert (
-            result.detected + result.miscorrected + result.silent
-            == result.trials
-            == 200
-        )
-
 
 class TestCorruptionGeneration:
-    @requires_numpy
     def test_deterministic_under_seed(self):
         import numpy as np
 
@@ -284,7 +292,6 @@ class TestCorruptionGeneration:
         second = rs_msed_corruption_batch(code, 500, seed=11)
         assert np.array_equal(first, second)
 
-    @requires_numpy
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_every_word_has_exactly_k_corrupted_symbols(self, k):
         """Recover the clean words from the shared counter-hashed data
@@ -298,7 +305,6 @@ class TestCorruptionGeneration:
         corrupted = rs_msed_corruption_batch(code, 200, seed=seed, k_symbols=k)
         assert ((clean != corrupted).sum(axis=1) == k).all()
 
-    @requires_numpy
     def test_corrupted_symbols_respect_physical_widths(self):
         code = make_code(5)  # 4-bit partial last data symbol
         words = rs_msed_corruption_batch(code, 3000, seed=2, k_symbols=2)
@@ -306,7 +312,6 @@ class TestCorruptionGeneration:
             width = code.symbol_widths[index]
             assert int(words[:, index].max()) < (1 << width)
 
-    @requires_numpy
     def test_k_symbols_bounds_checked(self):
         code = make_code(8)
         with pytest.raises(ValueError):

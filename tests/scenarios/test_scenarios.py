@@ -13,8 +13,6 @@ The acceptance contract this file pins:
   importance splitting.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.codes import muse_80_69
@@ -125,7 +123,6 @@ class TestScalarBatchParity:
 
     @pytest.mark.parametrize("name", FAULTS)
     def test_muse_words_identical(self, name):
-        pytest.importorskip("numpy")
         from repro.engine.limbs import limbs_to_ints
         from repro.orchestrate.corruption import (
             muse_scenario_chunk,
@@ -143,7 +140,6 @@ class TestScalarBatchParity:
 
     @pytest.mark.parametrize("name", FAULTS)
     def test_rs_words_identical(self, name):
-        pytest.importorskip("numpy")
         from repro.orchestrate.corruption import (
             rs_scenario_chunk,
             rs_scenario_word,
@@ -197,8 +193,8 @@ class TestTallyInvariance:
 
     @pytest.mark.parametrize("name", FAULTS)
     def test_scalar_sequential_matches_batch(self, name):
-        """The numpy-free reference loop is the *same* stream (unlike
-        msed, whose sequential fallback deliberately is not)."""
+        """The scalar reference loop tallies the *same* stream as the
+        batch path."""
         simulator = muse_simulator(name)
         batch = simulator.run(trials=150, seed=SEED)
         sequential = (
@@ -245,34 +241,6 @@ class TestTallyInvariance:
             for name in FAULTS
         }
         assert len({repr(t) for t in tallies.values()}) == len(FAULTS)
-
-    def test_no_numpy_host_falls_back_to_the_same_stream(self):
-        """With numpy blocked, auto degrades to the scalar-reference
-        sequential loop — which for scenarios is the *same* stream, so
-        the tally must match the batch path exactly (regression: the
-        scalar path once imported engine.limbs, which needs numpy)."""
-        import subprocess
-        import sys
-
-        probe = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from repro.core.codes import muse_80_69\n"
-            "from repro.reliability.monte_carlo import MuseMsedSimulator\n"
-            "r = MuseMsedSimulator(muse_80_69(), scenario='scrub')"
-            ".run(trials=120, seed=99)\n"
-            "print(repr(r))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src"},
-            cwd=Path(__file__).resolve().parents[2],
-        )
-        assert result.returncode == 0, result.stderr
-        batch = muse_simulator("scrub").run(trials=120, seed=99)
-        assert result.stdout.strip() == repr(batch)
 
     def test_unknown_scenario_fails_at_run(self):
         simulator = muse_simulator("not-a-scenario")
