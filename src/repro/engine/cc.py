@@ -9,6 +9,12 @@ arithmetic wraps natively in C, so the splitmix64 mixing and the limb
 adds need no casting discipline — and the backend works on any host
 with a C compiler, no package installs required.
 
+The two fused chunk kernels replay more than one corruption stream: a
+mode argument picks msed's never-the-original replacement or mbu's
+adjacent-bit burst XOR (:mod:`repro.scenarios.library`), and
+:func:`repro.orchestrate.corruption.fused_stream` supplies the matching
+mode and stream keys.  Every other scenario stays generate-then-decode.
+
 Availability is probed by actually compiling (cached across processes
 by the content hash), so ``available_backends()`` never advertises a
 backend that cannot run.  Any failure — no compiler, a read-only temp
@@ -28,6 +34,11 @@ _SOURCE = r"""
 #include <stdint.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
+/* Fused-kernel corruption modes (repro/orchestrate/corruption.py). */
+#define MODE_MSED 0
+#define MODE_MBU 1
+/* repro/scenarios/library.py MBU_MAX_BURST */
+#define MBU_MAX_BURST 4
 
 static inline uint64_t mix64(uint64_t x) {
     x ^= x >> 30;
@@ -35,6 +46,54 @@ static inline uint64_t mix64(uint64_t x) {
     x ^= x >> 27;
     x *= 0x94D049BB133111EBULL;
     return x ^ (x >> 31);
+}
+
+/* The k <= 2 chosen symbols of one trial: the two smallest of S iid
+ * scores.  msed keeps argpartition's (argmin, 2nd-min) slot order;
+ * registered scenarios sort the chosen symbols by index, as
+ * _chosen_sorted_batch does. */
+static inline void choose_slots(int32_t mode, int64_t k_symbols,
+        const uint64_t *choice_keys, int64_t symbol_count,
+        uint64_t counter, int64_t *chosen) {
+    uint64_t best = mix64(choice_keys[0] + counter);
+    uint64_t second = ~0ULL;
+    int64_t best_index = 0, second_index = -1;
+    for (int64_t s = 1; s < symbol_count; s++) {
+        uint64_t score = mix64(choice_keys[s] + counter);
+        if (score < best) {
+            second = best; second_index = best_index;
+            best = score; best_index = s;
+        } else if (score < second) {
+            second = score; second_index = s;
+        }
+    }
+    if (second_index < 0) second_index = best_index == 0 ? 1 : 0;
+    int swap = mode != MODE_MSED && k_symbols == 2
+               && second_index < best_index;
+    chosen[0] = swap ? second_index : best_index;
+    chosen[1] = swap ? best_index : second_index;
+}
+
+/* The value one chosen slot leaves in a symbol of `width` bits holding
+ * `original`: msed's uniform never-the-original replacement (one VALUE
+ * draw), or mbu's 2..4 adjacent-bit burst XOR clipped to the width
+ * (one S_LEN and one S_START draw). */
+static inline uint64_t rewrite_symbol(int32_t mode, uint64_t original,
+        int64_t width, uint64_t value_key, uint64_t start_key,
+        uint64_t counter) {
+    if (mode == MODE_MSED) {
+        uint64_t draw = mix64(value_key + counter) % ((1ULL << width) - 1ULL);
+        return draw + (draw >= original);
+    }
+    uint64_t mask = 1;
+    if (width >= 2) {
+        uint64_t longest = width < MBU_MAX_BURST ? width : MBU_MAX_BURST;
+        uint64_t length = 2 + mix64(value_key + counter) % (longest - 1);
+        uint64_t start = mix64(start_key + counter)
+                         % ((uint64_t)width - length + 1);
+        mask = ((1ULL << length) - 1ULL) << start;
+    }
+    return original ^ mask;
 }
 
 /* word % m via precomputed 32-bit chunk weights; m < 2^28 keeps the
@@ -108,7 +167,8 @@ void muse_decode_batch(const uint64_t *words, int64_t batch, int64_t limbs,
 }
 
 /* Fused corruption draw -> encode -> corrupt -> decode -> tally; the
- * compiled twin of repro/orchestrate/corruption.py for k <= 2. */
+ * compiled twin of repro/orchestrate/corruption.py's msed and mbu
+ * streams for k <= 2. */
 void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         int64_t limbs, int64_t r_shift, uint64_t m,
         const uint64_t *weights, const uint64_t *k_mask,
@@ -116,10 +176,12 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         const uint64_t *low_mask, const uint64_t *above_mask,
         const int64_t *bit_symbol, const uint64_t *outside,
         const int64_t *sym_bits, const int64_t *sym_widths,
-        int64_t max_width, int64_t symbol_count,
+        int64_t max_width, int64_t symbol_count, int32_t mode,
         const uint64_t *data_keys, const uint64_t *choice_keys,
-        const uint64_t *value_keys, int32_t ripple, int64_t *counts) {
+        const uint64_t *value_keys, const uint64_t *start_keys,
+        int32_t ripple, int64_t *counts) {
     uint64_t word[8], fixed[8];
+    int64_t chosen[2];
     for (int64_t i = 0; i < size; i++) {
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         /* data draws masked to k bits, then systematic encode */
@@ -137,35 +199,21 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             carry = total < carry;
             word[j] = total;
         }
-        /* k smallest of S iid scores == argpartition slot order */
-        uint64_t best = mix64(choice_keys[0] + counter);
-        uint64_t second = ~0ULL;
-        int64_t best_index = 0, second_index = -1;
-        for (int64_t s = 1; s < symbol_count; s++) {
-            uint64_t score = mix64(choice_keys[s] + counter);
-            if (score < best) {
-                second = best; second_index = best_index;
-                best = score; best_index = s;
-            } else if (score < second) {
-                second = score; second_index = s;
-            }
-        }
-        if (second_index < 0) second_index = best_index == 0 ? 1 : 0;
-        /* replace each chosen symbol, never with its original value */
+        choose_slots(mode, k_symbols, choice_keys, symbol_count, counter,
+                     chosen);
         for (int64_t slot = 0; slot < k_symbols; slot++) {
-            int64_t symbol = slot == 0 ? best_index : second_index;
+            int64_t symbol = chosen[slot];
             int64_t width = sym_widths[symbol];
             const int64_t *bits = sym_bits + symbol * max_width;
             uint64_t original = 0;
             for (int64_t b = 0; b < width; b++)
                 original |= ((word[bits[b] >> 6] >> (bits[b] & 63)) & 1ULL) << b;
-            uint64_t draw = mix64(value_keys[slot] + counter)
-                            % ((1ULL << width) - 1ULL);
-            if (draw >= original) draw += 1;
+            uint64_t value = rewrite_symbol(mode, original, width,
+                value_keys[slot], start_keys[slot], counter);
             for (int64_t b = 0; b < width; b++) {
                 int64_t limb = bits[b] >> 6, offset = bits[b] & 63;
                 word[limb] = (word[limb] & ~(1ULL << offset))
-                             | (((draw >> b) & 1ULL) << offset);
+                             | (((value >> b) & 1ULL) << offset);
             }
         }
         uint64_t rem;
@@ -248,9 +296,11 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         int64_t pad_mask, int64_t partial_position,
         const uint8_t *confined, int32_t has_policy, int64_t conf_stride,
         int64_t aq, int64_t aq2, int64_t ap, int64_t ap2, int64_t det,
-        const uint64_t *data_keys, const uint64_t *choice_keys,
-        const uint64_t *value_keys, int64_t *counts) {
+        int32_t mode, const uint64_t *data_keys, const uint64_t *choice_keys,
+        const uint64_t *value_keys, const uint64_t *start_keys,
+        int64_t *counts) {
     uint32_t word[64], fixed[64];
+    int64_t chosen[2];
     for (int64_t i = 0; i < size; i++) {
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         /* data draws + GF check-symbol solve (rs_clean_chunk) */
@@ -271,27 +321,12 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         word[data_symbols + 1] = (uint32_t)gf_div(
             gf_mul(s2, ap, exp2, logt) ^ gf_mul(s1, ap2, exp2, logt),
             det, exp2, logt, order);
-        /* choose + replace (shared recipe, see the MUSE kernel) */
-        uint64_t best = mix64(choice_keys[0] + counter);
-        uint64_t second = ~0ULL;
-        int64_t best_index = 0, second_index = -1;
-        for (int64_t s = 1; s < n_symbols; s++) {
-            uint64_t score = mix64(choice_keys[s] + counter);
-            if (score < best) {
-                second = best; second_index = best_index;
-                best = score; best_index = s;
-            } else if (score < second) {
-                second = score; second_index = s;
-            }
-        }
-        if (second_index < 0) second_index = best_index == 0 ? 1 : 0;
+        choose_slots(mode, k_symbols, choice_keys, n_symbols, counter,
+                     chosen);
         for (int64_t slot = 0; slot < k_symbols; slot++) {
-            int64_t symbol = slot == 0 ? best_index : second_index;
-            uint64_t original = word[symbol];
-            uint64_t draw = mix64(value_keys[slot] + counter)
-                            % ((1ULL << widths[symbol]) - 1ULL);
-            if (draw >= original) draw += 1;
-            word[symbol] = (uint32_t)draw;
+            int64_t symbol = chosen[slot];
+            word[symbol] = (uint32_t)rewrite_symbol(mode, word[symbol],
+                widths[symbol], value_keys[slot], start_keys[slot], counter);
         }
         int64_t position, magnitude;
         counts[rs_decode_row(word, fixed, exp2, logt, order, n_symbols,
@@ -327,7 +362,7 @@ def _declare(lib: "ctypes.CDLL") -> None:
     lib.muse_fused_chunk.restype = None
     lib.muse_fused_chunk.argtypes = [
         i64, i64, i64, i64, i64, u64, p, p, p, p, p, p, p, p, p, p,
-        i64, i64, p, p, p, i32, p,
+        i64, i64, i32, p, p, p, p, i32, p,
     ]
     lib.rs_decode_batch.restype = None
     lib.rs_decode_batch.argtypes = [
@@ -336,7 +371,7 @@ def _declare(lib: "ctypes.CDLL") -> None:
     lib.rs_fused_chunk.restype = None
     lib.rs_fused_chunk.argtypes = [
         i64, i64, i64, p, p, i64, i64, i64, p, i64, i64, p, i32, i64,
-        i64, i64, i64, i64, i64, p, p, p, p,
+        i64, i64, i64, i64, i64, i32, p, p, p, p, p,
     ]
 
 

@@ -7,15 +7,19 @@ and dispatches batch decode and the fused corruption->decode->tally
 chunk to the ctypes library built by :mod:`repro.engine.cc`.  Tallies
 are byte-identical to every other backend at a fixed seed.
 
-:meth:`NativeDecodeEngine.fused_chunk_counts` replays the counter-
-hashed corruption stream of :mod:`repro.orchestrate.corruption` in C
-and tallies the 4 statuses without materialising any batch array.  It
-is exact for ``k_symbols <= 2``: there the generator's
+:meth:`NativeDecodeEngine.fused_scenario_counts` replays a scenario's
+counter-hashed corruption stream in C and tallies the 4 statuses
+without materialising any batch array — the msed stream of
+:mod:`repro.orchestrate.corruption` and the ``mbu`` scenario's burst
+stream (:func:`~repro.orchestrate.corruption.fused_stream` says which).
+It is exact for ``k_symbols <= 2``: there the generator's
 ``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
-arg-2nd-min)``, which the kernel reproduces with a two-minimum scan.
-For larger ``k`` the order of the remaining slots is an implementation
-detail of introselect, so the method returns ``None`` and the caller
-generates then decodes.
+arg-2nd-min)``, which the kernel reproduces with a two-minimum scan
+(and sorts by index for mbu).  For larger ``k`` the order of the
+remaining slots is an implementation detail of introselect, so the
+method returns ``None`` and the caller generates then decodes — as it
+does for every other scenario.  :meth:`fused_chunk_counts` is the msed
+case.
 
 Only registered as available when the probe's trial compile+load
 succeeds.  A code the kernels cannot take (more than
@@ -31,7 +35,7 @@ from repro.engine.base import BackendUnavailableError
 from repro.engine.cc import load_library, ptr
 from repro.engine.limbs import LIMB_BITS, int_to_limb_row
 from repro.engine.numpy_backend import NumpyBatchResult, NumpyDecodeEngine
-from repro.orchestrate.corruption import stream_keys
+from repro.orchestrate.corruption import fused_stream
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
@@ -93,19 +97,26 @@ class NativeDecodeEngine(NumpyDecodeEngine):
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
     def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
+        """:meth:`fused_scenario_counts` of the msed stream."""
+        return self.fused_scenario_counts("msed", chunk, key, k_symbols)
+
+    def fused_scenario_counts(self, scenario: str, chunk, key: int,
+                              k_symbols: int):
         """The 4-status counts of one fused corruption->decode chunk.
 
         Returns ``(clean, corrected, no_match, ripple)`` —
-        byte-identical to decoding ``muse_corruption_chunk`` — or
-        ``None`` when ``k_symbols`` is outside the exactly-replayable
-        1..2 range, telling the caller to take the unfused path.
+        byte-identical to decoding ``muse_scenario_chunk`` — or
+        ``None`` when the kernel cannot replay the scenario named
+        ``scenario`` at ``k_symbols`` (see :func:`fused_stream`),
+        telling the caller to take the unfused path.
         """
         symbol_count = self.code.layout.symbol_count
-        if not 1 <= k_symbols <= min(2, symbol_count):
-            return None
-        data_keys, choice_keys, value_keys = stream_keys(
-            key, self.limbs, symbol_count, k_symbols
+        stream = fused_stream(
+            scenario, key, self.limbs, symbol_count, k_symbols
         )
+        if stream is None:
+            return None
+        mode, data_keys, choice_keys, value_keys, start_keys = stream
         counts = np.zeros(4, dtype=np.int64)
         self._lib.muse_fused_chunk(
             chunk.start, chunk.size, k_symbols, self.limbs, self.code.r,
@@ -114,8 +125,9 @@ class NativeDecodeEngine(NumpyDecodeEngine):
             ptr(self._above_mask), ptr(self._bit_symbol),
             ptr(self._symbol_outside_masks), ptr(self._sym_bits),
             ptr(self._sym_widths), self._sym_bits.shape[1],
-            symbol_count, ptr(data_keys), ptr(choice_keys),
-            ptr(value_keys), int(self.ripple_check), ptr(counts),
+            symbol_count, mode, ptr(data_keys), ptr(choice_keys),
+            ptr(value_keys), ptr(start_keys), int(self.ripple_check),
+            ptr(counts),
         )
         return tuple(int(count) for count in counts)
 

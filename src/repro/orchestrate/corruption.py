@@ -23,9 +23,11 @@ Per trial the draws are fixed-count and stream-separated:
   replacement is never the original.  (The mod introduces a bias of
   order ``2^(w-64)`` — vanishing for the <= 16-bit symbols here.)
 
-The fused native kernels replay the same draws in C from the stream
-keys of :func:`stream_keys`; the scalar ``*_word`` forms below
-replay them one word at a time for the scenario reference streams.
+The fused native kernels replay the same draws in C — and the ``mbu``
+scenario's draws from its own keys — from the stream keys of
+:func:`fused_stream`, which decides which streams they can replay.
+The scalar ``*_word`` forms below replay them one word at a time for
+the scenario reference streams.
 """
 
 from __future__ import annotations
@@ -40,23 +42,60 @@ STREAM_DATA = 0
 STREAM_CHOICE = 1
 STREAM_VALUE = 2
 
+#: The fused kernels' corruption modes (``MODE_*`` in
+#: :mod:`repro.engine.cc`).
+FUSED_MSED = 0
+FUSED_MBU = 1
 
-def stream_keys(key: int, columns: int, symbols: int, k_symbols: int):
-    """The ``(DATA, CHOICE, VALUE)`` stream keys of a run as uint64
-    arrays — one per data column, per symbol and per corrupted slot —
-    which is all a fused kernel needs to replay this module's stream."""
 
-    def keys(stream: int, count: int) -> "np.ndarray":
-        return np.array(
-            [derive_key(key, stream, index) for index in range(count)],
-            dtype=np.uint64,
-        )
-
-    return (
-        keys(STREAM_DATA, columns),
-        keys(STREAM_CHOICE, symbols),
-        keys(STREAM_VALUE, k_symbols),
+def _keys(key: int, stream: int, count: int) -> "np.ndarray":
+    """Stream keys ``(stream, 0..count-1)`` under ``key`` as uint64."""
+    return np.array(
+        [derive_key(key, stream, index) for index in range(count)],
+        dtype=np.uint64,
     )
+
+
+def fused_stream(scenario: str, key: int, columns: int, symbols: int,
+                 k_symbols: int):
+    """What a fused kernel needs to replay the stream of the scenario
+    named ``scenario``, or ``None`` when it cannot.
+
+    Returns ``(mode, data_keys, choice_keys, value_keys, start_keys)``
+    as uint64 arrays — one key per data column, per symbol and per
+    corrupted slot.  The clean words always come from the base key's
+    DATA stream; msed chooses and replaces from the base CHOICE/VALUE
+    keys (``start_keys`` unused), mbu chooses and bursts from its
+    :func:`~repro.scenarios.scenario_stream_key` (``S_CHOICE`` per
+    symbol, ``S_LEN``/``S_START`` per slot).  ``None`` for every other
+    scenario and for ``k_symbols`` outside 1..2, where the kernels'
+    two-minimum scan no longer fixes the chosen set's order — callers
+    then generate the chunk and batch-decode it.
+    """
+    if not 1 <= k_symbols <= min(2, symbols):
+        return None
+    if scenario == "msed":
+        value = _keys(key, STREAM_VALUE, k_symbols)
+        return (
+            FUSED_MSED,
+            _keys(key, STREAM_DATA, columns),
+            _keys(key, STREAM_CHOICE, symbols),
+            value,
+            value,
+        )
+    if scenario == "mbu":
+        from repro.scenarios import scenario_stream_key
+        from repro.scenarios.library import S_CHOICE, S_LEN, S_START
+
+        skey = scenario_stream_key(key, scenario)
+        return (
+            FUSED_MBU,
+            _keys(key, STREAM_DATA, columns),
+            _keys(skey, S_CHOICE, symbols),
+            _keys(skey, S_LEN, k_symbols),
+            _keys(skey, S_START, k_symbols),
+        )
+    return None
 
 
 def _trial_counters(chunk: Chunk) -> "np.ndarray":

@@ -38,7 +38,9 @@ from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
 from repro.engine import get_engine
-from repro.orchestrate.corruption import (
+# The msed generators stay importable from here: perfbench's tracing
+# wraps them as attributes of this module.
+from repro.orchestrate.corruption import (  # noqa: F401
     muse_corruption_chunk,
     muse_scenario_chunk,
     muse_scenario_word,
@@ -130,15 +132,24 @@ def _tally(counts) -> MsedTally:
     return tally
 
 
-def _msed_counts(engine, generate, code, chunk: Chunk, key: int,
-                 k_symbols: int):
-    """The counts of one msed chunk: one compiled draw->decode->tally
-    pass on engines exposing ``fused_chunk_counts`` (native, k <= 2),
-    else ``generate`` the chunk and batch-decode it."""
-    fused = getattr(engine, "fused_chunk_counts", None)
-    counts = fused(chunk, key, k_symbols) if fused is not None else None
+def _chunk_counts(engine, generate, scenario: str, code, chunk: Chunk,
+                  key: int, k_symbols: int):
+    """The 4-status counts of one chunk of a scenario's stream.
+
+    One compiled draw->decode->tally pass when the engine can replay the
+    stream (``fused_scenario_counts``: native, msed or mbu, k <= 2),
+    else ``generate`` the corrupted chunk and batch-decode it.
+    """
+    fused = getattr(engine, "fused_scenario_counts", None)
+    counts = (
+        fused(scenario, chunk, key, k_symbols) if fused is not None else None
+    )
     if counts is None:
-        words = generate(code, chunk, key, k_symbols)
+        from repro.scenarios import resolve_scenario
+
+        words = generate(
+            resolve_scenario(scenario), code, chunk, key, k_symbols
+        )
         counts = engine.decode_batch(words).counts()
     return counts
 
@@ -148,13 +159,14 @@ class MuseMsedSimulator:
     """Inject k-symbol errors into a MUSE code and classify outcomes.
 
     Corruptions are generated chunk by chunk by
-    :func:`repro.orchestrate.corruption.muse_corruption_chunk` and
-    classified by vectorised batch decodes.  ``backend`` selects the
-    decode engine ("scalar", "numpy", "native" or "auto"); the
-    counter-hashed trial stream depends on neither the backend nor the
-    chunking, so the tally of a fixed ``(trials, seed)`` run is
-    byte-identical across backends and across every
-    ``(chunk_size, jobs)`` split.
+    :func:`repro.orchestrate.corruption.muse_scenario_chunk` and
+    classified by vectorised batch decodes, or drawn, decoded and
+    tallied in one compiled pass where a fused kernel replays them.
+    ``backend`` selects the decode engine ("scalar", "numpy", "native"
+    or "auto"); the counter-hashed trial stream depends on neither the
+    backend nor the chunking, so the tally of a fixed
+    ``(trials, seed)`` run is byte-identical across backends and across
+    every ``(chunk_size, jobs)`` split.
 
     ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef` or a
     ``"module:callable"`` string) is only needed for ``jobs > 1``: it
@@ -168,8 +180,9 @@ class MuseMsedSimulator:
     code_ref: CodeRef | str | None = None
     #: Which registered fault scenario to inject (:mod:`repro.scenarios`).
     #: The default "msed" is the paper's transient model and keeps the
-    #: historical stream (fused kernels included); every other scenario
-    #: runs generate-then-decode with a byte-identical scalar reference.
+    #: historical stream.  The native fused kernels replay msed and mbu;
+    #: every other scenario runs generate-then-decode, and each fault
+    #: scenario has a byte-identical scalar reference.
     scenario: str = "msed"
 
     def run(
@@ -210,19 +223,18 @@ class MuseMsedSimulator:
         """Classify one chunk of the stream keyed by ``key``.
 
         The unit of work the shard runner executes; folding the
-        returned tallies over a run's chunks reproduces ``run``.
-        Non-default scenarios bypass the fused kernels (those compile
-        the msed stream only) and generate-then-decode instead.
+        returned tallies over a run's chunks reproduces ``run``.  Every
+        scenario takes one route: the fused kernel when the engine can
+        replay the stream, else ``muse_scenario_chunk`` then a batch
+        decode on whatever engine ``backend`` resolves to.
         """
-        if self.scenario != "msed":
-            return self._scenario_chunk(chunk, key)
         engine = get_engine(
             self.code, self.backend, ripple_check=self.ripple_check
         )
         return _tally(
-            _msed_counts(
-                engine, muse_corruption_chunk, self.code, chunk, key,
-                self.k_symbols,
+            _chunk_counts(
+                engine, muse_scenario_chunk, self.scenario, self.code,
+                chunk, key, self.k_symbols,
             )
         )
 
@@ -235,25 +247,10 @@ class MuseMsedSimulator:
             scenario=self.scenario,
         )
 
-    def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream,
-        generated then decoded on whatever engine ``backend`` resolves
-        to."""
-        from repro.scenarios import resolve_scenario
-
-        scenario = resolve_scenario(self.scenario)
-        engine = get_engine(
-            self.code, self.backend, ripple_check=self.ripple_check
-        )
-        words = muse_scenario_chunk(
-            scenario, self.code, chunk, key, self.k_symbols
-        )
-        return _tally(engine.decode_batch(words).counts())
-
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
         """The scalar reference of one scenario chunk: one
         ``corrupt_word`` and one big-int decode per trial — the oracle
-        the scenario tests pin :meth:`_scenario_chunk` against."""
+        the scenario tests pin :meth:`run_chunk` against."""
         code = self.code
         tally = MsedTally()
         for trial in range(chunk.start, chunk.stop):
@@ -283,7 +280,7 @@ class RsMsedSimulator:
     (defaults to x4, matching the paper's DIMMs); ``None`` disables it.
     Like :class:`MuseMsedSimulator`, corruptions come from the shared
     counter-hashed chunk generator
-    (:func:`repro.orchestrate.corruption.rs_corruption_chunk`), so the
+    (:func:`repro.orchestrate.corruption.rs_scenario_chunk`), so the
     tally of a fixed ``(trials, seed)`` run is byte-identical across
     backends and every ``(chunk_size, jobs)`` split.  ``code_ref``
     names a factory for worker processes (``jobs > 1``).
@@ -329,16 +326,16 @@ class RsMsedSimulator:
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
         """Classify one chunk of the stream keyed by ``key`` — the RS
-        twin of :meth:`MuseMsedSimulator.run_chunk`."""
-        if self.scenario != "msed":
-            return self._scenario_chunk(chunk, key)
+        twin of :meth:`MuseMsedSimulator.run_chunk`: fused when the
+        engine can replay the scenario, else ``rs_scenario_chunk`` then
+        a batch decode."""
         engine = get_rs_engine(
             self.code, self.backend, device_bits=self.device_bits
         )
         return _tally(
-            _msed_counts(
-                engine, rs_corruption_chunk, self.code, chunk, key,
-                self.k_symbols,
+            _chunk_counts(
+                engine, rs_scenario_chunk, self.scenario, self.code,
+                chunk, key, self.k_symbols,
             )
         )
 
@@ -350,20 +347,6 @@ class RsMsedSimulator:
             backend=self.backend,
             scenario=self.scenario,
         )
-
-    def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream; see
-        :meth:`MuseMsedSimulator._scenario_chunk`."""
-        from repro.scenarios import resolve_scenario
-
-        scenario = resolve_scenario(self.scenario)
-        engine = get_rs_engine(
-            self.code, self.backend, device_bits=self.device_bits
-        )
-        words = rs_scenario_chunk(
-            scenario, self.code, chunk, key, self.k_symbols
-        )
-        return _tally(engine.decode_batch(words).counts())
 
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
         """The scalar reference of one scenario chunk (see

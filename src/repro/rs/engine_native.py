@@ -5,10 +5,11 @@ The RS twin of :mod:`repro.engine.native` — subclasses
 encode constants and confinement lookup, adds the typed GF tables the
 C kernels take, and dispatches batch decode and the fused
 corruption->decode->tally chunk to the shared kernel library compiled
-by :mod:`repro.engine.cc`.  The fused chunk replays
-:func:`repro.orchestrate.corruption.rs_corruption_chunk` for
-``k_symbols <= 2`` (``None`` otherwise, as for MUSE).  Byte-identical
-tallies, native speed, no package installs.
+by :mod:`repro.engine.cc`.  The fused chunk replays the msed and
+``mbu`` streams of :func:`repro.orchestrate.corruption.rs_scenario_chunk`
+for ``k_symbols <= 2`` (``None`` otherwise, and for every other
+scenario, as for MUSE).  Byte-identical tallies, native speed, no
+package installs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.engine.base import BackendUnavailableError
 from repro.engine.cc import load_library, ptr
-from repro.orchestrate.corruption import stream_keys
+from repro.orchestrate.corruption import fused_stream
 from repro.rs.engine import NumpyRsBatchResult, NumpyRsEngine
 
 #: The C kernels use fixed stack scratch ``uint32_t word[64]``.
@@ -72,18 +73,25 @@ class NativeRsEngine(NumpyRsEngine):
         )
 
     def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
+        """:meth:`fused_scenario_counts` of the msed stream."""
+        return self.fused_scenario_counts("msed", chunk, key, k_symbols)
+
+    def fused_scenario_counts(self, scenario: str, chunk, key: int,
+                              k_symbols: int):
         """The 4-status counts of one fused corruption->decode chunk.
 
         ``(clean, corrected, no_match, confinement)`` — byte-identical
-        to decoding ``rs_corruption_chunk`` — or ``None`` when
-        ``k_symbols`` falls outside the exactly-replayable 1..2 range.
+        to decoding ``rs_scenario_chunk`` — or ``None`` when the kernel
+        cannot replay the scenario named ``scenario`` at ``k_symbols``
+        (see :func:`fused_stream`).
         """
         code = self.code
-        if not 1 <= k_symbols <= min(2, code.n_symbols):
-            return None
-        data_keys, choice_keys, value_keys = stream_keys(
-            key, code.data_symbols, code.n_symbols, k_symbols
+        stream = fused_stream(
+            scenario, key, code.data_symbols, code.n_symbols, k_symbols
         )
+        if stream is None:
+            return None
+        mode, data_keys, choice_keys, value_keys, start_keys = stream
         counts = np.zeros(4, dtype=np.int64)
         self._lib.rs_fused_chunk(
             chunk.start, chunk.size, k_symbols, ptr(self._exp2_nd),
@@ -92,8 +100,9 @@ class NativeRsEngine(NumpyRsEngine):
             self._partial_position, ptr(self._confined_u8),
             int(self._has_policy), self._confined_u8.shape[1],
             int(self._enc_aq), int(self._enc_aq2), int(self._enc_ap),
-            int(self._enc_ap2), int(self._enc_det), ptr(data_keys),
-            ptr(choice_keys), ptr(value_keys), ptr(counts),
+            int(self._enc_ap2), int(self._enc_det), mode, ptr(data_keys),
+            ptr(choice_keys), ptr(value_keys), ptr(start_keys),
+            ptr(counts),
         )
         return tuple(int(count) for count in counts)
 

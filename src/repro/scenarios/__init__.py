@@ -9,8 +9,8 @@ byte-identical across ``(chunk_size, jobs, workers)`` and backends at
 a fixed seed.
 
 Every registered scenario ships two synchronised implementations of
-the **same** stream (the historical MSED stream has only the first; the
-fused native kernels replay it instead):
+the **same** stream (the historical MSED stream has neither; its
+generators live in :mod:`repro.orchestrate.corruption`):
 
 * ``corrupt_batch(skey, view, k_symbols)`` — vectorised over a whole
   chunk (:class:`BatchSymbolView`, numpy);
@@ -23,6 +23,10 @@ and batch paths agree bit for bit and two scenarios sharing a seed
 never share a corruption stream.  The clean data words stay on the
 base key's ``DATA`` stream, so every scenario corrupts the *same*
 encoded words.
+
+The native backend's fused kernels replay the msed and ``mbu`` streams
+in C (:func:`repro.orchestrate.corruption.fused_stream` lists what they
+can replay); the simulators generate then decode every other scenario.
 
 The registry is the single source of scenario names: CLI ``--scenario``
 choices, spec fields (and therefore ``spec_fingerprint`` result-cache

@@ -8,6 +8,8 @@ errors, ``auto`` stepping down past a refusing rung) run everywhere,
 against the real registry rather than a mock.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from repro.engine import (
     registered_backends,
     resolve_backend,
 )
-from repro.orchestrate.corruption import muse_corruption_chunk
+from repro.orchestrate.corruption import muse_scenario_chunk
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import derive_key
+from repro.reliability.monte_carlo import muse_design_point
+from repro.scenarios import resolve_scenario
 
 # Gate on the registry (not the raw compiler probe) so the suite also
 # skips when REPRO_DISABLE_BACKENDS hides the backend from `auto`.
@@ -37,6 +41,16 @@ requires_native = pytest.mark.skipif(
 
 ALL_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
 CODE_IDS = ["144_132", "80_69", "80_67_eq5", "80_70_eq6_hybrid"]
+
+
+#: Every Table-IV MUSE point (144_132 and 80_69 are +4b and +5b) plus
+#: the two extra 80-bit layouts.
+FUSED_CODES = [
+    partial(muse_design_point, extra) for extra in range(4)
+] + ALL_CODES
+FUSED_IDS = [f"144_{128 + extra}" for extra in range(4)] + CODE_IDS
+#: The streams the fused kernels replay.
+FUSED_SCENARIOS = ("msed", "mbu")
 
 
 class TestRegistrySemantics:
@@ -167,47 +181,82 @@ class TestNativeDecodeParity:
 
 @requires_native
 class TestNativeFusedChunk:
+    """``fused_scenario_counts`` against numpy generate-then-decode of
+    ``muse_scenario_chunk``, per replayable scenario."""
+
     @pytest.mark.parametrize("k_symbols", [1, 2])
-    @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
-    def test_counts_match_generate_then_decode(self, factory, k_symbols):
+    @pytest.mark.parametrize("factory", FUSED_CODES, ids=FUSED_IDS)
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_counts_match_generate_then_decode(
+        self, scenario, factory, k_symbols
+    ):
         code = factory()
+        stream = resolve_scenario(scenario)
         engine = get_engine(code, "native")
         key = derive_key(13)
         for chunk in (Chunk(0, 250), Chunk(137, 200)):
-            words = muse_corruption_chunk(code, chunk, key, k_symbols)
+            words = muse_scenario_chunk(stream, code, chunk, key, k_symbols)
             expect = get_engine(code, "numpy").decode_batch(words).counts()
-            assert engine.fused_chunk_counts(chunk, key, k_symbols) == expect
+            assert (
+                engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+                == expect
+            )
 
     @pytest.mark.parametrize("k_symbols", [1, 2])
-    @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
-    def test_ablation_counts_match(self, factory, k_symbols):
+    @pytest.mark.parametrize("factory", FUSED_CODES, ids=FUSED_IDS)
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_ablation_counts_match(self, scenario, factory, k_symbols):
         code = factory()
+        stream = resolve_scenario(scenario)
         engine = get_engine(code, "native", ripple_check=False)
         key = derive_key(21)
         chunk = Chunk(11, 150)
-        words = muse_corruption_chunk(code, chunk, key, k_symbols)
+        words = muse_scenario_chunk(stream, code, chunk, key, k_symbols)
         expect = (
             get_engine(code, "numpy", ripple_check=False)
             .decode_batch(words)
             .counts()
         )
-        assert engine.fused_chunk_counts(chunk, key, k_symbols) == expect
+        assert (
+            engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+            == expect
+        )
 
-    def test_declines_outside_one_or_two_symbols(self):
-        """k > 2 is not exactly replayable -> the caller must fall back."""
+    @pytest.mark.parametrize("k_symbols", [1, 2])
+    def test_msed_entry_is_the_msed_scenario(self, k_symbols):
+        engine = get_engine(muse_144_132(), "native")
+        chunk, key = Chunk(5, 300), derive_key(3)
+        assert engine.fused_chunk_counts(
+            chunk, key, k_symbols
+        ) == engine.fused_scenario_counts("msed", chunk, key, k_symbols)
+
+    def test_declines_what_it_cannot_replay(self):
+        """k outside 1..2 and the unfused scenarios are not exactly
+        replayable -> the caller must fall back."""
         engine = get_engine(muse_80_69(), "native")
-        assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 3) is None
-        assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 0) is None
+        chunk, key = Chunk(0, 10), derive_key(1)
+        assert engine.fused_chunk_counts(chunk, key, 3) is None
+        assert engine.fused_chunk_counts(chunk, key, 0) is None
+        assert engine.fused_scenario_counts("mbu", chunk, key, 3) is None
+        assert engine.fused_scenario_counts("mbu", chunk, key, 0) is None
+        for name in ("stuck", "rowfail", "scrub", "wear"):
+            for k_symbols in (1, 2):
+                assert (
+                    engine.fused_scenario_counts(name, chunk, key, k_symbols)
+                    is None
+                ), name
 
-    @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
-    def test_chunk_splits_compose(self, factory):
+    @pytest.mark.parametrize("factory", FUSED_CODES, ids=FUSED_IDS)
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_chunk_splits_compose(self, scenario, factory):
         """Tallies are a pure function of the global trial index."""
         engine = get_engine(factory(), "native")
         key = derive_key(33)
-        whole = engine.fused_chunk_counts(Chunk(0, 300), key, 2)
-        parts = [
-            engine.fused_chunk_counts(Chunk(0, 110), key, 2),
-            engine.fused_chunk_counts(Chunk(110, 90), key, 2),
-            engine.fused_chunk_counts(Chunk(200, 100), key, 2),
-        ]
+
+        def counts(chunk):
+            return engine.fused_scenario_counts(scenario, chunk, key, 2)
+
+        whole = counts(Chunk(0, 300))
+        parts = [counts(Chunk(0, 110)), counts(Chunk(110, 90)),
+                 counts(Chunk(200, 100))]
         assert tuple(sum(c) for c in zip(*parts)) == whole

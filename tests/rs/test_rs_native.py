@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.engine import available_backends
-from repro.orchestrate.corruption import rs_corruption_chunk
+from repro.orchestrate.corruption import rs_scenario_chunk
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import derive_key
 from repro.rs.engine import get_rs_engine, rs_msed_corruption_batch
 from repro.rs.reed_solomon import rs_for_channel
+from repro.scenarios import resolve_scenario
 
 # Gate on the registry (not the raw compiler probe) so the suite also
 # skips when REPRO_DISABLE_BACKENDS hides the backend from `auto`.
@@ -25,6 +26,8 @@ pytestmark = pytest.mark.skipif(
 
 #: All four Table-IV RS design points; b=7 and b=5 shorten mid-symbol.
 TABLE_IV_B = (8, 7, 6, 5)
+#: The streams the fused kernels replay.
+FUSED_SCENARIOS = ("msed", "mbu")
 
 
 def make_code(b):
@@ -52,30 +55,58 @@ class TestNativeRsParity:
 
 
 class TestNativeRsFusedChunk:
+    """``fused_scenario_counts`` against numpy generate-then-decode of
+    ``rs_scenario_chunk``, per replayable scenario."""
+
     @pytest.mark.parametrize("b", TABLE_IV_B)
     @pytest.mark.parametrize("k_symbols", [1, 2])
-    def test_counts_match_generate_then_decode(self, b, k_symbols):
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_counts_match_generate_then_decode(self, scenario, b, k_symbols):
         code = make_code(b)
+        stream = resolve_scenario(scenario)
         engine = get_rs_engine(code, "native")
         key = derive_key(17)
         for chunk in (Chunk(0, 400), Chunk(211, 250)):
-            words = rs_corruption_chunk(code, chunk, key, k_symbols)
+            words = rs_scenario_chunk(stream, code, chunk, key, k_symbols)
             expect = get_rs_engine(code, "numpy").decode_batch(words).counts()
-            assert engine.fused_chunk_counts(chunk, key, k_symbols) == expect
+            assert (
+                engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+                == expect
+            )
 
-    def test_declines_outside_one_or_two_symbols(self):
+    @pytest.mark.parametrize("k_symbols", [1, 2])
+    def test_msed_entry_is_the_msed_scenario(self, k_symbols):
+        engine = get_rs_engine(make_code(6), "native")
+        chunk, key = Chunk(9, 300), derive_key(3)
+        assert engine.fused_chunk_counts(
+            chunk, key, k_symbols
+        ) == engine.fused_scenario_counts("msed", chunk, key, k_symbols)
+
+    def test_declines_what_it_cannot_replay(self):
         engine = get_rs_engine(make_code(8), "native")
-        assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 3) is None
-        assert engine.fused_chunk_counts(Chunk(0, 10), derive_key(1), 0) is None
+        chunk, key = Chunk(0, 10), derive_key(1)
+        assert engine.fused_chunk_counts(chunk, key, 3) is None
+        assert engine.fused_chunk_counts(chunk, key, 0) is None
+        assert engine.fused_scenario_counts("mbu", chunk, key, 3) is None
+        assert engine.fused_scenario_counts("mbu", chunk, key, 0) is None
+        for name in ("stuck", "rowfail", "scrub", "wear"):
+            for k_symbols in (1, 2):
+                assert (
+                    engine.fused_scenario_counts(name, chunk, key, k_symbols)
+                    is None
+                ), name
 
     @pytest.mark.parametrize("b", TABLE_IV_B)
-    def test_respects_device_policy(self, b):
+    @pytest.mark.parametrize("k_symbols", [1, 2])
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_respects_device_policy(self, scenario, b, k_symbols):
         """Policy on/off changes the corrected/confinement split, and
         the fused tally must track the batch decode in both modes."""
         code = make_code(b)
+        stream = resolve_scenario(scenario)
         key = derive_key(23)
-        chunk = Chunk(0, 600)
-        words = rs_corruption_chunk(code, chunk, key, 2)
+        chunk = Chunk(40, 600)
+        words = rs_scenario_chunk(stream, code, chunk, key, k_symbols)
         for device_bits in (4, None):
             engine = get_rs_engine(code, "native", device_bits)
             expect = (
@@ -83,16 +114,21 @@ class TestNativeRsFusedChunk:
                 .decode_batch(words)
                 .counts()
             )
-            assert engine.fused_chunk_counts(chunk, key, 2) == expect
+            assert (
+                engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+                == expect
+            )
 
     @pytest.mark.parametrize("b", TABLE_IV_B)
-    def test_chunk_splits_compose(self, b):
+    @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
+    def test_chunk_splits_compose(self, scenario, b):
         engine = get_rs_engine(make_code(b), "native")
         key = derive_key(29)
-        whole = engine.fused_chunk_counts(Chunk(0, 500), key, 2)
-        parts = [
-            engine.fused_chunk_counts(Chunk(0, 123), key, 2),
-            engine.fused_chunk_counts(Chunk(123, 177), key, 2),
-            engine.fused_chunk_counts(Chunk(300, 200), key, 2),
-        ]
+
+        def counts(chunk):
+            return engine.fused_scenario_counts(scenario, chunk, key, 2)
+
+        whole = counts(Chunk(0, 500))
+        parts = [counts(Chunk(0, 123)), counts(Chunk(123, 177)),
+                 counts(Chunk(300, 200))]
         assert tuple(sum(c) for c in zip(*parts)) == whole

@@ -8,6 +8,8 @@ The acceptance contract this file pins:
 * per scenario, the folded tally is invariant across chunk splits,
   ``jobs=2`` process pools, every available decode backend, and a
   2-worker distributed loopback session — at a fixed seed;
+* native ``mbu`` chunks run in the fused kernels (no corruption batch
+  is generated) and still tally the scalar reference stream;
 * the campaign scheduler escalates zero-event cells of a
   non-splittable scenario to a Clopper-Pearson tail bound instead of
   importance splitting.
@@ -182,12 +184,14 @@ class TestTallyInvariance:
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name", ("mbu", "scrub", "wear"))
-    def test_backends_fold_identically(self, name, backend):
-        reference = muse_simulator(name, backend="scalar").run(
+    @pytest.mark.parametrize("family", ("muse", "rs"))
+    def test_backends_fold_identically(self, family, name, backend):
+        simulator = muse_simulator if family == "muse" else rs_simulator
+        reference = simulator(name, backend="scalar").run(
             trials=120, seed=SEED
         )
         assert (
-            muse_simulator(name, backend=backend).run(trials=120, seed=SEED)
+            simulator(name, backend=backend).run(trials=120, seed=SEED)
             == reference
         )
 
@@ -246,6 +250,73 @@ class TestTallyInvariance:
         simulator = muse_simulator("not-a-scenario")
         with pytest.raises(ValueError, match="registered"):
             simulator.run(trials=10, seed=1)
+
+
+@pytest.mark.skipif(
+    "native" not in available_backends(),
+    reason="native backend unavailable (no C compiler, or disabled)",
+)
+class TestFusedRoute:
+    """Which path ``run_chunk`` takes: native replays mbu in the fused
+    kernels, everything else generates the corrupted chunk first."""
+
+    CHUNK = Chunk(start=31, size=160)
+
+    @staticmethod
+    def _generators(monkeypatch, replacement):
+        from repro.reliability import monte_carlo
+
+        for attr in ("muse_scenario_chunk", "rs_scenario_chunk"):
+            monkeypatch.setattr(
+                monte_carlo, attr, replacement(getattr(monte_carlo, attr))
+            )
+
+    def _reference(self, simulator, name):
+        return (
+            simulator(name, backend="scalar")
+            ._scenario_sequential(
+                resolve_scenario(name), self.CHUNK, derive_key(SEED)
+            )
+            .freeze()
+        )
+
+    @pytest.mark.parametrize("family", ("muse", "rs"))
+    def test_native_mbu_never_generates(self, family, monkeypatch):
+        def refuse(generate):
+            def refused(*args, **kwargs):
+                raise AssertionError("native mbu generated its batch")
+
+            return refused
+
+        self._generators(monkeypatch, refuse)
+        simulator = muse_simulator if family == "muse" else rs_simulator
+        tally = simulator("mbu", backend="native").run_chunk(
+            self.CHUNK, derive_key(SEED)
+        )
+        assert tally.freeze() == self._reference(simulator, "mbu")
+
+    @pytest.mark.parametrize(
+        "backend,name",
+        [("numpy", "mbu"), ("native", "stuck"), ("native", "scrub")],
+    )
+    @pytest.mark.parametrize("family", ("muse", "rs"))
+    def test_unfused_routes_generate(self, family, backend, name, monkeypatch):
+        calls = []
+
+        def count(generate):
+            def counted(scenario, *args, **kwargs):
+                calls.append(scenario.name)
+                return generate(scenario, *args, **kwargs)
+
+            return counted
+
+        self._generators(monkeypatch, count)
+        simulator = muse_simulator if family == "muse" else rs_simulator
+        tally = simulator(name, backend=backend).run_chunk(
+            self.CHUNK, derive_key(SEED)
+        )
+        assert calls == [name]
+        assert tally.freeze() == self._reference(simulator, name)
 
 
 class TestCampaignEscalation:
