@@ -3,8 +3,9 @@
 The top rung of the backend ladder: four kernels (MUSE decode, MUSE
 fused chunk, RS PGZ decode, RS fused chunk) written once in portable
 C99 over the numpy engines' table layouts, compiled at first use with
-the system compiler (``cc -O3 -shared -fPIC``) into a content-addressed
-cache under the temp directory, and loaded with ctypes.  uint64
+the system compiler (``$CC``, default ``cc``, with ``-O3 -fPIC
+-shared``) into a cache under the temp directory addressed by the
+source, the compiler and its flags, and loaded with ctypes.  uint64
 arithmetic wraps natively in C, so the splitmix64 mixing and the limb
 adds need no casting discipline — and the backend works on any host
 with a C compiler, no package installs required.
@@ -14,12 +15,16 @@ mode argument picks msed's never-the-original replacement or mbu's
 adjacent-bit burst XOR (:mod:`repro.scenarios.library`), and
 :func:`repro.orchestrate.corruption.fused_stream` supplies the matching
 mode and stream keys.  Every other scenario stays generate-then-decode.
+Both share one choice scan (``choose_slots``: two interleaved
+branch-free smallest/2nd-smallest chains over the symbol scores).  The
+MUSE kernel builds and corrupts each codeword; the RS kernel decodes
+the error pattern alone, since a clean word's syndromes are zero, and
+shares its PGZ verdict (``rs_verdict``) with the RS batch decode.
 
 Availability is probed by actually compiling (cached across processes
-by the content hash), so ``available_backends()`` never advertises a
-backend that cannot run.  Any failure — no compiler, a read-only temp
-dir — just reports unavailable; ``auto`` then falls back down the
-ladder.
+by that key), so ``available_backends()`` never advertises a backend
+that cannot run.  Any failure — no compiler, a read-only temp dir —
+just reports unavailable; ``auto`` then falls back down the ladder.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ _SOURCE = r"""
 #define MODE_MBU 1
 /* repro/scenarios/library.py MBU_MAX_BURST */
 #define MBU_MAX_BURST 4
+/* Score scratch of the choice scan; the engines refuse wider codes
+ * (MAX_NATIVE_SYMBOLS: 512 in repro/engine/native.py, 64 in
+ * repro/rs/engine_native.py). */
+#define MAX_CHOICE_SYMBOLS 512
 
 static inline uint64_t mix64(uint64_t x) {
     x ^= x >> 30;
@@ -48,26 +57,45 @@ static inline uint64_t mix64(uint64_t x) {
     return x ^ (x >> 31);
 }
 
+static inline uint64_t min64(uint64_t a, uint64_t b) { return a < b ? a : b; }
+static inline uint64_t max64(uint64_t a, uint64_t b) { return a < b ? b : a; }
+
+/* Fold one score into a branch-free (smallest, 2nd-smallest) chain. */
+static inline void keep_two_smallest(uint64_t score, uint64_t *first,
+                                     uint64_t *second) {
+    *second = min64(*second, max64(*first, score));
+    *first = min64(*first, score);
+}
+
 /* The k <= 2 chosen symbols of one trial: the two smallest of S iid
- * scores.  msed keeps argpartition's (argmin, 2nd-min) slot order;
- * registered scenarios sort the chosen symbols by index, as
+ * scores, ties going to the lower index.  Two interleaved branch-free
+ * chains find the two values, then a scan of the stored scores finds
+ * their indices.  msed keeps argpartition's (argmin, 2nd-min) slot
+ * order; registered scenarios sort the chosen symbols by index, as
  * _chosen_sorted_batch does. */
 static inline void choose_slots(int32_t mode, int64_t k_symbols,
         const uint64_t *choice_keys, int64_t symbol_count,
         uint64_t counter, int64_t *chosen) {
-    uint64_t best = mix64(choice_keys[0] + counter);
-    uint64_t second = ~0ULL;
-    int64_t best_index = 0, second_index = -1;
-    for (int64_t s = 1; s < symbol_count; s++) {
-        uint64_t score = mix64(choice_keys[s] + counter);
-        if (score < best) {
-            second = best; second_index = best_index;
-            best = score; best_index = s;
-        } else if (score < second) {
-            second = score; second_index = s;
-        }
+    uint64_t scores[MAX_CHOICE_SYMBOLS];
+    uint64_t even1 = ~0ULL, even2 = ~0ULL, odd1 = ~0ULL, odd2 = ~0ULL;
+    int64_t s = 0;
+    for (; s + 1 < symbol_count; s += 2) {
+        scores[s] = mix64(choice_keys[s] + counter);
+        scores[s + 1] = mix64(choice_keys[s + 1] + counter);
+        keep_two_smallest(scores[s], &even1, &even2);
+        keep_two_smallest(scores[s + 1], &odd1, &odd2);
     }
-    if (second_index < 0) second_index = best_index == 0 ? 1 : 0;
+    if (s < symbol_count) {
+        scores[s] = mix64(choice_keys[s] + counter);
+        keep_two_smallest(scores[s], &even1, &even2);
+    }
+    uint64_t first = min64(even1, odd1);
+    uint64_t second = min64(max64(even1, odd1), min64(even2, odd2));
+    int64_t best_index = 0, second_index = 0;
+    while (scores[best_index] != first) best_index++;
+    while (second_index < symbol_count
+           && (scores[second_index] != second || second_index == best_index))
+        second_index++;
     int swap = mode != MODE_MSED && k_symbols == 2
                && second_index < best_index;
     chosen[0] = swap ? second_index : best_index;
@@ -225,6 +253,17 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
 
 /* ---------------- Reed-Solomon (t = 1 PGZ) ---------------- */
 
+/* One RS code's decode tables (repro/rs/engine.py NumpyRsEngine). */
+struct rs_tables {
+    const uint32_t *exp2;     /* doubled antilog table */
+    const int64_t *logt;
+    const int64_t *w2_log;    /* log of alpha^(2i): 2i mod order */
+    int64_t order, n_symbols, pad_mask, partial_position;
+    const uint8_t *confined;  /* (position, magnitude) -> one x4 device */
+    int has_policy;
+    int64_t conf_stride;
+};
+
 static inline int64_t gf_mul(int64_t a, int64_t b,
         const uint32_t *exp2, const int64_t *logt) {
     if (a == 0 || b == 0) return 0;
@@ -237,106 +276,142 @@ static inline int64_t gf_div(int64_t a, int64_t b,
     return exp2[logt[a] - logt[b] + order];
 }
 
-static int rs_decode_row(const uint32_t *word, uint32_t *fixed,
-        const uint32_t *exp2, const int64_t *logt, int64_t order,
-        int64_t n_symbols, int64_t pad_mask, int64_t partial_position,
-        const uint8_t *confined, int has_policy, int64_t conf_stride,
-        int64_t *pos_out, int64_t *mag_out) {
-    int64_t s1 = 0, s2 = 0;
-    for (int64_t i = 0; i < n_symbols; i++) {
-        int64_t value = word[i];
-        fixed[i] = word[i];
-        if (value) {
-            int64_t lv = logt[value];
-            s1 ^= exp2[lv + i];
-            s2 ^= exp2[lv + ((2 * i) % order)];
-        }
+/* Add symbol `value` at `position` to the syndromes S1, S2. */
+static inline void rs_syndrome_term(const struct rs_tables *rs,
+        int64_t position, int64_t value, int64_t *s1, int64_t *s2) {
+    if (value) {
+        int64_t lv = rs->logt[value];
+        *s1 ^= rs->exp2[lv + position];
+        *s2 ^= rs->exp2[lv + rs->w2_log[position]];
     }
+}
+
+/* The t = 1 PGZ verdict from a word's syndromes: the status code, and
+ * the position and magnitude of a correction (statuses 1 and 3; else
+ * -1 and 0).  `partial_value` is the word's partial last data symbol,
+ * whose correction must leave its virtual pad bits clear. */
+static inline int rs_verdict(const struct rs_tables *rs, int64_t s1,
+        int64_t s2, int64_t partial_value, int64_t *pos_out,
+        int64_t *mag_out) {
     *pos_out = -1;
     *mag_out = 0;
     if (s1 == 0 && s2 == 0) return 0;
     if (s1 == 0 || s2 == 0) return 2;
     /* locator X = S2/S1 == alpha^position; C's % is signed, so fold
      * the (negative-capable) log difference back into [0, order) */
-    int64_t position = (logt[s2] - logt[s1]) % order;
-    if (position < 0) position += order;
-    if (position >= n_symbols) return 2;
-    int64_t magnitude = exp2[logt[s1] - position + order];
-    int64_t corrected = (int64_t)word[position] ^ magnitude;
-    if (pad_mask && position == partial_position && (corrected & pad_mask))
+    int64_t position = (rs->logt[s2] - rs->logt[s1]) % rs->order;
+    if (position < 0) position += rs->order;
+    if (position >= rs->n_symbols) return 2;
+    int64_t magnitude = rs->exp2[rs->logt[s1] - position + rs->order];
+    if (rs->pad_mask && position == rs->partial_position
+            && ((partial_value ^ magnitude) & rs->pad_mask))
         return 2;
-    fixed[position] = (uint32_t)corrected;
     *pos_out = position;
     *mag_out = magnitude;
-    if (has_policy && !confined[position * conf_stride + magnitude])
+    if (rs->has_policy
+            && !rs->confined[position * rs->conf_stride + magnitude])
         return 3;
     return 1;
+}
+
+static int rs_decode_row(const struct rs_tables *rs, const uint32_t *word,
+        uint32_t *fixed, int64_t *pos_out, int64_t *mag_out) {
+    int64_t s1 = 0, s2 = 0;
+    for (int64_t i = 0; i < rs->n_symbols; i++) {
+        fixed[i] = word[i];
+        rs_syndrome_term(rs, i, word[i], &s1, &s2);
+    }
+    int status = rs_verdict(rs, s1, s2, word[rs->partial_position],
+                            pos_out, mag_out);
+    if (*pos_out >= 0) fixed[*pos_out] ^= (uint32_t)*mag_out;
+    return status;
 }
 
 void rs_decode_batch(const uint32_t *words, int64_t batch,
         uint32_t *corrected, uint8_t *statuses, int64_t *positions,
         uint32_t *magnitudes, const uint32_t *exp2, const int64_t *logt,
-        int64_t order, int64_t n_symbols, int64_t pad_mask,
-        int64_t partial_position, const uint8_t *confined,
-        int32_t has_policy, int64_t conf_stride) {
+        const int64_t *w2_log, int64_t order, int64_t n_symbols,
+        int64_t pad_mask, int64_t partial_position,
+        const uint8_t *confined, int32_t has_policy, int64_t conf_stride) {
+    struct rs_tables rs = {exp2, logt, w2_log, order, n_symbols, pad_mask,
+                           partial_position, confined, has_policy,
+                           conf_stride};
     for (int64_t i = 0; i < batch; i++) {
         int64_t position, magnitude;
-        statuses[i] = rs_decode_row(words + i * n_symbols,
-            corrected + i * n_symbols, exp2, logt, order, n_symbols,
-            pad_mask, partial_position, confined, has_policy,
-            conf_stride, &position, &magnitude);
+        statuses[i] = rs_decode_row(&rs, words + i * n_symbols,
+            corrected + i * n_symbols, &position, &magnitude);
         positions[i] = position;
         magnitudes[i] = (uint32_t)magnitude;
     }
 }
 
+/* Data symbol j of the clean word of trial `counter` (rs_clean_chunk). */
+static inline int64_t rs_data_symbol(const uint64_t *data_keys,
+        const int64_t *widths, int64_t j, uint64_t counter) {
+    return (int64_t)(mix64(data_keys[j] + counter)
+                     & ((1ULL << widths[j]) - 1ULL));
+}
+
+/* Fused corruption draw -> decode -> tally; the compiled twin of
+ * repro/orchestrate/corruption.py's msed and mbu RS streams for
+ * k <= 2.  A clean word's syndromes are zero and syndromes are linear,
+ * so the received word's are those of the error pattern alone: the
+ * kernel adds one term per chosen symbol and never builds the word.
+ * Only msed's never-the-original replacement needs a chosen symbol's
+ * clean value -- one DATA draw for a data symbol, the check-symbol
+ * solve for a check symbol; mbu's burst needs none. */
 void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
-        const uint32_t *exp2, const int64_t *logt, int64_t order,
-        int64_t n_symbols, int64_t data_symbols, const int64_t *widths,
-        int64_t pad_mask, int64_t partial_position,
+        const uint32_t *exp2, const int64_t *logt, const int64_t *w2_log,
+        int64_t order, int64_t n_symbols, int64_t data_symbols,
+        const int64_t *widths, int64_t pad_mask, int64_t partial_position,
         const uint8_t *confined, int32_t has_policy, int64_t conf_stride,
         int64_t aq, int64_t aq2, int64_t ap, int64_t ap2, int64_t det,
         int32_t mode, const uint64_t *data_keys, const uint64_t *choice_keys,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int64_t *counts) {
-    uint32_t word[64], fixed[64];
+    struct rs_tables rs = {exp2, logt, w2_log, order, n_symbols, pad_mask,
+                           partial_position, confined, has_policy,
+                           conf_stride};
     int64_t chosen[2];
     for (int64_t i = 0; i < size; i++) {
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
-        /* data draws + GF check-symbol solve (rs_clean_chunk) */
-        int64_t s1 = 0, s2 = 0;
-        for (int64_t j = 0; j < data_symbols; j++) {
-            int64_t value = (int64_t)(mix64(data_keys[j] + counter)
-                                      & ((1ULL << widths[j]) - 1ULL));
-            word[j] = (uint32_t)value;
-            if (value) {
-                int64_t lv = logt[value];
-                s1 ^= exp2[lv + j];
-                s2 ^= exp2[lv + ((2 * j) % order)];
-            }
-        }
-        word[data_symbols] = (uint32_t)gf_div(
-            gf_mul(s1, aq2, exp2, logt) ^ gf_mul(s2, aq, exp2, logt),
-            det, exp2, logt, order);
-        word[data_symbols + 1] = (uint32_t)gf_div(
-            gf_mul(s2, ap, exp2, logt) ^ gf_mul(s1, ap2, exp2, logt),
-            det, exp2, logt, order);
         choose_slots(mode, k_symbols, choice_keys, n_symbols, counter,
                      chosen);
+        int64_t s1 = 0, s2 = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
             int64_t symbol = chosen[slot];
-            word[symbol] = (uint32_t)rewrite_symbol(mode, word[symbol],
-                widths[symbol], value_keys[slot], start_keys[slot], counter);
+            /* msed steps over the clean value; mbu never reads it */
+            int64_t original = 0;
+            if (mode == MODE_MSED && symbol < data_symbols) {
+                original = rs_data_symbol(data_keys, widths, symbol, counter);
+            } else if (mode == MODE_MSED) {
+                /* a check symbol: the clean word's solve (rs_clean_chunk) */
+                int64_t d1 = 0, d2 = 0;
+                for (int64_t j = 0; j < data_symbols; j++)
+                    rs_syndrome_term(&rs, j, rs_data_symbol(data_keys, widths,
+                        j, counter), &d1, &d2);
+                original = symbol == data_symbols
+                    ? gf_div(gf_mul(d1, aq2, exp2, logt)
+                        ^ gf_mul(d2, aq, exp2, logt), det, exp2, logt, order)
+                    : gf_div(gf_mul(d2, ap, exp2, logt)
+                        ^ gf_mul(d1, ap2, exp2, logt), det, exp2, logt, order);
+            }
+            int64_t error = (int64_t)rewrite_symbol(mode, (uint64_t)original,
+                widths[symbol], value_keys[slot], start_keys[slot], counter)
+                ^ original;
+            rs_syndrome_term(&rs, symbol, error, &s1, &s2);
         }
+        /* the clean value and the error both fit the partial symbol's
+         * width, so its pad bits are clear and the pad check sees the
+         * magnitude alone */
         int64_t position, magnitude;
-        counts[rs_decode_row(word, fixed, exp2, logt, order, n_symbols,
-            pad_mask, partial_position, confined, has_policy,
-            conf_stride, &position, &magnitude)] += 1;
+        counts[rs_verdict(&rs, s1, s2, 0, &position, &magnitude)] += 1;
     }
 }
 """
 
 _COMPILER = os.environ.get("CC", "cc")
+_FLAGS = ("-O3", "-fPIC", "-shared")
 _lib: "ctypes.CDLL | None" = None
 _load_failed = False
 
@@ -366,17 +441,18 @@ def _declare(lib: "ctypes.CDLL") -> None:
     ]
     lib.rs_decode_batch.restype = None
     lib.rs_decode_batch.argtypes = [
-        p, i64, p, p, p, p, p, p, i64, i64, i64, i64, p, i32, i64,
+        p, i64, p, p, p, p, p, p, p, i64, i64, i64, i64, p, i32, i64,
     ]
     lib.rs_fused_chunk.restype = None
     lib.rs_fused_chunk.argtypes = [
-        i64, i64, i64, p, p, i64, i64, i64, p, i64, i64, p, i32, i64,
+        i64, i64, i64, p, p, p, i64, i64, i64, p, i64, i64, p, i32, i64,
         i64, i64, i64, i64, i64, i32, p, p, p, p, p,
     ]
 
 
 def load_library() -> "ctypes.CDLL | None":
-    """Compile (once, content-addressed) and load the kernel library.
+    """Compile (once, addressed by source, compiler and flags) and load
+    the kernel library.
 
     Returns ``None`` on any failure — the registry probe then reports
     the native backend unavailable instead of erroring.
@@ -387,7 +463,11 @@ def load_library() -> "ctypes.CDLL | None":
     if _load_failed:
         return None
     try:
-        digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+        # The compiler and its flags are part of the key: a library
+        # built by another ``CC`` (say, a sanitizer wrapper) is never
+        # reused.
+        recipe = "\0".join((_COMPILER, *_FLAGS, _SOURCE))
+        digest = hashlib.sha256(recipe.encode()).hexdigest()[:16]
         cache = _cache_dir()
         os.makedirs(cache, exist_ok=True)
         shared = os.path.join(cache, f"repro_kernels_{digest}.so")
@@ -397,7 +477,7 @@ def load_library() -> "ctypes.CDLL | None":
                 handle.write(_SOURCE)
             building = f"{shared}.build{os.getpid()}"
             subprocess.run(
-                [_COMPILER, "-O3", "-fPIC", "-shared", "-o", building, source],
+                [_COMPILER, *_FLAGS, "-o", building, source],
                 check=True,
                 capture_output=True,
                 timeout=120,

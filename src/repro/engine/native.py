@@ -23,7 +23,8 @@ case.
 
 Only registered as available when the probe's trial compile+load
 succeeds.  A code the kernels cannot take (more than
-:data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0, 64)``) raises
+:data:`MAX_NATIVE_LIMBS` limbs or :data:`MAX_NATIVE_SYMBOLS` symbols,
+or ``r`` outside ``(0, 64)``) raises
 :class:`BackendUnavailableError`, and ``auto`` steps down to numpy.
 """
 
@@ -39,6 +40,10 @@ from repro.orchestrate.corruption import fused_stream
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
+#: The choice scan's score scratch, ``MAX_CHOICE_SYMBOLS`` in
+#: :mod:`repro.engine.cc` (a layout may hold empty symbols, so the
+#: limb limit alone does not bound it).
+MAX_NATIVE_SYMBOLS = 512
 
 
 class NativeDecodeEngine(NumpyDecodeEngine):
@@ -57,6 +62,11 @@ class NativeDecodeEngine(NumpyDecodeEngine):
             raise BackendUnavailableError(
                 f"native kernels support up to {MAX_NATIVE_LIMBS} limbs, "
                 f"code needs {self.limbs}"
+            )
+        if code.layout.symbol_count > MAX_NATIVE_SYMBOLS:
+            raise BackendUnavailableError(
+                f"native kernels support up to {MAX_NATIVE_SYMBOLS} "
+                f"symbols, code needs {code.layout.symbol_count}"
             )
         if not 0 < code.r < LIMB_BITS:
             raise BackendUnavailableError(
@@ -132,4 +142,4 @@ class NativeDecodeEngine(NumpyDecodeEngine):
         return tuple(int(count) for count in counts)
 
 
-__all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine"]
+__all__ = ["MAX_NATIVE_LIMBS", "MAX_NATIVE_SYMBOLS", "NativeDecodeEngine"]

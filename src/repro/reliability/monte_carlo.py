@@ -403,11 +403,16 @@ def largest_144_multiplier(r: int) -> int:
     return result.multipliers[-1]
 
 
+@lru_cache(maxsize=None)
 def muse_design_point(extra_bits: int) -> MuseCode:
     """The MUSE code giving ``extra_bits`` spare bits (Table IV row).
 
     Extra bits 0..4 shrink the 144-bit code's redundancy from 16 to 12;
     extra bits 5 is the 80-bit MUSE(80,69) code (the paper's footnote).
+    Memoised, like :func:`~repro.core.codes.get_code`: every call
+    returns the same code object, and the decode engines cached on it
+    (:func:`repro.engine.cached_engine`) are built once per process,
+    not once per Table-IV build.
     """
     if extra_bits == 5:
         from repro.core.codes import muse_80_69
@@ -421,11 +426,14 @@ def muse_design_point(extra_bits: int) -> MuseCode:
     return MuseCode(layout, m, name=f"MUSE(144,{144 - r})")
 
 
+@lru_cache(maxsize=None)
 def rs_design_point(extra_bits: int) -> RSCode:
     """The RS code giving ``extra_bits`` spare bits over 144 bits.
 
     RS redundancy comes in two-symbol steps, so only even extra-bit
-    counts exist: b = 8 - extra/2.
+    counts exist: b = 8 - extra/2.  Memoised like
+    :func:`muse_design_point`, so the engines cached on the code are
+    built once per process.
     """
     if extra_bits % 2 or not 0 <= extra_bits <= 6:
         raise ValueError("RS design points exist for extra bits 0, 2, 4, 6")

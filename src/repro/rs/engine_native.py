@@ -5,10 +5,14 @@ The RS twin of :mod:`repro.engine.native` — subclasses
 encode constants and confinement lookup, adds the typed GF tables the
 C kernels take, and dispatches batch decode and the fused
 corruption->decode->tally chunk to the shared kernel library compiled
-by :mod:`repro.engine.cc`.  The fused chunk replays the msed and
-``mbu`` streams of :func:`repro.orchestrate.corruption.rs_scenario_chunk`
-for ``k_symbols <= 2`` (``None`` otherwise, and for every other
-scenario, as for MUSE).  Byte-identical tallies, native speed, no
+by :mod:`repro.engine.cc`.  Both kernels take the ``2i mod order``
+syndrome-weight logs (``_w2_log``), so no ``% order`` runs per symbol.
+The fused chunk replays the msed and ``mbu`` streams of
+:func:`repro.orchestrate.corruption.rs_scenario_chunk` for
+``k_symbols <= 2`` (``None`` otherwise, and for every other scenario,
+as for MUSE) by decoding the error pattern alone: syndromes are linear
+and a clean word's are zero, so only the chosen symbols' terms enter
+and no codeword is built.  Byte-identical tallies, native speed, no
 package installs.
 """
 
@@ -21,7 +25,8 @@ from repro.engine.cc import load_library, ptr
 from repro.orchestrate.corruption import fused_stream
 from repro.rs.engine import NumpyRsBatchResult, NumpyRsEngine
 
-#: The C kernels use fixed stack scratch ``uint32_t word[64]``.
+#: The widest code the native RS engine takes; ``auto`` steps down to
+#: numpy past it.
 MAX_NATIVE_SYMBOLS = 64
 
 
@@ -63,10 +68,10 @@ class NativeRsEngine(NumpyRsEngine):
         self._lib.rs_decode_batch(
             ptr(words), batch, ptr(corrected), ptr(statuses),
             ptr(positions), ptr(magnitudes), ptr(self._exp2_nd),
-            ptr(self._log_nd), self._order, self.code.n_symbols,
-            int(self._pad_mask), self._partial_position,
-            ptr(self._confined_u8), int(self._has_policy),
-            self._confined_u8.shape[1],
+            ptr(self._log_nd), ptr(self._w2_log), self._order,
+            self.code.n_symbols, int(self._pad_mask),
+            self._partial_position, ptr(self._confined_u8),
+            int(self._has_policy), self._confined_u8.shape[1],
         )
         return NumpyRsBatchResult(
             self.code, statuses, words, corrected, positions, magnitudes
@@ -95,10 +100,11 @@ class NativeRsEngine(NumpyRsEngine):
         counts = np.zeros(4, dtype=np.int64)
         self._lib.rs_fused_chunk(
             chunk.start, chunk.size, k_symbols, ptr(self._exp2_nd),
-            ptr(self._log_nd), self._order, code.n_symbols,
-            code.data_symbols, ptr(self._widths_nd), int(self._pad_mask),
-            self._partial_position, ptr(self._confined_u8),
-            int(self._has_policy), self._confined_u8.shape[1],
+            ptr(self._log_nd), ptr(self._w2_log), self._order,
+            code.n_symbols, code.data_symbols, ptr(self._widths_nd),
+            int(self._pad_mask), self._partial_position,
+            ptr(self._confined_u8), int(self._has_policy),
+            self._confined_u8.shape[1],
             int(self._enc_aq), int(self._enc_aq2), int(self._enc_ap),
             int(self._enc_ap2), int(self._enc_det), mode, ptr(data_keys),
             ptr(choice_keys), ptr(value_keys), ptr(start_keys),

@@ -1,9 +1,11 @@
 """Monte-Carlo MSED simulator tests, including Table IV shape anchors."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
-from repro.engine import available_backends
+from repro.engine import _REGISTRY, available_backends
 from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
@@ -111,6 +113,43 @@ class TestDesignPoints:
         for r in (12, 13, 14, 15, 16):
             assert largest_144_multiplier(r).bit_length() == r
 
+    def test_design_points_are_memoised(self):
+        """Every Table-IV point is one code object per process, so the
+        engines cached on it are built once."""
+        for extra_bits in range(6):
+            assert muse_design_point(extra_bits) is muse_design_point(
+                extra_bits
+            )
+        assert muse_design_point(5) is muse_80_69()
+        for extra_bits in (0, 2, 4, 6):
+            assert rs_design_point(extra_bits) is rs_design_point(extra_bits)
+
+    def test_second_table_build_builds_no_engine(self, monkeypatch):
+        """Only the first Table-IV build of a process pays for the
+        design points' engine tables."""
+        build_table_iv(trials=64, seed=1)
+        built = []
+
+        def counting(factory):
+            def build(code, option):
+                built.append(code)
+                return factory(code, option)
+
+            return build if factory is not None else None
+
+        for name, entry in list(_REGISTRY.items()):
+            monkeypatch.setitem(
+                _REGISTRY,
+                name,
+                dataclasses.replace(
+                    entry,
+                    factory=counting(entry.factory),
+                    rs_factory=counting(entry.rs_factory),
+                ),
+            )
+        build_table_iv(trials=64, seed=1)
+        assert built == []
+
 
 class TestTableIVShape:
     """The qualitative claims of Table IV, asserted on a real run."""
@@ -155,3 +194,54 @@ class TestTableIVShape:
     def test_render_includes_both_families(self, table):
         text = table.render()
         assert "MUSE" in text and "RS" in text
+
+
+#: ``build_table_iv(trials=4096, seed=2022)`` per point, as
+#: ``(trials, detected_no_match, detected_confinement, miscorrected,
+#: silent)`` in Table-IV order (MUSE +0..+5b, RS +0/+2/+4/+6b).
+#: Literal values, so a change that moves every backend's stream at
+#: once still fails here.
+STREAM_PINS = {
+    "msed": [
+        (4096, 3956, 78, 62, 0),
+        (4096, 3907, 99, 90, 0),
+        (4096, 3805, 159, 132, 0),
+        (4096, 3583, 274, 239, 0),
+        (4096, 3047, 554, 495, 0),
+        (4096, 2864, 602, 630, 0),
+        (4096, 3819, 249, 28, 0),
+        (4096, 3510, 486, 100, 0),
+        (4096, 2677, 1028, 391, 0),
+        (4096, 618, 2043, 1435, 0),
+    ],
+    "mbu": [
+        (4096, 3952, 94, 50, 0),
+        (4096, 3949, 76, 71, 0),
+        (4096, 3780, 186, 130, 0),
+        (4096, 3607, 279, 210, 0),
+        (4096, 3031, 545, 520, 0),
+        (4096, 2891, 611, 594, 0),
+        (4096, 3851, 211, 34, 0),
+        (4096, 3436, 522, 138, 0),
+        (4096, 2720, 933, 443, 0),
+        (4096, 572, 2089, 1435, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("scenario", sorted(STREAM_PINS))
+def test_table_iv_tallies_are_pinned(scenario, backend):
+    table = build_table_iv(
+        trials=4096, seed=2022, scenario=scenario, backend=backend
+    )
+    assert [
+        (
+            point.result.trials,
+            point.result.detected_no_match,
+            point.result.detected_confinement,
+            point.result.miscorrected,
+            point.result.silent,
+        )
+        for point in table.points
+    ] == STREAM_PINS[scenario]
