@@ -15,7 +15,9 @@ import time
 import pytest
 
 from repro.core.codes import muse_144_132
-from repro.engine import get_engine, msed_corruption_batch
+from repro.engine import get_engine
+from repro.orchestrate import Chunk, derive_key
+from repro.orchestrate.corruption import muse_corruption_chunk
 from repro.reliability.monte_carlo import MuseMsedSimulator, build_table_iv
 
 BATCH_SIZES = (1_000, 10_000, 100_000)
@@ -32,7 +34,7 @@ def test_backend_tallies_identical(trials):
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_numpy_decode_throughput(benchmark, trials):
     code = muse_144_132()
-    words = msed_corruption_batch(code, trials, seed=2022)
+    words = muse_corruption_chunk(code, Chunk(0, trials), derive_key(2022))
     engine = get_engine(code, "numpy")
     engine.decode_batch(words[:100])  # warm the kernels
     result = benchmark.pedantic(
@@ -43,7 +45,7 @@ def test_numpy_decode_throughput(benchmark, trials):
 
 def test_scalar_decode_throughput(benchmark):
     code = muse_144_132()
-    words = msed_corruption_batch(code, 10_000, seed=2022)
+    words = muse_corruption_chunk(code, Chunk(0, 10_000), derive_key(2022))
     engine = get_engine(code, "scalar")
     result = benchmark.pedantic(
         engine.decode_batch, args=(words,), rounds=1, iterations=1
@@ -54,7 +56,7 @@ def test_scalar_decode_throughput(benchmark):
 def test_numpy_speedup_at_100k():
     """The acceptance bar: >= 20x decodes/sec over the scalar path."""
     code = muse_144_132()
-    words = msed_corruption_batch(code, 100_000, seed=2022)
+    words = muse_corruption_chunk(code, Chunk(0, 100_000), derive_key(2022))
     scalar_engine = get_engine(code, "scalar")
     numpy_engine = get_engine(code, "numpy")
     numpy_engine.decode_batch(words[:1000])  # warm the kernels

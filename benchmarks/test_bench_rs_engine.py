@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 from artifacts import merge_artifact
+from repro.orchestrate import Chunk, derive_key
+from repro.orchestrate.corruption import rs_corruption_chunk
 from repro.reliability.monte_carlo import RsMsedSimulator, build_table_iv
-from repro.rs.engine import get_rs_engine, rs_msed_corruption_batch
+from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import rs_144_128, rs_for_channel
 
 BATCH_SIZES = (1_000, 10_000, 100_000)
@@ -38,7 +40,7 @@ def test_rs_backend_tallies_identical(trials):
 @pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_rs_numpy_decode_throughput(benchmark, trials):
     code = rs_144_128()
-    words = rs_msed_corruption_batch(code, trials, seed=2022)
+    words = rs_corruption_chunk(code, Chunk(0, trials), derive_key(2022))
     engine = get_rs_engine(code, "numpy")
     engine.decode_batch(words[:100])  # warm the kernels
     result = benchmark.pedantic(
@@ -49,7 +51,7 @@ def test_rs_numpy_decode_throughput(benchmark, trials):
 
 def test_rs_scalar_decode_throughput(benchmark):
     code = rs_144_128()
-    words = rs_msed_corruption_batch(code, 10_000, seed=2022)
+    words = rs_corruption_chunk(code, Chunk(0, 10_000), derive_key(2022))
     engine = get_rs_engine(code, "scalar")
     result = benchmark.pedantic(
         engine.decode_batch, args=(words,), rounds=1, iterations=1
@@ -62,7 +64,7 @@ def test_rs_numpy_speedup_at_10k(b):
     """The acceptance bar: >= 10x decodes/sec over the scalar PGZ path,
     on both a full-symbol and a partial-last-symbol design point."""
     code = rs_for_channel(b, 144)
-    words = rs_msed_corruption_batch(code, 10_000, seed=2022)
+    words = rs_corruption_chunk(code, Chunk(0, 10_000), derive_key(2022))
     scalar_engine = get_rs_engine(code, "scalar")
     numpy_engine = get_rs_engine(code, "numpy")
     numpy_engine.decode_batch(words[:1000])  # warm the kernels

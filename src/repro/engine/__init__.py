@@ -9,8 +9,6 @@ Entry points:
   site.
 * :func:`get_engine` — resolve a backend name ("scalar", "numpy",
   "native" or "auto") into a cached :class:`DecodeEngine` for one code.
-* :func:`msed_corruption_batch` — vectorised Monte-Carlo corruption
-  generation shared by all backends (:mod:`repro.engine.trials`).
 * :func:`registered_backends` / :func:`available_backends` —
   capability probes for callers that build CLI choices, gate features
   or skip tests.
@@ -46,7 +44,6 @@ from repro.engine.base import (
     status_of,
 )
 from repro.engine.cc import native_kernels_available
-from repro.engine.trials import msed_corruption_batch
 
 if TYPE_CHECKING:
     from repro.core.codec import MuseCode
@@ -308,7 +305,6 @@ __all__ = [
     "available_backends",
     "cached_engine",
     "get_engine",
-    "msed_corruption_batch",
     "register_backend",
     "registered_backends",
     "resolve_backend",

@@ -9,7 +9,7 @@ studies past one process while keeping memory flat in trial count:
 * :mod:`~repro.orchestrate.plan` — :func:`plan_chunks` splits a run
   into :class:`Chunk` ranges (the streaming unit);
 * :mod:`~repro.orchestrate.corruption` — chunk-addressable corruption
-  generators for both code families;
+  generators, written once over the MUSE / RS code-family layer;
 * :mod:`~repro.orchestrate.worker` / :mod:`~repro.orchestrate.pool` —
   picklable :class:`ChunkTask` specs, the per-worker runner cache, and
   :func:`run_sharded`, which fans design points x chunks over a

@@ -20,7 +20,7 @@ executes; :mod:`repro.orchestrate.pool` folds its results by group.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.orchestrate.plan import Chunk
@@ -80,14 +80,18 @@ def checked_code_ref(code_ref, code, signature) -> CodeRef:
     return ref
 
 
-def muse_signature(code) -> tuple:
-    """What must match for two MUSE codes to tally identically."""
-    return (code.n, code.m, code.layout.symbols)
+def task_spec(runner, spec_class):
+    """``spec_class`` filled from ``runner``'s same-named fields, its
+    code replaced by the checked ``code_ref`` of the runner's family.
 
-
-def rs_signature(code) -> tuple:
-    """What must match for two RS codes to tally identically."""
-    return (code.symbol_bits, code.data_symbols, code.partial_bits)
+    The one ``_task_spec`` body of the simulators and splitting
+    estimators: each declares its spec class, whose fields it shares.
+    """
+    values = {f.name: getattr(runner, f.name) for f in fields(spec_class)}
+    values["code"] = checked_code_ref(
+        runner.code_ref, runner.code, runner.family.signature
+    )
+    return spec_class(**values)
 
 
 @dataclass(frozen=True)

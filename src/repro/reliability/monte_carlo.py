@@ -17,6 +17,15 @@ Two decoders participate:
   two devices).  Without this policy RS MSED drops by roughly its
   locator-validity factor; the ablation flag lets you measure both.
 
+Both run on one code-family layer: :class:`MuseMsedSimulator` and
+:class:`RsMsedSimulator` are thin dataclasses over one shared body that
+holds a :class:`~repro.orchestrate.corruption.CodeFamily` and never
+asks which one.  A chunk runs in a fused native kernel where one
+replays its stream, else is generated by the family-generic
+:func:`~repro.orchestrate.corruption.scenario_chunk` and batch-decoded;
+the scalar reference decodes ``scenario_word`` words through the
+family's scalar engine.
+
 Execution is *streamed*: a run is split into fixed-size chunks
 (:mod:`repro.orchestrate.plan`) whose corruption streams are counter
 hashes of the global trial index, so every chunk's tally is a pure
@@ -33,20 +42,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro import telemetry
-from repro.core.codec import DecodeStatus, DetectionReason, MuseCode
+from repro.core.codec import MuseCode
 from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
 from repro.engine import get_engine
-# The msed generators stay importable from here: perfbench's tracing
-# wraps them as attributes of this module.
+# The per-family generators stay importable from here: perfbench's
+# tracing wraps them as attributes of this module.
 from repro.orchestrate.corruption import (  # noqa: F401
+    MUSE,
+    RS,
     muse_corruption_chunk,
     muse_scenario_chunk,
-    muse_scenario_word,
     rs_corruption_chunk,
     rs_scenario_chunk,
-    rs_scenario_word,
+    scenario_chunk,
+    scenario_word,
 )
 from repro.orchestrate.plan import Chunk, plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_sharded
@@ -56,10 +67,8 @@ from repro.orchestrate.worker import (
     CodeRef,
     MuseSimSpec,
     RsSimSpec,
-    checked_code_ref,
     group_labels,
-    muse_signature,
-    rs_signature,
+    task_spec,
 )
 from repro.reliability.metrics import (
     DesignPoint,
@@ -78,39 +87,8 @@ from repro.reliability.sampling.sequential import (
     AdaptiveRunner,
 )
 from repro.rs.chipkill import assess
-from repro.rs.engine import device_confined, get_rs_engine
-from repro.rs.reed_solomon import RSCode, RSDecodeStatus, rs_for_channel
-
-
-def _streamed_run(
-    simulator,
-    trials: int,
-    seed: int,
-    jobs: int,
-    chunk_size: int | None,
-    progress: ProgressCallback | None,
-    executor=None,
-) -> MsedResult:
-    """One simulator's run is the single-point case of the shared
-    design-point grid runner — one skeleton, never two to keep in sync.
-    """
-    return run_design_points(
-        [simulator], trials, seed, jobs, chunk_size, progress, executor
-    )[0]
-
-
-def _adaptive_run(
-    simulator,
-    policy: AdaptivePolicy | None,
-    seed: int,
-    jobs: int,
-    chunk_size: int | None,
-    progress: ProgressCallback | None,
-    executor=None,
-) -> AdaptiveOutcome:
-    """Shared ``run_adaptive`` body of both simulator classes."""
-    runner = AdaptiveRunner(policy if policy is not None else AdaptivePolicy())
-    return runner.run_one(simulator, seed, jobs, chunk_size, progress, executor)
+from repro.rs.engine import get_rs_engine
+from repro.rs.reed_solomon import RSCode, rs_for_channel
 
 
 def _tally(counts) -> MsedTally:
@@ -132,58 +110,17 @@ def _tally(counts) -> MsedTally:
     return tally
 
 
-def _chunk_counts(engine, generate, scenario: str, code, chunk: Chunk,
-                  key: int, k_symbols: int):
-    """The 4-status counts of one chunk of a scenario's stream.
+class _MsedSimulator:
+    """The one body of both family simulators.
 
-    One compiled draw->decode->tally pass when the engine can replay the
-    stream (``fused_scenario_counts``: native, msed or mbu, k <= 2),
-    else ``generate`` the corrupted chunk and batch-decode it.
+    A subclass is a dataclass declaring only its fields, its
+    :class:`~repro.orchestrate.corruption.CodeFamily` as ``family``,
+    its worker recipe as ``spec_class`` and its engine getter
+    ``_engine(backend)``.  The counter-hashed trial stream depends on
+    neither the backend nor the chunking, so the tally of a fixed
+    ``(trials, seed)`` run is byte-identical across backends and every
+    ``(chunk_size, jobs)`` split.
     """
-    fused = getattr(engine, "fused_scenario_counts", None)
-    counts = (
-        fused(scenario, chunk, key, k_symbols) if fused is not None else None
-    )
-    if counts is None:
-        from repro.scenarios import resolve_scenario
-
-        words = generate(
-            resolve_scenario(scenario), code, chunk, key, k_symbols
-        )
-        counts = engine.decode_batch(words).counts()
-    return counts
-
-
-@dataclass
-class MuseMsedSimulator:
-    """Inject k-symbol errors into a MUSE code and classify outcomes.
-
-    Corruptions are generated chunk by chunk by
-    :func:`repro.orchestrate.corruption.muse_scenario_chunk` and
-    classified by vectorised batch decodes, or drawn, decoded and
-    tallied in one compiled pass where a fused kernel replays them.
-    ``backend`` selects the decode engine ("scalar", "numpy", "native"
-    or "auto"); the counter-hashed trial stream depends on neither the
-    backend nor the chunking, so the tally of a fixed
-    ``(trials, seed)`` run is byte-identical across backends and across
-    every ``(chunk_size, jobs)`` split.
-
-    ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef` or a
-    ``"module:callable"`` string) is only needed for ``jobs > 1``: it
-    lets worker processes rebuild the code instead of pickling it.
-    """
-
-    code: MuseCode
-    k_symbols: int = 2
-    ripple_check: bool = True
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-    #: Which registered fault scenario to inject (:mod:`repro.scenarios`).
-    #: The default "msed" is the paper's transient model and keeps the
-    #: historical stream.  The native fused kernels replay msed and mbu;
-    #: every other scenario runs generate-then-decode, and each fault
-    #: scenario has a byte-identical scalar reference.
-    scenario: str = "msed"
 
     def run(
         self,
@@ -195,9 +132,10 @@ class MuseMsedSimulator:
         progress: ProgressCallback | None = None,
         executor=None,
     ) -> MsedResult:
-        return _streamed_run(
-            self, trials, seed, jobs, chunk_size, progress, executor
-        )
+        """The single-point case of the shared design-point runner."""
+        return run_design_points(
+            [self], trials, seed, jobs, chunk_size, progress, executor
+        )[0]
 
     def run_adaptive(
         self,
@@ -215,75 +153,89 @@ class MuseMsedSimulator:
         the fixed-trial stream at the same seed (see
         :mod:`repro.reliability.sampling.sequential`).
         """
-        return _adaptive_run(
-            self, policy, seed, jobs, chunk_size, progress, executor
+        runner = AdaptiveRunner(
+            policy if policy is not None else AdaptivePolicy()
         )
+        return runner.run_one(self, seed, jobs, chunk_size, progress, executor)
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
         """Classify one chunk of the stream keyed by ``key``.
 
         The unit of work the shard runner executes; folding the
         returned tallies over a run's chunks reproduces ``run``.  Every
-        scenario takes one route: the fused kernel when the engine can
-        replay the stream, else ``muse_scenario_chunk`` then a batch
-        decode on whatever engine ``backend`` resolves to.
+        scenario takes one route: one compiled draw->decode->tally pass
+        when the engine can replay the stream (``fused_scenario_counts``:
+        native, msed or mbu, k <= 2), else ``scenario_chunk`` then a
+        batch decode on whatever engine ``backend`` resolves to.
         """
-        engine = get_engine(
-            self.code, self.backend, ripple_check=self.ripple_check
+        engine = self._engine(self.backend)
+        fused = getattr(engine, "fused_scenario_counts", None)
+        counts = (
+            fused(self.scenario, chunk, key, self.k_symbols)
+            if fused is not None
+            else None
         )
-        return _tally(
-            _chunk_counts(
-                engine, muse_scenario_chunk, self.scenario, self.code,
+        if counts is None:
+            from repro.scenarios import resolve_scenario
+
+            words = scenario_chunk(
+                self.family, resolve_scenario(self.scenario), self.code,
                 chunk, key, self.k_symbols,
             )
-        )
+            counts = engine.decode_batch(words).counts()
+        return _tally(counts)
 
-    def _task_spec(self) -> MuseSimSpec:
-        return MuseSimSpec(
-            code=checked_code_ref(self.code_ref, self.code, muse_signature),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
+    def _task_spec(self):
+        return task_spec(self, self.spec_class)
 
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
         """The scalar reference of one scenario chunk: one
-        ``corrupt_word`` and one big-int decode per trial — the oracle
-        the scenario tests pin :meth:`run_chunk` against."""
-        code = self.code
-        tally = MsedTally()
-        for trial in range(chunk.start, chunk.stop):
-            corrupted = muse_scenario_word(
-                scenario, code, trial, key, self.k_symbols
+        ``corrupt_word`` per trial, decoded by the family's scalar
+        engine — the oracle the scenario tests pin :meth:`run_chunk`
+        against."""
+        words = [
+            scenario_word(
+                self.family, scenario, self.code, trial, key, self.k_symbols
             )
-            if self.ripple_check:
-                result = code.decode(corrupted)
-            else:
-                result = code.decode_without_ripple_check(corrupted)
-            if result.status is DecodeStatus.CLEAN:
-                tally.record_silent()
-            elif result.status is DecodeStatus.CORRECTED:
-                tally.record_miscorrected()
-            elif result.reason is DetectionReason.REMAINDER_NOT_FOUND:
-                tally.record_detected_no_match()
-            else:
-                tally.record_detected_confinement()
-        return tally
+            for trial in range(chunk.start, chunk.stop)
+        ]
+        return _tally(self._engine("scalar").decode_batch(words).counts())
 
 
 @dataclass
-class RsMsedSimulator:
+class MuseMsedSimulator(_MsedSimulator):
+    """Inject k-symbol errors into a MUSE code and classify outcomes.
+
+    ``ripple_check`` keeps the Figure-4 correction-ripple veto;
+    ``backend`` picks the decode engine ("scalar", "numpy", "native" or
+    "auto"); ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef`
+    or a ``"module:callable"`` string) lets ``jobs > 1`` workers rebuild
+    the code instead of pickling it; ``scenario`` names the registered
+    fault scenario (:mod:`repro.scenarios`) — by default "msed", the
+    paper's transient model.
+    """
+
+    code: MuseCode
+    k_symbols: int = 2
+    ripple_check: bool = True
+    backend: str = "auto"
+    code_ref: CodeRef | str | None = None
+    scenario: str = "msed"
+
+    family = MUSE
+    spec_class = MuseSimSpec
+
+    def _engine(self, backend: str):
+        return get_engine(self.code, backend, ripple_check=self.ripple_check)
+
+
+@dataclass
+class RsMsedSimulator(_MsedSimulator):
     """Inject k-symbol errors into an RS code and classify outcomes.
 
     ``device_bits`` enables the device-confinement decode policy
     (defaults to x4, matching the paper's DIMMs); ``None`` disables it.
-    Like :class:`MuseMsedSimulator`, corruptions come from the shared
-    counter-hashed chunk generator
-    (:func:`repro.orchestrate.corruption.rs_scenario_chunk`), so the
-    tally of a fixed ``(trials, seed)`` run is byte-identical across
-    backends and every ``(chunk_size, jobs)`` split.  ``code_ref``
-    names a factory for worker processes (``jobs > 1``).
+    Every other field is as in :class:`MuseMsedSimulator`.
     """
 
     code: RSCode
@@ -291,85 +243,13 @@ class RsMsedSimulator:
     device_bits: int | None = 4
     backend: str = "auto"
     code_ref: CodeRef | str | None = None
-    #: Registered fault scenario to inject (:mod:`repro.scenarios`);
-    #: see :class:`MuseMsedSimulator`.
     scenario: str = "msed"
 
-    def run(
-        self,
-        trials: int = 10_000,
-        seed: int = 2022,
-        *,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> MsedResult:
-        return _streamed_run(
-            self, trials, seed, jobs, chunk_size, progress, executor
-        )
+    family = RS
+    spec_class = RsSimSpec
 
-    def run_adaptive(
-        self,
-        policy: AdaptivePolicy | None = None,
-        seed: int = 2022,
-        *,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> AdaptiveOutcome:
-        """Grow this simulator's trial stream until ``policy`` is met."""
-        return _adaptive_run(
-            self, policy, seed, jobs, chunk_size, progress, executor
-        )
-
-    def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """Classify one chunk of the stream keyed by ``key`` — the RS
-        twin of :meth:`MuseMsedSimulator.run_chunk`: fused when the
-        engine can replay the scenario, else ``rs_scenario_chunk`` then
-        a batch decode."""
-        engine = get_rs_engine(
-            self.code, self.backend, device_bits=self.device_bits
-        )
-        return _tally(
-            _chunk_counts(
-                engine, rs_scenario_chunk, self.scenario, self.code,
-                chunk, key, self.k_symbols,
-            )
-        )
-
-    def _task_spec(self) -> RsSimSpec:
-        return RsSimSpec(
-            code=checked_code_ref(self.code_ref, self.code, rs_signature),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
-
-    def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
-        """The scalar reference of one scenario chunk (see
-        :meth:`MuseMsedSimulator._scenario_sequential`)."""
-        code = self.code
-        tally = MsedTally()
-        for trial in range(chunk.start, chunk.stop):
-            codeword = rs_scenario_word(
-                scenario, code, trial, key, self.k_symbols
-            )
-            result = code.decode(codeword)
-            if result.status is RSDecodeStatus.CLEAN:
-                tally.record_silent()
-            elif result.status is RSDecodeStatus.DETECTED:
-                tally.record_detected_no_match()
-            elif self.device_bits is not None and not device_confined(
-                code, result.error_position, result.error_magnitude,
-                self.device_bits,
-            ):
-                tally.record_detected_confinement()
-            else:
-                tally.record_miscorrected()
-        return tally
+    def _engine(self, backend: str):
+        return get_rs_engine(self.code, backend, device_bits=self.device_bits)
 
 
 # ----------------------------------------------------------------------
@@ -619,33 +499,26 @@ def build_table_iv(
     registered fault scenario (:mod:`repro.scenarios`) — same grid,
     same determinism contract, per-scenario result-cache cells.
     """
-    entries: list[tuple[str, int, object]] = []
-    simulators: list[MuseMsedSimulator | RsMsedSimulator] = []
-    for extra_bits in range(0, 6):
-        code = muse_design_point(extra_bits)
-        simulators.append(
-            MuseMsedSimulator(
-                code,
-                k_symbols=k_symbols,
-                backend=backend,
-                code_ref=CodeRef(f"{_SELF}:muse_design_point", (extra_bits,)),
-                scenario=scenario,
-            )
+    simulators: list[MuseMsedSimulator | RsMsedSimulator] = [
+        MuseMsedSimulator(
+            muse_design_point(extra_bits),
+            k_symbols=k_symbols,
+            backend=backend,
+            code_ref=CodeRef(f"{_SELF}:muse_design_point", (extra_bits,)),
+            scenario=scenario,
         )
-        entries.append(("MUSE", extra_bits, code))
-    for extra_bits in (0, 2, 4, 6):
-        code = rs_design_point(extra_bits)
-        simulators.append(
-            RsMsedSimulator(
-                code,
-                k_symbols=k_symbols,
-                device_bits=4 if rs_device_policy else None,
-                backend=backend,
-                code_ref=CodeRef(f"{_SELF}:rs_design_point", (extra_bits,)),
-                scenario=scenario,
-            )
+        for extra_bits in range(0, 6)
+    ] + [
+        RsMsedSimulator(
+            rs_design_point(extra_bits),
+            k_symbols=k_symbols,
+            device_bits=4 if rs_device_policy else None,
+            backend=backend,
+            code_ref=CodeRef(f"{_SELF}:rs_design_point", (extra_bits,)),
+            scenario=scenario,
         )
-        entries.append(("RS", extra_bits, code))
+        for extra_bits in (0, 2, 4, 6)
+    ]
 
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress, adaptive,
@@ -653,31 +526,23 @@ def build_table_iv(
     )
 
     table = TableIV()
-    for (family, extra_bits, code), result, outcome in zip(
-        entries, results, outcomes
-    ):
-        if family == "MUSE":
-            table.add(
-                DesignPoint(
-                    family="MUSE",
-                    extra_bits=extra_bits,
-                    label=f"{code.name} m={code.m}",
-                    chipkill=True,
-                    result=result,
-                    sampling=outcome,
-                )
-            )
+    for simulator, result, outcome in zip(simulators, results, outcomes):
+        code = simulator.code
+        if simulator.family is MUSE:
+            label, chipkill, note = f"{code.name} m={code.m}", True, ""
         else:
             verdict = assess(code.symbol_bits, 4, 144)
-            table.add(
-                DesignPoint(
-                    family="RS",
-                    extra_bits=extra_bits,
-                    label=repr(code),
-                    chipkill=verdict.chipkill,
-                    result=result,
-                    note="" if verdict.chipkill else verdict.explain(),
-                    sampling=outcome,
-                )
+            label, chipkill = repr(code), verdict.chipkill
+            note = "" if chipkill else verdict.explain()
+        table.add(
+            DesignPoint(
+                family=simulator.family.name,
+                extra_bits=simulator.code_ref.args[0],  # the point's bits
+                label=label,
+                chipkill=chipkill,
+                result=result,
+                note=note,
+                sampling=outcome,
             )
+        )
     return table

@@ -286,7 +286,9 @@ def _splitting_estimator(simulator: Any) -> Any | None:
     splitting module.  Returns None for fault scenarios the splitting
     estimator does not support — the prefix stream it branches over is
     the plain msed one — so the campaign reports a Clopper-Pearson
-    bound for those points instead.
+    bound for those points instead.  The twin copies the simulator's
+    own fields, decode policy included: a point run with the RS device
+    policy off has its tail split with the policy off.
     """
     from repro.scenarios import resolve_scenario
 
@@ -294,28 +296,9 @@ def _splitting_estimator(simulator: Any) -> Any | None:
     if not resolve_scenario(name).supports_splitting:
         return None
 
-    from repro.reliability.sampling.splitting import (
-        MuseSplittingEstimator,
-        RsSplittingEstimator,
-    )
+    from repro.reliability.sampling.splitting import splitting_estimator
 
-    if hasattr(simulator, "ripple_check"):
-        return MuseSplittingEstimator(
-            simulator.code,
-            k_symbols=simulator.k_symbols,
-            ripple_check=simulator.ripple_check,
-            backend=simulator.backend,
-            code_ref=simulator.code_ref,
-        )
-    if hasattr(simulator, "device_bits"):
-        return RsSplittingEstimator(
-            simulator.code,
-            k_symbols=simulator.k_symbols,
-            device_bits=simulator.device_bits if simulator.device_bits else 4,
-            backend=simulator.backend,
-            code_ref=simulator.code_ref,
-        )
-    return None
+    return splitting_estimator(simulator)
 
 
 @dataclass

@@ -9,8 +9,7 @@ The estimator here splits every sampled trial at the last corruption
 step.  A trial of the plain stream is (data word, ``k`` chosen symbols,
 ``k`` replacement values); the *prefix* — everything except the final
 replacement value — is sampled exactly as in the plain stream
-(:func:`repro.orchestrate.corruption.muse_split_chunk` /
-:func:`~repro.orchestrate.corruption.rs_split_chunk` reuse its DATA,
+(:func:`repro.orchestrate.corruption.split_chunk` reuses its DATA,
 CHOICE and VALUE draws), and the final value is then **branched over
 exhaustively**: all ``2^w - 1`` values the held-out ``w``-bit symbol
 could take (never the original — the plain stream's final draw is
@@ -30,6 +29,12 @@ exact conditional probability instead of a noisy 0/1 indicator, so
 near-100% detection cells accumulate fractional events long before a
 plain run would see its first whole one.
 
+The estimator is written once, over the code-family layer of
+:mod:`repro.orchestrate.corruption`: :class:`MuseSplittingEstimator`
+and :class:`RsSplittingEstimator` declare only their fields, family,
+spec class and engine getter, and :func:`splitting_estimator` builds
+the twin of a plain simulator from that simulator's own fields.
+
 Counts are kept as exact integers per held-out-symbol *width stratum*
 (prefix count, branch-event sums and sums of squares), so chunk tallies
 fold associatively — the same byte-identical ``(chunk_size, jobs)``
@@ -41,7 +46,7 @@ edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
@@ -50,17 +55,11 @@ import numpy as np
 
 from repro.engine import get_engine
 from repro.engine.base import STATUS_CLEAN, STATUS_CORRECTED
-from repro.orchestrate.corruption import muse_split_chunk, rs_split_chunk
+from repro.orchestrate.corruption import MUSE, RS, split_chunk
 from repro.orchestrate.plan import plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_sharded
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import (
-    ChunkTask,
-    CodeRef,
-    checked_code_ref,
-    muse_signature,
-    rs_signature,
-)
+from repro.orchestrate.worker import ChunkTask, CodeRef, task_spec
 from repro.reliability.sampling.intervals import (
     Interval,
     clopper_pearson_interval,
@@ -74,6 +73,7 @@ __all__ = [
     "RsSplittingEstimator",
     "SplitResult",
     "SplitTally",
+    "splitting_estimator",
 ]
 
 #: Branching multiplies per-chunk memory by up to ``2^w`` (256 for
@@ -251,12 +251,16 @@ class SplitResult:
 
 
 class _SplittingEstimator:
-    """Shared run/fold skeleton of the two family estimators.
+    """The body both family estimators share.
 
-    Subclasses implement :meth:`run_chunk` (generate prefix chunk,
-    branch, decode, tally) and :meth:`_task_spec` (picklable worker
-    recipe); ``run`` streams the plan exactly like the plain
-    simulators, in process or across a pool.
+    A subclass is a dataclass declaring only its fields, its
+    :class:`~repro.orchestrate.corruption.CodeFamily` as ``family``,
+    its worker recipe as ``spec_class`` and ``_engine(backend)``;
+    ``run`` streams the plan exactly like the plain simulators, in
+    process or across a pool.  The branch fan is inherently batched;
+    ``backend`` still selects the decode engine, and because every
+    engine classifies identically the tally is byte-identical across
+    them.
     """
 
     def run(
@@ -284,26 +288,32 @@ class _SplittingEstimator:
                 progress(done, len(chunks))
         return tally.freeze()
 
-    def _branch_tally(
-        self, widths, last, decode, read_original, branch_batch
-    ) -> SplitTally:
-        """The per-chunk branch-and-classify loop both families share.
+    def run_chunk(self, chunk, key: int) -> SplitTally:
+        """Generate one prefix chunk, branch it, decode and tally.
 
         For each held-out symbol index: gather its rows, expand every
-        row into the full ``2^w`` value fan with ``branch_batch``,
-        decode, and count silent / miscorrected continuations per
-        prefix — masking out each row's original-value branch, which
-        belongs to the ``k-1``-error prefix, not the stream.
+        row into the full ``2^w`` value fan, decode, and count silent /
+        miscorrected continuations per prefix — masking out each row's
+        original-value branch, which belongs to the ``k-1``-error
+        prefix, not the stream.
         """
+        family, code = self.family, self.code
+        words, last = split_chunk(family, code, chunk, key, self.k_symbols)
+        engine = self._engine(self.backend)
+        view = family.batch_view(code, words)
         tally = SplitTally()
-        for index, width in enumerate(widths):
+        for index, width in enumerate(view.widths):
             rows = np.flatnonzero(last == index)
             if rows.size == 0:
                 continue
             space = 1 << width
-            originals = read_original(rows, index).astype(np.uint64)
-            words, values = branch_batch(rows, index, space)
-            statuses = np.asarray(decode(words)).reshape(rows.size, space)
+            originals = view.read(rows, index)
+            branches = np.repeat(words[rows], space, axis=0)
+            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
+            family.batch_view(code, branches).write(slice(None), index, values)
+            statuses = np.asarray(
+                engine.decode_batch(branches).statuses
+            ).reshape(rows.size, space)
             valid = values.reshape(rows.size, space) != originals[:, None]
             silent = ((statuses == STATUS_CLEAN) & valid).sum(axis=1)
             miscorrected = ((statuses == STATUS_CORRECTED) & valid).sum(axis=1)
@@ -317,100 +327,8 @@ class _SplittingEstimator:
             )
         return tally
 
-
-@dataclass
-class MuseSplittingEstimator(_SplittingEstimator):
-    """Importance-splitting rate estimator for a MUSE code.
-
-    The branch fan is inherently batched; ``backend`` still selects
-    the decode engine, and because every engine classifies identically
-    the tally is byte-identical across them.
-    """
-
-    code: object
-    k_symbols: int = 2
-    ripple_check: bool = True
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-
-    def run_chunk(self, chunk, key: int) -> SplitTally:
-        from repro.engine.numpy_backend import (
-            extract_symbol_batch,
-            insert_symbol_batch,
-        )
-
-        code = self.code
-        layout = code.layout
-        words, last = muse_split_chunk(code, chunk, key, self.k_symbols)
-        engine = get_engine(code, self.backend, ripple_check=self.ripple_check)
-
-        def read_original(rows, index):
-            return extract_symbol_batch(words[rows], layout, index)
-
-        def branch_batch(rows, index, space):
-            branch_words = np.repeat(words[rows], space, axis=0)
-            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
-            insert_symbol_batch(branch_words, layout, index, values)
-            return branch_words, values
-
-        return self._branch_tally(
-            [len(symbol) for symbol in layout.symbols],
-            last,
-            lambda batch: engine.decode_batch(batch).statuses,
-            read_original,
-            branch_batch,
-        )
-
-    def _task_spec(self) -> "MuseSplitSpec":
-        return MuseSplitSpec(
-            code=checked_code_ref(self.code_ref, self.code, muse_signature),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-        )
-
-
-@dataclass
-class RsSplittingEstimator(_SplittingEstimator):
-    """Importance-splitting rate estimator for an RS code."""
-
-    code: object
-    k_symbols: int = 2
-    device_bits: int | None = 4
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-
-    def run_chunk(self, chunk, key: int) -> SplitTally:
-        from repro.rs.engine import get_rs_engine
-
-        code = self.code
-        words, last = rs_split_chunk(code, chunk, key, self.k_symbols)
-        engine = get_rs_engine(code, self.backend, device_bits=self.device_bits)
-
-        def read_original(rows, index):
-            return words[rows, index].astype(np.uint64)
-
-        def branch_batch(rows, index, space):
-            branch_words = np.repeat(words[rows], space, axis=0)
-            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
-            branch_words[:, index] = values.astype(np.uint32)
-            return branch_words, values
-
-        return self._branch_tally(
-            code.symbol_widths,
-            last,
-            lambda batch: engine.decode_batch(batch).statuses,
-            read_original,
-            branch_batch,
-        )
-
-    def _task_spec(self) -> "RsSplitSpec":
-        return RsSplitSpec(
-            code=checked_code_ref(self.code_ref, self.code, rs_signature),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-        )
+    def _task_spec(self):
+        return task_spec(self, self.spec_class)
 
 
 @dataclass(frozen=True)
@@ -422,12 +340,9 @@ class MuseSplitSpec:
     ripple_check: bool = True
     backend: str = "auto"
 
-    def build(self) -> MuseSplittingEstimator:
+    def build(self) -> "MuseSplittingEstimator":
         return MuseSplittingEstimator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
+            self.code.build(), self.k_symbols, self.ripple_check, self.backend
         )
 
 
@@ -440,10 +355,57 @@ class RsSplitSpec:
     device_bits: int | None = 4
     backend: str = "auto"
 
-    def build(self) -> RsSplittingEstimator:
+    def build(self) -> "RsSplittingEstimator":
         return RsSplittingEstimator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
+            self.code.build(), self.k_symbols, self.device_bits, self.backend
         )
+
+
+@dataclass
+class MuseSplittingEstimator(_SplittingEstimator):
+    """Importance-splitting rate estimator for a MUSE code."""
+
+    code: object
+    k_symbols: int = 2
+    ripple_check: bool = True
+    backend: str = "auto"
+    code_ref: CodeRef | str | None = None
+
+    family = MUSE
+    spec_class = MuseSplitSpec
+
+    def _engine(self, backend: str):
+        return get_engine(self.code, backend, ripple_check=self.ripple_check)
+
+
+@dataclass
+class RsSplittingEstimator(_SplittingEstimator):
+    """Importance-splitting rate estimator for an RS code."""
+
+    code: object
+    k_symbols: int = 2
+    device_bits: int | None = 4
+    backend: str = "auto"
+    code_ref: CodeRef | str | None = None
+
+    family = RS
+    spec_class = RsSplitSpec
+
+    def _engine(self, backend: str):
+        from repro.rs.engine import get_rs_engine
+
+        return get_rs_engine(self.code, backend, device_bits=self.device_bits)
+
+
+def splitting_estimator(simulator) -> "_SplittingEstimator | None":
+    """The splitting twin of a plain simulator, or None for a family
+    without one: the estimator of the simulator's ``family``, built
+    from the simulator's own same-named fields — code, ``k_symbols``,
+    decode policy, backend and ``code_ref``."""
+    family = getattr(simulator, "family", None)
+    for estimator in (MuseSplittingEstimator, RsSplittingEstimator):
+        if estimator.family is family:
+            return estimator(
+                **{f.name: getattr(simulator, f.name) for f in fields(estimator)}
+            )
+    return None

@@ -8,8 +8,7 @@
 * :mod:`repro.rs.chipkill` — device/symbol alignment analysis behind the
   "not practical" entries of Table IV.
 * :mod:`repro.rs.engine` — batch decode engines (scalar reference +
-  vectorised numpy PGZ) behind :func:`get_rs_engine`, with shared
-  vectorised corruption generation for the Monte-Carlo studies.
+  vectorised numpy PGZ) behind :func:`get_rs_engine`.
 """
 
 from repro.rs.chipkill import (
@@ -22,7 +21,6 @@ from repro.rs.engine import (
     RsDecodeEngine,
     device_confined,
     get_rs_engine,
-    rs_msed_corruption_batch,
 )
 from repro.rs.gf import PRIMITIVE_POLYNOMIALS, GaloisField, get_field
 from repro.rs.reed_solomon import (
@@ -48,7 +46,6 @@ __all__ = [
     "get_field",
     "get_rs_engine",
     "practical_for_dram",
-    "rs_msed_corruption_batch",
     "rs_144_128",
     "rs_80_64",
     "rs_for_channel",

@@ -28,9 +28,10 @@ numpy backend runs the whole t=1 PGZ flow vectorised:
 Per-word outcomes reuse the MUSE engine's four tally-aligned status
 codes; the fourth bucket is the device-confinement veto rather than a
 correction ripple.  Corruption streams are generated once, vectorised
-(:func:`rs_msed_corruption_batch`), independent of the decode backend —
-a fixed ``(trials, seed)`` run therefore tallies byte-identically on
-both backends.
+(:func:`repro.orchestrate.corruption.corruption_chunk` over the
+:data:`~repro.orchestrate.corruption.RS` family), independent of the
+decode backend — a fixed ``(trials, seed)`` run therefore tallies
+byte-identically on every backend.
 """
 
 from __future__ import annotations
@@ -428,32 +429,6 @@ def get_rs_engine(
     return cached_engine(code, backend, device_bits, rs=True)
 
 
-# ----------------------------------------------------------------------
-# Shared corruption generation
-# ----------------------------------------------------------------------
-
-def rs_msed_corruption_batch(
-    code: RSCode, trials: int, seed: int, k_symbols: int = 2
-):
-    """Encode ``trials`` random words and corrupt ``k_symbols`` each.
-
-    Returns a ``(trials, n_symbols)`` uint32 batch of corrupted
-    codewords, consumable by either backend — the RS analogue of
-    :func:`repro.engine.msed_corruption_batch`, and the reason a fixed
-    ``(trials, seed)`` run tallies identically scalar-vs-numpy.  A thin
-    wrapper over chunk ``[0, trials)`` of the counter-hashed stream in
-    :mod:`repro.orchestrate.corruption`, so the monolithic and chunked
-    generators can never diverge.
-    """
-    from repro.orchestrate.corruption import rs_corruption_chunk
-    from repro.orchestrate.plan import Chunk
-    from repro.orchestrate.rng import derive_key
-
-    return rs_corruption_chunk(
-        code, Chunk(0, trials), derive_key(seed), k_symbols
-    )
-
-
 __all__ = [
     "NumpyRsEngine",
     "RsBatchResult",
@@ -466,5 +441,4 @@ __all__ = [
     "ScalarRsEngine",
     "device_confined",
     "get_rs_engine",
-    "rs_msed_corruption_batch",
 ]

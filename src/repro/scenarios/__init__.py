@@ -17,6 +17,13 @@ generators live in :mod:`repro.orchestrate.corruption`):
 * ``corrupt_word(skey, view, k_symbols)`` — the pure-Python scalar
   reference over one word (:class:`WordSymbolView`).
 
+The views belong to the code-family layer of
+:mod:`repro.orchestrate.corruption` (re-exported here): each
+:class:`~repro.orchestrate.corruption.CodeFamily` builds them over its
+own word storage, and the family-generic ``scenario_chunk`` /
+``scenario_word`` generators hand them to the scenario, so one recipe
+serves MUSE and RS alike.
+
 Both draw from ``skey`` — :func:`scenario_stream_key` of the run key
 and the scenario *name* — with integer-only arithmetic, so the scalar
 and batch paths agree bit for bit and two scenarios sharing a seed
@@ -46,6 +53,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.orchestrate.corruption import BatchSymbolView, WordSymbolView
 from repro.orchestrate.rng import derive_key
 
 __all__ = [
@@ -75,39 +83,6 @@ def scenario_stream_key(key: int, name: str) -> int:
     return derive_key(key, STREAM_SCENARIO, zlib.crc32(name.encode("utf-8")))
 
 
-@dataclass
-class BatchSymbolView:
-    """A chunk of codewords seen as an editable symbol grid.
-
-    ``trials`` is the uint64 *global* trial-counter array of the chunk
-    (scenarios key their draws off it, which is what makes them
-    split-invariant); ``read(rows, index)`` returns the current uint64
-    values of symbol ``index`` for the given row indices and
-    ``write(rows, index, values)`` stores them back.  Constructed by
-    the chunk drivers in :mod:`repro.orchestrate.corruption` for both
-    code families, so one scenario implementation serves MUSE and RS.
-    """
-
-    trials: "object"
-    widths: tuple[int, ...]
-    read: Callable[[object, int], object]
-    write: Callable[[object, int, object], None]
-
-
-@dataclass
-class WordSymbolView:
-    """One codeword of global trial ``trial`` as an editable symbol row.
-
-    The scalar twin of :class:`BatchSymbolView`: ``get(index)`` /
-    ``put(index, value)`` operate on plain Python ints.
-    """
-
-    trial: int
-    widths: tuple[int, ...]
-    get: Callable[[int], int]
-    put: Callable[[int, int], None]
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One registered corruption recipe.
@@ -117,7 +92,7 @@ class Scenario:
     a scenario may ignore — e.g. row failure corrupts every symbol).
     ``None`` marks the built-in ``"msed"`` scenario, whose generators
     predate the registry and live on the base key's streams
-    (:func:`repro.orchestrate.corruption.muse_corruption_chunk`).
+    (:func:`repro.orchestrate.corruption.corruption_chunk`).
 
     ``supports_splitting`` gates the campaign scheduler's zero-event
     escalation: only scenarios sharing the plain MSED prefix stream can

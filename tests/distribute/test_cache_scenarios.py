@@ -8,6 +8,8 @@ one scenario is never served a chunk computed under another.
 
 import itertools
 
+import pytest
+
 from repro.distribute.cache import ResultCache
 from repro.distribute.checkpoint import spec_fingerprint
 from repro.orchestrate.plan import Chunk
@@ -24,6 +26,50 @@ def tally(**counts) -> MsedTally:
     t = MsedTally()
     t.record_counts(**counts)
     return t
+
+
+#: Literal fingerprints of Table-IV simulators' task specs — the keys
+#: of their result-cache cells and checkpoint journal records.  A
+#: refactor of the simulators must leave every one of them unmoved.
+MC = "repro.reliability.monte_carlo"
+TABLE_IV_FINGERPRINTS = [
+    (
+        "muse", 4, "msed", {},
+        f"MuseSimSpec(code=CodeRef(target='{MC}:muse_design_point', "
+        "args=(4,)), k_symbols=2, ripple_check=True, backend='any', "
+        "scenario='msed')",
+    ),
+    (
+        "muse", 4, "mbu", {},
+        f"MuseSimSpec(code=CodeRef(target='{MC}:muse_design_point', "
+        "args=(4,)), k_symbols=2, ripple_check=True, backend='any', "
+        "scenario='mbu')",
+    ),
+    (
+        "rs", 6, "msed", {},
+        f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
+        "args=(6,)), k_symbols=2, device_bits=4, backend='any', "
+        "scenario='msed')",
+    ),
+    (
+        "rs", 6, "mbu", {},
+        f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
+        "args=(6,)), k_symbols=2, device_bits=4, backend='any', "
+        "scenario='mbu')",
+    ),
+    (
+        "rs", 6, "msed", {"device_bits": None},
+        f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
+        "args=(6,)), k_symbols=2, device_bits=None, backend='any', "
+        "scenario='msed')",
+    ),
+    (
+        "rs", 6, "mbu", {"device_bits": None},
+        f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
+        "args=(6,)), k_symbols=2, device_bits=None, backend='any', "
+        "scenario='mbu')",
+    ),
+]
 
 
 class TestFingerprints:
@@ -58,6 +104,39 @@ class TestFingerprints:
         assert spec_fingerprint(MuseSimSpec(MUSE_REF)) == spec_fingerprint(
             MuseSimSpec(MUSE_REF, scenario="msed")
         )
+
+    @pytest.mark.parametrize(
+        "family, extra_bits, scenario, policy, expected",
+        TABLE_IV_FINGERPRINTS,
+        ids=[
+            "muse+4b-msed",
+            "muse+4b-mbu",
+            "rs+6b-msed",
+            "rs+6b-mbu",
+            "rs+6b-msed-no-policy",
+            "rs+6b-mbu-no-policy",
+        ],
+    )
+    def test_table_iv_spec_is_pinned(
+        self, family, extra_bits, scenario, policy, expected
+    ):
+        """A Table-IV simulator's spec, built the way ``build_table_iv``
+        builds its points, fingerprints to its literal pin."""
+        from repro.reliability import monte_carlo
+
+        simulator = {
+            "muse": monte_carlo.MuseMsedSimulator,
+            "rs": monte_carlo.RsMsedSimulator,
+        }[family]
+        factory = f"{family}_design_point"
+        spec = simulator(
+            getattr(monte_carlo, factory)(extra_bits),
+            backend="numpy",
+            code_ref=CodeRef(f"{MC}:{factory}", (extra_bits,)),
+            scenario=scenario,
+            **policy,
+        )._task_spec()
+        assert spec_fingerprint(spec) == expected
 
 
 class TestCacheCells:

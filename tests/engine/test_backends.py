@@ -12,9 +12,10 @@ from repro.engine import (
     BackendUnavailableError,
     available_backends,
     get_engine,
-    msed_corruption_batch,
     resolve_backend,
 )
+from repro.orchestrate import Chunk, derive_key
+from repro.orchestrate.corruption import muse_corruption_chunk
 from repro.reliability.monte_carlo import MuseMsedSimulator
 
 ALL_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
@@ -84,7 +85,7 @@ class TestDecodeEquivalence:
     def test_multi_symbol_stream_full_parity(self, factory, backend):
         """Same corrupted words -> identical per-word DecodeResults."""
         code = factory()
-        words = msed_corruption_batch(code, 1500, seed=2022, k_symbols=2)
+        words = muse_corruption_chunk(code, Chunk(0, 1500), derive_key(2022), 2)
         scalar = get_engine(code, "scalar").decode_batch(words)
         vector = get_engine(code, backend).decode_batch(words)
         assert list(scalar.statuses) == list(vector.statuses)
@@ -95,7 +96,7 @@ class TestDecodeEquivalence:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_no_ripple_stream_full_parity(self, factory, backend):
         code = factory()
-        words = msed_corruption_batch(code, 1000, seed=7, k_symbols=2)
+        words = muse_corruption_chunk(code, Chunk(0, 1000), derive_key(7), 2)
         scalar = get_engine(code, "scalar", ripple_check=False).decode_batch(words)
         vector = get_engine(code, backend, ripple_check=False).decode_batch(words)
         assert scalar.results() == vector.results()
@@ -276,15 +277,14 @@ class TestTrialGeneration:
         import numpy as np
 
         code = muse_80_69()
-        first = msed_corruption_batch(code, 500, seed=11)
-        second = msed_corruption_batch(code, 500, seed=11)
+        first = muse_corruption_chunk(code, Chunk(0, 500), derive_key(11))
+        second = muse_corruption_chunk(code, Chunk(0, 500), derive_key(11))
         assert np.array_equal(first, second)
 
     def test_every_word_has_exactly_k_corrupted_symbols(self):
         """Recover the clean words from the shared counter-hashed data
         stream, then diff symbols against the corrupted batch."""
         from repro.engine.limbs import limbs_to_ints
-        from repro.orchestrate import Chunk, derive_key
         from repro.orchestrate.corruption import muse_clean_chunk
 
         code = muse_80_69()
@@ -295,7 +295,7 @@ class TestTrialGeneration:
                 muse_clean_chunk(code, Chunk(0, 200), derive_key(seed))
             )
             corrupted = limbs_to_ints(
-                msed_corruption_batch(code, 200, seed=seed, k_symbols=k)
+                muse_corruption_chunk(code, Chunk(0, 200), derive_key(seed), k)
             )
             for before, after in zip(clean, corrupted):
                 differing = sum(
@@ -308,8 +308,8 @@ class TestTrialGeneration:
     def test_k_symbols_bounds_checked(self):
         code = muse_80_69()
         with pytest.raises(ValueError):
-            msed_corruption_batch(code, 10, seed=1, k_symbols=0)
+            muse_corruption_chunk(code, Chunk(0, 10), derive_key(1), 0)
         with pytest.raises(ValueError):
-            msed_corruption_batch(
-                code, 10, seed=1, k_symbols=code.layout.symbol_count + 1
+            muse_corruption_chunk(
+                code, Chunk(0, 10), derive_key(1), code.layout.symbol_count + 1
             )

@@ -21,12 +21,14 @@ from repro.engine import (
     _REGISTRY,
     available_backends,
     get_engine,
-    msed_corruption_batch,
     register_backend,
     registered_backends,
     resolve_backend,
 )
-from repro.orchestrate.corruption import muse_scenario_chunk
+from repro.orchestrate.corruption import (
+    muse_corruption_chunk,
+    muse_scenario_chunk,
+)
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import derive_key
 from repro.reliability.monte_carlo import muse_design_point
@@ -154,7 +156,7 @@ class TestNativeDecodeParity:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_corrupted_stream_matches_numpy(self, factory):
         code = factory()
-        words = msed_corruption_batch(code, 600, seed=2022, k_symbols=2)
+        words = muse_corruption_chunk(code, Chunk(0, 600), derive_key(2022), 2)
         ref = get_engine(code, "numpy").decode_batch(words)
         nat = get_engine(code, "native").decode_batch(words)
         assert np.array_equal(ref.statuses, nat.statuses)
@@ -164,7 +166,7 @@ class TestNativeDecodeParity:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_ripple_ablation_matches_numpy(self, factory):
         code = factory()
-        words = msed_corruption_batch(code, 400, seed=7, k_symbols=2)
+        words = muse_corruption_chunk(code, Chunk(0, 400), derive_key(7), 2)
         ref = get_engine(code, "numpy", ripple_check=False).decode_batch(words)
         nat = get_engine(code, "native", ripple_check=False).decode_batch(words)
         assert np.array_equal(ref.statuses, nat.statuses)
@@ -176,7 +178,7 @@ class TestNativeDecodeParity:
         # The weakened eq-6 hybrid code miscorrects often enough that a
         # short 2-symbol stream also lands silent-clean aliases.
         code = muse_80_70()
-        words = msed_corruption_batch(code, 600, seed=2022, k_symbols=2)
+        words = muse_corruption_chunk(code, Chunk(0, 600), derive_key(2022), 2)
         statuses = set(get_engine(code, "native").decode_batch(words).statuses)
         assert statuses == {0, 1, 2, 3}
 

@@ -15,6 +15,8 @@
   zero new trials and byte-identical outcomes.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.codes import muse_80_69
@@ -254,6 +256,33 @@ class TestEscalation:
         )
         with pytest.raises(RuntimeError, match="estimator bug"):
             CampaignRunner(policy).run([_muse()], seed=7)
+
+    @pytest.mark.parametrize(
+        "make, policy",
+        [(_rs, {"device_bits": None}), (_muse, {"ripple_check": False})],
+        ids=["rs-device-policy-off", "muse-ripple-check-off"],
+    )
+    def test_escalated_tail_keeps_the_points_decode_policy(self, make, policy):
+        """The splitting twin decodes under the point's own policy: an
+        RS point run with the device policy off has its tail split with
+        the policy off, not under the x4 default."""
+        from repro.reliability.sampling.splitting import (
+            MuseSplittingEstimator,
+            RsSplittingEstimator,
+        )
+
+        simulator = dataclasses.replace(make(), **policy)
+        twin = RsSplittingEstimator if make is _rs else MuseSplittingEstimator
+        own = twin(simulator.code, **policy).run(300, seed=3)
+        default = twin(simulator.code).run(300, seed=3)
+        assert own.rate("miscorrection") != default.rate("miscorrection")
+
+        campaign = CampaignPolicy(
+            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=300
+        )
+        (outcome,) = CampaignRunner(campaign).run([simulator], seed=3)
+        assert outcome.escalated
+        assert outcome.tail_bound == own
 
     def test_without_escalation_the_point_runs_to_the_ceiling(self):
         policy = CampaignPolicy(base=self.ZERO_EVENT)

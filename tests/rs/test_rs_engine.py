@@ -12,6 +12,8 @@ import pytest
 
 from repro.engine import available_backends
 from repro.engine.base import BackendUnavailableError
+from repro.orchestrate import Chunk, derive_key
+from repro.orchestrate.corruption import rs_corruption_chunk
 from repro.reliability.monte_carlo import RsMsedSimulator
 from repro.rs.engine import (
     STATUS_CLEAN,
@@ -22,7 +24,6 @@ from repro.rs.engine import (
     ScalarRsEngine,
     device_confined,
     get_rs_engine,
-    rs_msed_corruption_batch,
 )
 from repro.rs.reed_solomon import RSDecodeStatus, rs_for_channel
 
@@ -126,7 +127,7 @@ class TestDecodeEquivalence:
     def test_multi_symbol_stream_full_parity(self, b, device_bits, backend):
         """Same corrupted words -> identical per-word statuses/results."""
         code = make_code(b)
-        words = rs_msed_corruption_batch(code, 1500, seed=2022, k_symbols=2)
+        words = rs_corruption_chunk(code, Chunk(0, 1500), derive_key(2022), 2)
         scalar = get_rs_engine(code, "scalar", device_bits).decode_batch(words)
         vector = get_rs_engine(code, backend, device_bits).decode_batch(words)
         assert list(scalar.statuses) == list(vector.statuses)
@@ -137,7 +138,7 @@ class TestDecodeEquivalence:
     def test_results_match_single_word_decode(self, b):
         """results() reconstructs exactly what RSCode.decode returns."""
         code = make_code(b)
-        words = rs_msed_corruption_batch(code, 400, seed=7, k_symbols=2)
+        words = rs_corruption_chunk(code, Chunk(0, 400), derive_key(7), 2)
         batch = get_rs_engine(code, "numpy").decode_batch(words)
         assert batch.results() == [code.decode(list(row)) for row in words.tolist()]
 
@@ -193,7 +194,7 @@ class TestDecodeEquivalence:
     def test_shortened_locator_detected_in_batch(self):
         """Out-of-range locators land in the detected bucket, both paths."""
         code = make_code(8)
-        words = rs_msed_corruption_batch(code, 2000, seed=5, k_symbols=2)
+        words = rs_corruption_chunk(code, Chunk(0, 2000), derive_key(5), 2)
         vector = get_rs_engine(code, "numpy").decode_batch(words)
         counts = vector.counts()
         assert counts[STATUS_DETECTED_NO_MATCH] > 0
@@ -288,26 +289,25 @@ class TestCorruptionGeneration:
         import numpy as np
 
         code = make_code(7)
-        first = rs_msed_corruption_batch(code, 500, seed=11)
-        second = rs_msed_corruption_batch(code, 500, seed=11)
+        first = rs_corruption_chunk(code, Chunk(0, 500), derive_key(11))
+        second = rs_corruption_chunk(code, Chunk(0, 500), derive_key(11))
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_every_word_has_exactly_k_corrupted_symbols(self, k):
         """Recover the clean words from the shared counter-hashed data
         stream, then diff against the corrupted batch."""
-        from repro.orchestrate import Chunk, derive_key
         from repro.orchestrate.corruption import rs_clean_chunk
 
         code = make_code(5)
         seed = 40 + k
         clean = rs_clean_chunk(code, Chunk(0, 200), derive_key(seed))
-        corrupted = rs_msed_corruption_batch(code, 200, seed=seed, k_symbols=k)
+        corrupted = rs_corruption_chunk(code, Chunk(0, 200), derive_key(seed), k)
         assert ((clean != corrupted).sum(axis=1) == k).all()
 
     def test_corrupted_symbols_respect_physical_widths(self):
         code = make_code(5)  # 4-bit partial last data symbol
-        words = rs_msed_corruption_batch(code, 3000, seed=2, k_symbols=2)
+        words = rs_corruption_chunk(code, Chunk(0, 3000), derive_key(2), 2)
         for index in range(code.n_symbols):
             width = code.symbol_widths[index]
             assert int(words[:, index].max()) < (1 << width)
@@ -315,8 +315,8 @@ class TestCorruptionGeneration:
     def test_k_symbols_bounds_checked(self):
         code = make_code(8)
         with pytest.raises(ValueError):
-            rs_msed_corruption_batch(code, 10, seed=1, k_symbols=0)
+            rs_corruption_chunk(code, Chunk(0, 10), derive_key(1), 0)
         with pytest.raises(ValueError):
-            rs_msed_corruption_batch(
-                code, 10, seed=1, k_symbols=code.n_symbols + 1
+            rs_corruption_chunk(
+                code, Chunk(0, 10), derive_key(1), code.n_symbols + 1
             )

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from repro.engine import available_backends
-from repro.orchestrate.corruption import rs_scenario_chunk
+from repro.orchestrate.corruption import rs_corruption_chunk, rs_scenario_chunk
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import derive_key
-from repro.rs.engine import get_rs_engine, rs_msed_corruption_batch
+from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import rs_for_channel
 from repro.scenarios import resolve_scenario
 
@@ -39,7 +39,7 @@ class TestNativeRsParity:
     @pytest.mark.parametrize("device_bits", [4, None], ids=["x4", "nopolicy"])
     def test_corrupted_stream_matches_numpy(self, b, device_bits):
         code = make_code(b)
-        words = rs_msed_corruption_batch(code, 800, seed=2022, k_symbols=2)
+        words = rs_corruption_chunk(code, Chunk(0, 800), derive_key(2022), 2)
         ref = get_rs_engine(code, "numpy", device_bits).decode_batch(words)
         nat = get_rs_engine(code, "native", device_bits).decode_batch(words)
         assert np.array_equal(ref.statuses, nat.statuses)

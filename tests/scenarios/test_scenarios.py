@@ -9,7 +9,8 @@ The acceptance contract this file pins:
   ``jobs=2`` process pools, every available decode backend, and a
   2-worker distributed loopback session — at a fixed seed;
 * native ``mbu`` chunks run in the fused kernels (no corruption batch
-  is generated) and still tally the scalar reference stream;
+  is generated) and still tally the scalar reference stream, and a
+  native msed build never loads the scenario registry;
 * the campaign scheduler escalates zero-event cells of a
   non-splittable scenario to a Clopper-Pearson tail bound instead of
   importance splitting.
@@ -264,12 +265,14 @@ class TestFusedRoute:
 
     @staticmethod
     def _generators(monkeypatch, replacement):
+        """Wrap the one family-generic generator ``run_chunk`` calls."""
         from repro.reliability import monte_carlo
 
-        for attr in ("muse_scenario_chunk", "rs_scenario_chunk"):
-            monkeypatch.setattr(
-                monte_carlo, attr, replacement(getattr(monte_carlo, attr))
-            )
+        monkeypatch.setattr(
+            monte_carlo,
+            "scenario_chunk",
+            replacement(monte_carlo.scenario_chunk),
+        )
 
     def _reference(self, simulator, name):
         return (
@@ -295,6 +298,38 @@ class TestFusedRoute:
         )
         assert tally.freeze() == self._reference(simulator, "mbu")
 
+    def test_native_msed_build_never_loads_the_registry(self):
+        """Every chunk of a native msed Table-IV build runs fused, so a
+        fresh interpreter never imports ``repro.scenarios`` (which
+        would raise the build's peak RSS)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        probe = (
+            "import sys\n"
+            "from repro.reliability.monte_carlo import build_table_iv\n"
+            "build_table_iv(trials=512, backend='native')\n"
+            "print('repro.scenarios' in sys.modules)\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={
+                **os.environ,
+                "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout.strip()
+        assert loaded == "False"
+
     @pytest.mark.parametrize(
         "backend,name",
         [("numpy", "mbu"), ("native", "stuck"), ("native", "scrub")],
@@ -304,9 +339,9 @@ class TestFusedRoute:
         calls = []
 
         def count(generate):
-            def counted(scenario, *args, **kwargs):
+            def counted(family, scenario, *args, **kwargs):
                 calls.append(scenario.name)
-                return generate(scenario, *args, **kwargs)
+                return generate(family, scenario, *args, **kwargs)
 
             return counted
 
