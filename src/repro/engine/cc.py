@@ -1,30 +1,36 @@
 """Self-compiled C kernels backing the ``native`` backend.
 
 The top rung of the backend ladder: four kernels (MUSE decode, MUSE
-fused chunk, RS PGZ decode, RS fused chunk) written once in portable
-C99 over the numpy engines' table layouts, compiled at first use with
-the system compiler (``$CC``, default ``cc``, with ``-O3 -fPIC
--shared``) into a cache under the temp directory addressed by the
-source, the compiler and its flags, and loaded with ctypes.  uint64
-arithmetic wraps natively in C, so the splitmix64 mixing and the limb
-adds need no casting discipline — and the backend works on any host
-with a C compiler, no package installs required.
+fused chunk, RS PGZ decode, RS fused chunk) written once in C99 plus
+GCC vector extensions over the numpy engines' table layouts, compiled
+at first use with the system compiler (``$CC``, default ``cc``, with
+``-O3 -march=native -fPIC -shared``) into a cache under the temp
+directory addressed by the source, the compiler, its flags and the host
+CPU, and loaded with ctypes.  uint64 arithmetic wraps natively in C, so
+the splitmix64 mixing and the limb adds need no casting discipline —
+and the backend works on any host with a C compiler, no package
+installs required.
 
 The two fused chunk kernels replay more than one corruption stream: a
 mode argument picks msed's never-the-original replacement or mbu's
 adjacent-bit burst XOR (:mod:`repro.scenarios.library`), and
 :func:`repro.orchestrate.corruption.fused_stream` supplies the matching
 mode and stream keys.  Every other scenario stays generate-then-decode.
-Both share one choice scan (``choose_slots``: two interleaved
-branch-free smallest/2nd-smallest chains over the symbol scores).  The
-MUSE kernel builds and corrupts each codeword; the RS kernel decodes
-the error pattern alone, since a clean word's syndromes are zero, and
-shares its PGZ verdict (``rs_verdict``) with the RS batch decode.
+Both share one choice scan, ``choose_block``: trials are independent,
+so it scores ``LANES`` consecutive trials at once, one per 64-bit
+vector lane, and keeps each lane's two smallest (value, index) pairs
+with compares and selects.  ``LANES`` follows the ISA ``-march=native``
+targets — 8 with AVX-512DQ, 4 with AVX2, else 1 — which is why the
+host CPU is part of the cache key.  The MUSE kernel builds and corrupts
+each codeword; the RS kernel decodes the error pattern alone, since a
+clean word's syndromes are zero, and shares its PGZ verdict
+(``rs_verdict``) with the RS batch decode.
 
 Availability is probed by actually compiling (cached across processes
 by that key), so ``available_backends()`` never advertises a backend
-that cannot run.  Any failure — no compiler, a read-only temp dir —
-just reports unavailable; ``auto`` then falls back down the ladder.
+that cannot run.  Any failure — no compiler, one that rejects
+``-march=native``, a read-only temp dir — just reports unavailable;
+``auto`` then falls back down the ladder.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 
@@ -44,10 +51,19 @@ _SOURCE = r"""
 #define MODE_MBU 1
 /* repro/scenarios/library.py MBU_MAX_BURST */
 #define MBU_MAX_BURST 4
-/* Score scratch of the choice scan; the engines refuse wider codes
- * (MAX_NATIVE_SYMBOLS: 512 in repro/engine/native.py, 64 in
- * repro/rs/engine_native.py). */
-#define MAX_CHOICE_SYMBOLS 512
+/* Trials one choice scan covers: one per 64-bit lane of the target's
+ * widest integer vectors with a native 64-bit multiply (AVX-512DQ's
+ * vpmullq), or four AVX2 lanes; 1 elsewhere.  _FLAGS' -march=native
+ * lets the host ISA pick it. */
+#if defined(__AVX512DQ__)
+#define LANES 8
+#elif defined(__AVX2__)
+#define LANES 4
+#else
+#define LANES 1
+#endif
+
+typedef uint64_t lanes_t __attribute__((vector_size(8 * LANES)));
 
 static inline uint64_t mix64(uint64_t x) {
     x ^= x >> 30;
@@ -57,49 +73,64 @@ static inline uint64_t mix64(uint64_t x) {
     return x ^ (x >> 31);
 }
 
-static inline uint64_t min64(uint64_t a, uint64_t b) { return a < b ? a : b; }
-static inline uint64_t max64(uint64_t a, uint64_t b) { return a < b ? b : a; }
-
-/* Fold one score into a branch-free (smallest, 2nd-smallest) chain. */
-static inline void keep_two_smallest(uint64_t score, uint64_t *first,
-                                     uint64_t *second) {
-    *second = min64(*second, max64(*first, score));
-    *first = min64(*first, score);
+/* mix64 of every lane. */
+static inline lanes_t mix64_lanes(lanes_t x) {
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
 }
 
-/* The k <= 2 chosen symbols of one trial: the two smallest of S iid
- * scores, ties going to the lower index.  Two interleaved branch-free
- * chains find the two values, then a scan of the stored scores finds
- * their indices.  msed keeps argpartition's (argmin, 2nd-min) slot
- * order; registered scenarios sort the chosen symbols by index, as
+/* Per lane: `yes` where `mask` is all-ones, `no` where it is zero. */
+static inline lanes_t select_lanes(lanes_t mask, lanes_t yes, lanes_t no) {
+    return (yes & mask) | (no & ~mask);
+}
+
+/* The k <= 2 chosen symbols of the LANES consecutive trials from
+ * `first_trial`, one trial per lane: the two smallest of S iid scores
+ * in (value, index) order.  Each lane starts from its first two real
+ * scores (symbol 0's twice on a one-symbol code, whose k = 1 leaves
+ * slot 1 unused); a later symbol has the higher index, so it displaces
+ * a kept score only when strictly smaller, and ties go to the lower
+ * index.  msed keeps argpartition's (argmin, 2nd-min) slot order;
+ * registered scenarios sort the chosen symbols by index, as
  * _chosen_sorted_batch does. */
-static inline void choose_slots(int32_t mode, int64_t k_symbols,
+static inline void choose_block(int32_t mode, int64_t k_symbols,
         const uint64_t *choice_keys, int64_t symbol_count,
-        uint64_t counter, int64_t *chosen) {
-    uint64_t scores[MAX_CHOICE_SYMBOLS];
-    uint64_t even1 = ~0ULL, even2 = ~0ULL, odd1 = ~0ULL, odd2 = ~0ULL;
-    int64_t s = 0;
-    for (; s + 1 < symbol_count; s += 2) {
-        scores[s] = mix64(choice_keys[s] + counter);
-        scores[s + 1] = mix64(choice_keys[s + 1] + counter);
-        keep_two_smallest(scores[s], &even1, &even2);
-        keep_two_smallest(scores[s + 1], &odd1, &odd2);
+        int64_t first_trial, int64_t chosen[LANES][2]) {
+    lanes_t counters;
+    for (int64_t lane = 0; lane < LANES; lane++)
+        counters[lane] = ((uint64_t)(first_trial + lane) + 1) * GOLDEN;
+    const lanes_t zero = {0};
+    uint64_t second_symbol = symbol_count > 1;
+    lanes_t first = mix64_lanes(counters + choice_keys[0]);
+    lanes_t second = mix64_lanes(counters + choice_keys[second_symbol]);
+    lanes_t swap = (lanes_t)(second < first);
+    lanes_t kept = first;
+    first = select_lanes(swap, second, first);
+    second = select_lanes(swap, kept, second);
+    lanes_t first_index = swap & second_symbol;
+    lanes_t second_index = ~swap & second_symbol;
+    for (int64_t s = 2; s < symbol_count; s++) {
+        lanes_t score = mix64_lanes(counters + choice_keys[s]);
+        lanes_t index = zero + (uint64_t)s;
+        lanes_t below_first = (lanes_t)(score < first);
+        lanes_t below_second = (lanes_t)(score < second);
+        second = select_lanes(below_first, first,
+                              select_lanes(below_second, score, second));
+        second_index = select_lanes(below_first, first_index,
+                select_lanes(below_second, index, second_index));
+        first = select_lanes(below_first, score, first);
+        first_index = select_lanes(below_first, index, first_index);
     }
-    if (s < symbol_count) {
-        scores[s] = mix64(choice_keys[s] + counter);
-        keep_two_smallest(scores[s], &even1, &even2);
+    for (int64_t lane = 0; lane < LANES; lane++) {
+        int64_t best = (int64_t)first_index[lane];
+        int64_t next = (int64_t)second_index[lane];
+        int swap_slots = mode != MODE_MSED && k_symbols == 2 && next < best;
+        chosen[lane][0] = swap_slots ? next : best;
+        chosen[lane][1] = swap_slots ? best : next;
     }
-    uint64_t first = min64(even1, odd1);
-    uint64_t second = min64(max64(even1, odd1), min64(even2, odd2));
-    int64_t best_index = 0, second_index = 0;
-    while (scores[best_index] != first) best_index++;
-    while (second_index < symbol_count
-           && (scores[second_index] != second || second_index == best_index))
-        second_index++;
-    int swap = mode != MODE_MSED && k_symbols == 2
-               && second_index < best_index;
-    chosen[0] = swap ? second_index : best_index;
-    chosen[1] = swap ? best_index : second_index;
 }
 
 /* The value one chosen slot leaves in a symbol of `width` bits holding
@@ -209,8 +240,13 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int32_t ripple, int64_t *counts) {
     uint64_t word[8], fixed[8];
-    int64_t chosen[2];
+    int64_t block[LANES][2];
     for (int64_t i = 0; i < size; i++) {
+        /* lanes past the chunk's end are scanned and dropped */
+        if (i % LANES == 0)
+            choose_block(mode, k_symbols, choice_keys, symbol_count,
+                         start + i, block);
+        const int64_t *chosen = block[i % LANES];
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         /* data draws masked to k bits, then systematic encode */
         for (int64_t j = 0; j < limbs; j++)
@@ -227,8 +263,6 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             carry = total < carry;
             word[j] = total;
         }
-        choose_slots(mode, k_symbols, choice_keys, symbol_count, counter,
-                     chosen);
         for (int64_t slot = 0; slot < k_symbols; slot++) {
             int64_t symbol = chosen[slot];
             int64_t width = sym_widths[symbol];
@@ -372,11 +406,14 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
     struct rs_tables rs = {exp2, logt, w2_log, order, n_symbols, pad_mask,
                            partial_position, confined, has_policy,
                            conf_stride};
-    int64_t chosen[2];
+    int64_t block[LANES][2];
     for (int64_t i = 0; i < size; i++) {
+        /* lanes past the chunk's end are scanned and dropped */
+        if (i % LANES == 0)
+            choose_block(mode, k_symbols, choice_keys, n_symbols, start + i,
+                         block);
+        const int64_t *chosen = block[i % LANES];
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
-        choose_slots(mode, k_symbols, choice_keys, n_symbols, counter,
-                     chosen);
         int64_t s1 = 0, s2 = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
             int64_t symbol = chosen[slot];
@@ -411,7 +448,7 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
 """
 
 _COMPILER = os.environ.get("CC", "cc")
-_FLAGS = ("-O3", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-march=native", "-fPIC", "-shared")
 _lib: "ctypes.CDLL | None" = None
 _load_failed = False
 
@@ -422,6 +459,38 @@ def _cache_dir() -> str:
         return override
     tag = getattr(os, "getuid", lambda: "any")()
     return os.path.join(tempfile.gettempdir(), f"repro-native-{tag}")
+
+
+def _host_cpu() -> str:
+    """The host CPU's identity: its machine type and the kernel's list
+    of its features (the first ``flags``/``Features`` line of
+    ``/proc/cpuinfo``, where there is one).  Read from files, never by
+    spawning a compiler, so a warm start stays compiler-free."""
+    features = ""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith(("flags", "Features")):
+                    features = line.strip()
+                    break
+    except OSError:
+        pass
+    return f"{platform.machine()} {features}"
+
+
+def _library_path() -> str:
+    """Where the kernel library of this source, compiler, flags and host
+    CPU lives in the cache.
+
+    The compiler and its flags are part of the key, so a library built
+    by another ``CC`` (say, a sanitizer wrapper) is never reused; the
+    CPU is too, because ``-march=native`` builds for the host's ISA and
+    a cache shared between hosts must never hand an AVX-512 library to
+    a CPU without AVX-512.
+    """
+    recipe = "\0".join((_COMPILER, *_FLAGS, _host_cpu(), _SOURCE))
+    digest = hashlib.sha256(recipe.encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
 
 
 def _declare(lib: "ctypes.CDLL") -> None:
@@ -451,11 +520,13 @@ def _declare(lib: "ctypes.CDLL") -> None:
 
 
 def load_library() -> "ctypes.CDLL | None":
-    """Compile (once, addressed by source, compiler and flags) and load
-    the kernel library.
+    """Compile (once per :func:`_library_path`: source, compiler, flags
+    and host CPU) and load the kernel library.
 
-    Returns ``None`` on any failure — the registry probe then reports
-    the native backend unavailable instead of erroring.
+    A warm cache loads without running the compiler.  Returns ``None``
+    on any failure — no compiler, one that rejects ``-march=native``, a
+    read-only cache — and the registry probe then reports the native
+    backend unavailable instead of erroring.
     """
     global _lib, _load_failed
     if _lib is not None:
@@ -463,16 +534,10 @@ def load_library() -> "ctypes.CDLL | None":
     if _load_failed:
         return None
     try:
-        # The compiler and its flags are part of the key: a library
-        # built by another ``CC`` (say, a sanitizer wrapper) is never
-        # reused.
-        recipe = "\0".join((_COMPILER, *_FLAGS, _SOURCE))
-        digest = hashlib.sha256(recipe.encode()).hexdigest()[:16]
-        cache = _cache_dir()
-        os.makedirs(cache, exist_ok=True)
-        shared = os.path.join(cache, f"repro_kernels_{digest}.so")
+        shared = _library_path()
+        os.makedirs(os.path.dirname(shared), exist_ok=True)
         if not os.path.exists(shared):
-            source = os.path.join(cache, f"repro_kernels_{digest}.c")
+            source = shared[: -len(".so")] + ".c"
             with open(source, "w") as handle:
                 handle.write(_SOURCE)
             building = f"{shared}.build{os.getpid()}"

@@ -40,9 +40,10 @@ from repro.orchestrate.corruption import fused_stream
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
-#: The choice scan's score scratch, ``MAX_CHOICE_SYMBOLS`` in
-#: :mod:`repro.engine.cc` (a layout may hold empty symbols, so the
-#: limb limit alone does not bound it).
+#: The most symbols a code the native engine takes may have: as many
+#: as :data:`MAX_NATIVE_LIMBS` limbs hold one-bit symbols.  A layout
+#: may also hold empty symbols, so the limb limit alone does not bound
+#: the count; wider layouts take the numpy rung.
 MAX_NATIVE_SYMBOLS = 512
 
 

@@ -21,34 +21,8 @@ Every module exposes ``main(**options)`` returning the rendered report
 string — or, for experiments with machine-readable summaries (table4),
 a ``(report, details)`` pair whose dict lands in the sweep's
 ``summary.json``; the CLI (``repro-muse``) dispatches to them.
+
+The package imports none of them itself: ``import
+repro.experiments.table4`` loads Table IV's stack alone, not the
+Figure-6 CPU simulator or the VLSI model.
 """
-
-from repro.experiments import (  # noqa: F401
-    ablation_frontier,
-    ablation_shuffle,
-    extension_double_device,
-    figure1b,
-    figure6,
-    figure7,
-    pim,
-    rowhammer,
-    table1,
-    table3,
-    table4,
-    table5,
-)
-
-ALL_EXPERIMENTS = {
-    "table1": table1.main,
-    "figure1b": figure1b.main,
-    "table3": table3.main,
-    "table4": table4.main,
-    "table5": table5.main,
-    "figure6": figure6.main,
-    "figure7": figure7.main,
-    "rowhammer": rowhammer.main,
-    "pim": pim.main,
-    "ablation-shuffle": ablation_shuffle.main,
-    "ablation-frontier": ablation_frontier.main,
-    "extension-double-device": extension_double_device.main,
-}

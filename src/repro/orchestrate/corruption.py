@@ -38,7 +38,7 @@ keys.  The fused native kernels replay the msed draws — and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -58,21 +58,26 @@ FUSED_MBU = 1
 
 
 def _keys(key: int, stream: int, count: int) -> "np.ndarray":
-    """Stream keys ``(stream, 0..count-1)`` under ``key`` as uint64."""
-    return np.array(
+    """Stream keys ``(stream, 0..count-1)`` under ``key`` as a read-only
+    uint64 array."""
+    keys = np.array(
         [derive_key(key, stream, index) for index in range(count)],
         dtype=np.uint64,
     )
+    keys.flags.writeable = False
+    return keys
 
 
+@lru_cache(maxsize=32)
 def fused_stream(scenario: str, key: int, columns: int, symbols: int,
                  k_symbols: int):
     """What a fused kernel needs to replay the stream of the scenario
     named ``scenario``, or ``None`` when it cannot.
 
     Returns ``(mode, data_keys, choice_keys, value_keys, start_keys)``
-    as uint64 arrays — one key per data column, per symbol and per
-    corrupted slot.  The clean words always come from the base key's
+    as read-only uint64 arrays — one key per data column, per symbol and
+    per corrupted slot.  Every chunk of a point shares them, so they
+    are derived once per point (memoised) rather than once per chunk.  The clean words always come from the base key's
     DATA stream; msed chooses and replaces from the base CHOICE/VALUE
     keys (``start_keys`` unused), mbu chooses and bursts from its
     :func:`~repro.scenarios.scenario_stream_key` (``S_CHOICE`` per

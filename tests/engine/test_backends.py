@@ -313,3 +313,23 @@ class TestTrialGeneration:
             muse_corruption_chunk(
                 code, Chunk(0, 10), derive_key(1), code.layout.symbol_count + 1
             )
+
+    def test_fused_stream_keys_are_memoised_and_read_only(self):
+        """Every chunk of a point replays one set of stream keys: equal
+        arguments return the same arrays, equal to a fresh derivation,
+        and no caller can write them."""
+        import numpy as np
+
+        from repro.orchestrate.corruption import fused_stream
+
+        key = derive_key(2022)
+        for scenario in ("msed", "mbu"):
+            _, *keys = fused_stream(scenario, key, 3, 36, 2)
+            _, *again = fused_stream(scenario, key, 3, 36, 2)
+            _, *fresh = fused_stream.__wrapped__(scenario, key, 3, 36, 2)
+            for array, same, derived in zip(keys, again, fresh):
+                assert array is same
+                assert np.array_equal(array, derived)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0

@@ -15,7 +15,7 @@ same cases.
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codes import muse_80_67, muse_80_70, muse_268_256, toy_16_7
@@ -79,9 +79,35 @@ def engines(family, factory, flag):
     return code, native, numpy, rs_scenario_chunk
 
 
+#: The choice scan scores up to 8 trials at once, one per vector lane,
+#: and drops the lanes past a chunk's end: chunks that end inside, on
+#: and just past a lane block, at starts off the global 8-trial grid,
+#: for both streams at both k.
+LANE_EDGES = [
+    {
+        "scenario": scenario,
+        "k_symbols": k_symbols,
+        "start": 2**33 * index + (1, 3, 5, 7)[index % 4],
+        "size": size,
+        "seed": 2022 + index,
+        "flag": index % 2 == 0,
+    }
+    for scenario in ("msed", "mbu")
+    for k_symbols in (1, 2)
+    for index, size in enumerate((1, 3, 4, 5, 7, 8, 9, 16, 17))
+]
+
+
+def lane_edge_examples(test):
+    for case in LANE_EDGES:
+        test = example(**case)(test)
+    return test
+
+
 # Every point gets its own draws, so none is left out by the sampler.
 @pytest.mark.parametrize("point", DESIGN_POINTS, ids=point_id)
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@lane_edge_examples
 @given(
     scenario=st.sampled_from(("msed", "mbu")),
     k_symbols=st.integers(1, 2),

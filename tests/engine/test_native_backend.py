@@ -8,6 +8,7 @@ errors, ``auto`` stepping down past a refusing rung) run everywhere,
 against the real registry rather than a mock.
 """
 
+import os
 from functools import partial
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestNativeRegistration:
 
     def test_declines_more_symbols_than_the_choice_scan_holds(self):
         """Empty symbols let a 16-bit layout hold 604 symbols, more than
-        the kernels' 512-score scratch: native refuses, auto steps down."""
+        MAX_NATIVE_SYMBOLS (512): native refuses, auto steps down."""
         from repro.core.codec import MuseCode
         from repro.core.symbols import SymbolLayout
 
@@ -149,6 +150,44 @@ class TestNativeRegistration:
         with pytest.raises(BackendUnavailableError):
             get_engine(code, "native")
         assert get_engine(code, "auto") is get_engine(code, "numpy")
+
+
+class TestKernelCache:
+    """The compiled-kernel cache: keyed by the host CPU, and loaded
+    from warm without running the compiler."""
+
+    def test_key_carries_the_host_cpu(self, monkeypatch, tmp_path):
+        """``-march=native`` builds for the host's ISA, so a cache
+        shared between hosts must keep one library per CPU."""
+        from repro.engine import cc
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(cc, "_host_cpu", lambda: "x86_64 flags : avx512dq")
+        wide = cc._library_path()
+        monkeypatch.setattr(cc, "_host_cpu", lambda: "x86_64 flags : avx2")
+        narrow = cc._library_path()
+        assert wide != narrow
+        assert {os.path.dirname(wide), os.path.dirname(narrow)} == {
+            str(tmp_path)
+        }
+        assert cc._library_path() == narrow
+
+    @requires_native
+    def test_warm_cache_loads_without_a_compiler(self, monkeypatch, tmp_path):
+        """Start-up pays no compiler probe once the cache is filled."""
+        from repro.engine import cc
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(cc, "_lib", None)
+        assert cc.load_library() is not None
+        assert os.path.exists(cc._library_path())
+
+        def no_compiler(*args, **kwargs):
+            raise OSError("no compiler on this host")
+
+        monkeypatch.setattr(cc, "_lib", None)
+        monkeypatch.setattr(cc.subprocess, "run", no_compiler)
+        assert cc.load_library() is not None
 
 
 @requires_native

@@ -301,3 +301,38 @@ class TestTable4Report:
         assert all(
             row.msed_lo <= row.msed_percent <= row.msed_hi for row in rows
         )
+
+
+class TestImports:
+    def test_table4_import_loads_no_other_experiment(self):
+        """``import repro.experiments.table4`` — what every library
+        caller and the benchmark's set-up probe pay — loads Table IV's
+        stack alone: not the other experiments, and not the Figure-6
+        CPU simulator behind them."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        probe = (
+            "import sys\n"
+            "import repro.experiments.table4\n"
+            "print(sorted(name for name in sys.modules if name in (\n"
+            "    'repro.experiments.figure6', 'repro.perf.simulator')))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={
+                **os.environ,
+                "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout.strip()
+        assert loaded == "[]"
