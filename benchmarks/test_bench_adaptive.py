@@ -96,7 +96,6 @@ def test_adaptive_table_iv_saves_trials_without_losing_accuracy():
                     "confidence": POLICY.confidence,
                     "kind": POLICY.kind,
                     "initial_trials": POLICY.initial_trials,
-                    "growth": POLICY.growth,
                     "max_trials": POLICY.max_trials,
                 },
                 "fixed_total_trials": fixed_total,

@@ -7,14 +7,12 @@ whatever backend is resolved).  This file measures what that costs:
 trials/second for every registered fault scenario against the plain
 msed stream on the same code and trial budget, plus the
 scalar-reference overhead ratio on a smaller budget.  Results land in
-``benchmarks/BENCH_scenarios.json`` and the repo-root
-``BENCH_TRAJECTORY.json``.
+``benchmarks/BENCH_scenarios.json``.
 """
 
 import time
 from pathlib import Path
 
-from aggregate import TRAJECTORY, aggregate
 from artifacts import merge_artifact
 from repro.core.codes import muse_80_69
 from repro.engine import resolve_backend
@@ -79,7 +77,7 @@ def test_scalar_reference_parity_and_overhead():
     """The pure-Python scalar reference must agree with the batch path
     (the determinism contract, re-checked at bench scale) — and its
     measured overhead is recorded so regressions in either path show
-    in the trajectory diff."""
+    run over run in the artifact."""
     ratios = {}
     for name in FAULTS:
         batch_seconds, batch = _timed_run(name, SCALAR_TRIALS)
@@ -104,10 +102,3 @@ def test_scalar_reference_parity_and_overhead():
             }
         },
     )
-
-
-def test_trajectory_includes_scenarios():
-    """Fold the artifact into the committed repo-root trajectory."""
-    doc = aggregate()
-    assert "BENCH_scenarios" in doc["artifacts"]
-    assert TRAJECTORY.exists()

@@ -58,8 +58,8 @@ MONTE_CARLO_DEFAULT_TRIALS = {
 }
 MONTE_CARLO_EXPERIMENTS = tuple(MONTE_CARLO_DEFAULT_TRIALS)
 
-#: The MSED experiments that accept the sequential adaptive-sampling
-#: mode (--adaptive/--ci-target/--max-trials).  extension-double-device
+#: The MSED experiments that accept the adaptive campaign mode
+#: (--adaptive/--ci-target/--max-trials).  extension-double-device
 #: tallies erasure recoveries, not MSED rates, so it stays fixed-budget.
 ADAPTIVE_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
 

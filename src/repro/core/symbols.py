@@ -29,8 +29,8 @@ class SymbolLayout:
         Codeword length in bits.  Bit ``0`` is the least significant bit
         of the codeword integer.
     symbols:
-        One tuple of bit positions per symbol.  Together the tuples must
-        partition ``range(n)``.
+        One non-empty tuple of bit positions per symbol.  Together the
+        tuples must partition ``range(n)``.
 
     The layout is immutable; derived views (masks, bit-to-symbol map) are
     cached on first use.
@@ -41,7 +41,9 @@ class SymbolLayout:
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
-        for symbol in self.symbols:
+        for index, symbol in enumerate(self.symbols):
+            if not symbol:
+                raise ValueError(f"symbol {index} holds no bit positions")
             for bit in symbol:
                 if not 0 <= bit < self.n:
                     raise ValueError(

@@ -14,8 +14,8 @@ JSON-line socket protocol and folds the returned tallies exactly once:
   journal behind ``--checkpoint-dir`` / ``--resume``;
 * :mod:`~repro.distribute.coordinator` — :class:`DistributedSession`,
   the server + batch fold API (``run_tasks``) that plugs into
-  :func:`repro.orchestrate.pool.run_sharded` as an ``executor`` and
-  serves as the adaptive runner's round barrier;
+  :func:`repro.orchestrate.pool.run_grid` as an ``executor`` and
+  serves as the adaptive campaign's round barrier;
 * :mod:`~repro.distribute.worker` / :mod:`~repro.distribute.local` —
   the ``repro-muse worker --connect`` pull loop and the loopback
   ``--distribute local:N`` subprocess fleet;

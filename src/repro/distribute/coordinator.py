@@ -15,7 +15,7 @@ One :class:`DistributedSession` owns the whole distributed run:
   being queued;
 * the **round barrier**: :meth:`run_tasks` is a batch call — submit,
   wait for every fold, return ``{group: tally}`` — which is exactly the
-  synchronisation point the adaptive runner needs: the coordinator
+  synchronisation point the adaptive campaign needs: the coordinator
   process evaluates the stopping policy between batches and decides
   continue/stop per look.
 
@@ -280,7 +280,7 @@ class DistributedSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- the batch fold API (what run_sharded plugs into) ---------------
+    # -- the batch fold API (what run_grid plugs into) ------------------
 
     def run_tasks(
         self,
@@ -291,7 +291,8 @@ class DistributedSession:
 
         Returns ``{group: folded tally}`` exactly like
         :func:`repro.orchestrate.pool.run_sharded` — checkpointed chunks
-        fold from the journal, the rest fold as workers return them.
+        fold from the journal, the rest fold as workers return them;
+        ``progress(done, total)`` fires as each chunk folds.
         """
         task_list = list(tasks)
         with self._lock:

@@ -240,7 +240,7 @@ def _serve_session(
                 raise _ChaosReset("chaos: connection reset before result")
         started = time.perf_counter()
         try:
-            _, tally = run_chunk_task(task)
+            *_, tally = run_chunk_task(task)
         except Exception as exc:  # report, don't die: the chunk may
             # succeed on a worker with different capabilities.
             _bump(counters, "worker.chunks_failed")

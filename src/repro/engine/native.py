@@ -23,9 +23,11 @@ case.
 
 Only registered as available when the probe's trial compile+load
 succeeds.  A code the kernels cannot take (more than
-:data:`MAX_NATIVE_LIMBS` limbs or :data:`MAX_NATIVE_SYMBOLS` symbols,
-or ``r`` outside ``(0, 64)``) raises
+:data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0, 64)``) raises
 :class:`BackendUnavailableError`, and ``auto`` steps down to numpy.
+Symbols need no limit of their own: no kernel buffer is sized by the
+symbol count, and since every symbol holds at least one bit, 8 limbs
+hold at most 512 of them.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ from repro.orchestrate.corruption import fused_stream
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
-#: The most symbols a code the native engine takes may have: as many
-#: as :data:`MAX_NATIVE_LIMBS` limbs hold one-bit symbols.  A layout
-#: may also hold empty symbols, so the limb limit alone does not bound
-#: the count; wider layouts take the numpy rung.
-MAX_NATIVE_SYMBOLS = 512
 
 
 class NativeDecodeEngine(NumpyDecodeEngine):
@@ -63,11 +60,6 @@ class NativeDecodeEngine(NumpyDecodeEngine):
             raise BackendUnavailableError(
                 f"native kernels support up to {MAX_NATIVE_LIMBS} limbs, "
                 f"code needs {self.limbs}"
-            )
-        if code.layout.symbol_count > MAX_NATIVE_SYMBOLS:
-            raise BackendUnavailableError(
-                f"native kernels support up to {MAX_NATIVE_SYMBOLS} "
-                f"symbols, code needs {code.layout.symbol_count}"
             )
         if not 0 < code.r < LIMB_BITS:
             raise BackendUnavailableError(
@@ -143,4 +135,4 @@ class NativeDecodeEngine(NumpyDecodeEngine):
         return tuple(int(count) for count in counts)
 
 
-__all__ = ["MAX_NATIVE_LIMBS", "MAX_NATIVE_SYMBOLS", "NativeDecodeEngine"]
+__all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine"]

@@ -4,7 +4,7 @@ Runs the Monte-Carlo design-point sweep (10,000 trials per point, as in
 the paper) and prints measured-vs-paper for every cell — every measured
 rate carrying a 95% confidence interval and its trial count, never a
 bare point estimate.  ``adaptive=True`` switches from the fixed budget
-to the sequential sampler: each point runs until its failure-rate CI is
+to the adaptive campaign: each point runs until its failure-rate CI is
 tight (``ci_target`` relative half-width) or ``max_trials`` is hit, and
 the report shows what each cell actually spent.
 """
@@ -124,7 +124,6 @@ def details(table: TableIV) -> dict:
             "kind": policy.kind,
             "metric": policy.metric,
             "initial_trials": policy.initial_trials,
-            "growth": policy.growth,
             "max_trials": policy.max_trials,
         }
     return summary

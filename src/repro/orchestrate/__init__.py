@@ -12,9 +12,9 @@ studies past one process while keeping memory flat in trial count:
   generators, written once over the MUSE / RS code-family layer;
 * :mod:`~repro.orchestrate.worker` / :mod:`~repro.orchestrate.pool` —
   picklable :class:`ChunkTask` specs, the per-worker runner cache, and
-  :func:`run_sharded`, which fans design points x chunks over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` and folds the
-  mergeable tallies;
+  :func:`run_grid`, which runs a design points x chunks grid in
+  process, over a :class:`~concurrent.futures.ProcessPoolExecutor` or
+  on a distributed session and folds the mergeable tallies;
 * :mod:`~repro.orchestrate.sweep` — :func:`run_all`, the concurrent
   ``repro-muse all`` sweep with captured reports and a results
   directory.
@@ -32,7 +32,12 @@ from repro.orchestrate.plan import (
     plan_chunks,
     resolve_chunk_size,
 )
-from repro.orchestrate.pool import ProgressCallback, map_unordered, run_sharded
+from repro.orchestrate.pool import (
+    ProgressCallback,
+    map_unordered,
+    run_grid,
+    run_sharded,
+)
 from repro.orchestrate.rng import counter_draws, derive_key, mix64, trial_seed
 from repro.orchestrate.sweep import (
     EXPERIMENT_TARGETS,
@@ -74,6 +79,7 @@ __all__ = [
     "resolve_experiment",
     "run_all",
     "run_chunk_task",
+    "run_grid",
     "run_sharded",
     "trial_seed",
 ]

@@ -1,8 +1,13 @@
-"""The shard runner: fan chunk tasks over a process pool, fold tallies.
+"""Run chunk grids in process, over a process pool or on a fleet.
 
-``run_sharded(tasks, jobs)`` executes every :class:`ChunkTask` — in
-process for ``jobs <= 1``, across a :class:`ProcessPoolExecutor`
-otherwise — and folds each task's tally into its group via ``merge``.
+:func:`run_grid` is the one place that picks how a design-point grid
+of ``(point index, chunk)`` cells runs — on the caller's own runners
+in process, across a :class:`ProcessPoolExecutor`, or through a
+distributed executor's ``run_tasks`` — and folds each point's chunk
+tallies; fixed-budget runs, campaign rounds and the splitting
+estimator all call it.  :func:`run_sharded` folds any list of
+:class:`ChunkTask` by group, serially or over a pool.
+
 Because every tally merge is plain integer addition (associative and
 commutative) and every chunk's content is a pure function of
 ``(spec, chunk, key)``, the folded result is byte-identical whichever
@@ -17,9 +22,11 @@ materialisation.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import cache
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.orchestrate.worker import ChunkTask, run_chunk_task
+from repro.orchestrate.plan import Chunk
+from repro.orchestrate.worker import ChunkTask, run_chunk_task, traced_chunk
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -78,27 +85,85 @@ def run_sharded(
     tasks: Iterable[ChunkTask],
     jobs: int = 1,
     progress: ProgressCallback | None = None,
-    executor: Any | None = None,
+    on_chunk: Callable[[Any, Chunk, Any], None] | None = None,
 ) -> dict[Any, Any]:
     """Run every chunk task and return ``{group: folded tally}``.
 
-    Folding is plain integer addition, so the result is independent of
-    completion order and of ``jobs``.
-
-    ``executor`` overrides the serial/pool paths with any object
-    exposing ``run_tasks(tasks, progress) -> {group: tally}`` under the
-    same exactly-once fold contract — in practice a
-    :class:`repro.distribute.DistributedSession`, which fans the tasks
-    over remote worker processes instead of a local pool.
+    In process for ``jobs <= 1``, else over a pool; each task's runner
+    is rebuilt from its spec (:func:`~repro.orchestrate.worker.
+    runner_for`).  ``on_chunk(group, chunk, tally)`` fires on the
+    parent as each chunk completes, before its tally is folded (a hook
+    that keeps the tally must copy it).  Folding is plain integer
+    addition, so the result is independent of completion order and of
+    ``jobs``.
     """
-    if executor is not None:
-        return executor.run_tasks(list(tasks), progress)
     results: dict[Any, Any] = {}
-    map_unordered(
-        run_chunk_task,
-        tasks,
-        jobs,
-        progress,
-        lambda pair: _fold(results, *pair),
-    )
+
+    def fold(result: tuple[Any, Chunk, Any]) -> None:
+        if on_chunk is not None:
+            on_chunk(*result)
+        group, _, tally = result
+        _fold(results, group, tally)
+
+    map_unordered(run_chunk_task, tasks, jobs, progress, fold)
     return results
+
+
+def run_grid(
+    runners: Sequence[Any],
+    cells: Iterable[tuple[int, Chunk]],
+    key: int,
+    *,
+    groups: Sequence[Any] | None = None,
+    spec_of: Callable[[int], Any] | None = None,
+    jobs: int = 1,
+    progress: ProgressCallback | None = None,
+    executor: Any | None = None,
+    on_chunk: Callable[[int, Chunk, Any], None] | None = None,
+) -> dict[int, Any]:
+    """Run every ``(point index, chunk)`` cell; ``{index: folded tally}``.
+
+    ``runners[index]`` runs point ``index``'s chunks; ``groups[index]``
+    labels its fold group and ``decode_chunk`` spans (bare indices by
+    default).  A point without cells is absent from the result.  Paths:
+
+    * ``jobs <= 1``, no ``executor``: in process, cell by cell, on
+      ``runners`` themselves — no spec, so no ``code_ref``, is needed;
+    * ``jobs > 1``: over a process pool (:func:`run_sharded`), each
+      worker rebuilding the runner from ``spec_of(index)``;
+    * ``executor`` (a :class:`repro.distribute.DistributedSession`):
+      its ``run_tasks``, which folds, journals and caches itself.
+
+    ``spec_of`` defaults to each runner's ``_task_spec()``, built once
+    per call; a caller running several grids over the same runners
+    passes one memoised getter.  ``progress(done, total)`` fires once
+    per chunk on every path, ``on_chunk(index, chunk, tally)`` once per
+    chunk before its fold on the in-process and pool paths.
+    """
+    cells = list(cells)
+    groups = list(range(len(runners))) if groups is None else groups
+    if executor is None and jobs <= 1:
+        results: dict[int, Any] = {}
+        for done, (index, chunk) in enumerate(cells, start=1):
+            tally = traced_chunk(runners[index], groups[index], chunk, key)
+            if on_chunk is not None:
+                on_chunk(index, chunk, tally)
+            _fold(results, index, tally)
+            if progress is not None:
+                progress(done, len(cells))
+        return results
+    if spec_of is None:
+        spec_of = cache(lambda index: runners[index]._task_spec())
+    tasks = [
+        ChunkTask(groups[index], spec_of(index), chunk, key)
+        for index, chunk in cells
+    ]
+    index_of = {group: index for index, group in enumerate(groups)}
+    if executor is not None:
+        folded = executor.run_tasks(tasks, progress)
+    else:
+        hook = None if on_chunk is None else (
+            lambda group, chunk, tally: on_chunk(index_of[group], chunk, tally)
+        )
+        folded = run_sharded(tasks, jobs, progress, hook)
+    return {index_of[group]: tally for group, tally in folded.items()}

@@ -15,6 +15,8 @@ The contract a spec implements:
 
 :func:`run_chunk_task` is the function the process pool actually
 executes; :mod:`repro.orchestrate.pool` folds its results by group.
+:func:`traced_chunk` is the one chunk body both it and the in-process
+path of :func:`repro.orchestrate.pool.run_grid` run.
 """
 
 from __future__ import annotations
@@ -182,16 +184,27 @@ def runner_for(spec: Any) -> Any:
     return runner
 
 
-def run_chunk_task(task: ChunkTask) -> tuple[Any, Any]:
-    """Execute one shard; the pool's sole entry point into a worker.
+def traced_chunk(runner: Any, group: Any, chunk: Chunk, key: int) -> Any:
+    """``runner.run_chunk(chunk, key)`` under a ``decode_chunk`` span
+    labelled by the fold ``group``.
 
-    The ``decode_chunk`` span is a no-op in pool children and loopback
-    worker subprocesses (no telemetry session there — the coordinator
+    The span is a no-op in pool children and loopback worker
+    subprocesses (no telemetry session there — the coordinator
     observes their chunks instead), but an external ``repro-muse
     worker --telemetry-dir`` run records its own per-chunk trail.
     """
     from repro import telemetry
 
+    with telemetry.span("decode_chunk", point=str(group)):
+        return runner.run_chunk(chunk, key)
+
+
+def run_chunk_task(task: ChunkTask) -> tuple[Any, Chunk, Any]:
+    """Execute one shard; the pool's sole entry point into a worker.
+
+    Returns ``(group, chunk, tally)``: the parent folds the tally by
+    group and can hand each chunk to a per-chunk hook.
+    """
     runner = runner_for(task.spec)
-    with telemetry.span("decode_chunk", point=str(task.group)):
-        return task.group, runner.run_chunk(task.chunk, task.key)
+    tally = traced_chunk(runner, task.group, task.chunk, task.key)
+    return task.group, task.chunk, tally

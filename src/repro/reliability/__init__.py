@@ -6,8 +6,9 @@
   fixed-budget or adaptive.
 * :class:`MsedResult` — detected / miscorrected / silent accounting,
   every rate with a Wilson / Clopper-Pearson interval.
-* :mod:`~repro.reliability.sampling` — adaptive sequential stopping
-  (:class:`AdaptivePolicy` / :class:`AdaptiveRunner`) and importance
+* :mod:`~repro.reliability.sampling` — adaptive sampling (the
+  :class:`AdaptivePolicy` stopping rule, applied by one campaign
+  scheduler to a single point or a whole sweep) and importance
   splitting for the silent / miscorrection tails.
 """
 
@@ -34,9 +35,7 @@ from repro.reliability.monte_carlo import (
     run_design_points_with_outcomes,
 )
 from repro.reliability.sampling import (
-    AdaptiveOutcome,
     AdaptivePolicy,
-    AdaptiveRunner,
     Interval,
     MuseSplittingEstimator,
     RsSplittingEstimator,
@@ -47,9 +46,7 @@ from repro.reliability.sampling import (
 )
 
 __all__ = [
-    "AdaptiveOutcome",
     "AdaptivePolicy",
-    "AdaptiveRunner",
     "AnalyticMsed",
     "DesignPoint",
     "Interval",

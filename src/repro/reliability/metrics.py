@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.reliability.sampling.intervals import Interval
-    from repro.reliability.sampling.sequential import AdaptiveOutcome
+    from repro.reliability.sampling.scheduler import CampaignOutcome
 
 
 @dataclass
@@ -166,8 +166,8 @@ class MsedResult:
         ``kind`` is ``"wilson"`` or ``"clopper-pearson"``
         (:mod:`repro.reliability.sampling.intervals`).
         """
-        # Runtime import: sampling.sequential folds MsedTally objects,
-        # so a module-level import here would be circular.
+        # Runtime import: the sampling package imports this module, so
+        # a module-level import here would be circular.
         from repro.reliability.sampling.intervals import binomial_interval
 
         return binomial_interval(
@@ -205,9 +205,10 @@ class DesignPoint:
     chipkill: bool
     result: MsedResult | None
     note: str = ""
-    #: Set when the point was run adaptively: convergence flag, rounds,
-    #: and the policy the stopping decision used.
-    sampling: "AdaptiveOutcome | None" = None
+    #: Set when the point was run adaptively: the campaign's outcome
+    #: (convergence flag, rounds, escalation, cached trials and the
+    #: policy the stopping decision used).
+    sampling: "CampaignOutcome | None" = None
 
 
 @dataclass

@@ -41,7 +41,6 @@ import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import telemetry
 from repro.core.codec import MuseCode
 from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
@@ -60,10 +59,9 @@ from repro.orchestrate.corruption import (  # noqa: F401
     scenario_word,
 )
 from repro.orchestrate.plan import Chunk, plan_chunks
-from repro.orchestrate.pool import ProgressCallback, run_sharded
+from repro.orchestrate.pool import ProgressCallback, run_grid
 from repro.orchestrate.rng import derive_key
 from repro.orchestrate.worker import (
-    ChunkTask,
     CodeRef,
     MuseSimSpec,
     RsSimSpec,
@@ -81,11 +79,7 @@ from repro.reliability.sampling.scheduler import (
     CampaignPolicy,
     CampaignRunner,
 )
-from repro.reliability.sampling.sequential import (
-    AdaptiveOutcome,
-    AdaptivePolicy,
-    AdaptiveRunner,
-)
+from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.chipkill import assess
 from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import RSCode, rs_for_channel
@@ -146,17 +140,18 @@ class _MsedSimulator:
         chunk_size: int | None = None,
         progress: ProgressCallback | None = None,
         executor=None,
-    ) -> AdaptiveOutcome:
-        """Grow this simulator's trial stream until ``policy`` is met.
+    ) -> CampaignOutcome:
+        """Grow this simulator's trial stream until ``policy`` is met:
+        the one-point case of :func:`run_design_points_adaptive`.
 
         The returned outcome's tally is the byte-identical prefix of
-        the fixed-trial stream at the same seed (see
-        :mod:`repro.reliability.sampling.sequential`).
+        the fixed-trial stream at the same seed.
         """
-        runner = AdaptiveRunner(
-            policy if policy is not None else AdaptivePolicy()
-        )
-        return runner.run_one(self, seed, jobs, chunk_size, progress, executor)
+        return run_design_points_adaptive(
+            [self],
+            policy if policy is not None else AdaptivePolicy(),
+            seed, jobs, chunk_size, progress, executor,
+        )[0]
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
         """Classify one chunk of the stream keyed by ``key``.
@@ -335,46 +330,30 @@ def run_design_points(
 ) -> list[MsedResult]:
     """Run every simulator over the same chunk plan and master seed.
 
-    ``jobs > 1`` fans the full design-points x chunks grid over **one**
-    process pool (no per-point barriers, one worker spin-up for the
-    whole grid); ``jobs = 1`` streams the same chunks in process.
-    ``executor`` (a :class:`repro.distribute.DistributedSession`)
-    replaces the pool with remote workers pulling from the
-    coordinator's queue.  Every path folds the identical chunk tallies,
-    so results are positionally aligned with ``simulators`` and
-    independent of ``jobs``/``chunk_size``/transport.
+    The full design-points x chunks grid runs as one
+    :func:`~repro.orchestrate.pool.run_grid`: streamed in process for
+    ``jobs = 1``, over **one** process pool for ``jobs > 1`` (no
+    per-point barriers, one worker spin-up for the whole grid), or on
+    the remote workers of an ``executor``
+    (:class:`repro.distribute.DistributedSession`).  Every path folds
+    the identical chunk tallies, so results are positionally aligned
+    with ``simulators`` and independent of
+    ``jobs``/``chunk_size``/transport.
     """
     chunks = plan_chunks(trials, chunk_size)
-    key = derive_key(seed)
-    if jobs > 1 or executor is not None:
-        # One spec per simulator, hoisted out of the chunk loop: each
-        # _task_spec() rebuilds the code for its consistency check, and
-        # a large run has thousands of chunks per point.
-        specs = [simulator._task_spec() for simulator in simulators]
-        groups = group_labels(len(simulators), group_ns)
-        tasks = [
-            ChunkTask(groups[index], spec, chunk, key)
-            for index, spec in enumerate(specs)
-            for chunk in chunks
-        ]
-        folded = run_sharded(tasks, jobs, progress, executor)
-        return [
-            folded.get(group, MsedTally()).freeze() for group in groups
-        ]
-    results = []
-    groups = group_labels(len(simulators), group_ns)
-    total = len(simulators) * len(chunks)
-    done = 0
-    for index, simulator in enumerate(simulators):
-        tally = MsedTally()
-        for chunk in chunks:
-            with telemetry.span("decode_chunk", point=str(groups[index])):
-                tally.merge(simulator.run_chunk(chunk, key))
-            done += 1
-            if progress is not None:
-                progress(done, total)
-        results.append(tally.freeze())
-    return results
+    folded = run_grid(
+        simulators,
+        [(index, chunk) for index in range(len(simulators)) for chunk in chunks],
+        derive_key(seed),
+        groups=group_labels(len(simulators), group_ns),
+        jobs=jobs,
+        progress=progress,
+        executor=executor,
+    )
+    return [
+        folded.get(index, MsedTally()).freeze()
+        for index in range(len(simulators))
+    ]
 
 
 def run_design_points_adaptive(

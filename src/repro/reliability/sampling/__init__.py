@@ -6,13 +6,9 @@ Four layers over the PR-3 streaming orchestrator:
   Clopper-Pearson binomial confidence intervals (stdlib-only), the
   error bars every reported rate now carries;
 * :mod:`~repro.reliability.sampling.sequential` —
-  :class:`AdaptiveRunner`: grow each design point's counter-hashed
-  trial stream through a geometric round schedule and stop at the
-  first round whose target-rate CI is tight enough
-  (:class:`AdaptivePolicy`) or at the trial ceiling.  The tally after
-  stopping is byte-identical to a fixed-trial run of the same length —
-  the prefix property — for every ``(chunk_size, jobs)`` split and
-  backend;
+  :class:`AdaptivePolicy`, the stopping rule: a point has had enough
+  trials once its target-rate CI is tight enough, or at the trial
+  ceiling;
 * :mod:`~repro.reliability.sampling.splitting` — importance splitting
   for the silent / miscorrection tails: sample corruption *prefixes*
   from the plain stream, branch the final corrupted symbol over all
@@ -20,14 +16,17 @@ Four layers over the PR-3 streaming orchestrator:
   unbiased, lower-variance rate estimate with real error bars even
   where the plain stream sees zero events;
 * :mod:`~repro.reliability.sampling.scheduler` —
-  :class:`CampaignRunner`: fleet-wide budget allocation across a whole
-  sweep.  Each round it spends the next batch of trials on the points
-  furthest from their CI target (priority = half-width / goal), honours
-  a campaign-wide trial budget, escalates zero-event cells to the
-  splitting estimator, and folds completed cells from the cross-run
-  result cache — while keeping every allocation a pure function of the
-  folded tallies, so ``trials_used`` stays byte-identical across
-  ``(chunk_size, jobs, workers)`` and backends.
+  :class:`CampaignRunner`, the one adaptive sampler, for a single point
+  (``run_adaptive``) or a whole sweep.  Each round it spends the next
+  batch of trials on the points furthest from their CI target
+  (priority = half-width / goal), honours a campaign-wide trial
+  budget, escalates zero-event cells to the splitting estimator, and
+  folds completed cells from the cross-run result cache — while
+  keeping every allocation a pure function of the folded tallies, so
+  ``trials_used`` stays byte-identical across ``(chunk_size, jobs,
+  workers)`` and backends.  Every round extends the same trial stream,
+  so a stopped tally is byte-identical to a fixed-trial run of the
+  same length — the prefix property.
 """
 
 from repro.reliability.sampling.intervals import (
@@ -38,13 +37,11 @@ from repro.reliability.sampling.intervals import (
     wilson_interval,
 )
 from repro.reliability.sampling.sequential import (
-    AdaptiveOutcome,
     AdaptivePolicy,
-    AdaptiveRunner,
     policy_from_cli,
 )
 
-# scheduler builds on sequential's policy types; keep it after.
+# scheduler builds on sequential's policy type; keep it after.
 from repro.reliability.sampling.scheduler import (
     CampaignOutcome,
     CampaignPolicy,
@@ -62,9 +59,7 @@ from repro.reliability.sampling.splitting import (
 )
 
 __all__ = [
-    "AdaptiveOutcome",
     "AdaptivePolicy",
-    "AdaptiveRunner",
     "CampaignOutcome",
     "CampaignPolicy",
     "CampaignRunner",

@@ -1,12 +1,12 @@
-"""Fleet-wide campaign scheduling for adaptive Monte-Carlo sweeps.
+"""Campaign scheduling: the one adaptive sampler of the Monte-Carlo.
 
-The PR-4 :class:`~repro.reliability.sampling.sequential.AdaptiveRunner`
-stops each design point independently: every point follows its own
-geometric look schedule, so a sweep's wall-clock is the *sum* of
-per-point overshoots and already-converged points keep no context for
-their neighbours.  The campaign scheduler closes that loop.  Each
-round it looks at the folded tallies of **all** points and spends the
-next batch of trials where they shrink confidence intervals fastest:
+A campaign runs one design point (``run_adaptive``) or a whole sweep
+(``--adaptive``) until every point meets its
+:class:`AdaptivePolicy` stopping rule.  Instead of growing each point
+on a fixed look schedule, which overshoots a point's true requirement
+and tells its neighbours nothing, each round looks at the folded
+tallies of **all** points and spends the next batch of trials where
+they shrink confidence intervals fastest:
 
 * the *priority* of a point is ``half_width / goal_half_width`` — how
   far its current interval is from the stopping rule of the base
@@ -31,7 +31,11 @@ wall-clock, worker count, or chunk arrival order.  Trials are
 allocated in trial units and chunked with
 :func:`~repro.orchestrate.plan.plan_chunk_range` *after* allocation,
 so ``trials_used`` and every tally are byte-identical across
-``(chunk_size, jobs, workers)`` and backends at a fixed seed.
+``(chunk_size, jobs, workers)`` and backends at a fixed seed.  Each
+round's chunks run through :func:`~repro.orchestrate.pool.run_grid`,
+in process, over a pool or on a distributed session, like a
+fixed-budget run's.  A point's rounds extend its one trial stream, so
+its tally is byte-identical to a fixed-trial run of the same length.
 
 This module deliberately imports nothing from ``repro.distribute``:
 the optional result cache and progress heartbeat are duck-typed
@@ -46,13 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Any, Callable, Sequence
 
 from repro import telemetry
 from repro.orchestrate.plan import plan_chunk_range
-from repro.orchestrate.pool import map_unordered, run_sharded
+from repro.orchestrate.pool import run_grid
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import ChunkTask, group_labels, run_chunk_task
+from repro.orchestrate.worker import group_labels
 from repro.reliability.metrics import MsedResult, MsedTally
 from repro.reliability.sampling.intervals import Interval
 from repro.reliability.sampling.sequential import AdaptivePolicy
@@ -221,10 +226,10 @@ class CampaignScheduler:
 class CampaignOutcome:
     """What the campaign decided for one design point.
 
-    Duck-types :class:`AdaptiveOutcome` (``result``, ``converged``,
-    ``rounds``, ``policy``, ``trials_used``, ``interval()``,
-    ``describe()``) so every report renderer keeps working, and adds
-    the campaign-level story: the governing :class:`CampaignPolicy`,
+    The final tally (``result``, ``trials_used``), how the point
+    ended (``converged``, ``rounds``, ``describe()``), the stopping
+    rule's own interval (``policy``, ``interval()``), and the
+    campaign-level story: the governing :class:`CampaignPolicy`,
     whether the point was escalated to importance splitting (and the
     resulting ``tail_bound``), and how many of its trials were served
     from a result cache instead of being re-simulated.
@@ -266,17 +271,6 @@ class CampaignOutcome:
             f"{reason} after {self.result.trials} trials"
             f" ({self.rounds} rounds{cached})"
         )
-
-
-def _execute_chunk_task(task: ChunkTask) -> tuple[ChunkTask, MsedTally]:
-    """Picklable shard body returning the task alongside its tally.
-
-    The campaign needs per-chunk tallies back (to record them into the
-    result cache), so it cannot use :func:`run_sharded`'s per-group
-    fold for the process-pool path.
-    """
-    _, tally = run_chunk_task(task)
-    return task, tally
 
 
 def _splitting_estimator(simulator: Any) -> Any | None:
@@ -340,17 +334,15 @@ class CampaignRunner:
         cached_trials = [0] * count
         budget_left = self.policy.trial_budget
 
-        # Specs are needed whenever chunks leave this process (sharded
-        # or distributed) and whenever the cache needs fingerprints.
-        sharded = jobs > 1 or executor is not None
-        specs = (
-            [sim._task_spec() for sim in simulators]
-            if sharded or self.cache is not None
-            else None
+        # One spec per point, built on first use (cache fingerprints,
+        # or chunks leaving this process) and kept across rounds: each
+        # _task_spec() rebuilds its code for the consistency check.
+        spec_of = cache(lambda i: simulators[i]._task_spec())
+        record = None if self.cache is None else (
+            lambda i, chunk, tally: self.cache.record(key, spec_of(i), chunk, tally)
         )
 
         done_chunks = 0
-        scheduled_chunks = 0
         round_no = 0
         while True:
             views = [
@@ -402,75 +394,43 @@ class CampaignRunner:
                         ],
                     )
 
-            pending: list[tuple[int, ChunkTask]] = []
+            cells: list[tuple[int, Any]] = []
             for alloc in allocations:
                 i = alloc.index
-                chunks = plan_chunk_range(
+                for chunk in plan_chunk_range(
                     trials[i], trials[i] + alloc.trials, chunk_size
-                )
-                for chunk in chunks:
-                    spec = specs[i] if specs is not None else None
+                ):
                     held = (
-                        self.cache.lookup(key, spec, chunk)
+                        self.cache.lookup(key, spec_of(i), chunk)
                         if self.cache is not None
                         else None
                     )
-                    if held is not None:
+                    if held is None:
+                        cells.append((i, chunk))
+                    else:
                         tallies[i].merge(held)
                         cached_trials[i] += held.trials
-                    elif spec is not None:
-                        pending.append((i, ChunkTask(groups[i], spec, chunk, key)))
-                    else:
-                        with telemetry.span(
-                            "decode_chunk", point=str(groups[i])
-                        ):
-                            tallies[i].merge(
-                                simulators[i].run_chunk(chunk, key)
-                            )
-                        done_chunks += 1
                 trials[i] += alloc.trials
                 rounds[i] += 1
                 if budget_left is not None:
                     budget_left -= alloc.trials
 
-            if pending:
-                scheduled_chunks = done_chunks + len(pending)
-                base_done = done_chunks
-
-                def tick(done: int, total: int) -> None:
-                    if progress is not None:
-                        progress(base_done + done, scheduled_chunks)
-
-                if executor is not None:
-                    folded = run_sharded(
-                        [task for _, task in pending],
-                        jobs,
-                        tick if progress is not None else None,
-                        executor,
-                    )
-                    for i in sorted({i for i, _ in pending}):
-                        tallies[i].merge(folded.get(groups[i], MsedTally()))
-                else:
-                    by_group = {task.group: i for i, task in pending}
-
-                    def fold(pair: tuple[ChunkTask, MsedTally]) -> None:
-                        task, tally = pair
-                        tallies[by_group[task.group]].merge(tally)
-                        if self.cache is not None:
-                            self.cache.record(
-                                task.key, task.spec, task.chunk, tally
-                            )
-
-                    map_unordered(
-                        _execute_chunk_task,
-                        [task for _, task in pending],
-                        jobs=jobs,
-                        progress=tick if progress is not None else None,
-                        on_result=fold,
-                    )
-                done_chunks += len(pending)
-            if progress is not None and scheduled_chunks:
-                progress(done_chunks, max(scheduled_chunks, done_chunks))
+            if cells:
+                # Progress counts the campaign's computed chunks so far;
+                # the round barrier repeats its final count.
+                offset, done_chunks = done_chunks, done_chunks + len(cells)
+                tick = None if progress is None else (
+                    lambda done, total: progress(offset + done, offset + total)
+                )
+                folded = run_grid(
+                    simulators, cells, key, groups=groups, spec_of=spec_of,
+                    jobs=jobs, progress=tick, executor=executor,
+                    on_chunk=record,
+                )
+                for i, tally in folded.items():
+                    tallies[i].merge(tally)
+                if progress is not None:
+                    progress(done_chunks, done_chunks)
 
             for alloc in allocations:
                 i = alloc.index

@@ -1,51 +1,39 @@
-"""Sequential adaptive sampling: run each design point until its CI is
+"""The adaptive stopping rule: sample a design point until its CI is
 tight, not until a fixed trial budget is spent.
 
 A fixed-trial Monte-Carlo spends the same 10^4 (or 10^6) trials on a
 design point whose failure rate is 46% as on one whose rate is 0.6% —
-wildly over-sampling the first and under-sampling the second.  The
-:class:`AdaptiveRunner` instead grows every point's run through a
-deterministic, geometric *round schedule* (``initial_trials``, then
-``growth`` times that, ... capped at ``max_trials``) and stops a point
-at the first round where the confidence interval of its target rate is
-narrow enough (:meth:`AdaptivePolicy.satisfied`).
+wildly over-sampling the first and under-sampling the second.
+:class:`AdaptivePolicy` says when a point has had enough: once the
+confidence interval of its target rate is narrow enough
+(:meth:`AdaptivePolicy.satisfied`), or at the ``max_trials`` ceiling.
+The campaign of :mod:`repro.reliability.sampling.scheduler` applies it
+at every round barrier, to one point (``run_adaptive``) or to a whole
+sweep.
 
-Determinism is inherited wholesale from the PR-3 streaming contract:
-
-* each round extends the *same* counter-hashed trial stream — round
-  ``k`` covers global trials ``[n_{k-1}, n_k)`` via
-  :func:`~repro.orchestrate.plan.plan_chunk_range` — so after any round
-  the folded tally is **byte-identical** to a fixed ``n_k``-trial run
-  at the same seed (the prefix property);
-* round boundaries are a pure function of the policy, never of
-  ``chunk_size``/``jobs``/backend, so the *stopping decision* — and
-  therefore ``trials_used`` — is identical across every execution
-  shape too.
+Every round extends the *same* counter-hashed trial stream, so a
+stopped tally is **byte-identical** to a fixed-trial run of the same
+length at the same seed (the prefix property), and the stopping
+decision — a pure function of the folded tallies — is identical across
+``chunk_size``/``jobs``/backend.
 
 The statistical caveat baked into the design: evaluating a confidence
 interval repeatedly and stopping at the first success is *optional
 stopping*, which inflates the error rate of naive fixed-n intervals.
-Checking on a geometric schedule (a handful of looks, not one per
-trial) keeps the inflation small — the standard practical compromise —
-and the Clopper-Pearson option stays conservative per look.
+Checking at round barriers (a handful of looks, not one per trial)
+keeps the inflation small — the standard practical compromise — and the
+Clopper-Pearson option stays conservative per look.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
 
-from repro.orchestrate.plan import plan_chunk_range
-from repro.orchestrate.pool import ProgressCallback, run_sharded
-from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import ChunkTask, group_labels
-from repro.reliability.metrics import METRICS, MsedResult, MsedTally
+from repro.reliability.metrics import METRICS, MsedResult
 from repro.reliability.sampling.intervals import INTERVAL_KINDS, Interval
 
 __all__ = [
-    "AdaptiveOutcome",
     "AdaptivePolicy",
-    "AdaptiveRunner",
     "policy_from_cli",
 ]
 
@@ -54,7 +42,7 @@ __all__ = [
 class AdaptivePolicy:
     """When to stop sampling one design point.
 
-    A point stops at the first scheduled look where either bound holds
+    A point stops at the first round barrier where either bound holds
     for the ``metric`` rate's two-sided ``confidence`` interval:
 
     * half-width <= ``ci_abs`` (absolute tolerance, skipped when 0), or
@@ -64,7 +52,8 @@ class AdaptivePolicy:
       rate to any relative precision);
 
     or unconditionally once ``max_trials`` have been spent (the
-    ceiling; :attr:`AdaptiveOutcome.converged` records which exit won).
+    ceiling; the outcome's ``converged`` records which exit won).
+    ``initial_trials`` is a point's first round.
     """
 
     ci_target: float = 0.1
@@ -73,7 +62,6 @@ class AdaptivePolicy:
     kind: str = "wilson"
     metric: str = "failure"
     initial_trials: int = 1_000
-    growth: float = 2.0
     max_trials: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -92,24 +80,8 @@ class AdaptivePolicy:
             )
         if self.initial_trials < 1:
             raise ValueError("initial_trials must be >= 1")
-        if self.growth <= 1.0:
-            raise ValueError("growth must be > 1")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
-
-    def schedule(self) -> Iterator[int]:
-        """Cumulative trial targets per round, ending at ``max_trials``.
-
-        A pure function of the policy — the looks land at the same
-        global trial indices whatever the chunking or job count, which
-        is what makes the stopping decision execution-shape-invariant.
-        """
-        target = min(self.initial_trials, self.max_trials)
-        while True:
-            yield target
-            if target >= self.max_trials:
-                return
-            target = min(self.max_trials, int(target * self.growth) + 1)
 
     def interval_of(self, result: MsedResult) -> Interval:
         return result.interval(
@@ -127,145 +99,6 @@ class AdaptivePolicy:
             rate = result.rate(self.metric)
             return rate > 0 and half <= self.ci_target * rate
         return False
-
-
-@dataclass(frozen=True)
-class AdaptiveOutcome:
-    """One design point's adaptive run: final tally plus how it ended."""
-
-    result: MsedResult
-    converged: bool
-    rounds: int
-    policy: AdaptivePolicy
-
-    @property
-    def trials_used(self) -> int:
-        return self.result.trials
-
-    def interval(self) -> Interval:
-        """The stopping rule's own interval (policy metric/kind/level)."""
-        return self.policy.interval_of(self.result)
-
-    def describe(self) -> str:
-        exit_ = "converged" if self.converged else "hit trial ceiling"
-        return (
-            f"{self.policy.metric} rate {self.result.rate(self.policy.metric):.6g} "
-            f"{self.interval().format()} @{self.policy.confidence:.0%}, "
-            f"{self.trials_used} trials over {self.rounds} rounds ({exit_})"
-        )
-
-
-@dataclass
-class AdaptiveRunner:
-    """Drive a set of MSED simulators by statistical need.
-
-    Each round extends only the still-unconverged points' trial streams
-    — with ``jobs > 1`` the round's (point x chunk) grid fans over one
-    process pool, exactly like the fixed-budget
-    :func:`~repro.reliability.monte_carlo.run_design_points` — then
-    folds the new chunk tallies (:meth:`MsedTally.merge`) and re-checks
-    the policy at the round boundary.
-    """
-
-    policy: AdaptivePolicy = field(default_factory=AdaptivePolicy)
-
-    def run(
-        self,
-        simulators: Sequence,
-        seed: int,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-        group_ns: str | None = None,
-    ) -> list[AdaptiveOutcome]:
-        policy = self.policy
-        key = derive_key(seed)
-        count = len(simulators)
-        tallies = [MsedTally() for _ in range(count)]
-        rounds = [0] * count
-        converged = [False] * count
-        active = list(range(count))
-        sharded = jobs > 1 or executor is not None
-        # One spec per simulator, hoisted out of the round loop (each
-        # _task_spec() rebuilds its code for the consistency check).
-        specs = (
-            [simulator._task_spec() for simulator in simulators]
-            if sharded
-            else None
-        )
-        groups = group_labels(count, group_ns)
-        done_chunks = 0
-        previous = 0
-        for target in policy.schedule():
-            chunks = plan_chunk_range(previous, target, chunk_size)
-            previous = target
-            if sharded:
-                # With a distributed executor each round is one batch:
-                # run_tasks is the round barrier, so the coordinator —
-                # this process — holds the only copy of the folded
-                # tallies and alone decides stop/continue per look.
-                scheduled = done_chunks + len(active) * len(chunks)
-
-                def tick(done: int, total: int, base: int = done_chunks) -> None:
-                    if progress is not None:
-                        progress(base + done, scheduled)
-
-                tasks = [
-                    ChunkTask(groups[index], specs[index], chunk, key)
-                    for index in active
-                    for chunk in chunks
-                ]
-                folded = run_sharded(tasks, jobs, tick, executor)
-                for index in active:
-                    tallies[index].merge(
-                        folded.get(groups[index], MsedTally())
-                    )
-                done_chunks = scheduled
-            else:
-                scheduled = done_chunks + len(active) * len(chunks)
-                for index in active:
-                    for chunk in chunks:
-                        tallies[index].merge(
-                            simulators[index].run_chunk(chunk, key)
-                        )
-                        done_chunks += 1
-                        if progress is not None:
-                            progress(done_chunks, scheduled)
-            still_active = []
-            for index in active:
-                rounds[index] += 1
-                if policy.satisfied(tallies[index].freeze()):
-                    converged[index] = True
-                else:
-                    still_active.append(index)
-            active = still_active
-            if not active:
-                break
-        return [
-            AdaptiveOutcome(
-                result=tallies[index].freeze(),
-                converged=converged[index],
-                rounds=rounds[index],
-                policy=policy,
-            )
-            for index in range(count)
-        ]
-
-    def run_one(
-        self,
-        simulator,
-        seed: int,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-        group_ns: str | None = None,
-    ) -> AdaptiveOutcome:
-        """Single-simulator convenience wrapper over :meth:`run`."""
-        return self.run(
-            [simulator], seed, jobs, chunk_size, progress, executor, group_ns
-        )[0]
 
 
 def policy_from_cli(

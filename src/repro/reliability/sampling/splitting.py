@@ -57,9 +57,9 @@ from repro.engine import get_engine
 from repro.engine.base import STATUS_CLEAN, STATUS_CORRECTED
 from repro.orchestrate.corruption import MUSE, RS, split_chunk
 from repro.orchestrate.plan import plan_chunks
-from repro.orchestrate.pool import ProgressCallback, run_sharded
+from repro.orchestrate.pool import ProgressCallback, run_grid
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import ChunkTask, CodeRef, task_spec
+from repro.orchestrate.worker import CodeRef, task_spec
 from repro.reliability.sampling.intervals import (
     Interval,
     clopper_pearson_interval,
@@ -256,8 +256,10 @@ class _SplittingEstimator:
     A subclass is a dataclass declaring only its fields, its
     :class:`~repro.orchestrate.corruption.CodeFamily` as ``family``,
     its worker recipe as ``spec_class`` and ``_engine(backend)``;
-    ``run`` streams the plan exactly like the plain simulators, in
-    process or across a pool.  The branch fan is inherently batched;
+    ``run`` streams the plan through the plain simulators' grid runner
+    (:func:`~repro.orchestrate.pool.run_grid`), in process or across a
+    pool; its chunks fold, and its ``decode_chunk`` spans are labelled,
+    as the ``split`` group.  The branch fan is inherently batched;
     ``backend`` still selects the decode engine, and because every
     engine classifies identically the tally is byte-identical across
     them.
@@ -274,19 +276,15 @@ class _SplittingEstimator:
     ) -> SplitResult:
         if chunk_size is None:
             chunk_size = min(trials, DEFAULT_SPLIT_CHUNK_SIZE) or 1
-        chunks = plan_chunks(trials, chunk_size)
-        key = derive_key(seed)
-        if jobs > 1:
-            spec = self._task_spec()
-            tasks = [ChunkTask(0, spec, chunk, key) for chunk in chunks]
-            folded = run_sharded(tasks, jobs, progress)
-            return folded.get(0, SplitTally()).freeze()
-        tally = SplitTally()
-        for done, chunk in enumerate(chunks, start=1):
-            tally.merge(self.run_chunk(chunk, key))
-            if progress is not None:
-                progress(done, len(chunks))
-        return tally.freeze()
+        folded = run_grid(
+            [self],
+            [(0, chunk) for chunk in plan_chunks(trials, chunk_size)],
+            derive_key(seed),
+            groups=["split"],
+            jobs=jobs,
+            progress=progress,
+        )
+        return folded.get(0, SplitTally()).freeze()
 
     def run_chunk(self, chunk, key: int) -> SplitTally:
         """Generate one prefix chunk, branch it, decode and tally.

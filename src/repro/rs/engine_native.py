@@ -12,8 +12,9 @@ The fused chunk replays the msed and ``mbu`` streams of
 ``k_symbols <= 2`` (``None`` otherwise, and for every other scenario,
 as for MUSE) by decoding the error pattern alone: syndromes are linear
 and a clean word's are zero, so only the chosen symbols' terms enter
-and no codeword is built.  Byte-identical tallies, native speed, no
-package installs.
+and no codeword is built.  No kernel buffer is sized by the symbol
+count, so every RS code runs native, up to n equal to the field
+order.  Byte-identical tallies, native speed, no package installs.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from repro.engine.base import BackendUnavailableError
 from repro.engine.cc import load_library, ptr
 from repro.orchestrate.corruption import fused_stream
 from repro.rs.engine import NumpyRsBatchResult, NumpyRsEngine
-
-#: The widest code the native RS engine takes; ``auto`` steps down to
-#: numpy past it.
-MAX_NATIVE_SYMBOLS = 64
 
 
 class NativeRsEngine(NumpyRsEngine):
@@ -41,11 +38,6 @@ class NativeRsEngine(NumpyRsEngine):
         if self._lib is None:
             raise BackendUnavailableError(
                 "native kernels unavailable (no working C compiler?)"
-            )
-        if code.n_symbols > MAX_NATIVE_SYMBOLS:
-            raise BackendUnavailableError(
-                f"native kernels support up to {MAX_NATIVE_SYMBOLS} "
-                f"symbols, code needs {code.n_symbols}"
             )
         self._exp2_nd = code.field.exp_nd
         self._log_nd = code.field.log_nd
@@ -113,4 +105,4 @@ class NativeRsEngine(NumpyRsEngine):
         return tuple(int(count) for count in counts)
 
 
-__all__ = ["MAX_NATIVE_SYMBOLS", "NativeRsEngine"]
+__all__ = ["NativeRsEngine"]

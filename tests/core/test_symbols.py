@@ -29,6 +29,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside codeword"):
             SymbolLayout(4, ((0, 1), (2, 4)))
 
+    def test_empty_symbol_rejected(self):
+        """A symbol is a device's bits: an empty one would make the msed
+        replacement draw reduce modulo 2^0 - 1 = 0."""
+        with pytest.raises(ValueError, match="symbol 4 holds no bit"):
+            SymbolLayout(16, SymbolLayout.sequential(16, 4).symbols + ((),))
+        with pytest.raises(ValueError, match="symbol 0 holds no bit"):
+            SymbolLayout(4, ((), (0, 1, 2, 3)))
+
     def test_interleaved_requires_consistent_geometry(self):
         with pytest.raises(ValueError, match="must equal"):
             SymbolLayout.interleaved(80, 8, 9)

@@ -5,7 +5,7 @@ the native fused draw->decode->tally pass must return the counts numpy
 gets by generating the corrupted chunk and batch-decoding it.  The
 points are Table IV's plus off-table codes that stress the kernels'
 limits: the widest native MUSE code, the Eq. 5 shuffle, the hybrid
-error model, a 4-symbol toy, and RS codes from 4 to 64 symbols over
+error model, a 4-symbol toy, and RS codes from 4 to 255 symbols over
 GF(2^3)..GF(2^8), with partial symbols and with n equal to the field
 order.  Each point is fuzzed on its own, derandomized with a bounded
 example count, so the suite stays hermetic and every run draws the
@@ -47,8 +47,10 @@ RS_CODES = [partial(rs_design_point, extra) for extra in (0, 2, 4, 6)] + [
         (4, 60),  # n = 15 = field order
         (5, 152),  # n = 31 = field order, partial symbol
         (6, 370),  # 62 symbols, partial symbol
-        (7, 448),  # 64 symbols, the native limit
+        (7, 448),  # 64 symbols
         (8, 500),  # 63 symbols, partial symbol
+        (8, 576),  # 72 symbols
+        (8, 2040),  # n = 255 = field order
     )
 ]
 DESIGN_POINTS = [("MUSE", factory) for factory in MUSE_CODES] + [

@@ -137,20 +137,6 @@ class TestNativeRegistration:
 
         assert load_library() is load_library()
 
-    def test_declines_more_symbols_than_the_choice_scan_holds(self):
-        """Empty symbols let a 16-bit layout hold 604 symbols, more than
-        MAX_NATIVE_SYMBOLS (512): native refuses, auto steps down."""
-        from repro.core.codec import MuseCode
-        from repro.core.symbols import SymbolLayout
-
-        base = SymbolLayout.sequential(16, 4)
-        code = MuseCode(
-            SymbolLayout(16, base.symbols + ((),) * 600), 393, name="wide"
-        )
-        with pytest.raises(BackendUnavailableError):
-            get_engine(code, "native")
-        assert get_engine(code, "auto") is get_engine(code, "numpy")
-
 
 class TestKernelCache:
     """The compiled-kernel cache: keyed by the host CPU, and loaded

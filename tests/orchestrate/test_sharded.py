@@ -10,7 +10,7 @@ import pytest
 from repro.core.codes import muse_80_69
 from repro.engine import available_backends
 from repro.orchestrate import Chunk, CodeRef, derive_key, plan_chunks
-from repro.orchestrate.pool import run_sharded
+from repro.orchestrate.pool import run_grid, run_sharded
 from repro.orchestrate.worker import ChunkTask, MuseSimSpec
 from repro.reliability.metrics import MsedTally
 from repro.reliability.monte_carlo import (
@@ -136,6 +136,21 @@ class TestRunSharded:
         run_sharded(tasks, jobs=1, progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
+    def test_chunk_hook_sees_every_task_once(self):
+        spec = MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69"))
+        tasks = [
+            ChunkTask(0, spec, chunk, derive_key(4))
+            for chunk in plan_chunks(90, 30)
+        ]
+        hooked = []
+        folded = run_sharded(
+            tasks, jobs=1, on_chunk=lambda group, chunk, tally: hooked.append(
+                (group, chunk.start, tally.trials)
+            )
+        )
+        assert hooked == [(0, 0, 30), (0, 30, 30), (0, 60, 30)]
+        assert folded[0].trials == 90
+
     def test_worker_cache_reuses_runner(self):
         from repro.orchestrate import worker
 
@@ -145,6 +160,75 @@ class TestRunSharded:
         assert worker.runner_for(
             MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69"))
         ) is first  # structural equality, not identity
+
+
+#: Two points, four uneven chunks each: the grid every run_grid test runs.
+GRID = [(index, chunk) for index in (0, 1) for chunk in plan_chunks(150, 40)]
+
+
+class TestRunGrid:
+    """The one grid runner: in process on the caller's runners, over a
+    pool from their specs, or through an executor — one fold."""
+
+    def test_paths_fold_identically(self):
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        key = derive_key(3)
+        serial = run_grid(runners, GRID, key)
+        assert run_grid(runners, GRID, key, jobs=2) == serial
+        assert serial[0].freeze() == runners[0].run(150, seed=3, chunk_size=40)
+        assert serial[1].freeze() == runners[1].run(150, seed=3, chunk_size=40)
+
+    def test_in_process_path_needs_no_code_ref(self):
+        runners = [MuseMsedSimulator(muse_80_69())]
+        cells = [(0, chunk) for chunk in plan_chunks(100, 30)]
+        assert run_grid(runners, cells, derive_key(2))[0].trials == 100
+        with pytest.raises(ValueError, match="code_ref"):
+            run_grid(runners, cells, derive_key(2), jobs=2)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_progress_and_hook_fire_once_per_chunk(self, jobs):
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        calls, hooked = [], []
+        run_grid(
+            runners, GRID, derive_key(3), jobs=jobs,
+            progress=lambda done, total: calls.append((done, total)),
+            on_chunk=lambda index, chunk, tally: hooked.append(
+                (index, chunk.start, tally.trials)
+            ),
+        )
+        assert calls == [(done, len(GRID)) for done in range(1, len(GRID) + 1)]
+        assert sorted(hooked) == [
+            (index, chunk.start, chunk.size) for index, chunk in GRID
+        ]
+
+    def test_executor_path_maps_groups_to_points(self):
+        """An executor gets one task per cell, labelled by the point's
+        group, and its ``{group: tally}`` comes back keyed by index."""
+
+        class Executor:
+            tasks = ()
+
+            def run_tasks(self, tasks, progress=None):
+                self.tasks = tasks
+                return run_sharded(tasks, 1, progress)
+
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        executor, hooked = Executor(), []
+        folded = run_grid(
+            runners, GRID, derive_key(3), groups=["grid:0", "grid:1"],
+            executor=executor, on_chunk=lambda *cell: hooked.append(cell),
+        )
+        assert [(task.group, task.chunk) for task in executor.tasks] == [
+            (f"grid:{index}", chunk) for index, chunk in GRID
+        ]
+        assert folded == run_grid(runners, GRID, derive_key(3))
+        assert hooked == []  # the executor folds (and caches) itself
+
+    def test_point_without_cells_is_absent(self):
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        folded = run_grid(runners, [(1, Chunk(0, 10))], derive_key(3))
+        assert list(folded) == [1]
+        assert folded[1].trials == 10
 
 
 class TestTableIVSharded:

@@ -1,17 +1,20 @@
-"""Sequential-stopping tests: the adaptive sampler's headline contracts.
+"""Adaptive-stopping tests: the stopping rule and ``run_adaptive``.
+
+``run_adaptive`` is the one-point campaign
+(:func:`~repro.reliability.monte_carlo.run_design_points_adaptive`),
+so these pin its headline contracts:
 
 * **prefix property** — an adaptive run at a fixed seed ends with a
   tally byte-identical to a fixed-trial run of ``trials_used`` trials
   at that seed (the rounds literally extend the same counter-hashed
-  stream);
+  stream), at every round barrier;
 * **stopping behaviour** — easy cells (common target events) converge
-  below the ceiling, hard cells (rare target events) run to it;
+  below the ceiling, hard cells (rare target events) run to it, and a
+  point stops at the first barrier where the policy holds;
 * **execution-shape invariance** — ``jobs > 1`` folds identically to
   ``jobs = 1``, across chunk sizes and decode backends, including the
   stopping decision itself (``trials_used``).
 """
-
-import itertools
 
 import pytest
 
@@ -22,10 +25,15 @@ from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
     build_table_iv,
+    run_design_points_adaptive,
+)
+from repro.reliability.sampling.scheduler import (
+    CampaignPolicy,
+    CampaignScheduler,
+    PointView,
 )
 from repro.reliability.sampling.sequential import (
     AdaptivePolicy,
-    AdaptiveRunner,
     policy_from_cli,
 )
 from repro.rs.reed_solomon import rs_144_128
@@ -60,26 +68,7 @@ HARD = AdaptivePolicy(
 
 
 class TestPolicy:
-    def test_schedule_is_deterministic_and_hits_ceiling(self):
-        policy = AdaptivePolicy(initial_trials=100, growth=2.0, max_trials=900)
-        assert list(policy.schedule()) == [100, 201, 403, 807, 900]
-
-    def test_schedule_single_round_when_ceiling_below_initial(self):
-        policy = AdaptivePolicy(initial_trials=500, max_trials=300)
-        assert list(policy.schedule()) == [300]
-
-    def test_schedule_is_chunking_independent_input(self):
-        """The looks depend on the policy alone — ten values are the
-        same whether consumed eagerly or lazily."""
-        policy = AdaptivePolicy(initial_trials=7, growth=1.5, max_trials=10**7)
-        eager = list(itertools.islice(policy.schedule(), 10))
-        lazy = [n for _, n in zip(range(10), policy.schedule())]
-        assert eager == lazy
-        assert all(a < b for a, b in zip(eager, eager[1:]))
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="growth"):
-            AdaptivePolicy(growth=1.0)
         with pytest.raises(ValueError, match="metric"):
             AdaptivePolicy(metric="typo")
         with pytest.raises(ValueError, match="kind"):
@@ -106,28 +95,56 @@ class TestPolicy:
         assert policy_from_cli(None, None) == AdaptivePolicy()
 
 
+def _barriers(simulator, policy, seed):
+    """The campaign's round barriers for one point, replayed from the
+    scheduler on fixed-run prefixes: ``[(total, satisfied), ...]`` up
+    to the first satisfied barrier or the ceiling."""
+    scheduler = CampaignScheduler(CampaignPolicy(base=policy))
+    barriers, total, result = [], 0, None
+    while True:
+        grants = scheduler.allocate([PointView(total, result)])
+        if not grants:
+            return barriers
+        total += grants[0].trials
+        result = simulator.run(total, seed=seed)
+        barriers.append((total, policy.satisfied(result)))
+        if barriers[-1][1]:
+            return barriers
+
+
 class TestStopping:
     def test_easy_cell_stops_under_ceiling(self):
-        outcome = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
+        outcome = _muse().run_adaptive(EASY, seed=2022)
         assert outcome.converged
         assert outcome.trials_used < EASY.max_trials
         assert EASY.satisfied(outcome.result)
         assert outcome.rounds >= 1
 
     def test_hard_cell_hits_ceiling(self):
-        outcome = AdaptiveRunner(HARD).run_one(_muse(), seed=2022)
+        outcome = _muse().run_adaptive(HARD, seed=2022)
         assert not outcome.converged
         assert outcome.trials_used == HARD.max_trials
 
-    def test_trials_used_lands_on_a_schedule_boundary(self):
-        outcome = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
-        assert outcome.trials_used in list(EASY.schedule())
+    def test_stops_at_the_first_satisfied_barrier(self):
+        """The stop lands on a round barrier — the first at which the
+        policy holds — and every barrier is counted as a round."""
+        simulator = _muse()
+        outcome = simulator.run_adaptive(EASY, seed=2022)
+        barriers = _barriers(simulator, EASY, seed=2022)
+        assert [ok for _, ok in barriers] == [False] * (len(barriers) - 1) + [True]
+        assert outcome.trials_used == barriers[-1][0]
+        assert outcome.rounds == len(barriers)
 
     def test_describe_mentions_exit(self):
-        easy = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
-        hard = AdaptiveRunner(HARD).run_one(_muse(), seed=2022)
+        easy = _muse().run_adaptive(EASY, seed=2022)
+        hard = _muse().run_adaptive(HARD, seed=2022)
         assert "converged" in easy.describe()
         assert "ceiling" in hard.describe()
+
+    def test_default_policy(self):
+        outcome = _muse().run_adaptive(seed=2022)
+        assert outcome.policy == AdaptivePolicy()
+        assert outcome.converged
 
     def test_design_points_stop_independently(self):
         """A grid run spends less on the easy point than the hard one."""
@@ -137,51 +154,58 @@ class TestStopping:
         )
         # rs_144_128 failure ~0.6% needs far more trials than
         # muse_80_69's ~15% at the same relative tolerance.
-        outcomes = AdaptiveRunner(policy).run([_muse(), _rs()], seed=2022)
+        outcomes = run_design_points_adaptive([_muse(), _rs()], policy, seed=2022)
         assert outcomes[0].trials_used < outcomes[1].trials_used
+        assert outcomes[0] == _muse().run_adaptive(policy, seed=2022)
 
 
 class TestPrefixProperty:
-    """Satellite: adaptive reproduces the fixed-trial tally prefix."""
+    """Adaptive reproduces the fixed-trial tally prefix."""
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("make", (_muse, _rs), ids=("muse", "rs"))
     def test_adaptive_tally_is_fixed_run_prefix(self, make, backend):
         simulator = make(backend)
-        outcome = AdaptiveRunner(EASY).run_one(simulator, seed=5)
+        outcome = simulator.run_adaptive(EASY, seed=5)
         fixed = simulator.run(outcome.trials_used, seed=5)
         assert outcome.result == fixed  # byte-for-byte, every bucket
 
     def test_every_round_boundary_is_a_prefix(self):
-        """Not just the final tally: stopping one round earlier (via a
-        lower ceiling) yields that round's fixed-trial tally too."""
+        """Not just the final tally: stopping at an earlier barrier (via
+        a lower ceiling) yields that barrier's fixed-trial tally too."""
         simulator = _muse()
-        schedule = list(EASY.schedule())
-        for ceiling in schedule[:3]:
+        never = AdaptivePolicy(
+            ci_target=0.0,  # never converge: run to the ceiling
+            metric="failure",
+            initial_trials=EASY.initial_trials,
+            max_trials=EASY.max_trials,
+        )
+        barriers = [total for total, _ in _barriers(simulator, never, seed=5)]
+        assert barriers[:4] == [200, 400, 800, 1600]
+        for ceiling in barriers[:3] + [1000]:
             policy = AdaptivePolicy(
-                ci_target=0.0,  # never converge: run to the ceiling
+                ci_target=0.0,
                 metric="failure",
                 initial_trials=EASY.initial_trials,
                 max_trials=ceiling,
             )
-            outcome = AdaptiveRunner(policy).run_one(simulator, seed=5)
+            outcome = simulator.run_adaptive(policy, seed=5)
             assert outcome.trials_used == ceiling
             assert outcome.result == simulator.run(ceiling, seed=5)
 
 
 class TestExecutionShapeInvariance:
-    """Satellite: jobs>1 folds identically to jobs=1, across chunk
-    sizes and backends — including the stopping decision."""
+    """jobs>1 folds identically to jobs=1, across chunk sizes and
+    backends — including the stopping decision."""
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("make", (_muse, _rs), ids=("muse", "rs"))
     def test_jobs_and_chunking_invariant(self, make, backend):
         simulator = make(backend)
-        runner = AdaptiveRunner(EASY)
-        baseline = runner.run_one(simulator, seed=7)
+        baseline = simulator.run_adaptive(EASY, seed=7)
         for jobs, chunk_size in ((1, 64), (1, 333), (2, 128), (2, None)):
-            outcome = runner.run_one(
-                simulator, seed=7, jobs=jobs, chunk_size=chunk_size
+            outcome = simulator.run_adaptive(
+                EASY, seed=7, jobs=jobs, chunk_size=chunk_size
             )
             assert outcome == baseline, (
                 f"adaptive outcome diverged at jobs={jobs} "
@@ -193,7 +217,7 @@ class TestExecutionShapeInvariance:
         if "numpy" not in backends or "scalar" not in backends:
             pytest.skip("needs both backends")
         outcomes = {
-            backend: AdaptiveRunner(EASY).run_one(_muse(backend), seed=11)
+            backend: _muse(backend).run_adaptive(EASY, seed=11)
             for backend in ("scalar", "numpy")
         }
         assert outcomes["scalar"].result == outcomes["numpy"].result

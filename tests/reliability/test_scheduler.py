@@ -186,6 +186,38 @@ class TestExecutionShapeInvariance:
         assert distributed == serial
 
 
+class TestProgress:
+    """``progress(done, total)`` counts a campaign's computed chunks on
+    every execution path, ending each round at done == total."""
+
+    @staticmethod
+    def _calls(**kwargs):
+        calls = []
+        run_design_points_adaptive(
+            [_muse(), _rs()], EASY, seed=7, chunk_size=100,
+            progress=lambda done, total: calls.append((done, total)),
+            **kwargs,
+        )
+        return calls
+
+    def test_in_process_campaign_reports_every_chunk(self):
+        calls = self._calls()
+        assert calls[-1][0] == calls[-1][1]
+        # One call per computed chunk; each round's barrier repeats its
+        # final count.
+        repeats = [b for a, b in zip(calls, calls[1:]) if a == b]
+        assert all(done == total for done, total in repeats)
+        assert len(repeats) >= 2
+        chunks = [b for a, b in zip([None] + calls, calls) if a != b]
+        assert [done for done, _ in chunks] == list(range(1, len(chunks) + 1))
+        assert all(done <= total for done, total in chunks)
+
+    def test_in_process_matches_pool_and_cache_paths(self, tmp_path):
+        calls = self._calls()
+        assert self._calls(jobs=2) == calls
+        assert self._calls(cache_dir=str(tmp_path)) == calls
+
+
 class TestBudget:
     def test_budget_is_honoured_exactly_when_it_starves_the_sweep(self):
         policy = CampaignPolicy(base=EASY, trial_budget=500)
