@@ -31,10 +31,13 @@ from repro.reliability.monte_carlo import (
 
 ARTIFACT = Path(__file__).parent / "BENCH_parallel.json"
 
-# 100k trials keeps the measurement compute-dominated now that the
-# fused native backend cuts per-trial cost by ~an order of
-# magnitude; below that, pool spin-up swamps the speedup ratio.
-TRIALS = 100_000
+# Sized so the serial build computes for about a second on the fused
+# native backend and pool spin-up stays small next to it; at 100k
+# trials/point the serial build took 0.12-0.16 s and spin-up decided
+# the ratio.  Per-task IPC does not shrink with size (the task count
+# grows with the trials): at 4096 trials a task costs about as much to
+# ship to a worker as to compute.
+TRIALS = 1_000_000
 SEED = 2022
 CHUNK_SIZE = 4_096
 

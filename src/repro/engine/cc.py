@@ -21,9 +21,14 @@ so it scores ``LANES`` consecutive trials at once, one per 64-bit
 vector lane, and keeps each lane's two smallest (value, index) pairs
 with compares and selects.  ``LANES`` follows the ISA ``-march=native``
 targets — 8 with AVX-512DQ, 4 with AVX2, else 1 — which is why the
-host CPU is part of the cache key.  The MUSE kernel builds and corrupts
-each codeword; the RS kernel decodes the error pattern alone, since a
-clean word's syndromes are zero, and shares its PGZ verdict
+host CPU is part of the cache key.  The same block step draws every
+slot's replacement for the block (``draw_slots``), and the MUSE kernel
+encodes the block's clean codewords in lanes (``encode_block``).  Both
+kernels then decode the error pattern: a clean word's remainder and
+syndromes are zero and both are linear, so the chosen symbols' changes
+alone give the received word's.  MUSE classifies a trial from that
+remainder and builds the received word only for an ELC hit under the
+ripple check; RS never builds it, and shares its PGZ verdict
 (``rs_verdict``) with the RS batch decode.
 
 Availability is probed by actually compiling (cached across processes
@@ -87,21 +92,26 @@ static inline lanes_t select_lanes(lanes_t mask, lanes_t yes, lanes_t no) {
     return (yes & mask) | (no & ~mask);
 }
 
-/* The k <= 2 chosen symbols of the LANES consecutive trials from
- * `first_trial`, one trial per lane: the two smallest of S iid scores
- * in (value, index) order.  Each lane starts from its first two real
- * scores (symbol 0's twice on a one-symbol code, whose k = 1 leaves
- * slot 1 unused); a later symbol has the higher index, so it displaces
- * a kept score only when strictly smaller, and ties go to the lower
- * index.  msed keeps argpartition's (argmin, 2nd-min) slot order;
- * registered scenarios sort the chosen symbols by index, as
- * _chosen_sorted_batch does. */
-static inline void choose_block(int32_t mode, int64_t k_symbols,
-        const uint64_t *choice_keys, int64_t symbol_count,
-        int64_t first_trial, int64_t chosen[LANES][2]) {
+/* The counter-hash inputs of the LANES consecutive trials from
+ * `first_trial`, one trial per lane. */
+static inline lanes_t block_counters(int64_t first_trial) {
     lanes_t counters;
     for (int64_t lane = 0; lane < LANES; lane++)
         counters[lane] = ((uint64_t)(first_trial + lane) + 1) * GOLDEN;
+    return counters;
+}
+
+/* The k <= 2 chosen symbols of the LANES trials at `counters`, one
+ * trial per lane: the two smallest of S iid scores in (value, index)
+ * order.  Each lane starts from its first two real scores (symbol 0's
+ * twice on a one-symbol code, whose k = 1 leaves slot 1 unused); a
+ * later symbol has the higher index, so it displaces a kept score only
+ * when strictly smaller, and ties go to the lower index.  msed keeps
+ * argpartition's (argmin, 2nd-min) slot order; registered scenarios
+ * sort the chosen symbols by index, as _chosen_sorted_batch does. */
+static inline void choose_block(int32_t mode, int64_t k_symbols,
+        const uint64_t *choice_keys, int64_t symbol_count,
+        lanes_t counters, int64_t chosen[LANES][2]) {
     const lanes_t zero = {0};
     uint64_t second_symbol = symbol_count > 1;
     lanes_t first = mix64_lanes(counters + choice_keys[0]);
@@ -133,50 +143,61 @@ static inline void choose_block(int32_t mode, int64_t k_symbols,
     }
 }
 
+/* Each slot's VALUE draw (msed's replacement, mbu's S_LEN) and mbu's
+ * S_START draw, for the LANES trials at `counters`.  msed has no start
+ * draw (fused_stream repeats its value keys there), so it copies the
+ * value draws rather than hash them twice. */
+static inline void draw_slots(int32_t mode, int64_t k_symbols,
+        const uint64_t *value_keys, const uint64_t *start_keys,
+        lanes_t counters, lanes_t values[2], lanes_t starts[2]) {
+    for (int64_t slot = 0; slot < k_symbols; slot++) {
+        values[slot] = mix64_lanes(counters + value_keys[slot]);
+        starts[slot] = mode == MODE_MBU
+            ? mix64_lanes(counters + start_keys[slot]) : values[slot];
+    }
+}
+
 /* The value one chosen slot leaves in a symbol of `width` bits holding
- * `original`: msed's uniform never-the-original replacement (one VALUE
+ * `original`: msed's uniform never-the-original replacement (its VALUE
  * draw), or mbu's 2..4 adjacent-bit burst XOR clipped to the width
- * (one S_LEN and one S_START draw). */
+ * (its S_LEN and S_START draws). */
 static inline uint64_t rewrite_symbol(int32_t mode, uint64_t original,
-        int64_t width, uint64_t value_key, uint64_t start_key,
-        uint64_t counter) {
+        int64_t width, uint64_t value_draw, uint64_t start_draw) {
     if (mode == MODE_MSED) {
-        uint64_t draw = mix64(value_key + counter) % ((1ULL << width) - 1ULL);
+        uint64_t draw = value_draw % ((1ULL << width) - 1ULL);
         return draw + (draw >= original);
     }
     uint64_t mask = 1;
     if (width >= 2) {
         uint64_t longest = width < MBU_MAX_BURST ? width : MBU_MAX_BURST;
-        uint64_t length = 2 + mix64(value_key + counter) % (longest - 1);
-        uint64_t start = mix64(start_key + counter)
-                         % ((uint64_t)width - length + 1);
+        uint64_t length = 2 + value_draw % (longest - 1);
+        uint64_t start = start_draw % ((uint64_t)width - length + 1);
         mask = ((1ULL << length) - 1ULL) << start;
     }
     return original ^ mask;
 }
 
-/* word % m via precomputed 32-bit chunk weights; m < 2^28 keeps the
- * accumulator below 2^64 (see repro/engine/limbs.py). */
+/* word % m via the 32-bit chunk weights 2^(32 i) mod m, read from the
+ * per-bit table pow2[p] = 2^p mod m; m < 2^28 keeps the accumulator
+ * below 2^64 (see repro/engine/limbs.py). */
 static inline uint64_t residue_row(const uint64_t *word, int64_t limbs,
-                                   const uint64_t *weights, uint64_t m) {
+                                   const uint64_t *pow2, uint64_t m) {
     uint64_t acc = 0;
     for (int64_t j = 0; j < limbs; j++) {
-        acc += (word[j] & 0xFFFFFFFFULL) * weights[2 * j];
-        acc += (word[j] >> 32) * weights[2 * j + 1];
+        acc += (word[j] & 0xFFFFFFFFULL) * pow2[64 * j];
+        acc += (word[j] >> 32) * pow2[64 * j + 32];
     }
     return acc % m;
 }
 
-/* Figure-4 decode of one codeword; returns the status code and writes
- * the delivered word into fixed[] (== word[] unless accepted). */
+/* Figure-4 decode of one codeword of remainder `rem`; returns the
+ * status code and writes the delivered word into fixed[] (== word[]
+ * unless accepted). */
 static int muse_decode_row(const uint64_t *word, uint64_t *fixed,
-        int64_t limbs, uint64_t m, const uint64_t *weights,
-        const uint8_t *hit, const uint64_t *addend,
-        const uint64_t *low_mask, const uint64_t *above_mask,
-        const int64_t *bit_symbol, const uint64_t *outside,
-        int ripple, uint64_t *rem_out) {
-    uint64_t rem = residue_row(word, limbs, weights, m);
-    *rem_out = rem;
+        int64_t limbs, uint64_t rem, const uint8_t *hit,
+        const uint64_t *addend, const uint64_t *low_mask,
+        const uint64_t *above_mask, const int64_t *bit_symbol,
+        const uint64_t *outside, int ripple) {
     for (int64_t j = 0; j < limbs; j++) fixed[j] = word[j];
     if (rem == 0) return 0;
     if (!hit[rem]) return 2;
@@ -215,73 +236,149 @@ static int muse_decode_row(const uint64_t *word, uint64_t *fixed,
 
 void muse_decode_batch(const uint64_t *words, int64_t batch, int64_t limbs,
         uint64_t *corrected, uint8_t *statuses, uint64_t *rems,
-        uint64_t m, const uint64_t *weights, const uint8_t *hit,
+        uint64_t m, const uint64_t *pow2, const uint8_t *hit,
         const uint64_t *addend, const uint64_t *low_mask,
         const uint64_t *above_mask, const int64_t *bit_symbol,
         const uint64_t *outside, int32_t ripple) {
-    for (int64_t i = 0; i < batch; i++)
-        statuses[i] = muse_decode_row(words + i * limbs,
-            corrected + i * limbs, limbs, m, weights, hit, addend,
-            low_mask, above_mask, bit_symbol, outside, ripple, rems + i);
+    for (int64_t i = 0; i < batch; i++) {
+        const uint64_t *word = words + i * limbs;
+        rems[i] = residue_row(word, limbs, pow2, m);
+        statuses[i] = muse_decode_row(word, corrected + i * limbs, limbs,
+            rems[i], hit, addend, low_mask, above_mask, bit_symbol,
+            outside, ripple);
+    }
 }
 
-/* Fused corruption draw -> encode -> corrupt -> decode -> tally; the
- * compiled twin of repro/orchestrate/corruption.py's msed and mbu
- * streams for k <= 2. */
+/* The clean codewords of the LANES trials at `counters`, limb j of
+ * lane l in clean[j][l]: the DATA limbs masked to k bits and shifted up
+ * r bits, plus the check (m - word % m) % m.  The low r bits are clear
+ * and the check is below m < 2^r, so an OR adds it without a carry. */
+static inline void encode_block(lanes_t counters, int64_t limbs,
+        int64_t r_shift, uint64_t m, const uint64_t *pow2,
+        const uint64_t *k_mask, const uint64_t *data_keys,
+        lanes_t clean[8]) {
+    const lanes_t zero = {0};
+    lanes_t previous = zero, acc = zero;
+    for (int64_t j = 0; j < limbs; j++) {
+        lanes_t data = mix64_lanes(counters + data_keys[j]) & k_mask[j];
+        lanes_t word = (data << r_shift) | (previous >> (64 - r_shift));
+        previous = data;
+        acc += (word & 0xFFFFFFFFULL) * pow2[64 * j];
+        acc += (word >> 32) * pow2[64 * j + 32];
+        clean[j] = word;
+    }
+    lanes_t rem = acc % m;
+    clean[0] |= (m - rem) & (lanes_t)(rem != zero);
+}
+
+/* A symbol's value in lane `lane` of a clean block: one shift and mask
+ * when it is bits first..first+width-1 of one limb (`first` >= 0),
+ * else bit by bit from its bit table. */
+static inline uint64_t read_symbol(const lanes_t *clean, int64_t lane,
+        int64_t first, const int64_t *bits, int64_t width) {
+    if (first >= 0)
+        return (clean[first >> 6][lane] >> (first & 63))
+               & ((1ULL << width) - 1ULL);
+    uint64_t value = 0;
+    for (int64_t b = 0; b < width; b++)
+        value |= ((clean[bits[b] >> 6][lane] >> (bits[b] & 63)) & 1ULL) << b;
+    return value;
+}
+
+/* Store a symbol's value into one word, the inverse of read_symbol. */
+static inline void write_symbol(uint64_t *word, uint64_t value,
+        int64_t first, const int64_t *bits, int64_t width) {
+    if (first >= 0) {
+        uint64_t mask = ((1ULL << width) - 1ULL) << (first & 63);
+        word[first >> 6] = (word[first >> 6] & ~mask)
+                           | (value << (first & 63));
+        return;
+    }
+    for (int64_t b = 0; b < width; b++) {
+        int64_t limb = bits[b] >> 6, offset = bits[b] & 63;
+        word[limb] = (word[limb] & ~(1ULL << offset))
+                     | (((value >> b) & 1ULL) << offset);
+    }
+}
+
+/* A non-negative value congruent mod m to the change a symbol going
+ * from `original` to `received` makes to the word: (received -
+ * original) * 2^first, or the same bit by bit over its bit table.
+ * Since pow2[p] = 2^p mod m < 2^28 and a symbol read with one shift is
+ * at most 32 bits wide, each term stays below 2^61. */
+static inline uint64_t change_residue(uint64_t original, uint64_t received,
+        uint64_t m, const uint64_t *pow2, int64_t first,
+        const int64_t *bits, int64_t width) {
+    if (first >= 0)
+        return received * pow2[first] + original * (m - pow2[first]);
+    uint64_t acc = 0;
+    for (int64_t b = 0; b < width; b++)
+        acc += ((received >> b) & 1ULL) * pow2[bits[b]]
+               + ((original >> b) & 1ULL) * (m - pow2[bits[b]]);
+    return acc;
+}
+
+/* Fused corruption draw -> decode -> tally; the compiled twin of
+ * repro/orchestrate/corruption.py's msed and mbu streams for k <= 2.
+ * Each LANES block encodes its clean words at once (encode_block).  A
+ * clean word's remainder is zero and the remainder is linear, so a
+ * trial's received remainder is that of its error pattern alone: the
+ * chosen symbols' changes.  Zero is clean, a miss in the ELC no-match,
+ * and a hit corrected -- unless the ripple check is on, when the
+ * received word is built and decoded in full. */
 void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         int64_t limbs, int64_t r_shift, uint64_t m,
-        const uint64_t *weights, const uint64_t *k_mask,
+        const uint64_t *pow2, const uint64_t *k_mask,
         const uint8_t *hit, const uint64_t *addend,
         const uint64_t *low_mask, const uint64_t *above_mask,
         const int64_t *bit_symbol, const uint64_t *outside,
         const int64_t *sym_bits, const int64_t *sym_widths,
-        int64_t max_width, int64_t symbol_count, int32_t mode,
+        const int64_t *sym_first, int64_t max_width,
+        int64_t symbol_count, int32_t mode,
         const uint64_t *data_keys, const uint64_t *choice_keys,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int32_t ripple, int64_t *counts) {
-    uint64_t word[8], fixed[8];
+    lanes_t clean[8], values[2], starts[2];
     int64_t block[LANES][2];
     for (int64_t i = 0; i < size; i++) {
-        /* lanes past the chunk's end are scanned and dropped */
-        if (i % LANES == 0)
+        /* lanes past the chunk's end are drawn and dropped */
+        int64_t lane = i % LANES;
+        if (lane == 0) {
+            lanes_t counters = block_counters(start + i);
             choose_block(mode, k_symbols, choice_keys, symbol_count,
-                         start + i, block);
-        const int64_t *chosen = block[i % LANES];
-        uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
-        /* data draws masked to k bits, then systematic encode */
-        for (int64_t j = 0; j < limbs; j++)
-            word[j] = mix64(data_keys[j] + counter) & k_mask[j];
-        uint64_t previous = 0;
-        for (int64_t j = 0; j < limbs; j++) {
-            uint64_t data_limb = word[j];
-            word[j] = (data_limb << r_shift) | (previous >> (64 - r_shift));
-            previous = data_limb;
+                         counters, block);
+            draw_slots(mode, k_symbols, value_keys, start_keys, counters,
+                       values, starts);
+            encode_block(counters, limbs, r_shift, m, pow2, k_mask,
+                         data_keys, clean);
         }
-        uint64_t carry = (m - residue_row(word, limbs, weights, m)) % m;
-        for (int64_t j = 0; j < limbs; j++) {
-            uint64_t total = word[j] + carry;
-            carry = total < carry;
-            word[j] = total;
-        }
+        uint64_t received[2], acc = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
-            int64_t symbol = chosen[slot];
+            int64_t symbol = block[lane][slot];
             int64_t width = sym_widths[symbol];
+            int64_t first = sym_first[symbol];
             const int64_t *bits = sym_bits + symbol * max_width;
-            uint64_t original = 0;
-            for (int64_t b = 0; b < width; b++)
-                original |= ((word[bits[b] >> 6] >> (bits[b] & 63)) & 1ULL) << b;
-            uint64_t value = rewrite_symbol(mode, original, width,
-                value_keys[slot], start_keys[slot], counter);
-            for (int64_t b = 0; b < width; b++) {
-                int64_t limb = bits[b] >> 6, offset = bits[b] & 63;
-                word[limb] = (word[limb] & ~(1ULL << offset))
-                             | (((value >> b) & 1ULL) << offset);
-            }
+            uint64_t original = read_symbol(clean, lane, first, bits, width);
+            received[slot] = rewrite_symbol(mode, original, width,
+                values[slot][lane], starts[slot][lane]);
+            acc += change_residue(original, received[slot], m, pow2, first,
+                                  bits, width);
         }
-        uint64_t rem;
-        counts[muse_decode_row(word, fixed, limbs, m, weights, hit,
-            addend, low_mask, above_mask, bit_symbol, outside, ripple,
-            &rem)] += 1;
+        uint64_t rem = acc % m;
+        int status = rem == 0 ? 0 : hit[rem] ? 1 : 2;
+        if (status == 1 && ripple) {
+            uint64_t word[8], fixed[8];
+            for (int64_t j = 0; j < limbs; j++) word[j] = clean[j][lane];
+            for (int64_t slot = 0; slot < k_symbols; slot++) {
+                int64_t symbol = block[lane][slot];
+                write_symbol(word, received[slot], sym_first[symbol],
+                             sym_bits + symbol * max_width,
+                             sym_widths[symbol]);
+            }
+            status = muse_decode_row(word, fixed, limbs, rem, hit, addend,
+                low_mask, above_mask, bit_symbol, outside, ripple);
+        }
+        counts[status] += 1;
     }
 }
 
@@ -331,9 +428,9 @@ static inline int rs_verdict(const struct rs_tables *rs, int64_t s1,
     *mag_out = 0;
     if (s1 == 0 && s2 == 0) return 0;
     if (s1 == 0 || s2 == 0) return 2;
-    /* locator X = S2/S1 == alpha^position; C's % is signed, so fold
-     * the (negative-capable) log difference back into [0, order) */
-    int64_t position = (rs->logt[s2] - rs->logt[s1]) % rs->order;
+    /* locator X = S2/S1 == alpha^position; both logs lie in
+     * [0, order), so their difference lies in (-order, order) */
+    int64_t position = rs->logt[s2] - rs->logt[s1];
     if (position < 0) position += rs->order;
     if (position >= rs->n_symbols) return 2;
     int64_t magnitude = rs->exp2[rs->logt[s1] - position + rs->order];
@@ -406,13 +503,19 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
     struct rs_tables rs = {exp2, logt, w2_log, order, n_symbols, pad_mask,
                            partial_position, confined, has_policy,
                            conf_stride};
+    lanes_t values[2], starts[2];
     int64_t block[LANES][2];
     for (int64_t i = 0; i < size; i++) {
-        /* lanes past the chunk's end are scanned and dropped */
-        if (i % LANES == 0)
-            choose_block(mode, k_symbols, choice_keys, n_symbols, start + i,
+        /* lanes past the chunk's end are drawn and dropped */
+        int64_t lane = i % LANES;
+        if (lane == 0) {
+            lanes_t counters = block_counters(start + i);
+            choose_block(mode, k_symbols, choice_keys, n_symbols, counters,
                          block);
-        const int64_t *chosen = block[i % LANES];
+            draw_slots(mode, k_symbols, value_keys, start_keys, counters,
+                       values, starts);
+        }
+        const int64_t *chosen = block[lane];
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         int64_t s1 = 0, s2 = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
@@ -434,7 +537,7 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
                         ^ gf_mul(d1, ap2, exp2, logt), det, exp2, logt, order);
             }
             int64_t error = (int64_t)rewrite_symbol(mode, (uint64_t)original,
-                widths[symbol], value_keys[slot], start_keys[slot], counter)
+                widths[symbol], values[slot][lane], starts[slot][lane])
                 ^ original;
             rs_syndrome_term(&rs, symbol, error, &s1, &s2);
         }
@@ -505,7 +608,7 @@ def _declare(lib: "ctypes.CDLL") -> None:
     ]
     lib.muse_fused_chunk.restype = None
     lib.muse_fused_chunk.argtypes = [
-        i64, i64, i64, i64, i64, u64, p, p, p, p, p, p, p, p, p, p,
+        i64, i64, i64, i64, i64, u64, p, p, p, p, p, p, p, p, p, p, p,
         i64, i64, i32, p, p, p, p, i32, p,
     ]
     lib.rs_decode_batch.restype = None

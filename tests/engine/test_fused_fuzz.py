@@ -5,20 +5,23 @@ the native fused draw->decode->tally pass must return the counts numpy
 gets by generating the corrupted chunk and batch-decoding it.  The
 points are Table IV's plus off-table codes that stress the kernels'
 limits: the widest native MUSE code, the Eq. 5 shuffle, the hybrid
-error model, a 4-symbol toy, and RS codes from 4 to 255 symbols over
+error model, a 4-symbol toy, 5- and 6-bit symbols that straddle limbs
+(read and written bit by bit), and RS codes from 4 to 255 symbols over
 GF(2^3)..GF(2^8), with partial symbols and with n equal to the field
 order.  Each point is fuzzed on its own, derandomized with a bounded
 example count, so the suite stays hermetic and every run draws the
 same cases.
 """
 
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import MuseCode
 from repro.core.codes import muse_80_67, muse_80_70, muse_268_256, toy_16_7
+from repro.core.symbols import SymbolLayout
 from repro.engine import available_backends, get_engine
 from repro.orchestrate.corruption import muse_scenario_chunk, rs_scenario_chunk
 from repro.orchestrate.plan import Chunk
@@ -33,11 +36,22 @@ pytestmark = pytest.mark.skipif(
     reason="native backend unavailable (no C compiler, or disabled)",
 )
 
+
+@cache
+def sequential_code(n: int, symbol_bits: int, m: int) -> MuseCode:
+    """MUSE over ``SymbolLayout.sequential(n, symbol_bits)``; ``m`` is
+    ``MultiplierSearch(...).run_descending(stop_after=1)``'s pick."""
+    return MuseCode(SymbolLayout.sequential(n, symbol_bits), m)
+
+
 MUSE_CODES = [partial(muse_design_point, extra) for extra in range(6)] + [
     muse_268_256,  # 67 symbols over 5 limbs: the widest native MUSE code
     muse_80_67,  # Eq. 5 shuffled layout
     muse_80_70,  # hybrid C4A_U1B error model
     toy_16_7,  # 4 symbols
+    # symbols 12 and 25 straddle limbs 0/1 and 1/2; 3 check symbols
+    partial(sequential_code, 130, 5, 7797),
+    partial(sequential_code, 72, 6, 16247),  # symbol 10 straddles
 ]
 RS_CODES = [partial(rs_design_point, extra) for extra in (0, 2, 4, 6)] + [
     partial(rs_for_channel, bits, channel)
