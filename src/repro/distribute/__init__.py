@@ -6,10 +6,10 @@ and folds commutatively, a chunk can run *anywhere* — so this package
 ships :class:`ChunkTask` specs to remote hosts over a pickle-free
 JSON-line socket protocol and folds the returned tallies exactly once:
 
-* :mod:`~repro.distribute.wire` — framing + the registered-dataclass
-  codec;
-* :mod:`~repro.distribute.queue` — the work-stealing lease queue
-  (re-queues work from dead or straggling workers);
+* :mod:`~repro.distribute.wire` — framing, the registered-dataclass
+  codec and the version-2 batch frames;
+* :mod:`~repro.distribute.queue` — the work-stealing queue of guided
+  batch leases (re-queues work from dead or straggling workers);
 * :mod:`~repro.distribute.checkpoint` — the atomic per-chunk tally
   journal behind ``--checkpoint-dir`` / ``--resume``;
 * :mod:`~repro.distribute.coordinator` — :class:`DistributedSession`,

@@ -62,19 +62,11 @@ class ResultCache:
         self.misses = 0
         self.trials_served = 0
         self.trials_recorded = 0
-        self._fingerprints: dict[Any, str] = {}
         # digest -> {(start, size): MsedTally}; None = not yet loaded
         self._cells: dict[str, dict[tuple[int, int], MsedTally]] = {}
         self._pending: dict[str, list[bytes]] = {}
         self._headered: set[str] = set()
         self._foreign: set[str] = set()
-
-    def _fingerprint(self, spec: Any) -> str:
-        held = self._fingerprints.get(spec)
-        if held is None:
-            held = spec_fingerprint(spec)
-            self._fingerprints[spec] = held
-        return held
 
     def _digest(self, key: int, fingerprint: str) -> str:
         material = f"{key}\n{fingerprint}".encode()
@@ -121,7 +113,7 @@ class ResultCache:
 
     def lookup(self, key: int, spec: Any, chunk: Chunk) -> MsedTally | None:
         """The stored tally for this exact chunk of this cell, or None."""
-        fingerprint = self._fingerprint(spec)
+        fingerprint = spec_fingerprint(spec)
         digest = self._digest(key, fingerprint)
         cell = self._load(digest, key, fingerprint)
         held = cell.get((chunk.start, chunk.size))
@@ -141,7 +133,7 @@ class ResultCache:
 
     def record(self, key: int, spec: Any, chunk: Chunk, tally: MsedTally) -> None:
         """File one computed chunk tally under its cell (flush later)."""
-        fingerprint = self._fingerprint(spec)
+        fingerprint = spec_fingerprint(spec)
         digest = self._digest(key, fingerprint)
         cell = self._load(digest, key, fingerprint)
         if (chunk.start, chunk.size) in cell:

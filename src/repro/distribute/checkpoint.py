@@ -31,6 +31,7 @@ Durability model (version 2):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -76,10 +77,23 @@ def spec_fingerprint(spec: Any) -> str:
     checkpoint taken on one backend resumes on any other — but a
     changed code, ``k_symbols`` or decode policy must refuse, not
     silently fold chunks of a different experiment.
+
+    Memoised per spec: the coordinator fingerprints every chunk it
+    looks up, journals and reports, and a run has a handful of specs.
     """
+    try:
+        return _memo_fingerprint(spec)
+    except TypeError:  # an unhashable spec: fingerprint it fresh
+        return _fingerprint(spec)
+
+
+def _fingerprint(spec: Any) -> str:
     if dataclasses.is_dataclass(spec) and hasattr(spec, "backend"):
         spec = dataclasses.replace(spec, backend="any")
     return repr(spec)
+
+
+_memo_fingerprint = functools.lru_cache(maxsize=512)(_fingerprint)
 
 
 # The CRC'd-line codec now lives in :mod:`repro.orchestrate.persist`
@@ -103,7 +117,8 @@ class CheckpointJournal:
 
     In memory: ``(group key, start, size) -> MsedTally``.  On disk: a
     header line plus one appended line per record.  By default every
-    :meth:`record` persists immediately (appends are O(1));
+    :meth:`record` / :meth:`record_many` call persists immediately, in
+    one append (appends are O(1));
     ``save_every`` / ``min_save_interval`` batch appends for callers
     that want to trade a few re-computable chunks for fewer fsyncs —
     the coordinator flushes pending entries at every batch barrier, on
@@ -342,16 +357,24 @@ class CheckpointJournal:
         self, group: Any, chunk: Chunk, tally: MsedTally, fingerprint: str
     ) -> None:
         """Journal one completed chunk and (by default) persist now."""
-        group_key = _group_key(group)
-        self._check_fingerprint(group_key, fingerprint)
-        self._fingerprints[group_key] = fingerprint
-        self._entries[(group_key, chunk.start, chunk.size)] = (
-            MsedTally().merge(tally)
-        )
-        self._pending.append(
-            self._record_dict(group_key, chunk.start, chunk.size, tally)
-        )
-        self._unsaved += 1
+        self.record_many([(group, chunk, tally, fingerprint)])
+
+    def record_many(
+        self, records: list[tuple[Any, Chunk, MsedTally, str]]
+    ) -> None:
+        """Journal ``(group, chunk, tally, fingerprint)`` records and (by
+        default) persist them all in one fsync'd append."""
+        for group, chunk, tally, fingerprint in records:
+            group_key = _group_key(group)
+            self._check_fingerprint(group_key, fingerprint)
+            self._fingerprints[group_key] = fingerprint
+            self._entries[(group_key, chunk.start, chunk.size)] = (
+                MsedTally().merge(tally)
+            )
+            self._pending.append(
+                self._record_dict(group_key, chunk.start, chunk.size, tally)
+            )
+            self._unsaved += 1
         if (
             self._unsaved >= self.save_every
             and time.monotonic() - self._last_save >= self.min_save_interval

@@ -2,17 +2,25 @@
 
 One :class:`DistributedSession` owns the whole distributed run:
 
-* a threaded TCP server speaking the JSON-line protocol
+* a threaded TCP server speaking the JSON-line protocol, version 2
   (:mod:`repro.distribute.wire`) — one handler thread per connected
-  worker, all mutating one lock-guarded :class:`ChunkQueue`;
+  worker, all mutating one lock-guarded :class:`ChunkQueue`.  A lease
+  is a **batch** of consecutive chunks of one spec, guided-sized
+  (``ceil(pending / (2 x workers))``, one chunk for a spec not yet
+  timed, and at most an eighth of ``lease_timeout`` of expected
+  compute; see :mod:`repro.distribute.queue`), so the frames, the lock
+  holds and the journal appends are paid per batch, not per chunk;
 * the **fold**: every first-completion tally merges into its group via
   ``MsedTally.merge`` exactly once (duplicates from stolen leases are
   dropped), so the distributed result is byte-identical to ``jobs=1``
-  whatever the completion order, worker count, or failure history;
-* optional **checkpoints**: each fold is journalled through a
-  :class:`~repro.distribute.checkpoint.CheckpointJournal`, and tasks a
-  resumed journal already holds are answered from disk without ever
-  being queued;
+  whatever the completion order, worker count, or failure history.  A
+  worker's ``results`` frame folds under one lock acquisition;
+* optional **checkpoints**: the chunks one ``results`` frame folds are
+  journalled through a
+  :class:`~repro.distribute.checkpoint.CheckpointJournal` in the same
+  locked step, as one fsync'd append, before that worker's next frame
+  is read; tasks a resumed journal already holds are answered from
+  disk without ever being queued;
 * the **round barrier**: :meth:`run_tasks` is a batch call — submit,
   wait for every fold, return ``{group: tally}`` — which is exactly the
   synchronisation point the adaptive campaign needs: the coordinator
@@ -43,7 +51,7 @@ from repro.distribute.wire import (
     from_wire,
     recv_message,
     send_message,
-    to_wire,
+    tasks_frame,
 )
 from repro.orchestrate.persist import atomic_write_json
 from repro.orchestrate.pool import ProgressCallback
@@ -135,10 +143,10 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                     session._protocol_error(worker, exc)
                     return
                 if reply is None:
-                    # Results and failures are one-way in the pipelined
-                    # protocol: the worker's next lease request is
-                    # already in this socket's buffer, so an ack would
-                    # only desynchronise the stream.
+                    # Results are one-way in the pipelined protocol:
+                    # the worker's next lease request is already in
+                    # this socket's buffer, so an ack would only
+                    # desynchronise the stream.
                     continue
                 send_message(self.wfile, reply)
                 if reply["op"] == "shutdown":
@@ -311,6 +319,7 @@ class DistributedSession:
             }
             self._batch_event.clear()
             replayed = []
+            from_cache = []
             for task in task_list:
                 cached = (
                     self.checkpoint.lookup(
@@ -324,19 +333,23 @@ class DistributedSession:
                     # journal cannot; a hit still lands in the journal
                     # so the run's own record stays complete.
                     cached = self.cache.lookup(task.key, task.spec, task.chunk)
-                    if cached is not None and self.checkpoint is not None:
-                        self.checkpoint.record(
-                            task.group,
-                            task.chunk,
-                            cached,
-                            spec_fingerprint(task.spec),
+                    if cached is not None:
+                        from_cache.append(
+                            (
+                                task.group,
+                                task.chunk,
+                                cached,
+                                spec_fingerprint(task.spec),
+                            )
                         )
                 if cached is not None:
                     replayed.append((task, cached))
                 else:
                     self._queue.add_task(task)
+            if from_cache and self.checkpoint is not None:
+                self.checkpoint.record_many(from_cache)
             for task, cached in replayed:
-                self._fold_locked(task, cached, journal=False)
+                self._fold_locked(task, cached, computed=False)
             finished = self._batch["done"] >= self._batch["total"]
         while not finished:
             self._batch_event.wait(timeout=0.1)
@@ -387,18 +400,10 @@ class DistributedSession:
     def _handle_message(self, worker: str, message: dict) -> dict | None:
         op = message.get("op")
         if op == "next":
-            return self._next_task(worker)
-        if op == "result":
-            self._take_result(
-                message["id"],
-                from_wire(message["tally"]),
-                worker=worker,
-                seconds=message.get("seconds"),
-            )
+            return self._next_lease(worker)
+        if op == "results":
+            self._take_results(worker, from_wire(message["results"]))
             return None  # one-way: the worker never waits on an ack
-        if op == "failed":
-            self._take_failure(message["id"], message.get("error", "unknown"))
-            return None
         if op == "telemetry":
             # One-way counter deltas a worker ships while idle; folded
             # into the coordinator's registry under its name so fleet
@@ -416,7 +421,7 @@ class DistributedSession:
             return None
         return {"op": "error", "message": f"unknown op {op!r}"}
 
-    def _next_task(self, worker: str) -> dict:
+    def _next_lease(self, worker: str) -> dict:
         with self._lock:
             if self._closed:
                 return {"op": "shutdown"}
@@ -425,57 +430,74 @@ class DistributedSession:
             if stolen:
                 telemetry.counter("lease.expired", stolen)
                 telemetry.event("lease.expired", requeued=stolen)
-            claim = self._queue.claim(worker, now)
-            if claim is None:
+            leased = self._queue.claim(worker, now, len(self._workers))
+            if not leased:
                 return {"op": "idle", "delay": self.poll_interval}
-            task_id, task = claim
-            return {"op": "task", "id": task_id, "task": to_wire(task)}
+            return tasks_frame(leased)
 
-    def _take_result(
-        self,
-        task_id: int,
-        tally: MsedTally,
-        worker: str | None = None,
-        seconds: float | None = None,
-    ) -> None:
+    def _take_results(self, worker: str, entries: list[dict]) -> None:
+        """Fold one ``results`` frame under one lock hold, and journal
+        every chunk it folded in one fsync'd append before returning —
+        that is, before this worker's next frame is read (a malformed
+        entry still journals the chunks folded ahead of it)."""
         with self._lock:
-            if not self._queue.complete(task_id):
-                telemetry.counter("chunks.duplicate")
-                return  # duplicate from a stolen lease: fold exactly once
-            task = self._queue.tasks[task_id]
-            self._fold_locked(
-                task, tally, journal=True, worker=worker, seconds=seconds
-            )
+            journal = []
+            try:
+                for entry in entries:
+                    task_id = entry["id"]
+                    if "error" in entry:
+                        self._fail_locked(task_id, entry["error"])
+                        continue
+                    tally, seconds = entry["tally"], entry.get("seconds")
+                    if not self._queue.complete(task_id, seconds):
+                        telemetry.counter("chunks.duplicate")
+                        continue  # a stolen lease's duplicate: fold once
+                    task = self._queue.tasks[task_id]
+                    folded = self._fold_locked(
+                        task, tally, computed=True, worker=worker,
+                        seconds=seconds,
+                    )
+                    if folded and self.checkpoint is not None:
+                        journal.append(
+                            (
+                                task.group,
+                                task.chunk,
+                                tally,
+                                spec_fingerprint(task.spec),
+                            )
+                        )
+            finally:
+                if journal:
+                    self.checkpoint.record_many(journal)
 
-    def _take_failure(self, task_id: int, error: str) -> None:
-        with self._lock:
-            if task_id in self._queue.completed:
-                return
-            errors = self._attempt_errors.setdefault(task_id, [])
-            errors.append(error)
-            self._queue.requeue(task_id)
-            telemetry.counter("chunks.failed")
-            telemetry.event(
-                "chunk.failed",
-                task=task_id,
-                attempts=len(errors),
-                error=errors[-1],
-                requeued=1,
+    def _fail_locked(self, task_id: int, error: str) -> None:
+        if task_id in self._queue.completed:
+            return
+        errors = self._attempt_errors.setdefault(task_id, [])
+        errors.append(error)
+        self._queue.requeue(task_id)
+        telemetry.counter("chunks.failed")
+        telemetry.event(
+            "chunk.failed",
+            task=task_id,
+            attempts=len(errors),
+            error=errors[-1],
+            requeued=1,
+        )
+        if len(errors) >= MAX_TASK_ATTEMPTS:
+            # A poison chunk: it failed on MAX_TASK_ATTEMPTS distinct
+            # leases, so retrying elsewhere won't help.  Surface
+            # *every* attempt's error — they may differ, and the first
+            # one is often the honest one.
+            detail = "; ".join(
+                f"attempt {index}: {message}"
+                for index, message in enumerate(errors, start=1)
             )
-            if len(errors) >= MAX_TASK_ATTEMPTS:
-                # A poison chunk: it failed on MAX_TASK_ATTEMPTS
-                # distinct leases, so retrying elsewhere won't help.
-                # Surface *every* attempt's error — they may differ,
-                # and the first one is often the honest one.
-                detail = "; ".join(
-                    f"attempt {index}: {message}"
-                    for index, message in enumerate(errors, start=1)
-                )
-                self._error = (
-                    f"task {task_id} failed on {len(errors)} attempts "
-                    f"[{detail}]"
-                )
-                self._batch_event.set()
+            self._error = (
+                f"task {task_id} failed on {len(errors)} attempts "
+                f"[{detail}]"
+            )
+            self._batch_event.set()
 
     def _worker_joined(self, worker: str, rejoin: bool = False) -> None:
         with self._lock:
@@ -533,19 +555,23 @@ class DistributedSession:
         self,
         task: Any,
         tally: MsedTally,
-        journal: bool,
+        computed: bool,
         worker: str | None = None,
         seconds: float | None = None,
-    ) -> None:
+    ) -> bool:
+        """Fold one chunk into the open batch; ``False`` if no batch is
+        open (a late result after a degraded barrier).  A ``computed``
+        chunk (not a journal or cache replay) also counts, reports its
+        span and feeds the result cache; the caller journals it."""
         batch = self._batch
         if batch is None:  # pragma: no cover - late result after barrier
-            return
+            return False
         held = batch["results"].get(task.group)
         if held is None:
             batch["results"][task.group] = MsedTally().merge(tally)
         else:
             held.merge(tally)
-        if journal:
+        if computed:
             self._folds += 1
             telemetry.counter("chunks.computed", group=str(task.group))
             telemetry.record_spec(task.group, spec_fingerprint(task.spec))
@@ -568,10 +594,6 @@ class DistributedSession:
                         "worker": worker or "?",
                         "trials": tally.trials,
                     },
-                )
-            if self.checkpoint is not None:
-                self.checkpoint.record(
-                    task.group, task.chunk, tally, spec_fingerprint(task.spec)
                 )
             if self.cache is not None:
                 self.cache.record(task.key, task.spec, task.chunk, tally)
@@ -601,6 +623,7 @@ class DistributedSession:
             and self._folds >= self.interrupt_after
         ):
             self._batch_event.set()
+        return True
 
     def _degrade_locked(self, message: str) -> DistributedDegraded:
         """Build the graceful-degradation exit (lock held): flush the

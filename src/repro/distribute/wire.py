@@ -5,16 +5,25 @@ pickle, so a worker never executes anything a coordinator (or a
 man-in-the-middle on a trusted LAN) chooses beyond the registered spec
 dataclasses, and either side can be debugged with ``nc`` and eyeballs.
 
-Two layers:
+Three layers:
 
 * **framing** — :func:`send_message` / :func:`recv_message` move one
   JSON object per ``\\n``-terminated line over a socket file;
 * **codec** — :func:`to_wire` / :func:`from_wire` turn the registered
-  frozen dataclasses (:class:`ChunkTask` and the sim specs it carries)
-  into tagged JSON objects and back.  Tuples are tagged too, so a
-  decoded spec is *structurally equal* to the one encoded — which is
-  what keeps the per-worker runner cache
-  (:func:`repro.orchestrate.worker.runner_for`) hitting across tasks.
+  frozen dataclasses (:class:`ChunkTask`, the sim specs it carries and
+  :class:`MsedTally`) into tagged JSON objects and back.  Tuples are
+  tagged too, so a decoded spec is *structurally equal* to the one
+  encoded — which is what keeps the per-worker runner cache
+  (:func:`repro.orchestrate.worker.runner_for`) hitting across tasks;
+* **protocol** (version 2) — after a ``hello``/``welcome`` exchange the
+  worker sends ``next`` and the coordinator answers ``idle``,
+  ``shutdown`` or one batch lease, ``tasks``: consecutive chunks of
+  one group, spec and stream key, which :func:`tasks_frame` names once
+  and :func:`read_tasks` expands back into :class:`ChunkTask` values.
+  The worker answers a batch with one ``results`` frame, a list of
+  per-chunk ``{"id", "tally", "seconds"}`` or ``{"id", "error"}``
+  entries, sent in the same write as its next ``next``; one-way
+  ``telemetry`` frames carry its counter deltas.
 
 The registry is open: :func:`register_wire_type` admits new spec
 dataclasses (e.g. an erasure-study spec) without touching the
@@ -32,8 +41,9 @@ from repro.orchestrate.worker import ChunkTask, CodeRef, MuseSimSpec, RsSimSpec
 from repro.reliability.metrics import MsedTally
 
 #: Protocol version; both ends refuse a mismatch instead of
-#: mis-decoding each other.
-PROTOCOL_VERSION = 1
+#: mis-decoding each other.  Version 2 leases chunks in batches
+#: (``tasks``/``results`` frames).
+PROTOCOL_VERSION = 2
 
 _TYPE_TAG = "__type__"
 _TUPLE_TAG = "__tuple__"
@@ -139,6 +149,34 @@ def from_wire(payload: Any) -> Any:
     return payload
 
 
+def tasks_frame(leased: list[tuple[int, ChunkTask]]) -> dict:
+    """The ``tasks`` frame of one batch lease: ``(task id, task)``
+    pairs whose tasks share group, spec and key, which go on the wire
+    once, with one ``[id, start, size]`` triple per chunk."""
+    first = leased[0][1]
+    return {
+        "op": "tasks",
+        "group": to_wire(first.group),
+        "spec": to_wire(first.spec),
+        "key": first.key,
+        "chunks": [
+            [task_id, task.chunk.start, task.chunk.size]
+            for task_id, task in leased
+        ],
+    }
+
+
+def read_tasks(frame: dict) -> list[tuple[int, ChunkTask]]:
+    """Inverse of :func:`tasks_frame`."""
+    group = from_wire(frame["group"])
+    spec = from_wire(frame["spec"])
+    key = frame["key"]
+    return [
+        (task_id, ChunkTask(group, spec, Chunk(start, size), key))
+        for task_id, start, size in frame["chunks"]
+    ]
+
+
 def send_message(stream: BinaryIO, message: dict) -> None:
     """Write one message as a single JSON line and flush it."""
     stream.write(json.dumps(message, separators=(",", ":")).encode() + b"\n")
@@ -148,9 +186,9 @@ def send_message(stream: BinaryIO, message: dict) -> None:
 def send_messages(stream: BinaryIO, messages: list[dict]) -> None:
     """Write several messages as one buffered payload, one flush.
 
-    The pipelined worker loop sends ``[previous result, next lease
-    request]`` back-to-back; batching them into a single write (one
-    syscall on a socket file) is what makes the prefetch free.
+    The pipelined worker loop sends ``[previous batch's results, next
+    lease request]`` back-to-back; batching them into a single write
+    (one syscall on a socket file) is what makes the prefetch free.
     """
     payload = b"".join(
         json.dumps(message, separators=(",", ":")).encode() + b"\n"

@@ -1,36 +1,41 @@
-"""The worker side: connect, pull chunk tasks, push tallies — and come
+"""The worker side: connect, pull batch leases, push tallies — and come
 back after a network blip.
 
 ``repro-muse worker --connect HOST:PORT`` runs :func:`serve_worker`: a
-single-threaded pull loop against the coordinator's queue.  Each task
-is decoded from the wire, its runner rebuilt (and cached) through the
-PR-3 per-worker cache (:func:`repro.orchestrate.worker.runner_for` via
-:func:`run_chunk_task`), its chunk executed with whatever decode
-backend this host has, and the resulting tally shipped back as plain
-integers — so a heterogeneous fleet (numpy here, scalar there) still
-folds byte-identical results.  Dispatch is *pipelined*: the next lease
-request is already queued at the coordinator while the current chunk
-computes, and the finished tally ships in the same flush as the
-following request, so steady-state chunk execution never waits on a
-socket round-trip.
+single-threaded pull loop against the coordinator's queue.  Each lease
+is a ``tasks`` frame naming consecutive chunks of one spec (protocol
+version 2, :mod:`repro.distribute.wire`); the spec's runner is rebuilt
+(and cached) through the PR-3 per-worker cache
+(:func:`repro.orchestrate.worker.runner_for` via
+:func:`run_chunk_task`), each chunk executed with whatever decode
+backend this host has, and the batch's tallies shipped back as plain
+integers in one ``results`` frame — so a heterogeneous fleet (numpy
+here, scalar there) still folds byte-identical results.  Dispatch is
+*pipelined*: the next lease request is already queued at the
+coordinator while the current batch computes, and the finished batch's
+results ship in the same write as the following request, so
+steady-state execution never waits on a socket round-trip.
 
-A worker is expendable by design: if it dies mid-chunk the coordinator
-re-queues its leases, and if its chunk raises it reports the failure
-and moves on rather than wedging.  But expendable is not the same as
-disposable — a *transient* connection failure (flaky switch, injected
-``reset`` chaos, coordinator restart) no longer ends the worker.  The
-session loop reconnects with exponential backoff + jitter and rejoins
-the fleet (``hello`` with ``rejoin: true``, which the coordinator
-counts and logs), so a blip costs one stolen lease, not a worker.  The
+A worker is expendable by design: if it dies mid-batch the coordinator
+re-queues every chunk of its leases, and if a chunk raises it reports
+that chunk's failure and moves on rather than wedging.  But expendable
+is not the same as disposable — a *transient* connection failure
+(flaky switch, injected ``reset`` chaos, coordinator restart) no
+longer ends the worker.  The session loop reconnects with exponential
+backoff + jitter and rejoins the fleet (``hello`` with ``rejoin:
+true``, which the coordinator counts and logs), so a blip costs the
+chunks of one batch lease (recomputed elsewhere), not a worker.  The
 loop only ends for good when the coordinator says ``shutdown``, closes
 the connection cleanly (EOF on an idle worker), or stays unreachable
 for the whole reconnect window.
 
 Fault injection: with a chaos spec active (``--chaos`` or the
 inherited ``REPRO_CHAOS``), the loop consults a deterministic
-:class:`~repro.distribute.chaos.FaultPlan` at each step — hang, crash,
-reset, torn frame, duplicated result — so the fleet's failure modes
-are reproducible test subjects instead of production surprises.
+:class:`~repro.distribute.chaos.FaultPlan` at each chunk of a batch —
+hang, crash, reset, torn frame, duplicated result — so the fleet's
+failure modes are reproducible test subjects instead of production
+surprises, and a fault's event index counts chunks whatever the lease
+sizes were.
 
 Telemetry: a worker process never opens its own telemetry session
 (two processes appending one event log would interleave batches).  It
@@ -38,9 +43,10 @@ keeps plain integer counters — chunks executed/failed, reconnects,
 chaos firings — and ships the *deltas* to the coordinator as one-way
 ``{"op": "telemetry", "counters": {...}}`` frames riding the normal
 result/poll flushes, where they fold into the coordinator's registry
-under ``worker=<name>`` labels.  Each result frame also carries the
-chunk's compute ``seconds`` so the coordinator can emit the same
-``decode_chunk`` spans the in-process path records.
+under ``worker=<name>`` labels.  Each chunk's result entry also
+carries its compute ``seconds``, which sizes the coordinator's next
+lease of that spec and becomes the same ``decode_chunk`` span the
+in-process path records.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import time
 from repro.distribute.chaos import CHAOS_CRASH_EXIT, FaultPlan, plan_for
 from repro.distribute.wire import (
     PROTOCOL_VERSION,
-    from_wire,
+    read_tasks,
     recv_message,
     send_message,
     send_messages,
@@ -115,17 +121,22 @@ def _with_backend(task, backend: str | None):
     )
 
 
-def _send_torn_frame(wfile, result: dict) -> None:
-    """Write a deliberately unparseable prefix of ``result`` (chaos
+def _send_torn_frame(wfile, frame: dict) -> None:
+    """Write a deliberately unparseable prefix of ``frame`` (chaos
     ``torn``): the coordinator must treat it as a protocol error, not
     a crash."""
-    line = json.dumps(result, separators=(",", ":")).encode()
+    line = json.dumps(frame, separators=(",", ":")).encode()
     wfile.write(line[: max(8, len(line) // 3)] + b"\xff\xfe\n")
     wfile.flush()
 
 
 def _bump(counters: dict, name: str, amount: int = 1) -> None:
     counters[name] = counters.get(name, 0) + amount
+
+
+def _results_frames(entries: list[dict]) -> list[dict]:
+    """The (0 or 1) ``results`` frames carrying a batch's entries."""
+    return [{"op": "results", "results": entries}] if entries else []
 
 
 def _telemetry_frames(counters: dict, shipped: dict) -> list[dict]:
@@ -179,13 +190,13 @@ def _serve_session(
         raise RuntimeError(
             f"coordinator refused the connection: {welcome!r}"
         )
-    # Pipelined dispatch: the lease request for chunk N+1 is already in
-    # flight while chunk N computes, and chunk N's tally rides in the
-    # same flush as the *next* lease request — so the per-chunk
-    # round-trip stall (send result, await ack, send next, await task)
-    # collapses to zero between back-to-back chunks.  ``pending`` holds
-    # the frames for the last computed chunk until the next reply
-    # arrives; losing the connection just requeues that lease.
+    # Pipelined dispatch: the request for lease N+1 is already in
+    # flight while batch N computes, and batch N's results ride in the
+    # same write as the *next* lease request — so the round-trip stall
+    # (send results, await ack, send next, await tasks) collapses to
+    # zero between back-to-back batches.  ``pending`` holds the result
+    # entries of the last computed batch until the next reply arrives;
+    # losing the connection just requeues that batch's chunks.
     pending: list[dict] = []
     send_message(wfile, {"op": "next"})
     while True:
@@ -197,73 +208,62 @@ def _serve_session(
         op = reply.get("op")
         if op == "shutdown":
             return True
-        if op == "idle":
-            if pending:
-                # Flush without sleeping: the coordinator may be
-                # waiting on exactly this tally to close the barrier.
-                send_messages(
-                    wfile,
-                    [
-                        *pending,
-                        *_telemetry_frames(counters, shipped),
-                        {"op": "next"},
-                    ],
-                )
-                pending = []
-            else:
-                # An idle beat is the natural moment to fold this
-                # worker's counter deltas back to the coordinator:
-                # it costs one extra frame on a poll that was being
-                # sent anyway, and every batch ends in an idle beat.
-                time.sleep(float(reply.get("delay", 0.05)))
-                send_messages(
-                    wfile,
-                    [*_telemetry_frames(counters, shipped), {"op": "next"}],
-                )
-            continue
-        if op != "task":
+        if op not in ("idle", "tasks"):
             raise RuntimeError(f"unexpected coordinator reply: {reply!r}")
+        if op == "idle" and not pending:
+            # An idle beat is the natural moment to fold this worker's
+            # counter deltas back to the coordinator: it costs one
+            # extra frame on a poll that was being sent anyway, and
+            # every batch ends in an idle beat.
+            time.sleep(float(reply.get("delay", 0.05)))
+        # Pending results go out with this request even on an idle
+        # reply, unslept: the coordinator may be waiting on exactly
+        # them to close the barrier.
         send_messages(
             wfile,
-            [*pending, *_telemetry_frames(counters, shipped), {"op": "next"}],
+            [
+                *_results_frames(pending),
+                *_telemetry_frames(counters, shipped),
+                {"op": "next"},
+            ],
         )
         pending = []
-        task = _with_backend(from_wire(reply["task"]), backend)
-        if plan is not None:
-            if plan.should("hang"):  # straggle past the lease timeout
-                _bump(counters, "worker.chaos.hang")
-                time.sleep(plan.spec.hang_seconds)
-            if plan.should("crash"):  # die holding the lease
-                os._exit(CHAOS_CRASH_EXIT)
-            if plan.should("reset"):  # blip before reporting
-                _bump(counters, "worker.chaos.reset")
-                raise _ChaosReset("chaos: connection reset before result")
-        started = time.perf_counter()
-        try:
-            *_, tally = run_chunk_task(task)
-        except Exception as exc:  # report, don't die: the chunk may
-            # succeed on a worker with different capabilities.
-            _bump(counters, "worker.chunks_failed")
-            pending = [
-                {"op": "failed", "id": reply["id"], "error": repr(exc)}
-            ]
-        else:
+        if op == "idle":
+            continue
+        for task_id, task in read_tasks(reply):
+            task = _with_backend(task, backend)
+            if plan is not None:
+                if plan.should("hang"):  # straggle past the lease timeout
+                    _bump(counters, "worker.chaos.hang")
+                    time.sleep(plan.spec.hang_seconds)
+                if plan.should("crash"):  # die holding the lease
+                    os._exit(CHAOS_CRASH_EXIT)
+                if plan.should("reset"):  # blip before reporting
+                    _bump(counters, "worker.chaos.reset")
+                    raise _ChaosReset("chaos: connection reset before result")
+            started = time.perf_counter()
+            try:
+                *_, tally = run_chunk_task(task)
+            except Exception as exc:  # report, don't die: the chunk may
+                # succeed on a worker with different capabilities.
+                _bump(counters, "worker.chunks_failed")
+                pending.append({"id": task_id, "error": repr(exc)})
+                continue
             executed[0] += 1
             _bump(counters, "worker.chunks_executed")
-            result = {
-                "op": "result",
-                "id": reply["id"],
+            entry = {
+                "id": task_id,
                 "tally": to_wire(tally),
                 "seconds": round(time.perf_counter() - started, 6),
             }
+            pending.append(entry)
             if plan is not None and plan.should("torn"):
                 _bump(counters, "worker.chaos.torn")
-                _send_torn_frame(wfile, result)
-                raise _ChaosReset("chaos: torn result frame")
-            pending = [result]
+                _send_torn_frame(wfile, _results_frames(pending)[0])
+                raise _ChaosReset("chaos: torn results frame")
             if plan is not None and plan.should("dup"):
                 _bump(counters, "worker.chaos.dup")
-                pending = [result, result]  # exactly-once fold drops it
+                pending.append(entry)  # exactly-once fold drops it
 
 
 def serve_worker(

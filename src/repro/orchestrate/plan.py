@@ -73,3 +73,27 @@ def plan_chunk_range(
         Chunk(begin, min(size, stop - begin))
         for begin in range(start, stop, size)
     )
+
+
+def guided_share(pending: int, workers: int) -> int:
+    """How many of ``pending`` tasks the next dispatch takes.
+
+    Guided self-scheduling: ``ceil(pending / (2 * workers))``, at least
+    one.  Early dispatches are large, so a chunk grid pays its
+    per-dispatch cost (a pool submit, a fleet lease) a few dozen times
+    instead of once per chunk; the last ones are single chunks, so the
+    workers still finish together.  The pool and the fleet lease queue
+    both size their batches here.
+    """
+    return max(1, -(-pending // (2 * max(1, workers))))
+
+
+def guided_batches(items: list, workers: int) -> list[list]:
+    """``items`` cut into consecutive :func:`guided_share` batches."""
+    batches = []
+    start = 0
+    while start < len(items):
+        stop = start + guided_share(len(items) - start, workers)
+        batches.append(items[start:stop])
+        start = stop
+    return batches

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import cache
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.orchestrate.plan import Chunk
+from repro.orchestrate.plan import Chunk, guided_batches
 from repro.orchestrate.worker import ChunkTask, run_chunk_task, traced_chunk
 
 ProgressCallback = Callable[[int, int], None]
@@ -39,21 +39,32 @@ def _fold(results: dict, group: Any, tally: Any) -> None:
         held.merge(tally)
 
 
+def _run_batch(fn: Callable[[Any], Any], batch: list) -> list:
+    return [fn(task) for task in batch]
+
+
 def map_unordered(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
     jobs: int = 1,
     progress: ProgressCallback | None = None,
     on_result: Callable[[Any], None] | None = None,
+    guided: bool = False,
 ) -> None:
     """The one serial-or-pool fan-out skeleton every sweep shares.
 
     Runs ``fn`` over every task — in process for ``jobs <= 1``, across
     a :class:`ProcessPoolExecutor` otherwise (``fn`` and the tasks must
     then be picklable).  ``on_result(result)`` and
-    ``progress(done, total)`` both fire on the parent as each task
-    completes, in completion order; callers needing a deterministic
-    result order fold commutatively or reorder afterwards.
+    ``progress(done, total)`` both fire on the parent once per task as
+    its future completes, in completion order; callers needing a
+    deterministic result order fold commutatively or reorder afterwards.
+
+    The pool gets one future per task, or with ``guided`` one per run
+    of consecutive tasks sized by
+    :func:`~repro.orchestrate.plan.guided_share` — for chunk grids,
+    whose chunks can compute in about what a submit, its pickling and
+    its IPC cost.
     """
     task_list: Sequence[Any] = list(tasks)
     total = len(task_list)
@@ -65,15 +76,22 @@ def map_unordered(
             if progress is not None:
                 progress(done, total)
         return
+    batches = (
+        guided_batches(task_list, jobs)
+        if guided
+        else [[task] for task in task_list]
+    )
     with ProcessPoolExecutor(max_workers=min(jobs, total)) as executor:
-        futures = [executor.submit(fn, task) for task in task_list]
+        futures = [executor.submit(_run_batch, fn, batch) for batch in batches]
         try:
-            for done, future in enumerate(as_completed(futures), start=1):
-                result = future.result()
-                if on_result is not None:
-                    on_result(result)
-                if progress is not None:
-                    progress(done, total)
+            done = 0
+            for future in as_completed(futures):
+                for result in future.result():
+                    done += 1
+                    if on_result is not None:
+                        on_result(result)
+                    if progress is not None:
+                        progress(done, total)
         except BaseException:
             # Surface the failure now: without cancel_futures every
             # queued task would still run before __exit__ returned.
@@ -89,13 +107,13 @@ def run_sharded(
 ) -> dict[Any, Any]:
     """Run every chunk task and return ``{group: folded tally}``.
 
-    In process for ``jobs <= 1``, else over a pool; each task's runner
-    is rebuilt from its spec (:func:`~repro.orchestrate.worker.
-    runner_for`).  ``on_chunk(group, chunk, tally)`` fires on the
-    parent as each chunk completes, before its tally is folded (a hook
-    that keeps the tally must copy it).  Folding is plain integer
-    addition, so the result is independent of completion order and of
-    ``jobs``.
+    In process for ``jobs <= 1``, else over a pool in guided batches of
+    consecutive tasks; each task's runner is rebuilt from its spec
+    (:func:`~repro.orchestrate.worker.runner_for`).
+    ``on_chunk(group, chunk, tally)`` fires on the parent as each chunk
+    completes, before its tally is folded (a hook that keeps the tally
+    must copy it).  Folding is plain integer addition, so the result is
+    independent of completion order, batching and ``jobs``.
     """
     results: dict[Any, Any] = {}
 
@@ -105,7 +123,7 @@ def run_sharded(
         group, _, tally = result
         _fold(results, group, tally)
 
-    map_unordered(run_chunk_task, tasks, jobs, progress, fold)
+    map_unordered(run_chunk_task, tasks, jobs, progress, fold, guided=True)
     return results
 
 

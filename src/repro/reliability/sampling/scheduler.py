@@ -416,8 +416,7 @@ class CampaignRunner:
                     budget_left -= alloc.trials
 
             if cells:
-                # Progress counts the campaign's computed chunks so far;
-                # the round barrier repeats its final count.
+                # Progress counts the campaign's computed chunks so far.
                 offset, done_chunks = done_chunks, done_chunks + len(cells)
                 tick = None if progress is None else (
                     lambda done, total: progress(offset + done, offset + total)
@@ -429,8 +428,6 @@ class CampaignRunner:
                 )
                 for i, tally in folded.items():
                     tallies[i].merge(tally)
-                if progress is not None:
-                    progress(done_chunks, done_chunks)
 
             for alloc in allocations:
                 i = alloc.index

@@ -319,16 +319,18 @@ class TestPoisonChunk:
                 deadline = time.monotonic() + 5.0
                 while True:
                     reply = session._handle_message("w", {"op": "next"})
-                    if reply["op"] == "task":
+                    if reply["op"] == "tasks":
                         break
                     assert time.monotonic() < deadline, "never claimed"
                     time.sleep(0.01)
+                [[task_id, _, _]] = reply["chunks"]
                 session._handle_message(
                     "w",
                     {
-                        "op": "failed",
-                        "id": reply["id"],
-                        "error": f"boom-{attempt}",
+                        "op": "results",
+                        "results": [
+                            {"id": task_id, "error": f"boom-{attempt}"}
+                        ],
                     },
                 )
             thread.join(timeout=5.0)

@@ -160,6 +160,81 @@ class TestFaultTolerance:
         assert distributed.converged == baseline.converged
 
 
+class TestConcurrentFold:
+    def test_racing_batch_results_fold_and_journal_exactly_once(
+        self, tmp_path
+    ):
+        """Six handler threads (more than this host's cores) lease
+        batches and report each one three times, under a tiny switch
+        interval: every chunk folds once, is journalled once, and the
+        fold equals the serial run."""
+        import sys
+        import threading
+
+        from repro.orchestrate.plan import plan_chunks
+        from repro.orchestrate.worker import (
+            ChunkTask,
+            MuseSimSpec,
+            run_chunk_task,
+        )
+
+        key = derive_key(SEED)
+        spec = MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69"))
+        tasks = [
+            ChunkTask(0, spec, chunk, key) for chunk in plan_chunks(2400, 20)
+        ]
+        tallies = {task.chunk.start: run_chunk_task(task)[2] for task in tasks}
+        journal = CheckpointJournal.open(tmp_path, key)
+        folded = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DistributedSession(checkpoint=journal) as session:
+                barrier = threading.Thread(
+                    target=lambda: folded.update(session.run_tasks(tasks)),
+                    daemon=True,
+                )
+                barrier.start()
+
+                def worker(name):
+                    while barrier.is_alive():
+                        reply = session._handle_message(name, {"op": "next"})
+                        if reply["op"] != "tasks":
+                            continue
+                        entries = [
+                            {"id": task_id, "tally": tallies[start],
+                             "seconds": 1e-4}
+                            for task_id, start, _ in reply["chunks"]
+                        ]
+                        for _ in range(3):  # the copies are duplicates
+                            session._handle_message(
+                                name, {"op": "results", "results": entries}
+                            )
+
+                threads = [
+                    threading.Thread(
+                        target=worker, args=(f"w{index}",), daemon=True
+                    )
+                    for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                barrier.join(timeout=30.0)
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not barrier.is_alive()
+                assert not any(thread.is_alive() for thread in threads)
+                assert session._folds == len(tasks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(folded) == [0]
+        serial = muse_simulator().run(2400, SEED, chunk_size=20)
+        assert folded[0].freeze() == serial
+        assert len(CheckpointJournal.open(tmp_path, key, resume=True)) == len(
+            tasks
+        )
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize(
         "chunk_size,workers,backend",
@@ -192,6 +267,37 @@ class TestCheckpointResume:
                 600, seed=SEED, chunk_size=chunk_size, executor=session
             )
         assert resumed == serial
+
+    def test_journal_appends_once_per_batch_lease(self, tmp_path, monkeypatch):
+        """A worker's batch lease folds and journals as one fsync'd
+        append, so a 2-worker run appends far fewer times than it has
+        chunks — and still journals every chunk and folds the serial
+        tally."""
+        from repro.distribute import checkpoint
+
+        appends = []
+        durable_append = checkpoint.durable_append
+
+        def counting(path, data):
+            appends.append(data.count(b"\n"))
+            durable_append(path, data)
+
+        monkeypatch.setattr(checkpoint, "durable_append", counting)
+        simulator = muse_simulator()
+        chunks = 60
+        serial = simulator.run(chunks * 50, seed=SEED, chunk_size=50)
+        key = derive_key(SEED)
+        with DistributedSession(
+            local_workers=2, checkpoint=CheckpointJournal.open(tmp_path, key)
+        ) as session:
+            distributed = simulator.run(
+                chunks * 50, seed=SEED, chunk_size=50, executor=session
+            )
+        assert distributed == serial
+        assert sum(appends) == chunks + 1  # every record, plus the header
+        assert len(appends) < chunks / 2
+        journal = CheckpointJournal.open(tmp_path, key, resume=True)
+        assert len(journal) == chunks
 
     def test_resume_of_finished_run_recomputes_nothing(self, tmp_path):
         simulator = muse_simulator()

@@ -6,10 +6,13 @@ import json
 import pytest
 
 from repro.distribute.wire import (
+    PROTOCOL_VERSION,
     from_wire,
+    read_tasks,
     recv_message,
     register_wire_type,
     send_message,
+    tasks_frame,
     to_wire,
 )
 from repro.orchestrate.plan import Chunk
@@ -106,3 +109,58 @@ class TestFraming:
         }
         assert recv_message(buffer) == {"op": "ok"}
         assert recv_message(buffer) is None  # clean EOF
+
+
+def json_line(frame: dict) -> dict:
+    """``frame`` as the peer reads it: one JSON line, parsed back."""
+    buffer = io.BytesIO()
+    send_message(buffer, frame)
+    buffer.seek(0)
+    return recv_message(buffer)
+
+
+class TestBatchFrames:
+    SPEC = MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69"))
+
+    def test_tasks_frame_round_trips_a_batch_lease(self):
+        leased = [
+            (task_id, ChunkTask(("grid", 2), self.SPEC, Chunk(start, 64), 9))
+            for task_id, start in ((4, 256), (5, 320), (6, 384))
+        ]
+        frame = json_line(tasks_frame(leased))
+        assert frame["op"] == "tasks"
+        assert frame["chunks"] == [[4, 256, 64], [5, 320, 64], [6, 384, 64]]
+        assert read_tasks(frame) == leased
+
+    def test_results_frame_round_trips_tallies_and_failures(self):
+        tally = MsedTally(trials=64, detected_no_match=60, silent=4)
+        entries = [
+            {"id": 4, "tally": tally, "seconds": 0.0125},
+            {"id": 5, "error": "RuntimeError('boom')"},
+        ]
+        frame = json_line({"op": "results", "results": to_wire(entries)})
+        assert from_wire(frame["results"]) == entries
+
+
+class TestHandshake:
+    def hello(self, version) -> dict:
+        import socket
+
+        from repro.distribute import DistributedSession
+
+        with DistributedSession() as session:
+            with socket.create_connection(("127.0.0.1", session.port)) as sock:
+                rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+                send_message(
+                    wfile, {"op": "hello", "version": version, "worker": "t"}
+                )
+                return recv_message(rfile)
+
+    def test_current_version_is_welcomed(self):
+        assert PROTOCOL_VERSION == 2
+        assert self.hello(PROTOCOL_VERSION)["op"] == "welcome"
+
+    def test_version_1_hello_is_refused(self):
+        reply = self.hello(1)
+        assert reply["op"] == "error"
+        assert "protocol version 1 != 2" in reply["message"]

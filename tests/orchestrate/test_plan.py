@@ -6,11 +6,39 @@ import pytest
 from repro.orchestrate.plan import (
     Chunk,
     DEFAULT_CHUNK_SIZE,
+    guided_batches,
+    guided_share,
     plan_chunk_range,
     plan_chunks,
     resolve_chunk_size,
 )
 from repro.orchestrate.rng import derive_key, mix64, trial_seed
+
+
+class TestGuidedBatches:
+    def test_share_is_half_a_worker_slice_and_never_zero(self):
+        assert guided_share(2450, 2) == 613  # ceil(2450 / 4)
+        assert guided_share(3, 2) == 1
+        assert guided_share(1, 8) == 1
+        assert guided_share(0, 2) == 1
+        assert guided_share(10, 0) == 5  # no workers counts as one
+
+    @pytest.mark.parametrize(
+        "count,workers", [(1, 2), (7, 1), (130, 2), (2450, 4)]
+    )
+    def test_batches_cover_items_in_order_shrinking_to_one(
+        self, count, workers
+    ):
+        items = list(range(count))
+        batches = guided_batches(items, workers)
+        assert [item for batch in batches for item in batch] == items
+        sizes = [len(batch) for batch in batches]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == guided_share(count, workers)
+        assert sizes[-1] == 1
+
+    def test_empty_input_has_no_batches(self):
+        assert guided_batches([], 2) == []
 
 
 class TestPlanChunks:

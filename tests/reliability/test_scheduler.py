@@ -188,7 +188,8 @@ class TestExecutionShapeInvariance:
 
 class TestProgress:
     """``progress(done, total)`` counts a campaign's computed chunks on
-    every execution path, ending each round at done == total."""
+    every execution path: once per chunk, each round ending once at
+    done == total."""
 
     @staticmethod
     def _calls(**kwargs):
@@ -202,20 +203,23 @@ class TestProgress:
 
     def test_in_process_campaign_reports_every_chunk(self):
         calls = self._calls()
-        assert calls[-1][0] == calls[-1][1]
-        # One call per computed chunk; each round's barrier repeats its
-        # final count.
-        repeats = [b for a, b in zip(calls, calls[1:]) if a == b]
-        assert all(done == total for done, total in repeats)
-        assert len(repeats) >= 2
-        chunks = [b for a, b in zip([None] + calls, calls) if a != b]
-        assert [done for done, _ in chunks] == list(range(1, len(chunks) + 1))
-        assert all(done <= total for done, total in chunks)
+        assert [done for done, _ in calls] == list(range(1, len(calls) + 1))
+        assert all(done <= total for done, total in calls)
+        # Every round closes at done == total, and no call repeats.
+        closes = [done for done, total in calls if done == total]
+        assert len(closes) >= 2
+        assert closes[-1] == calls[-1][0] == calls[-1][1]
 
     def test_in_process_matches_pool_and_cache_paths(self, tmp_path):
+        """The pool, result-cache and ``local:2`` fleet paths report
+        the in-process calls, call for call."""
+        from repro.distribute import DistributedSession
+
         calls = self._calls()
         assert self._calls(jobs=2) == calls
         assert self._calls(cache_dir=str(tmp_path)) == calls
+        with DistributedSession(local_workers=2) as session:
+            assert self._calls(executor=session) == calls
 
 
 class TestBudget:
