@@ -58,24 +58,22 @@ MONTE_CARLO_DEFAULT_TRIALS = {
 }
 MONTE_CARLO_EXPERIMENTS = tuple(MONTE_CARLO_DEFAULT_TRIALS)
 
-#: The MSED experiments that accept the adaptive campaign mode
-#: (--adaptive/--ci-target/--max-trials).  extension-double-device
-#: tallies erasure recoveries, not MSED rates, so it stays fixed-budget.
-ADAPTIVE_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
+#: The MSED experiments: their chunk grids run through the shared
+#: design-point runner, so they alone accept the adaptive campaign
+#: (--adaptive/--ci-target/--max-trials), a coordinator/worker session
+#: (--distribute/--checkpoint-dir/--resume; their MsedTally specs are
+#: wire-registered), --scenario, --cache-dir, --progress and
+#: --telemetry-dir.  extension-double-device tallies erasure
+#: recoveries, not MSED rates, so it takes none of them.
+MSED_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
 
-#: The experiments whose chunk grids can fan over a coordinator/worker
-#: session (--distribute/--checkpoint-dir/--resume); their MsedTally
-#: specs are wire-registered for the JSON transport.
-DISTRIBUTED_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
-
-#: The experiments that accept --scenario (a registered fault scenario
-#: swapped in for the default transient msed stream).
-SCENARIO_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
-
-#: The experiments that accept --telemetry-dir (their mains wrap the
-#: run in a telemetry session); the coordinator/worker subcommands and
-#: the 'all' sweep thread it through as well.
-TELEMETRY_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
+#: The flags only MSED_EXPERIMENTS (or 'all') accept, in the order the
+#: guards check them: a flag on any other experiment would silently do
+#: nothing, so it refuses instead.
+MSED_ONLY_FLAGS = (
+    "--distribute", "--scenario", "--progress", "--adaptive",
+    "--cache-dir", "--telemetry-dir",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "cross-run result cache keyed by (seed stream, spec "
             "fingerprint): chunks computed by any earlier run fold "
-            "straight from disk with zero new trials (requires "
-            "--adaptive or --distribute; backend-portable, since all "
-            "backends tally byte-identically)"
+            "straight from disk with zero new trials, fixed-budget or "
+            "--adaptive, in process, with --jobs or --distribute "
+            "(table4, ablations; backend-portable, since all backends "
+            "tally byte-identically)"
         ),
     )
     from repro.scenarios import scenario_names
@@ -269,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--progress", action="store_true",
         help=(
-            "print heartbeat lines to stderr (per-design-point chunks "
-            "done / trials folded / elapsed from the coordinator, or "
-            "overall chunk progress for single-host runs); stdout "
-            "reports are unchanged"
+            "print progress to stderr, the same lines on every path "
+            "(in process, --jobs, --distribute): computed chunks done "
+            "/ total and elapsed time, at most once a second, plus "
+            "each --adaptive round's per-point trial allocation "
+            "(table4, ablations); stdout reports are unchanged"
         ),
     )
     parser.add_argument(
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="(worker) coordinator address to pull chunk tasks from",
     )
     parser.add_argument(
-        "--run", default=None, choices=DISTRIBUTED_EXPERIMENTS,
+        "--run", default=None, choices=MSED_EXPERIMENTS,
         help="(coordinator) which experiment to serve",
     )
     parser.add_argument(
@@ -339,24 +339,31 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
             kw["seed"] = args.seed
         if args.chunk_size is not None:
             kw["chunk_size"] = args.chunk_size
-        if name in DISTRIBUTED_EXPERIMENTS:
-            if args.distribute is not None:
-                kw["distribute"] = args.distribute
-                if args.checkpoint_dir is not None:
-                    # An 'all' sweep journals each experiment in its own
-                    # subdirectory so the journals can never collide.
-                    kw["checkpoint_dir"] = (
-                        os.path.join(args.checkpoint_dir, name)
-                        if args.experiment == "all"
-                        else args.checkpoint_dir
-                    )
-                    if args.resume:
-                        kw["resume"] = True
-            if args.progress:
-                kw["progress"] = True
-        if args.scenario is not None and name in SCENARIO_EXPERIMENTS:
+        if name not in MSED_EXPERIMENTS:
+            return kw
+        if args.distribute is not None:
+            kw["distribute"] = args.distribute
+            if args.checkpoint_dir is not None:
+                # An 'all' sweep journals each experiment in its own
+                # subdirectory so the journals can never collide.
+                kw["checkpoint_dir"] = (
+                    os.path.join(args.checkpoint_dir, name)
+                    if args.experiment == "all"
+                    else args.checkpoint_dir
+                )
+                if args.resume:
+                    kw["resume"] = True
+        if args.progress:
+            kw["progress"] = True
+        if args.cache_dir is not None:
+            # One shared directory is safe (and useful) across
+            # experiments: cells are keyed by (stream key, spec
+            # fingerprint), so different experiments can never collide
+            # but identical design points are shared.
+            kw["cache_dir"] = args.cache_dir
+        if args.scenario is not None:
             kw["scenario"] = args.scenario
-        if args.telemetry_dir is not None and name in TELEMETRY_EXPERIMENTS:
+        if args.telemetry_dir is not None:
             # Like --checkpoint-dir: an 'all' sweep gives each
             # experiment its own run directory so two event logs can
             # never interleave.
@@ -365,7 +372,7 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
                 if args.experiment == "all"
                 else args.telemetry_dir
             )
-        if args.adaptive and name in ADAPTIVE_EXPERIMENTS:
+        if args.adaptive:
             kw["adaptive"] = True
             if args.ci_target is not None:
                 kw["ci_target"] = args.ci_target
@@ -378,15 +385,6 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
                 kw["max_trials"] = kw["trials"]
             if args.trial_budget is not None:
                 kw["trial_budget"] = args.trial_budget
-        if args.cache_dir is not None and (
-            (args.adaptive and name in ADAPTIVE_EXPERIMENTS)
-            or (args.distribute is not None and name in DISTRIBUTED_EXPERIMENTS)
-        ):
-            # One shared directory is safe (and useful) across
-            # experiments: cells are keyed by (stream key, spec
-            # fingerprint), so different experiments can never collide
-            # but identical design points are shared.
-            kw["cache_dir"] = args.cache_dir
         return kw
 
     trace = {"mem_ops": mem_ops}
@@ -465,16 +463,16 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.distribute is not None and args.experiment not in (
-        DISTRIBUTED_EXPERIMENTS + ("all",)
-    ):
-        print(
-            f"error: --distribute applies to "
-            f"{', '.join(DISTRIBUTED_EXPERIMENTS)} (or 'all'), "
-            f"not {args.experiment}",
-            file=sys.stderr,
-        )
-        return 2
+    if args.experiment not in MSED_EXPERIMENTS + ("all",):
+        for flag in MSED_ONLY_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+                print(
+                    f"error: {flag} applies to "
+                    f"{', '.join(MSED_EXPERIMENTS)} (or 'all'), "
+                    f"not {args.experiment}",
+                    file=sys.stderr,
+                )
+                return 2
     if (
         args.experiment == "all"
         and args.distribute is not None
@@ -489,19 +487,6 @@ def run(args: argparse.Namespace) -> int:
             "do not reconnect between experiments); use --distribute "
             "local:N, or run experiments individually via "
             "'repro-muse coordinator --run ...'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario is not None and args.experiment not in (
-        SCENARIO_EXPERIMENTS + ("all",)
-    ):
-        # Same flag-dropping class as --progress/--adaptive: a scenario
-        # on an experiment without a Monte-Carlo corruption stream
-        # would silently run the default model.
-        print(
-            f"error: --scenario applies to "
-            f"{', '.join(SCENARIO_EXPERIMENTS)} (or 'all'), "
-            f"not {args.experiment}",
             file=sys.stderr,
         )
         return 2
@@ -523,18 +508,6 @@ def run(args: argparse.Namespace) -> int:
         # worker subprocess the loopback fleet spawns.  Set only after
         # the guards pass so a refused invocation leaves no trace.
         os.environ[CHAOS_ENV] = args.chaos
-    if args.progress and args.experiment not in (
-        DISTRIBUTED_EXPERIMENTS + ("all",)
-    ):
-        # Same flag-dropping class as the extension --trials regression:
-        # refuse rather than silently showing no heartbeat.
-        print(
-            f"error: --progress applies to "
-            f"{', '.join(DISTRIBUTED_EXPERIMENTS)} (or 'all'), "
-            f"not {args.experiment}",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint_dir is not None and args.distribute is None:
         print(
             "error: --checkpoint-dir requires --distribute (use "
@@ -545,13 +518,6 @@ def run(args: argparse.Namespace) -> int:
     if args.resume and args.checkpoint_dir is None:
         print(
             "error: --resume requires --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    if args.adaptive and args.experiment not in ADAPTIVE_EXPERIMENTS + ("all",):
-        print(
-            f"error: --adaptive applies to {', '.join(ADAPTIVE_EXPERIMENTS)} "
-            f"(or 'all'), not {args.experiment}",
             file=sys.stderr,
         )
         return 2
@@ -585,29 +551,6 @@ def run(args: argparse.Namespace) -> int:
     if args.trial_budget is not None and args.trial_budget < 1:
         print(
             "error: --trial-budget must be at least 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cache_dir is not None and not (
-        args.adaptive or args.distribute is not None
-    ):
-        # The cache is wired through the campaign runner and the
-        # coordinator; a plain fixed-budget in-process run never
-        # consults it, so refuse rather than silently not caching.
-        print(
-            "error: --cache-dir requires --adaptive or --distribute",
-            file=sys.stderr,
-        )
-        return 2
-    if args.telemetry_dir is not None and args.experiment not in (
-        TELEMETRY_EXPERIMENTS + ("all",)
-    ):
-        # Same flag-dropping class as --progress: a telemetry dir on
-        # an uninstrumented experiment would silently record nothing.
-        print(
-            f"error: --telemetry-dir applies to "
-            f"{', '.join(TELEMETRY_EXPERIMENTS)} (or 'all', or the "
-            f"worker/coordinator subcommands), not {args.experiment}",
             file=sys.stderr,
         )
         return 2

@@ -19,7 +19,10 @@ JSON-line socket protocol and folds the returned tallies exactly once:
 * :mod:`~repro.distribute.worker` / :mod:`~repro.distribute.local` —
   the ``repro-muse worker --connect`` pull loop and the loopback
   ``--distribute local:N`` subprocess fleet;
-* :mod:`~repro.distribute.progress` — the ``--progress`` heartbeats;
+* :mod:`~repro.distribute.cache` — the cross-run result cache behind
+  ``--cache-dir``, consulted by :func:`repro.orchestrate.pool.run_grid`
+  on every path;
+* :mod:`~repro.distribute.progress` — the one ``--progress`` printer;
 * :mod:`~repro.distribute.chaos` — deterministic fault injection
   (``--chaos SPEC`` / ``REPRO_CHAOS``): seeded connection resets, torn
   frames, worker crashes, straggler hangs, duplicated results, and
@@ -51,9 +54,6 @@ from repro.distribute.checkpoint import (
     CheckpointJournal,
     SalvageReport,
 )
-
-# cache must import before coordinator: both sit on checkpoint, and the
-# cache is what the coordinator's ``cache=`` parameter duck-types.
 from repro.distribute.cache import ResultCache
 from repro.distribute.coordinator import (
     INTERRUPT_ENV,
@@ -63,7 +63,7 @@ from repro.distribute.coordinator import (
     DistributedSession,
 )
 from repro.distribute.local import spawn_local_workers
-from repro.distribute.progress import ChunkProgress, Heartbeat
+from repro.distribute.progress import ChunkProgress
 from repro.distribute.queue import ChunkQueue
 from repro.distribute.wire import (
     PROTOCOL_VERSION,
@@ -84,7 +84,6 @@ __all__ = [
     "DistributedInterrupted",
     "DistributedSession",
     "FaultPlan",
-    "Heartbeat",
     "INTERRUPT_ENV",
     "JOURNAL_NAME",
     "PARTIAL_RESULTS_NAME",
@@ -139,41 +138,26 @@ def session_from_spec(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     backend: str | None = None,
-    progress: bool = False,
-    lease_timeout: float = 60.0,
-    interrupt_after: int | None = None,
-    chaos: str | None = None,
-    cache_dir: str | None = None,
 ) -> DistributedSession:
     """Build (but do not open) the session a ``--distribute`` run uses.
 
-    ``chaos`` (defaulting to ``$REPRO_CHAOS``) arms deterministic fault
-    injection on the coordinator *and* the spawned loopback workers.
-    ``cache_dir`` attaches the cross-run :class:`ResultCache`: completed
-    cells fold from disk with zero new trials.
+    Fault injection (``$REPRO_CHAOS``) and the forced-interrupt hook
+    (``$REPRO_DISTRIBUTE_INTERRUPT_AFTER``) arm themselves from the
+    environment in :class:`DistributedSession`; chaos reaches the
+    spawned loopback workers too.
     """
     kwargs = parse_distribute(spec)
     checkpoint = None
     if checkpoint_dir is not None:
         # The append-only journal persists each fold in O(1) (fsync'd
-        # line append), so no rate limiting is needed: a hard kill can
-        # tear at most the final in-flight record, which the CRC
-        # salvage discards on --resume.
+        # line append): a hard kill can tear at most the final
+        # in-flight record, which the CRC salvage discards on --resume.
         checkpoint = CheckpointJournal.open(
             checkpoint_dir,
             key=derive_key(seed),
             resume=resume,
         )
-    return DistributedSession(
-        backend=backend,
-        checkpoint=checkpoint,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
-        lease_timeout=lease_timeout,
-        heartbeat=Heartbeat() if progress else None,
-        interrupt_after=interrupt_after,
-        chaos=chaos,
-        **kwargs,
-    )
+    return DistributedSession(backend=backend, checkpoint=checkpoint, **kwargs)
 
 
 @contextlib.contextmanager
@@ -185,29 +169,27 @@ def execution_context(
     resume: bool = False,
     backend: str | None = None,
     progress: bool = False,
-    lease_timeout: float = 60.0,
-    chaos: str | None = None,
-    cache_dir: str | None = None,
 ) -> Iterator[tuple]:
     """The one experiment-side entry point: ``(executor, progress_cb)``.
 
-    With ``distribute`` set, yields an open :class:`DistributedSession`
-    (heartbeats cover progress, so the callback is ``None``); without
-    it, yields no executor and — when ``progress`` is on — the
-    single-host :class:`ChunkProgress` printer.  Checkpoints belong to
-    the coordinator, so ``checkpoint_dir`` without ``distribute``
-    refuses loudly instead of silently not journaling.  ``cache_dir``
-    rides with the session here; in-process runs attach their cache in
-    the campaign runner instead (see
-    :func:`repro.reliability.monte_carlo.run_design_points_adaptive`).
+    With ``distribute`` set, the executor is an open
+    :class:`DistributedSession`; without it, ``None`` (in process or a
+    ``--jobs`` pool).  Either way ``progress_cb`` is the one
+    :class:`ChunkProgress` printer when ``progress`` is on, else
+    ``None``: :func:`repro.orchestrate.pool.run_grid` calls it once per
+    computed chunk on every path, and the adaptive campaign prints its
+    allocation rounds through it.  Checkpoints belong to the
+    coordinator, so ``checkpoint_dir`` without ``distribute`` refuses
+    loudly instead of silently not journaling.
     """
+    printer = ChunkProgress() if progress else None
     if distribute is None:
         if checkpoint_dir is not None:
             raise ValueError(
                 "--checkpoint-dir requires --distribute (use "
                 "'--distribute local:1' for a single-host resumable run)"
             )
-        yield None, (ChunkProgress() if progress else None)
+        yield None, printer
         return
     session = session_from_spec(
         distribute,
@@ -215,10 +197,6 @@ def execution_context(
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         backend=backend,
-        progress=progress,
-        lease_timeout=lease_timeout,
-        chaos=chaos,
-        cache_dir=cache_dir,
     )
     with session:
-        yield session, None
+        yield session, printer

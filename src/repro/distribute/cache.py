@@ -19,8 +19,10 @@ directory.  The line format is shared with the checkpoint journal
 torn-tail-tolerant load applies: a damaged suffix is simply ignored
 and those chunks recompute.  Appends batch in memory and land via one
 fsync'd :func:`~repro.orchestrate.persist.durable_append` per
-:meth:`flush` — the campaign runner and the distributed coordinator
-both flush at round barriers and at close.
+:meth:`flush`.  The one caller is :func:`repro.orchestrate.pool.run_grid`:
+it looks every cell up before running a grid, records each chunk it
+runs, and flushes when the grid ends — in process, over a pool or on
+a distributed session alike.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ class ResultCache:
     """Chunk tallies shared across runs, keyed by ``(key, fingerprint)``.
 
     The cache owns fingerprinting (callers hand it raw specs), so the
-    scheduler can stay free of any ``repro.distribute`` import and two
-    runs that differ only in backend share cells.  Counters make the
-    zero-recompute guarantee checkable: a re-run of a completed cell
-    must finish with ``trials_recorded == 0``.
+    grid fold and the scheduler stay free of any ``repro.distribute``
+    import and two runs that differ only in backend share cells.
+    Counters make the zero-recompute guarantee checkable: a re-run of
+    a completed cell must finish with ``trials_recorded == 0``.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -166,14 +168,3 @@ class ResultCache:
             durable_append(self._path(digest), b"".join(lines))
             self._headered.add(digest)
         self._pending.clear()
-
-    def close(self) -> None:
-        self.flush()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "trials_served": self.trials_served,
-            "trials_recorded": self.trials_recorded,
-        }

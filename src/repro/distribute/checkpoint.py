@@ -34,7 +34,6 @@ import dataclasses
 import functools
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -116,14 +115,10 @@ class CheckpointJournal:
     """All completed chunks of one run, persisted as CRC'd JSON lines.
 
     In memory: ``(group key, start, size) -> MsedTally``.  On disk: a
-    header line plus one appended line per record.  By default every
-    :meth:`record` / :meth:`record_many` call persists immediately, in
-    one append (appends are O(1));
-    ``save_every`` / ``min_save_interval`` batch appends for callers
-    that want to trade a few re-computable chunks for fewer fsyncs —
-    the coordinator flushes pending entries at every batch barrier, on
-    interrupt, and at session close, so a hard kill loses at most the
-    batched tail of *re-computable* chunks, never correctness.
+    header line plus one appended line per record.  Every
+    :meth:`record` / :meth:`record_many` call persists its records
+    before returning, in one fsync'd append (appends are O(1)), so a
+    hard kill loses at most the torn tail of the append in flight.
 
     ``chaos`` (a :class:`repro.distribute.chaos.FaultPlan`) injects the
     ``journal`` fault class: a scheduled append writes a torn line and
@@ -135,21 +130,15 @@ class CheckpointJournal:
         self,
         path: str | Path,
         key: int,
-        save_every: int = 1,
-        min_save_interval: float = 0.0,
         chaos: Any | None = None,
     ):
         self.path = Path(path)
         self.key = key
-        self.save_every = max(1, save_every)
-        self.min_save_interval = min_save_interval
         self.chaos = chaos
         self.salvage: SalvageReport | None = None
-        self._last_save = -float("inf")
         self._entries: dict[tuple[str, int, int], MsedTally] = {}
         self._fingerprints: dict[str, str] = {}
         self._pending: list[dict] = []
-        self._unsaved = 0
         self._header_written = False
         self._torn = False  # a chaos journal fault fired: play dead
 
@@ -161,8 +150,6 @@ class CheckpointJournal:
         directory: str | Path,
         key: int,
         resume: bool = False,
-        save_every: int = 1,
-        min_save_interval: float = 0.0,
         chaos: Any | None = None,
     ) -> "CheckpointJournal":
         """Start (or resume) the journal under ``directory``.
@@ -176,13 +163,7 @@ class CheckpointJournal:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        journal = cls(
-            directory / JOURNAL_NAME,
-            key,
-            save_every=save_every,
-            min_save_interval=min_save_interval,
-            chaos=chaos,
-        )
+        journal = cls(directory / JOURNAL_NAME, key, chaos=chaos)
         if journal.path.exists():
             if not resume:
                 raise FileExistsError(
@@ -356,14 +337,14 @@ class CheckpointJournal:
     def record(
         self, group: Any, chunk: Chunk, tally: MsedTally, fingerprint: str
     ) -> None:
-        """Journal one completed chunk and (by default) persist now."""
+        """Journal one completed chunk and persist it now."""
         self.record_many([(group, chunk, tally, fingerprint)])
 
     def record_many(
         self, records: list[tuple[Any, Chunk, MsedTally, str]]
     ) -> None:
-        """Journal ``(group, chunk, tally, fingerprint)`` records and (by
-        default) persist them all in one fsync'd append."""
+        """Journal ``(group, chunk, tally, fingerprint)`` records and
+        persist them all in one fsync'd append."""
         for group, chunk, tally, fingerprint in records:
             group_key = _group_key(group)
             self._check_fingerprint(group_key, fingerprint)
@@ -374,16 +355,11 @@ class CheckpointJournal:
             self._pending.append(
                 self._record_dict(group_key, chunk.start, chunk.size, tally)
             )
-            self._unsaved += 1
-        if (
-            self._unsaved >= self.save_every
-            and time.monotonic() - self._last_save >= self.min_save_interval
-        ):
-            self.save()
+        self.flush()
 
     def flush(self) -> None:
-        """Persist any entries the rate limit is still holding back."""
-        if self._unsaved:
+        """Persist any records still pending (one fsync'd append)."""
+        if self._pending:
             self.save()
 
     def save(self) -> None:
@@ -392,7 +368,6 @@ class CheckpointJournal:
             # A chaos journal fault already "crashed" the journal: the
             # run continues, but disk state stays frozen at the tear.
             self._pending.clear()
-            self._unsaved = 0
             return
         payload = b""
         if not self._header_written and not self.path.exists():
@@ -409,5 +384,3 @@ class CheckpointJournal:
         durable_append(self.path, payload)
         self._header_written = True
         self._pending.clear()
-        self._unsaved = 0
-        self._last_save = time.monotonic()

@@ -27,6 +27,17 @@ One :class:`DistributedSession` owns the whole distributed run:
   process evaluates the stopping policy between batches and decides
   continue/stop per look.
 
+The session is a transport only.  The cross-run result cache and the
+``--progress`` printer live one layer up, in
+:func:`repro.orchestrate.pool.run_grid`, which serves cache hits
+before a batch reaches :meth:`run_tasks` and receives every fold
+through the same ``progress`` and ``on_chunk`` hooks that
+:func:`~repro.orchestrate.pool.run_sharded` fires — so in-process,
+pool and fleet runs cache and report alike.  Fleet faults (expired
+leases, rejoins, departures, garbage frames) always log one
+``[fleet]``/``[protocol]`` line through
+:func:`~repro.telemetry.log.log_line`.
+
 Workers survive across batches: between rounds they poll and are told
 to idle, so an adaptive run pays connection setup once.
 """
@@ -35,16 +46,14 @@ from __future__ import annotations
 
 import os
 import socketserver
-import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import telemetry
 from repro.distribute.chaos import FaultPlan, resolve_chaos, spec_string
 from repro.distribute.checkpoint import CheckpointJournal, spec_fingerprint
-from repro.distribute.progress import Heartbeat
 from repro.distribute.queue import ChunkQueue
 from repro.distribute.wire import (
     PROTOCOL_VERSION,
@@ -78,9 +87,10 @@ class DistributedInterrupted(RuntimeError):
 
 class DistributedDegraded(RuntimeError):
     """The run could not finish — poison chunk, total fleet loss — but
-    everything already folded was preserved: the checkpoint journal is
-    flushed and a partial-results report is written next to it, so a
-    later ``--resume`` finishes the run instead of restarting it.
+    everything already folded was preserved: the checkpoint journal
+    holds every folded chunk and a partial-results report is written
+    next to it, so a later ``--resume`` finishes the run instead of
+    restarting it.
     Surfaced by the CLI as exit code 4 (vs 3 for a plain interrupt)."""
 
     def __init__(self, message: str, report_path: Path | None = None):
@@ -171,9 +181,7 @@ class DistributedSession:
         local_workers: int = 0,
         backend: str | None = None,
         checkpoint: CheckpointJournal | None = None,
-        cache: Any | None = None,
         lease_timeout: float = 60.0,
-        heartbeat: Heartbeat | None = None,
         interrupt_after: int | None = None,
         poll_interval: float = 0.02,
         chaos: "str | None" = None,
@@ -183,12 +191,7 @@ class DistributedSession:
         self.local_workers = local_workers
         self.backend = backend
         self.checkpoint = checkpoint
-        #: Cross-run result cache (:class:`repro.distribute.cache.ResultCache`):
-        #: consulted after the checkpoint journal, fed by every computed
-        #: fold, flushed at barriers and close.
-        self.cache = cache
         self.lease_timeout = lease_timeout
-        self.heartbeat = heartbeat
         if interrupt_after is None and os.environ.get(INTERRUPT_ENV):
             interrupt_after = int(os.environ[INTERRUPT_ENV])
         self.interrupt_after = interrupt_after
@@ -212,7 +215,6 @@ class DistributedSession:
         self._error: str | None = None
         self._interrupted = False
         self._folds = 0
-        self._group_trials: dict[Any, int] = {}
         self._workers: set[str] = set()
         self._closed = False
         self._server: _WorkerServer | None = None
@@ -277,10 +279,6 @@ class DistributedSession:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-        if self.checkpoint is not None:
-            self.checkpoint.flush()
-        if self.cache is not None:
-            self.cache.flush()
 
     def __enter__(self) -> "DistributedSession":
         return self.open()
@@ -294,62 +292,42 @@ class DistributedSession:
         self,
         tasks: Iterable[Any],
         progress: ProgressCallback | None = None,
+        on_chunk: Callable[[Any, Any, MsedTally], None] | None = None,
     ) -> dict[Any, MsedTally]:
         """Run one batch of chunk tasks to completion; the round barrier.
 
         Returns ``{group: folded tally}`` exactly like
         :func:`repro.orchestrate.pool.run_sharded` — checkpointed chunks
-        fold from the journal, the rest fold as workers return them;
-        ``progress(done, total)`` fires as each chunk folds.
+        fold from the journal, the rest fold as workers return them.
+        As each chunk folds, ``on_chunk(group, chunk, tally)`` fires
+        before the merge and ``progress(done, total)`` after it, both
+        under the session lock.
         """
         task_list = list(tasks)
         with self._lock:
             if self._server is None or self._closed:
                 raise RuntimeError("session is not open")
             results: dict[Any, MsedTally] = {}
-            per_group: dict[Any, list[int]] = {}  # group -> [done, total]
-            for task in task_list:
-                per_group.setdefault(task.group, [0, 0])[1] += 1
             self._batch = {
                 "results": results,
-                "per_group": per_group,
                 "total": len(task_list),
                 "done": 0,
                 "progress": progress,
+                "on_chunk": on_chunk,
             }
             self._batch_event.clear()
-            replayed = []
-            from_cache = []
             for task in task_list:
-                cached = (
+                held = (
                     self.checkpoint.lookup(
                         task.group, task.chunk, spec_fingerprint(task.spec)
                     )
                     if self.checkpoint is not None
                     else None
                 )
-                if cached is None and self.cache is not None:
-                    # The cross-run cache answers what this run's
-                    # journal cannot; a hit still lands in the journal
-                    # so the run's own record stays complete.
-                    cached = self.cache.lookup(task.key, task.spec, task.chunk)
-                    if cached is not None:
-                        from_cache.append(
-                            (
-                                task.group,
-                                task.chunk,
-                                cached,
-                                spec_fingerprint(task.spec),
-                            )
-                        )
-                if cached is not None:
-                    replayed.append((task, cached))
-                else:
+                if held is None:
                     self._queue.add_task(task)
-            if from_cache and self.checkpoint is not None:
-                self.checkpoint.record_many(from_cache)
-            for task, cached in replayed:
-                self._fold_locked(task, cached, computed=False)
+                else:
+                    self._fold_locked(task, held, computed=False)
             finished = self._batch["done"] >= self._batch["total"]
         while not finished:
             self._batch_event.wait(timeout=0.1)
@@ -364,11 +342,7 @@ class DistributedSession:
                 if stolen:
                     telemetry.counter("lease.expired", stolen)
                     telemetry.event("lease.expired", requeued=stolen)
-                    if self.heartbeat is not None:
-                        log_line(
-                            f"[progress] re-queued {stolen} expired lease(s)",
-                            stream=self.heartbeat.stream,
-                        )
+                    log_line(f"[fleet] re-queued {stolen} expired lease(s)")
                 if (
                     self.worker_processes
                     and not self._workers
@@ -387,12 +361,6 @@ class DistributedSession:
                 finished = self._batch["done"] >= self._batch["total"]
         with self._lock:
             self._batch = None
-            if self.checkpoint is not None:
-                # The batch barrier is a durability point: anything the
-                # journal's rate limit held back lands now.
-                self.checkpoint.flush()
-            if self.cache is not None:
-                self.cache.flush()
         return results
 
     # -- message handling (worker threads) ------------------------------
@@ -509,12 +477,10 @@ class DistributedSession:
             )
             if rejoin:
                 self.rejoins += 1
-                if self.heartbeat is not None:
-                    log_line(
-                        f"[progress] worker {worker} rejoined "
-                        f"(rejoin #{self.rejoins})",
-                        stream=self.heartbeat.stream,
-                    )
+                log_line(
+                    f"[fleet] worker {worker} rejoined "
+                    f"(rejoin #{self.rejoins})"
+                )
 
     def _worker_gone(self, worker: str) -> None:
         with self._lock:
@@ -524,12 +490,10 @@ class DistributedSession:
             telemetry.event("worker.leave", worker=worker, requeued=stolen)
             if stolen:
                 telemetry.counter("leases.stolen", stolen)
-                if self.heartbeat is not None:
-                    log_line(
-                        f"[progress] worker {worker} left; re-queued {stolen} "
-                        f"lease(s)",
-                        stream=self.heartbeat.stream,
-                    )
+                log_line(
+                    f"[fleet] worker {worker} left; re-queued {stolen} "
+                    f"lease(s)"
+                )
 
     def _protocol_error(self, worker: str, exc: Exception) -> None:
         """A torn/garbage frame: count it, log it, and let the caller
@@ -538,15 +502,9 @@ class DistributedSession:
             self.protocol_errors += 1
             telemetry.counter("protocol.errors")
             telemetry.event("protocol.error", worker=worker, error=repr(exc))
-            stream = (
-                self.heartbeat.stream
-                if self.heartbeat is not None
-                else sys.stderr
-            )
             log_line(
                 f"[protocol] dropping worker {worker} after unparseable "
-                f"frame: {exc!r}",
-                stream=stream,
+                f"frame: {exc!r}"
             )
 
     # -- fold (lock held) ------------------------------------------------
@@ -561,11 +519,13 @@ class DistributedSession:
     ) -> bool:
         """Fold one chunk into the open batch; ``False`` if no batch is
         open (a late result after a degraded barrier).  A ``computed``
-        chunk (not a journal or cache replay) also counts, reports its
-        span and feeds the result cache; the caller journals it."""
+        chunk (not a journal replay) also counts and reports its span;
+        the caller journals it."""
         batch = self._batch
         if batch is None:  # pragma: no cover - late result after barrier
             return False
+        if batch["on_chunk"] is not None:
+            batch["on_chunk"](task.group, task.chunk, tally)
         held = batch["results"].get(task.group)
         if held is None:
             batch["results"][task.group] = MsedTally().merge(tally)
@@ -595,25 +555,9 @@ class DistributedSession:
                         "trials": tally.trials,
                     },
                 )
-            if self.cache is not None:
-                self.cache.record(task.key, task.spec, task.chunk, tally)
         else:
             telemetry.counter("chunks.replayed", group=str(task.group))
         batch["done"] += 1
-        stats = batch["per_group"][task.group]
-        stats[0] += 1
-        self._group_trials[task.group] = (
-            self._group_trials.get(task.group, 0) + tally.trials
-        )
-        if self.heartbeat is not None:
-            self.heartbeat.tick(
-                task.group,
-                stats[0],
-                stats[1],
-                self._group_trials[task.group],
-                batch["done"],
-                batch["total"],
-            )
         if batch["progress"] is not None:
             batch["progress"](batch["done"], batch["total"])
         if batch["done"] >= batch["total"]:
@@ -626,8 +570,8 @@ class DistributedSession:
         return True
 
     def _degrade_locked(self, message: str) -> DistributedDegraded:
-        """Build the graceful-degradation exit (lock held): flush the
-        journal, write the durable partial-results report, and return
+        """Build the graceful-degradation exit (lock held): write the
+        durable partial-results report next to the journal, and return
         the exception for the caller to raise.  Everything folded so
         far survives; ``--resume`` finishes the run later."""
         telemetry.event(
@@ -639,7 +583,6 @@ class DistributedSession:
         )
         report_path = None
         if self.checkpoint is not None:
-            self.checkpoint.flush()
             batch = self._batch or {}
             report_path = self.checkpoint.path.parent / PARTIAL_RESULTS_NAME
             atomic_write_json(
@@ -678,8 +621,6 @@ class DistributedSession:
             and self._folds >= self.interrupt_after
         ):
             self._interrupted = True
-            if self.checkpoint is not None:
-                self.checkpoint.flush()
             raise DistributedInterrupted(
                 f"forced interrupt after {self._folds} folded chunks"
                 + (

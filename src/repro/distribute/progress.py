@@ -1,20 +1,20 @@
-"""Progress heartbeats: what ``--progress`` prints.
+"""The ``--progress`` printer.
 
-Two printers, both writing to stderr so they never contaminate the
-report on stdout (the regression the CLI tests pin: default output is
-byte-identical with the flag off, and stdout is unchanged even with it
-on):
+One printer, :class:`ChunkProgress`, serves every path — in process,
+``--jobs N`` pools and ``--distribute`` fleets — because every chunk
+grid runs through :func:`repro.orchestrate.pool.run_grid`, which calls
+it as a plain :data:`~repro.orchestrate.pool.ProgressCallback`.  It
+writes to stderr so it never contaminates the report on stdout (the
+regression the CLI tests pin: default output is byte-identical with
+the flag off, and stdout is unchanged even with it on):
 
-* :class:`ChunkProgress` — a plain
-  :data:`~repro.orchestrate.pool.ProgressCallback` for in-process and
-  process-pool runs: overall ``chunks done/total`` plus elapsed time;
-* :class:`Heartbeat` — the coordinator's per-design-point line: chunks
-  folded / trials folded / elapsed, emitted as results arrive from
-  workers.
-
-Both throttle to ``min_interval`` seconds between lines (0 in tests for
-determinism) but always emit the final line, so even a sub-second run
-shows exactly one heartbeat.
+* ``[progress] chunks done/total elapsed``, once per computed chunk,
+  throttled to ``min_interval`` seconds between lines (0 in tests for
+  determinism) but always printing a grid's final line, so even a
+  sub-second run shows exactly one;
+* ``[campaign]`` allocation lines, one block per adaptive campaign
+  round (:meth:`ChunkProgress.allocation`, which the campaign runner
+  finds on its ``progress`` callback).
 
 Lines go through :func:`repro.telemetry.log.log_line`, so the whole
 progress surface obeys the ``REPRO_LOG`` gate (``silent`` mutes it,
@@ -38,7 +38,7 @@ from repro.telemetry.log import log_line
 
 
 class ChunkProgress:
-    """``progress(done, total)`` printer for single-host runs."""
+    """``progress(done, total)`` printer plus campaign allocations."""
 
     def __init__(
         self, stream: TextIO | None = None, min_interval: float = 1.0
@@ -56,41 +56,6 @@ class ChunkProgress:
         elapsed = now - self._started
         log_line(
             f"[progress] chunks {done}/{total} elapsed {elapsed:.1f}s",
-            stream=self.stream,
-        )
-
-
-class Heartbeat:
-    """Per-design-point fold heartbeat, printed from the coordinator."""
-
-    def __init__(
-        self, stream: TextIO | None = None, min_interval: float = 1.0
-    ):
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
-        self._started = time.perf_counter()
-        self._last = -float("inf")
-
-    def tick(
-        self,
-        group: Any,
-        chunks_done: int,
-        chunks_total: int,
-        trials_folded: int,
-        batch_done: int,
-        batch_total: int,
-    ) -> None:
-        """One folded chunk: per-point and whole-batch standing."""
-        now = time.perf_counter()
-        final = batch_done >= batch_total
-        if not final and now - self._last < self.min_interval:
-            return
-        self._last = now
-        elapsed = now - self._started
-        log_line(
-            f"[progress] point {group}: chunks {chunks_done}/{chunks_total} "
-            f"trials {trials_folded} | batch {batch_done}/{batch_total} "
-            f"elapsed {elapsed:.1f}s",
             stream=self.stream,
         )
 

@@ -267,21 +267,19 @@ def main(
         resume=resume,
         backend=backend,
         progress=progress,
-        cache_dir=cache_dir,
     ) as (executor, progress_cb):
-        local_cache = cache_dir if executor is None else None
         report = render(
             frontier(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=local_cache, scenario=scenario,
+                cache_dir=cache_dir, scenario=scenario,
             ),
             k_sweep(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=local_cache, scenario=scenario,
+                cache_dir=cache_dir, scenario=scenario,
             ),
         )
     if scenario != "msed":

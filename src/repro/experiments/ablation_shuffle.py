@@ -220,7 +220,6 @@ def main(
         resume=resume,
         backend=backend,
         progress=progress,
-        cache_dir=cache_dir,
     ) as (executor, progress_cb):
         rows = msed_sweep(
             DEFAULT_TRIALS if trials is None else trials,
@@ -234,7 +233,7 @@ def main(
             executor=executor,
             progress_cb=progress_cb,
             trial_budget=trial_budget,
-            cache_dir=cache_dir if executor is None else None,
+            cache_dir=cache_dir,
             scenario=scenario,
         )
     report = "\n\n".join([render(sweep()), render_msed(rows)])

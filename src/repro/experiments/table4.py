@@ -157,9 +157,10 @@ def build(
     ``distribute`` fans the chunk grid over a coordinator/worker
     session (``local:N`` or ``listen:PORT``); ``checkpoint_dir`` /
     ``resume`` journal and replay completed chunks; ``progress`` prints
-    heartbeats to stderr.  ``trial_budget`` caps the adaptive
-    campaign's total spend; ``cache_dir`` folds already-computed cells
-    straight from the cross-run result cache.  ``telemetry_dir``
+    chunk progress and campaign allocations to stderr.
+    ``trial_budget`` caps the adaptive campaign's total spend;
+    ``cache_dir`` folds already-computed cells straight from the
+    cross-run result cache, on every path.  ``telemetry_dir``
     records the run's event log, metrics and manifest there.  None of
     them changes the tallies of the trials that do run.  ``scenario``
     swaps the injected corruption stream for any registered fault
@@ -191,7 +192,6 @@ def build(
             resume=resume,
             backend=backend,
             progress=progress,
-            cache_dir=cache_dir,
         ) as (executor, progress_cb):
             table = build_table_iv(
                 trials=DEFAULT_TRIALS if trials is None else trials,
@@ -204,7 +204,7 @@ def build(
                 adaptive=policy,
                 executor=executor,
                 trial_budget=trial_budget,
-                cache_dir=cache_dir if executor is None else None,
+                cache_dir=cache_dir,
                 scenario=scenario,
             )
         if tel is not None:

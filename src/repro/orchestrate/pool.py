@@ -4,9 +4,11 @@
 of ``(point index, chunk)`` cells runs — on the caller's own runners
 in process, across a :class:`ProcessPoolExecutor`, or through a
 distributed executor's ``run_tasks`` — and folds each point's chunk
-tallies; fixed-budget runs, campaign rounds and the splitting
-estimator all call it.  :func:`run_sharded` folds any list of
-:class:`ChunkTask` by group, serially or over a pool.
+tallies, serving and filling the optional result cache and calling the
+progress printer the same way on all three; fixed-budget runs,
+campaign rounds and the splitting estimator all call it.
+:func:`run_sharded` folds any list of :class:`ChunkTask` by group,
+serially or over a pool.
 
 Because every tally merge is plain integer addition (associative and
 commutative) and every chunk's content is a pure function of
@@ -21,8 +23,8 @@ materialisation.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from functools import cache
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.orchestrate.plan import Chunk, guided_batches
@@ -138,50 +140,82 @@ def run_grid(
     progress: ProgressCallback | None = None,
     executor: Any | None = None,
     on_chunk: Callable[[int, Chunk, Any], None] | None = None,
+    cache: Any | None = None,
 ) -> dict[int, Any]:
     """Run every ``(point index, chunk)`` cell; ``{index: folded tally}``.
 
     ``runners[index]`` runs point ``index``'s chunks; ``groups[index]``
     labels its fold group and ``decode_chunk`` spans (bare indices by
-    default).  A point without cells is absent from the result.  Paths:
+    default).  A point without cells is absent from the result.
+
+    With a ``cache`` (:class:`repro.distribute.cache.ResultCache`, or
+    any object with its ``lookup``/``record``/``flush``), every cell it
+    holds folds from it and is not run; every cell that does run is
+    recorded into it, and the cache is flushed on the way out.  The
+    remaining cells run on one of three paths:
 
     * ``jobs <= 1``, no ``executor``: in process, cell by cell, on
-      ``runners`` themselves — no spec, so no ``code_ref``, is needed;
+      ``runners`` themselves — no spec, so no ``code_ref``, is needed
+      unless a cache must fingerprint one;
     * ``jobs > 1``: over a process pool (:func:`run_sharded`), each
       worker rebuilding the runner from ``spec_of(index)``;
     * ``executor`` (a :class:`repro.distribute.DistributedSession`):
-      its ``run_tasks``, which folds, journals and caches itself.
+      its ``run_tasks``, which leases, folds and journals.
 
     ``spec_of`` defaults to each runner's ``_task_spec()``, built once
     per call; a caller running several grids over the same runners
-    passes one memoised getter.  ``progress(done, total)`` fires once
-    per chunk on every path, ``on_chunk(index, chunk, tally)`` once per
-    chunk before its fold on the in-process and pool paths.
+    passes one memoised getter.  On every path, for each cell run (on
+    a session, also each one replayed from its checkpoint journal),
+    ``on_chunk(index, chunk, tally)`` fires once before its fold and
+    ``progress(done, total)`` once after it, counting those cells.
     """
     cells = list(cells)
     groups = list(range(len(runners))) if groups is None else groups
-    if executor is None and jobs <= 1:
-        results: dict[int, Any] = {}
-        for done, (index, chunk) in enumerate(cells, start=1):
-            tally = traced_chunk(runners[index], groups[index], chunk, key)
+    if spec_of is None:
+        spec_of = functools.cache(lambda index: runners[index]._task_spec())
+    results: dict[int, Any] = {}
+    if cache is None:
+        hook = on_chunk
+    else:
+        missing = []
+        for index, chunk in cells:
+            held = cache.lookup(key, spec_of(index), chunk)
+            if held is None:
+                missing.append((index, chunk))
+            else:
+                _fold(results, index, held)
+        cells = missing
+
+        def hook(index: int, chunk: Chunk, tally: Any) -> None:
+            cache.record(key, spec_of(index), chunk, tally)
             if on_chunk is not None:
                 on_chunk(index, chunk, tally)
-            _fold(results, index, tally)
-            if progress is not None:
-                progress(done, len(cells))
-        return results
-    if spec_of is None:
-        spec_of = cache(lambda index: runners[index]._task_spec())
-    tasks = [
-        ChunkTask(groups[index], spec_of(index), chunk, key)
-        for index, chunk in cells
-    ]
-    index_of = {group: index for index, group in enumerate(groups)}
-    if executor is not None:
-        folded = executor.run_tasks(tasks, progress)
-    else:
-        hook = None if on_chunk is None else (
-            lambda group, chunk, tally: on_chunk(index_of[group], chunk, tally)
+
+    try:
+        if executor is None and jobs <= 1:
+            for done, (index, chunk) in enumerate(cells, start=1):
+                tally = traced_chunk(runners[index], groups[index], chunk, key)
+                if hook is not None:
+                    hook(index, chunk, tally)
+                _fold(results, index, tally)
+                if progress is not None:
+                    progress(done, len(cells))
+            return results
+        tasks = [
+            ChunkTask(groups[index], spec_of(index), chunk, key)
+            for index, chunk in cells
+        ]
+        index_of = {group: index for index, group in enumerate(groups)}
+        by_group = None if hook is None else (
+            lambda group, chunk, tally: hook(index_of[group], chunk, tally)
         )
-        folded = run_sharded(tasks, jobs, progress, hook)
-    return {index_of[group]: tally for group, tally in folded.items()}
+        if executor is not None:
+            folded = executor.run_tasks(tasks, progress, by_group)
+        else:
+            folded = run_sharded(tasks, jobs, progress, by_group)
+        for group, tally in folded.items():
+            _fold(results, index_of[group], tally)
+        return results
+    finally:
+        if cache is not None:
+            cache.flush()

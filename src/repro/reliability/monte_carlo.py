@@ -318,6 +318,17 @@ def rs_design_point(extra_bits: int) -> RSCode:
 _SELF = "repro.reliability.monte_carlo"
 
 
+def _result_cache(cache_dir: str | None):
+    """The cross-run :class:`~repro.distribute.cache.ResultCache` under
+    ``cache_dir``, or None; imported lazily, so uncached runs never
+    load the distribute package."""
+    if cache_dir is None:
+        return None
+    from repro.distribute.cache import ResultCache
+
+    return ResultCache(cache_dir)
+
+
 def run_design_points(
     simulators: "list[MuseMsedSimulator | RsMsedSimulator]",
     trials: int,
@@ -327,6 +338,7 @@ def run_design_points(
     progress: ProgressCallback | None = None,
     executor=None,
     group_ns: str | None = None,
+    cache_dir: str | None = None,
 ) -> list[MsedResult]:
     """Run every simulator over the same chunk plan and master seed.
 
@@ -335,10 +347,11 @@ def run_design_points(
     ``jobs = 1``, over **one** process pool for ``jobs > 1`` (no
     per-point barriers, one worker spin-up for the whole grid), or on
     the remote workers of an ``executor``
-    (:class:`repro.distribute.DistributedSession`).  Every path folds
-    the identical chunk tallies, so results are positionally aligned
-    with ``simulators`` and independent of
-    ``jobs``/``chunk_size``/transport.
+    (:class:`repro.distribute.DistributedSession`); with ``cache_dir``
+    the chunks an earlier run computed fold from the result cache
+    instead.  Every path folds the identical chunk tallies, so results
+    are positionally aligned with ``simulators`` and independent of
+    ``jobs``/``chunk_size``/transport/cache state.
     """
     chunks = plan_chunks(trials, chunk_size)
     folded = run_grid(
@@ -349,6 +362,7 @@ def run_design_points(
         jobs=jobs,
         progress=progress,
         executor=executor,
+        cache=_result_cache(cache_dir),
     )
     return [
         folded.get(index, MsedTally()).freeze()
@@ -378,9 +392,9 @@ def run_design_points_adaptive(
     time, optionally under a campaign-wide ``trial_budget`` and backed
     by a ``cache_dir`` result cache.  Results are positionally aligned
     with ``simulators`` and, like the fixed-budget runner, independent
-    of ``jobs``/``chunk_size``/backend at a fixed seed (including each
-    point's ``trials_used``) — allocation is a pure function of the
-    folded tallies.
+    of ``jobs``/``chunk_size``/backend/transport at a fixed seed
+    (including each point's ``trials_used`` and ``trials_cached``) —
+    allocation is a pure function of the folded tallies.
     """
     if isinstance(policy, CampaignPolicy):
         campaign = policy
@@ -388,25 +402,9 @@ def run_design_points_adaptive(
         campaign = CampaignPolicy(base=policy)
     if trial_budget is not None:
         campaign = dataclasses.replace(campaign, trial_budget=trial_budget)
-    cache = None
-    if cache_dir is not None and executor is None:
-        # Distributed runs attach the cache to the session (the
-        # coordinator owns all folds there); in-process runs own it
-        # here.
-        from repro.distribute.cache import ResultCache
-
-        cache = ResultCache(cache_dir)
-    runner = CampaignRunner(
-        campaign,
-        cache=cache,
-        heartbeat=getattr(executor, "heartbeat", None),
-    )
-    outcomes = runner.run(
+    return CampaignRunner(campaign, cache=_result_cache(cache_dir)).run(
         simulators, seed, jobs, chunk_size, progress, executor, group_ns
     )
-    if cache is not None:
-        cache.flush()
-    return outcomes
 
 
 def run_design_points_with_outcomes(
@@ -427,8 +425,12 @@ def run_design_points_with_outcomes(
     Returns ``(results, outcomes)`` positionally aligned with
     ``simulators``; ``outcomes`` is all ``None`` for fixed-budget runs
     (``adaptive is None``), so callers render trial counts and
-    convergence flags from one shape.  ``trial_budget`` and
-    ``cache_dir`` only apply to adaptive (campaign) runs.
+    convergence flags from one shape.  ``trial_budget`` only applies
+    to adaptive (campaign) runs; ``cache_dir`` serves and fills the
+    result cache in both, on every transport.  ``progress`` is called
+    once per computed chunk; the ``--progress`` printer
+    (:class:`repro.distribute.progress.ChunkProgress`) also prints a
+    campaign's allocation rounds.
     """
     if adaptive is not None:
         outcomes = run_design_points_adaptive(
@@ -438,7 +440,7 @@ def run_design_points_with_outcomes(
         return [outcome.result for outcome in outcomes], list(outcomes)
     results = run_design_points(
         simulators, trials, seed, jobs, chunk_size, progress, executor,
-        group_ns,
+        group_ns, cache_dir,
     )
     return results, [None] * len(results)
 
@@ -470,9 +472,10 @@ def build_table_iv(
 
     With ``adaptive`` set, ``trials`` is ignored: the whole table runs
     as one campaign (trials flow to the points furthest from the CI
-    target each round), optionally capped by ``trial_budget`` and
-    served from the ``cache_dir`` result cache, and every
-    :class:`DesignPoint` carries its campaign outcome in ``.sampling``.
+    target each round), optionally capped by ``trial_budget``, and
+    every :class:`DesignPoint` carries its campaign outcome in
+    ``.sampling``.  Fixed or adaptive, ``cache_dir`` folds the chunks
+    an earlier run computed from the result cache and files the rest.
 
     ``scenario`` swaps the injected corruption stream for any
     registered fault scenario (:mod:`repro.scenarios`) — same grid,

@@ -34,13 +34,15 @@ so ``trials_used`` and every tally are byte-identical across
 ``(chunk_size, jobs, workers)`` and backends at a fixed seed.  Each
 round's chunks run through :func:`~repro.orchestrate.pool.run_grid`,
 in process, over a pool or on a distributed session, like a
-fixed-budget run's.  A point's rounds extend its one trial stream, so
-its tally is byte-identical to a fixed-trial run of the same length.
+fixed-budget run's — and so does its result-cache traffic.  A point's
+rounds extend its one trial stream, so its tally is byte-identical to
+a fixed-trial run of the same length.
 
 This module deliberately imports nothing from ``repro.distribute``:
-the optional result cache and progress heartbeat are duck-typed
-(``lookup``/``record`` and ``allocation`` respectively) so the
-scheduler stays importable from the bottom of the package graph.
+the optional result cache is handed to ``run_grid`` as is, and the
+allocation lines are printed by whatever ``allocation`` method the
+progress callback carries, so the scheduler stays importable from the
+bottom of the package graph.
 (:mod:`repro.telemetry` sits below ``repro.distribute`` in that graph
 — it only imports ``repro.orchestrate.persist`` — so the campaign
 events emitted here keep that property.)
@@ -299,17 +301,18 @@ def _splitting_estimator(simulator: Any) -> Any | None:
 class CampaignRunner:
     """Run a whole sweep under one :class:`CampaignPolicy`.
 
-    ``cache`` is any object with ``lookup(key, spec, chunk) ->
-    MsedTally | None`` and ``record(key, spec, chunk, tally)`` (the
-    distribute layer's ``ResultCache``); ``heartbeat`` is any object
-    with ``allocation(round_no, entries)`` (the distribute layer's
-    ``Heartbeat``).  Both are optional and duck-typed so this module
-    never imports ``repro.distribute``.
+    Every round is one :func:`~repro.orchestrate.pool.run_grid` call,
+    which serves and fills ``cache`` (the distribute layer's
+    ``ResultCache``, optional) on every path; a point's
+    ``trials_cached`` are the allocated trials that grid did not run.
+    ``progress(done, total)`` counts the campaign's computed chunks
+    across rounds, and a ``progress`` with an ``allocation(round_no,
+    entries)`` method (the distribute layer's ``ChunkProgress``) also
+    prints each round's allocation.
     """
 
     policy: CampaignPolicy = field(default_factory=CampaignPolicy)
     cache: Any | None = None
-    heartbeat: Any | None = None
 
     def run(
         self,
@@ -331,16 +334,18 @@ class CampaignRunner:
         rounds = [0] * count
         converged = [False] * count
         escalated = [False] * count
-        cached_trials = [0] * count
         budget_left = self.policy.trial_budget
+        allocation = getattr(progress, "allocation", None)
 
         # One spec per point, built on first use (cache fingerprints,
         # or chunks leaving this process) and kept across rounds: each
         # _task_spec() rebuilds its code for the consistency check.
         spec_of = cache(lambda i: simulators[i]._task_spec())
-        record = None if self.cache is None else (
-            lambda i, chunk, tally: self.cache.record(key, spec_of(i), chunk, tally)
-        )
+        # Trials each point computed rather than took from the cache.
+        computed = [0] * count
+
+        def count_computed(i: int, chunk: Any, tally: MsedTally) -> None:
+            computed[i] += tally.trials
 
         done_chunks = 0
         round_no = 0
@@ -377,57 +382,52 @@ class CampaignRunner:
                     for alloc in allocations
                 ],
             )
-            if self.heartbeat is not None:
-                beat = getattr(self.heartbeat, "allocation", None)
-                if beat is not None:
-                    beat(
-                        round_no,
-                        [
-                            (
-                                groups[alloc.index],
-                                alloc.trials,
-                                trials[alloc.index] + alloc.trials,
-                                alloc.half_width,
-                                alloc.priority,
-                            )
-                            for alloc in allocations
-                        ],
-                    )
+            if allocation is not None:
+                allocation(
+                    round_no,
+                    [
+                        (
+                            groups[alloc.index],
+                            alloc.trials,
+                            trials[alloc.index] + alloc.trials,
+                            alloc.half_width,
+                            alloc.priority,
+                        )
+                        for alloc in allocations
+                    ],
+                )
 
             cells: list[tuple[int, Any]] = []
             for alloc in allocations:
                 i = alloc.index
-                for chunk in plan_chunk_range(
-                    trials[i], trials[i] + alloc.trials, chunk_size
-                ):
-                    held = (
-                        self.cache.lookup(key, spec_of(i), chunk)
-                        if self.cache is not None
-                        else None
+                cells += [
+                    (i, chunk)
+                    for chunk in plan_chunk_range(
+                        trials[i], trials[i] + alloc.trials, chunk_size
                     )
-                    if held is None:
-                        cells.append((i, chunk))
-                    else:
-                        tallies[i].merge(held)
-                        cached_trials[i] += held.trials
+                ]
                 trials[i] += alloc.trials
                 rounds[i] += 1
                 if budget_left is not None:
                     budget_left -= alloc.trials
 
-            if cells:
-                # Progress counts the campaign's computed chunks so far.
-                offset, done_chunks = done_chunks, done_chunks + len(cells)
-                tick = None if progress is None else (
-                    lambda done, total: progress(offset + done, offset + total)
-                )
-                folded = run_grid(
-                    simulators, cells, key, groups=groups, spec_of=spec_of,
-                    jobs=jobs, progress=tick, executor=executor,
-                    on_chunk=record,
-                )
-                for i, tally in folded.items():
-                    tallies[i].merge(tally)
+            # Progress counts the campaign's computed chunks so far:
+            # each round's grid reports on top of the rounds before it.
+            offset = done_chunks
+
+            def tick(done: int, total: int) -> None:
+                nonlocal done_chunks
+                done_chunks = offset + done
+                progress(done_chunks, offset + total)
+
+            folded = run_grid(
+                simulators, cells, key, groups=groups, spec_of=spec_of,
+                jobs=jobs, progress=None if progress is None else tick,
+                executor=executor, cache=self.cache,
+                on_chunk=None if self.cache is None else count_computed,
+            )
+            for i, tally in folded.items():
+                tallies[i].merge(tally)
 
             for alloc in allocations:
                 i = alloc.index
@@ -447,9 +447,6 @@ class CampaignRunner:
                         round=round_no,
                         trials=trials[i],
                     )
-
-            if self.cache is not None:
-                self.cache.flush()
 
         tail_bounds: list[Any | None] = [None] * count
         escalations = ["importance splitting"] * count
@@ -481,7 +478,9 @@ class CampaignRunner:
                 campaign=self.policy,
                 escalated=escalated[i],
                 tail_bound=tail_bounds[i],
-                trials_cached=cached_trials[i],
+                trials_cached=(
+                    trials[i] - computed[i] if self.cache is not None else 0
+                ),
                 escalation=escalations[i],
             )
             for i in range(count)

@@ -102,20 +102,12 @@ class AdaptivePolicy:
 
 
 def policy_from_cli(
-    ci_target: float | None,
-    max_trials: int | None,
-    metric: str | None = None,
-    initial_trials: int | None = None,
+    ci_target: float | None, max_trials: int | None
 ) -> AdaptivePolicy:
     """An :class:`AdaptivePolicy` from the CLI's optional overrides."""
-    policy = AdaptivePolicy()
     overrides = {}
     if ci_target is not None:
         overrides["ci_target"] = ci_target
     if max_trials is not None:
         overrides["max_trials"] = max_trials
-    if metric is not None:
-        overrides["metric"] = metric
-    if initial_trials is not None:
-        overrides["initial_trials"] = initial_trials
-    return replace(policy, **overrides) if overrides else policy
+    return replace(AdaptivePolicy(), **overrides)

@@ -1,6 +1,6 @@
 """Leveled stderr logging gated by the ``REPRO_LOG`` environment knob.
 
-The runtime's human-facing output (heartbeat lines, worker-join
+The runtime's human-facing output (progress lines, fleet fault
 notices, campaign allocation tables) historically went straight to
 ``print(..., file=sys.stderr)`` with no way to silence it — hostile
 to cron jobs and log scrapers alike.  Every such site now routes

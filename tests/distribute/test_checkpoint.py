@@ -137,15 +137,6 @@ class TestDurability:
         assert folded["silent"] == 3
         assert folded["miscorrected"] == 2
 
-    def test_save_every_batches_appends(self, tmp_path):
-        journal = CheckpointJournal.open(tmp_path, KEY, save_every=3)
-        journal.record(0, Chunk(0, 8), tally(silent=1), FP)
-        journal.record(0, Chunk(8, 8), tally(silent=1), FP)
-        assert not journal.path.exists()  # below the batch threshold
-        journal.record(0, Chunk(16, 8), tally(silent=1), FP)
-        assert journal.path.exists()
-        assert len(journal.path.read_bytes().splitlines()) == 4
-
     def test_appends_do_not_rewrite_earlier_lines(self, tmp_path):
         """Persistence is O(1) per record: old lines stay byte-stable."""
         journal = CheckpointJournal.open(tmp_path, KEY)

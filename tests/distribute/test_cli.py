@@ -1,13 +1,18 @@
-"""CLI surface of the distributed subsystem: flags, guards, heartbeats.
+"""CLI surface of the distributed subsystem: flags, guards, progress.
 
 Includes the ``--progress`` satellite's regression: default output is
-unchanged — no heartbeat lines unless the flag is given, and heartbeats
-go to stderr so stdout reports stay byte-identical either way.
+unchanged — no progress lines unless the flag is given, and they go to
+stderr so stdout reports stay byte-identical either way — and the one
+printer's promise: in process, ``--jobs 2`` and ``--distribute
+local:2`` print the same lines.
 """
+
+import functools
+import re
 
 import pytest
 
-from repro.cli import DISTRIBUTED_EXPERIMENTS, build_parser, run
+from repro.cli import MSED_EXPERIMENTS, build_parser, run
 from repro.distribute import parse_distribute
 
 
@@ -47,7 +52,7 @@ class TestDispatch:
         assert run(build_parser().parse_args(argv)) == 0
         return captured
 
-    @pytest.mark.parametrize("experiment", DISTRIBUTED_EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", MSED_EXPERIMENTS)
     def test_distribute_flags_threaded(self, monkeypatch, experiment):
         from repro import cli
 
@@ -66,6 +71,17 @@ class TestDispatch:
         assert captured["checkpoint_dir"] == "ckpt"
         assert captured["resume"] is True
         assert captured["progress"] is True
+
+    def test_cache_dir_threaded_for_fixed_runs(self, monkeypatch):
+        """Every path caches, so a fixed-budget in-process run takes
+        --cache-dir too."""
+        from repro import cli
+
+        captured = self._capture(
+            monkeypatch, cli.table4, ["table4", "--cache-dir", "cache"]
+        )
+        assert captured["cache_dir"] == "cache"
+        assert "adaptive" not in captured and "distribute" not in captured
 
     def test_defaults_omit_distribute_kwargs(self, monkeypatch):
         from repro import cli
@@ -115,6 +131,19 @@ class TestDispatch:
 
 
 class TestGuards:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--scenario", "mbu"], ["--cache-dir", "cache"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_msed_only_flags_refused_elsewhere(self, capsys, flag):
+        """An MSED-only flag refuses on another experiment (exit 2,
+        naming itself) instead of silently doing nothing; the other
+        flags of the same guard loop have their own tests."""
+        args = build_parser().parse_args(["extension-double-device", *flag])
+        assert run(args) == 2
+        assert f"error: {flag[0]} applies to " in capsys.readouterr().err
+
     def test_distribute_rejected_for_non_msed_experiment(self, capsys):
         args = build_parser().parse_args(
             ["table1", "--distribute", "local:2"]
@@ -235,6 +264,8 @@ class TestChaosRuns:
         err = capsys.readouterr().err
         assert "degraded" in err
         assert "--resume" in err
+        # Fleet faults log without --progress.
+        assert re.search(r"\[fleet\] worker \S+ left; re-queued", err)
         assert (tmp_path / PARTIAL_RESULTS_NAME).exists()
         # A chaos-free resume finishes the run.
         monkeypatch.setenv(CHAOS_ENV, "")
@@ -243,7 +274,7 @@ class TestChaosRuns:
 
 
 class TestProgressOutputRegression:
-    """Satellite: default output unchanged; heartbeats are stderr-only."""
+    """Satellite: default output unchanged; progress is stderr-only."""
 
     def test_default_output_has_no_heartbeat(self, capsys):
         args = build_parser().parse_args(
@@ -270,3 +301,35 @@ class TestProgressOutputRegression:
         assert out == baseline_out  # stdout report byte-identical
         assert "[progress]" in err
         assert "chunks" in err
+
+    def test_every_path_prints_the_same_progress(self, capsys, monkeypatch):
+        """An adaptive run prints the same ``[progress]`` and
+        ``[campaign]`` lines in process, on a pool and on a fleet, once
+        elapsed times are stripped."""
+        import repro.distribute
+        from repro.distribute.progress import ChunkProgress
+        from repro.telemetry.log import ENV_VAR
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        # Hold the throttle shut so a slow host cannot add lines.
+        monkeypatch.setattr(
+            repro.distribute,
+            "ChunkProgress",
+            functools.partial(ChunkProgress, min_interval=3600),
+        )
+        base = ["table4", "--adaptive", "--ci-target", "0.3",
+                "--max-trials", "4000", "--progress"]
+        printed = []
+        for extra in ([], ["--jobs", "2"], ["--distribute", "local:2"]):
+            assert run(build_parser().parse_args(base + extra)) == 0
+            out, err = capsys.readouterr()
+            printed.append((out, re.sub(r"elapsed [\d.]+s", "elapsed", err)))
+        assert printed[1] == printed[0]
+        assert printed[2] == printed[0]
+        err = printed[0][1].splitlines()
+        rounds = [line for line in err if line.startswith("[campaign] round")]
+        finals = [line for line in err if line.startswith("[progress]")]
+        assert len(rounds) == 3
+        # The first chunk, then each round's last (the throttle is shut).
+        assert len(finals) == 1 + len(rounds)
+

@@ -353,3 +353,47 @@ class TestCheckpointResume:
         assert resumed.trials_used == baseline.trials_used
         assert resumed.rounds == baseline.rounds
         assert resumed.converged == baseline.converged
+
+
+def _cells(directory) -> dict[str, bytes]:
+    """Every result-cache cell file under ``directory``, raw."""
+    return {path.name: path.read_bytes() for path in directory.glob("*.jsonl")}
+
+
+def _records(cells: dict[str, bytes]) -> dict[str, list[bytes]]:
+    """The cells' lines, order-free: pool and fleet runs record chunks
+    in completion order."""
+    return {name: sorted(raw.splitlines()) for name, raw in cells.items()}
+
+
+class TestResultCacheOnEveryPath:
+    """The result cache lives in the shared grid fold, so a fixed run
+    caches the same cells whichever path runs it."""
+
+    def test_fixed_table_iv_writes_the_same_cells_on_every_path(
+        self, tmp_path
+    ):
+        kwargs = dict(trials=2000, seed=3, chunk_size=500)
+        baseline = [p.result for p in build_table_iv(**kwargs).points]
+        written = {}
+        with DistributedSession(local_workers=2) as session:
+            paths = {
+                "in-process": {},
+                "pool": {"jobs": 2},
+                "fleet": {"executor": session},
+            }
+            for name, extra in paths.items():
+                directory = tmp_path / name
+                for _ in ("cold", "warm"):
+                    table = build_table_iv(
+                        cache_dir=str(directory), **kwargs, **extra
+                    )
+                    assert [p.result for p in table.points] == baseline
+                    # The warm rerun appends nothing: 0 trials recorded.
+                    cells = _cells(directory)
+                    assert written.setdefault(name, cells) == cells
+        assert len(written["in-process"]) == len(baseline)  # a cell a point
+        records = _records(written["in-process"])
+        assert _records(written["pool"]) == records
+        assert _records(written["fleet"]) == records
+

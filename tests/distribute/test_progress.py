@@ -1,4 +1,5 @@
-"""Progress heartbeats: formatting, throttling, and the REPRO_LOG gate.
+"""The one ``--progress`` printer: formatting, throttling, campaign
+allocation lines, and the REPRO_LOG gate.
 
 Also pins the clock-source invariant for the whole distributed
 runtime: progress elapsed times and lease deadlines must come from
@@ -14,13 +15,13 @@ import io
 
 import pytest
 
-from repro.distribute.progress import ChunkProgress, Heartbeat
+from repro.distribute.progress import ChunkProgress
 from repro.telemetry.log import ENV_VAR
 
 
 @pytest.fixture(autouse=True)
 def normal_log_level(monkeypatch):
-    """Heartbeat tests assume the default gate unless they say otherwise."""
+    """Printer tests assume the default gate unless they say otherwise."""
     monkeypatch.delenv(ENV_VAR, raising=False)
 
 
@@ -44,43 +45,16 @@ class TestChunkProgress:
         lines = stream.getvalue().splitlines()
         assert [line.split()[2] for line in lines] == ["1/10", "10/10"]
 
-    def test_silent_gate_mutes_everything(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "silent")
-        stream = io.StringIO()
-        progress = ChunkProgress(stream=stream, min_interval=0)
-        progress(5, 10)
-        progress(10, 10)
-        assert stream.getvalue() == ""
-
-
-class TestHeartbeat:
-    def test_tick_formats_point_and_batch_standing(self):
-        stream = io.StringIO()
-        heartbeat = Heartbeat(stream=stream, min_interval=0)
-        heartbeat.tick("muse+2", 3, 8, 1500, 3, 80)
-        line = stream.getvalue().splitlines()[0]
-        assert "point muse+2: chunks 3/8" in line
-        assert "trials 1500" in line
-        assert "batch 3/80" in line
-
-    def test_final_batch_tick_bypasses_throttle(self):
-        stream = io.StringIO()
-        heartbeat = Heartbeat(stream=stream, min_interval=3600)
-        heartbeat.tick("a", 1, 8, 100, 1, 2)
-        heartbeat.tick("a", 2, 8, 200, 1, 2)  # throttled
-        heartbeat.tick("b", 8, 8, 900, 2, 2)  # batch done: always emitted
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 2
-        assert "batch 2/2" in lines[-1]
-
     def test_allocation_lines_bypass_throttle(self):
         stream = io.StringIO()
-        heartbeat = Heartbeat(stream=stream, min_interval=3600)
-        heartbeat.tick("a", 1, 8, 100, 1, 16)  # consumes the throttle slot
-        heartbeat.allocation(
+        progress = ChunkProgress(stream=stream, min_interval=3600)
+        progress(1, 16)  # consumes the throttle slot
+        progress.allocation(
             2, [("muse+2", 500, 1500, 0.12, 3.4), ("rs+4", 250, 750, 0.3, 1.1)]
         )
+        progress(2, 16)  # still throttled: allocations leave it alone
         lines = stream.getvalue().splitlines()
+        assert len(lines) == 4
         assert lines[1] == (
             f"[campaign] round 2: 2 point(s) allocated, "
             f"elapsed {lines[1].split()[-1].rstrip('s')}s"
@@ -89,12 +63,13 @@ class TestHeartbeat:
         assert "ci-half 0.12 priority 3.4" in lines[2]
         assert "[campaign]   point rs+4: +250 trials (-> 750)" in lines[3]
 
-    def test_silent_gate_mutes_heartbeats(self, monkeypatch):
+    def test_silent_gate_mutes_everything(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "silent")
         stream = io.StringIO()
-        heartbeat = Heartbeat(stream=stream, min_interval=0)
-        heartbeat.tick("a", 8, 8, 900, 2, 2)
-        heartbeat.allocation(1, [("a", 10, 10, 0.5, 1.0)])
+        progress = ChunkProgress(stream=stream, min_interval=0)
+        progress(5, 10)
+        progress(10, 10)
+        progress.allocation(1, [("a", 10, 10, 0.5, 1.0)])
         assert stream.getvalue() == ""
 
 

@@ -166,6 +166,25 @@ class TestRunSharded:
 GRID = [(index, chunk) for index in (0, 1) for chunk in plan_chunks(150, 40)]
 
 
+class _SerialExecutor:
+    """A stand-in for a distributed session: ``run_tasks`` with the
+    session's signature, folding in process and keeping the tasks."""
+
+    tasks = ()
+
+    def run_tasks(self, tasks, progress=None, on_chunk=None):
+        self.tasks = tasks
+        return run_sharded(tasks, 1, progress, on_chunk)
+
+
+#: run_grid's three paths, as keyword arguments.
+PATHS = {
+    "in-process": dict,
+    "pool": lambda: {"jobs": 2},
+    "executor": lambda: {"executor": _SerialExecutor()},
+}
+
+
 class TestRunGrid:
     """The one grid runner: in process on the caller's runners, over a
     pool from their specs, or through an executor — one fold."""
@@ -204,25 +223,60 @@ class TestRunGrid:
     def test_executor_path_maps_groups_to_points(self):
         """An executor gets one task per cell, labelled by the point's
         group, and its ``{group: tally}`` comes back keyed by index."""
-
-        class Executor:
-            tasks = ()
-
-            def run_tasks(self, tasks, progress=None):
-                self.tasks = tasks
-                return run_sharded(tasks, 1, progress)
-
         runners = [_muse_simulator("auto"), _rs_simulator("auto")]
-        executor, hooked = Executor(), []
+        executor = _SerialExecutor()
         folded = run_grid(
             runners, GRID, derive_key(3), groups=["grid:0", "grid:1"],
-            executor=executor, on_chunk=lambda *cell: hooked.append(cell),
+            executor=executor,
         )
         assert [(task.group, task.chunk) for task in executor.tasks] == [
             (f"grid:{index}", chunk) for index, chunk in GRID
         ]
         assert folded == run_grid(runners, GRID, derive_key(3))
-        assert hooked == []  # the executor folds (and caches) itself
+
+    def test_hook_fires_once_per_chunk_on_the_executor_path(self):
+        """The executor hands every fold back through ``on_chunk``,
+        keyed by point index like the other paths, not by group."""
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        calls, hooked = [], []
+        run_grid(
+            runners, GRID, derive_key(3), groups=["grid:0", "grid:1"],
+            executor=_SerialExecutor(),
+            progress=lambda done, total: calls.append((done, total)),
+            on_chunk=lambda index, chunk, tally: hooked.append(
+                (index, chunk.start, tally.trials)
+            ),
+        )
+        assert calls == [(done, len(GRID)) for done in range(1, len(GRID) + 1)]
+        assert sorted(hooked) == [
+            (index, chunk.start, chunk.size) for index, chunk in GRID
+        ]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_cache_serves_and_records_on_every_path(self, tmp_path, path):
+        """A cold grid records every cell it runs; a warm one folds
+        them all from the cache and runs, hooks and reports nothing."""
+        from repro.distribute import ResultCache
+
+        runners = [_muse_simulator("auto"), _rs_simulator("auto")]
+        cold = ResultCache(tmp_path)
+        folded = run_grid(
+            runners, GRID, derive_key(3), cache=cold, **PATHS[path]()
+        )
+        assert folded == run_grid(runners, GRID, derive_key(3))
+        assert cold.trials_recorded == sum(chunk.size for _, chunk in GRID)
+
+        warm, calls = ResultCache(tmp_path), []
+        again = run_grid(
+            runners, GRID, derive_key(3), cache=warm,
+            progress=lambda *call: calls.append(call),
+            on_chunk=lambda *cell: calls.append(cell),
+            **PATHS[path](),
+        )
+        assert again == folded
+        assert (warm.hits, warm.misses) == (len(GRID), 0)
+        assert warm.trials_recorded == 0
+        assert calls == []
 
     def test_point_without_cells_is_absent(self):
         runners = [_muse_simulator("auto"), _rs_simulator("auto")]

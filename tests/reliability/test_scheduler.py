@@ -354,6 +354,39 @@ class TestResultCache:
         assert probe.trials_recorded == 0
         assert probe.hits > 0 and probe.misses == 0
 
+    def test_warm_campaign_counts_cached_trials_alike_on_every_path(
+        self, tmp_path
+    ):
+        """``trials_cached`` counts what the cache served, the same in
+        process, on a pool and on a ``local:2`` fleet."""
+        import shutil
+
+        from repro.distribute import DistributedSession
+
+        simulators = [_muse(), _rs()]
+        cold = tmp_path / "cold"
+        run_design_points_adaptive(
+            simulators, EASY, seed=7, trial_budget=1500, cache_dir=str(cold)
+        )
+
+        def warm(name, **kwargs):
+            directory = tmp_path / name
+            shutil.copytree(cold, directory)
+            outcomes = run_design_points_adaptive(
+                simulators, EASY, seed=7, cache_dir=str(directory), **kwargs
+            )
+            return [
+                (o.result, o.trials_used, o.trials_cached) for o in outcomes
+            ]
+
+        in_process = warm("in-process")
+        (_, muse_used, muse_cached), (_, rs_used, rs_cached) = in_process
+        assert muse_cached == muse_used  # converged inside the budget
+        assert 0 < rs_cached < rs_used  # the cold run's prefix, no more
+        assert warm("pool", jobs=2) == in_process
+        with DistributedSession(local_workers=2) as session:
+            assert warm("fleet", executor=session) == in_process
+
     def test_cache_hit_equals_recompute(self, tmp_path):
         baseline = run_design_points_adaptive([_muse()], EASY, seed=7)
         run_design_points_adaptive(

@@ -8,7 +8,7 @@ CLI run with the flag leaves a complete run directory behind.
 
 import pytest
 
-from repro.cli import TELEMETRY_EXPERIMENTS, build_parser, run
+from repro.cli import MSED_EXPERIMENTS, build_parser, run
 from repro.telemetry import EVENT_LOG_NAME, MANIFEST_NAME, PROM_NAME
 
 
@@ -24,7 +24,7 @@ class TestTelemetryDirThreading:
         assert run(build_parser().parse_args(argv)) == 0
         return captured
 
-    @pytest.mark.parametrize("experiment", TELEMETRY_EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", MSED_EXPERIMENTS)
     def test_flag_threaded_to_every_telemetry_experiment(
         self, monkeypatch, experiment
     ):
@@ -63,10 +63,10 @@ class TestTelemetryDirThreading:
         dirs = {
             task.name: dict(task.kwargs).get("telemetry_dir")
             for task in captured
-            if task.name in TELEMETRY_EXPERIMENTS
+            if task.name in MSED_EXPERIMENTS
         }
         assert dirs == {
-            name: os.path.join(tel, name) for name in TELEMETRY_EXPERIMENTS
+            name: os.path.join(tel, name) for name in MSED_EXPERIMENTS
         }
 
 
