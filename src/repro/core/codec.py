@@ -213,7 +213,7 @@ class MuseCode:
 
     def engine(self, backend: str = "auto", ripple_check: bool = True):
         """The cached :class:`~repro.engine.base.DecodeEngine` for this
-        code on ``backend`` ("scalar", "numpy" or "auto")."""
+        code on ``backend`` ("scalar", "numpy", "native" or "auto")."""
         from repro.engine import get_engine
 
         return get_engine(self, backend, ripple_check=ripple_check)

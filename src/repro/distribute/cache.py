@@ -15,14 +15,16 @@ cell folds straight off disk with zero new trials.
 On-disk layout: one CRC'd JSON-lines file per cell, named by a
 ``sha256(key, fingerprint)`` digest, under the ``--cache-dir``
 directory.  The line format is shared with the checkpoint journal
-(:func:`_encode_line` / :func:`_decode_line`), so the same
-torn-tail-tolerant load applies: a damaged suffix is simply ignored
-and those chunks recompute.  Appends batch in memory and land via one
-fsync'd :func:`~repro.orchestrate.persist.durable_append` per
-:meth:`flush`.  The one caller is :func:`repro.orchestrate.pool.run_grid`:
-it looks every cell up before running a grid, records each chunk it
-runs, and flushes when the grid ends — in process, over a pool or on
-a distributed session alike.
+(:func:`_encode_line` / :func:`_decode_line`), and so is the salvage:
+a cell whose records are damaged (a kill mid-flush tears the last one)
+is rewritten on load to its header and valid prefix, the original kept
+as a ``.corrupt`` sidecar, before anything appends to it — so the
+chunks the damage lost recompute once.  Appends batch in memory and
+land via one fsync'd :func:`~repro.orchestrate.persist.durable_append`
+per :meth:`flush`.  The one caller is
+:func:`repro.orchestrate.pool.run_grid`: it looks every cell up before
+running a grid, records each chunk it runs, and flushes when the grid
+ends — in process, over a pool or on a distributed session alike.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.distribute.checkpoint import (
     _TALLY_FIELDS,
     _decode_line,
     _encode_line,
+    quarantine_and_rewrite,
     spec_fingerprint,
 )
 from repro.orchestrate.persist import durable_append
@@ -104,6 +107,7 @@ class ResultCache:
             self._foreign.add(digest)
             return cell
         self._headered.add(digest)
+        kept = 1
         for line in lines[1:]:
             record = _decode_line(line)
             if record is None:
@@ -111,6 +115,12 @@ class ResultCache:
             counts = record["counts"]
             tally = MsedTally(**{name: counts[name] for name in _TALLY_FIELDS})
             cell[(record["start"], record["size"])] = tally
+            kept += 1
+        if kept < len(lines):
+            # Records appended behind the damage would never load again.
+            quarantine_and_rewrite(
+                path, [line + b"\n" for line in lines[:kept]]
+            )
         return cell
 
     def lookup(self, key: int, spec: Any, chunk: Chunk) -> MsedTally | None:

@@ -102,6 +102,18 @@ _encode_line = encode_crc_line
 _decode_line = decode_crc_line
 
 
+def quarantine_and_rewrite(path: Path, lines: list[bytes]) -> Path:
+    """Salvage the damaged file at ``path``: move it aside as its
+    ``.corrupt`` sidecar and atomically write ``lines`` (the header and
+    valid prefix, newline-terminated) in its place, so the healed file
+    is complete on disk before anything appends to it.  Returns the
+    sidecar's path."""
+    corrupt_path = path.with_name(path.name + CORRUPT_SUFFIX)
+    os.replace(path, corrupt_path)
+    atomic_write_text(path, b"".join(lines).decode())
+    return corrupt_path
+
+
 @dataclass(frozen=True)
 class SalvageReport:
     """What loading a damaged journal kept and dropped."""
@@ -252,28 +264,17 @@ class CheckpointJournal:
         self._quarantine_and_rewrite(0, len(lines))
 
     def _quarantine_and_rewrite(self, kept: int, dropped: int) -> None:
-        """Move the damaged original aside and atomically rewrite the
-        valid prefix, so the healed journal is complete on disk before
-        the run continues appending to it."""
-        corrupt_path = self.path.with_name(self.path.name + CORRUPT_SUFFIX)
-        os.replace(self.path, corrupt_path)
-        self._rewrite()
+        """Salvage the damaged journal down to its header plus every
+        record held in memory (:func:`quarantine_and_rewrite`)."""
+        lines = [self._header_line()] + [
+            _encode_line(self._record_dict(group_key, start, size, tally))
+            for (group_key, start, size), tally in sorted(self._entries.items())
+        ]
         self.salvage = SalvageReport(
             records_kept=kept,
             lines_dropped=dropped,
-            corrupt_path=corrupt_path,
+            corrupt_path=quarantine_and_rewrite(self.path, lines),
         )
-
-    def _rewrite(self) -> None:
-        """Atomically write header + every in-memory record."""
-        chunks = [self._header_line().decode()]
-        for (group_key, start, size), tally in sorted(self._entries.items()):
-            chunks.append(
-                _encode_line(
-                    self._record_dict(group_key, start, size, tally)
-                ).decode()
-            )
-        atomic_write_text(self.path, "".join(chunks))
         self._header_written = True
 
     def _header_line(self) -> bytes:

@@ -3,12 +3,12 @@
 Entry points:
 
 * :func:`register_backend` — add a backend (name, availability probe,
-  engine factories) to the registry; the built-in ``scalar``, ``numpy``
-  and ``native`` backends register themselves below, and a future
-  ``cupy`` backend slots in the same way without touching any call
-  site.
+  one engine factory per code family) to the registry; the built-in
+  ``scalar``, ``numpy`` and ``native`` backends register themselves
+  below.
 * :func:`get_engine` — resolve a backend name ("scalar", "numpy",
-  "native" or "auto") into a cached :class:`DecodeEngine` for one code.
+  "native" or "auto") into a cached MUSE :class:`DecodeEngine` for one
+  code (:func:`repro.rs.engine.get_rs_engine` is its RS twin).
 * :func:`registered_backends` / :func:`available_backends` —
   capability probes for callers that build CLI choices, gate features
   or skip tests.
@@ -16,20 +16,21 @@ Entry points:
 Every backend decodes the one counter-hashed trial stream of
 :mod:`repro.orchestrate.corruption`, so the choice changes speed, never
 a tally.  ``auto`` starts at the fastest available backend and steps
-down a rung when that backend's factory refuses a code (native past its
-kernels' fixed scratch, say); an *explicit* request for a backend that
-is unavailable or refuses the code raises
-:class:`BackendUnavailableError` rather than silently running something
-else.  Setting ``REPRO_DISABLE_BACKENDS`` (a comma list, e.g.
-``"native"``) force-disables backends, which is how the degradation
-paths are exercised even on hosts that have a C compiler.
+down a rung when that backend refuses a code (native past its kernels'
+fixed scratch, say, or a rung with no engine for the code's family);
+an *explicit* request for a backend that is unavailable or refuses the
+code raises :class:`BackendUnavailableError` rather than silently
+running something else.  Setting ``REPRO_DISABLE_BACKENDS`` (a comma
+list, e.g. ``"native"``) force-disables backends, which is how the
+degradation paths are exercised even on hosts that have a C compiler.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro import telemetry
 from repro.engine.base import (
@@ -40,7 +41,6 @@ from repro.engine.base import (
     STATUS_CORRECTED,
     STATUS_DETECTED_NO_MATCH,
     STATUS_DETECTED_RIPPLE,
-    STATUS_NAMES,
     status_of,
 )
 from repro.engine.cc import native_kernels_available
@@ -51,21 +51,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RegisteredBackend:
-    """One registry entry: how to detect and build a backend.
+    """One registry entry: how to detect a backend and build its engines.
 
-    ``factory(code, ripple_check)`` builds the MUSE decode engine;
-    ``rs_factory(code, device_bits)`` builds the Reed-Solomon engine
-    (``None`` for MUSE-only backends).  A factory raises
-    :class:`BackendUnavailableError` for a code it cannot run.
-    ``probe`` must be cheap — it runs on every :func:`available_backends`
-    call — and must not raise.  ``priority`` orders ``auto``
-    resolution: the highest-priority available backend is tried first.
+    ``engines`` maps a code family (``"MUSE"``, ``"RS"``) to a factory
+    ``(code, option) -> engine``; the option is ``ripple_check`` for
+    MUSE and ``device_bits`` for RS.  A factory raises
+    :class:`BackendUnavailableError` for a code it cannot run, and a
+    family missing from ``engines`` refuses every code of that family.
+    ``probe`` must be cheap — it runs on every
+    :func:`available_backends` call — and must not raise.  ``priority``
+    orders ``auto`` resolution: the highest-priority available backend
+    is tried first.
     """
 
     name: str
     probe: Callable[[], bool]
-    factory: Callable[..., DecodeEngine]
-    rs_factory: Callable[..., object] | None
+    engines: Mapping[str, Callable[..., DecodeEngine]]
     priority: int
 
 
@@ -78,9 +79,8 @@ DISABLE_ENV = "REPRO_DISABLE_BACKENDS"
 def register_backend(
     name: str,
     probe: Callable[[], bool],
-    factory: Callable[..., DecodeEngine],
+    engines: Mapping[str, Callable[..., DecodeEngine]],
     *,
-    rs_factory: Callable[..., object] | None = None,
     priority: int = 0,
 ) -> None:
     """Register (or replace) a decode backend.
@@ -91,13 +91,7 @@ def register_backend(
     """
     if not name or name == "auto":
         raise ValueError(f"invalid backend name {name!r}")
-    _REGISTRY[name] = RegisteredBackend(
-        name=name,
-        probe=probe,
-        factory=factory,
-        rs_factory=rs_factory,
-        priority=priority,
-    )
+    _REGISTRY[name] = RegisteredBackend(name, probe, engines, priority)
 
 
 def _disabled() -> frozenset[str]:
@@ -134,6 +128,19 @@ def available_backends() -> tuple[str, ...]:
     )
 
 
+def _rungs() -> tuple[str, ...]:
+    """:func:`available_backends`, refusing an empty ladder."""
+    rungs = available_backends()
+    if not rungs:
+        raise BackendUnavailableError(
+            f"no decode backend is available here: each of "
+            f"{', '.join(registered_backends())} is disabled by "
+            f"{DISABLE_ENV}={os.environ.get(DISABLE_ENV, '')!r} or fails "
+            f"its probe"
+        )
+    return rungs
+
+
 def resolve_backend(backend: str = "auto") -> str:
     """Normalise a backend request.
 
@@ -142,10 +149,11 @@ def resolve_backend(backend: str = "auto") -> str:
     :func:`get_engine` tries; an explicit name must be registered (else
     ``ValueError``) *and* available (else
     :class:`BackendUnavailableError` — an explicit request never
-    silently degrades).
+    silently degrades).  With no backend available at all, ``auto``
+    raises :class:`BackendUnavailableError` too.
     """
     if backend == "auto":
-        return available_backends()[-1]
+        return _rungs()[-1]
     entry = _REGISTRY.get(backend)
     if entry is None:
         raise ValueError(
@@ -159,56 +167,56 @@ def resolve_backend(backend: str = "auto") -> str:
     return backend
 
 
-def _built(cache: dict, name: str, code, option, rs: bool):
-    """The engine of backend ``name`` for ``code``, built at most once."""
-    engine = cache.get((name, option))
+def _built(cache: dict, name: str, family: str, code, option):
+    """The ``family`` engine of backend ``name`` for ``code``, built at
+    most once."""
+    engine = cache.get((family, name, option))
     if engine is None:
-        entry = _REGISTRY[name]
-        factory = entry.rs_factory if rs else entry.factory
+        factory = _REGISTRY[name].engines.get(family)
         if factory is None:
             raise BackendUnavailableError(
-                f"backend {name!r} has no Reed-Solomon engine"
+                f"backend {name!r} has no {family} engine"
             )
         # Table construction: the classic hidden startup cost, as a
         # visible span.
         with telemetry.span("engine_build", backend=name):
             engine = factory(code, option)
-        cache[(name, option)] = engine
+        cache[(family, name, option)] = engine
     return engine
 
 
-def cached_engine(code, backend: str, option, *, rs: bool = False):
-    """The engine binding ``code`` to ``backend``, cached on the code.
+def cached_engine(code, family: str, backend: str, option):
+    """The ``family`` engine binding ``code`` to ``backend``, cached on
+    the code.
 
-    The one resolver behind :func:`get_engine` (``option`` is
-    ``ripple_check``) and :func:`repro.rs.engine.get_rs_engine`
-    (``option`` is ``device_bits``, ``rs=True``).  Engines precompute
-    dense lookup tables from the code, so they live in a dict on the
-    code instance keyed per ``(backend, option)`` — a worker process
-    pays table construction once per code, not once per chunk.
+    The one resolver behind :func:`get_engine` (family ``"MUSE"``,
+    ``option`` is ``ripple_check``) and
+    :func:`repro.rs.engine.get_rs_engine` (family ``"RS"``, ``option``
+    is ``device_bits``).  Engines precompute dense lookup tables from
+    the code, so they live in a dict on the code instance keyed per
+    ``(family, backend, option)`` — a worker process pays table
+    construction once per code, not once per chunk.
 
     ``auto`` tries the available rungs from the top down and keeps the
-    first whose factory accepts the code.  Its choice is cached too
-    (keyed by the available rungs, so ``REPRO_DISABLE_BACKENDS`` still
-    takes effect), so a refusing rung is tried once per code rather
-    than once per chunk.
+    first that accepts the code.  Its choice is cached too (keyed by
+    the available rungs, so ``REPRO_DISABLE_BACKENDS`` still takes
+    effect), so a refusing rung is tried once per code rather than
+    once per chunk.
 
     Every call counts one ``engine.resolve`` labelled with the backend
     that answered; every build is an ``engine_build`` span.
     """
-    cache = code.__dict__.setdefault(
-        "_rs_engine_cache" if rs else "_engine_cache", {}
-    )
+    cache = code.__dict__.setdefault("_engine_cache", {})
     if backend != "auto":
-        engine = _built(cache, resolve_backend(backend), code, option, rs)
+        engine = _built(cache, resolve_backend(backend), family, code, option)
     else:
-        rungs = available_backends()
-        key = ("auto", rungs, option)
+        rungs = _rungs()
+        key = ("auto", family, rungs, option)
         engine = cache.get(key)
         if engine is None:
             for name in reversed(rungs):
                 try:
-                    engine = _built(cache, name, code, option, rs)
+                    engine = _built(cache, name, family, code, option)
                     break
                 except BackendUnavailableError:
                     if name == rungs[0]:
@@ -223,71 +231,50 @@ def get_engine(
 ) -> DecodeEngine:
     """Build (or fetch the cached) MUSE engine binding ``code`` to a
     backend — see :func:`cached_engine` for caching and ``auto``."""
-    return cached_engine(code, backend, ripple_check)
+    return cached_engine(code, "MUSE", backend, ripple_check)
 
 
 # ----------------------------------------------------------------------
 # Built-in backends
 # ----------------------------------------------------------------------
-#
-# Factories import lazily so that registering a backend costs nothing
-# until it is actually selected.
 
-def _scalar_factory(code, ripple_check=True):
-    from repro.engine.scalar import ScalarDecodeEngine
+def _lazy(target: str) -> Callable[..., DecodeEngine]:
+    """A factory for the ``"module:Class"`` engine ``target`` that
+    imports it on first use, so registering a backend costs nothing
+    until it is actually selected."""
+    module, _, attr = target.partition(":")
 
-    return ScalarDecodeEngine(code, ripple_check)
+    def build(code, option):
+        return getattr(importlib.import_module(module), attr)(code, option)
 
-
-def _scalar_rs_factory(code, device_bits=4):
-    from repro.rs.engine import ScalarRsEngine
-
-    return ScalarRsEngine(code, device_bits)
-
-
-def _numpy_factory(code, ripple_check=True):
-    from repro.engine.numpy_backend import NumpyDecodeEngine
-
-    return NumpyDecodeEngine(code, ripple_check)
-
-
-def _numpy_rs_factory(code, device_bits=4):
-    from repro.rs.engine import NumpyRsEngine
-
-    return NumpyRsEngine(code, device_bits)
-
-
-def _native_factory(code, ripple_check=True):
-    from repro.engine.native import NativeDecodeEngine
-
-    return NativeDecodeEngine(code, ripple_check)
-
-
-def _native_rs_factory(code, device_bits=4):
-    from repro.rs.engine_native import NativeRsEngine
-
-    return NativeRsEngine(code, device_bits)
+    return build
 
 
 register_backend(
     "scalar",
-    probe=lambda: True,
-    factory=_scalar_factory,
-    rs_factory=_scalar_rs_factory,
+    lambda: True,
+    {
+        "MUSE": _lazy("repro.engine.scalar:ScalarDecodeEngine"),
+        "RS": _lazy("repro.rs.engine:ScalarRsEngine"),
+    },
     priority=0,
 )
 register_backend(
     "numpy",
-    probe=lambda: True,
-    factory=_numpy_factory,
-    rs_factory=_numpy_rs_factory,
+    lambda: True,
+    {
+        "MUSE": _lazy("repro.engine.numpy_backend:NumpyDecodeEngine"),
+        "RS": _lazy("repro.rs.engine:NumpyRsEngine"),
+    },
     priority=10,
 )
 register_backend(
     "native",
-    probe=native_kernels_available,
-    factory=_native_factory,
-    rs_factory=_native_rs_factory,
+    native_kernels_available,
+    {
+        "MUSE": _lazy("repro.engine.native:NativeDecodeEngine"),
+        "RS": _lazy("repro.rs.engine_native:NativeRsEngine"),
+    },
     priority=20,
 )
 
@@ -301,7 +288,6 @@ __all__ = [
     "STATUS_CORRECTED",
     "STATUS_DETECTED_NO_MATCH",
     "STATUS_DETECTED_RIPPLE",
-    "STATUS_NAMES",
     "available_backends",
     "cached_engine",
     "get_engine",

@@ -1,14 +1,17 @@
 """Backend-neutral decode-engine interface.
 
-A :class:`DecodeEngine` turns one :class:`~repro.core.codec.MuseCode`
-into a *batch* encoder/decoder.  Three interchangeable backends exist:
+A :class:`DecodeEngine` binds one code to a *batch* encoder/decoder.
+Both code families — MUSE (:class:`~repro.core.codec.MuseCode`) and
+Reed-Solomon (:class:`~repro.rs.engine.RsDecodeEngine` over an
+:class:`~repro.rs.reed_solomon.RSCode`) — run on three interchangeable
+backends:
 
-* ``scalar`` — the big-int reference path, one
-  :meth:`MuseCode.decode` call per word (always available);
-* ``numpy`` — fixed-width limb arrays with the whole Figure-4 flow
-  vectorised (:mod:`repro.engine.numpy_backend`);
+* ``scalar`` — the reference path, one scalar ``decode`` call per word
+  (always available);
+* ``numpy`` — fixed-width arrays with the whole decode flow vectorised
+  (:mod:`repro.engine.numpy_backend`, :class:`repro.rs.engine.NumpyRsEngine`);
 * ``native`` — the numpy tables driven by self-compiled C kernels
-  (:mod:`repro.engine.native`).
+  (:mod:`repro.engine.native`, :mod:`repro.rs.engine_native`).
 
 All classify every word into one of four :data:`STATUS_*` codes, which
 deliberately mirror the Monte-Carlo tally buckets: the reliability
@@ -21,16 +24,17 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.core.codec import DecodeResult, MuseCode
 
-#: Per-word outcome codes (uint8-friendly, bincount-friendly).
+#: Per-word outcome codes (uint8-friendly, bincount-friendly).  The
+#: fourth is MUSE's ripple veto or RS's device-confinement veto.
 STATUS_CLEAN = 0
 STATUS_CORRECTED = 1
 STATUS_DETECTED_NO_MATCH = 2
 STATUS_DETECTED_RIPPLE = 3
-
-STATUS_NAMES = ("clean", "corrected", "detected_no_match", "detected_ripple")
 
 
 class BackendUnavailableError(RuntimeError):
@@ -54,29 +58,38 @@ def status_of(result: "DecodeResult") -> int:
 class BatchDecodeResult(ABC):
     """Outcome of decoding one batch of codewords.
 
-    Cheap views (:attr:`statuses`, :meth:`counts`) never materialise
-    Python integers; :meth:`results` reconstructs full per-word
-    :class:`DecodeResult` objects and is intended for interop and
-    tests, not hot loops.
+    ``statuses`` holds the per-word :data:`STATUS_*` codes (a list or a
+    uint8 ndarray); it and :meth:`counts` never materialise per-word
+    objects.  :meth:`results` reconstructs the family's scalar decode
+    results and is intended for interop and tests, not hot loops.
     """
 
-    code: "MuseCode"
+    def __init__(self, code, statuses: Sequence[int]):
+        self.code = code
+        self.statuses = statuses
 
-    @property
-    @abstractmethod
-    def statuses(self) -> Sequence[int]:
-        """Per-word :data:`STATUS_*` codes (list or uint8 ndarray)."""
-
-    @abstractmethod
     def counts(self) -> tuple[int, int, int, int]:
-        """``(clean, corrected, detected_no_match, detected_ripple)``."""
+        """``(clean, corrected, detected_no_match, detected_vetoed)``."""
+        return tuple(int(c) for c in np.bincount(self.statuses, minlength=4)[:4])
 
     @abstractmethod
-    def results(self) -> list["DecodeResult"]:
-        """Materialise scalar-identical :class:`DecodeResult` objects."""
+    def results(self) -> list:
+        """Materialise results identical to the scalar decoder's."""
 
     def __len__(self) -> int:
         return len(self.statuses)
+
+
+class ScalarBatchResult(BatchDecodeResult):
+    """Batch result of a scalar engine (MUSE or RS), backed by the list
+    of per-word scalar decode results."""
+
+    def __init__(self, code, statuses: list[int], results: list):
+        super().__init__(code, statuses)
+        self._results = results
+
+    def results(self) -> list:
+        return list(self._results)
 
 
 class DecodeEngine(ABC):
@@ -105,14 +118,15 @@ class DecodeEngine(ABC):
         return f"{type(self).__name__}({self.code.name}{flavour})"
 
     @abstractmethod
-    def encode_batch(self, data: Sequence[int]) -> list[int]:
+    def encode_batch(self, data: Sequence) -> list:
         """Systematically encode a batch of data words."""
 
     @abstractmethod
     def decode_batch(self, words) -> BatchDecodeResult:
-        """Run the Figure-4 flow over a batch of received words.
+        """Decode a batch of received words.
 
-        ``words`` may be a sequence of Python ints or (for the numpy
-        backend, zero-copy) a ``(B, L)`` uint64 limb array from
-        :mod:`repro.engine.limbs`.
+        ``words`` may be a sequence of words (Python ints for MUSE,
+        symbol rows for RS) or, zero-copy on the vector backends, the
+        engine's own batch array (``(B, L)`` uint64 limbs from
+        :mod:`repro.engine.limbs`, ``(B, n_symbols)`` uint32 symbols).
         """

@@ -1,36 +1,34 @@
 """The native backend: self-compiled C kernels over the numpy tables.
 
-:class:`NativeDecodeEngine` subclasses the numpy engine for its table
-construction (dense ELC, confinement masks), adds the few flat tables
-the C kernels take (``2^p mod m`` per bit position, the rectangular
-symbol-bit table, each symbol's first bit where one shift and mask read
-it), and dispatches batch decode and the fused
-corruption->decode->tally chunk to the ctypes library built by
-:mod:`repro.engine.cc`.  Tallies are byte-identical to every other
-backend at a fixed seed.
+:class:`NativeKernels` is what both families' native engines share:
+loading the ctypes library built by :mod:`repro.engine.cc` (a host
+without one refuses the code, so ``auto`` steps down to numpy), and
+the fused tail — :func:`~repro.orchestrate.corruption.fused_stream`
+says whether a kernel can replay a scenario's counter-hashed stream,
+the kernel tallies the 4 statuses of the chunk without materialising
+any batch array, and :meth:`~NativeKernels.fused_chunk_counts` is the
+msed case.  It replays the msed stream and the ``mbu`` scenario's
+burst stream, and is exact for ``k_symbols <= 2``: there the
+generator's ``argpartition(scores, k-1)[:, :k]`` provably yields
+``(argmin, arg-2nd-min)``, which the kernels reproduce with a
+two-minimum scan (sorted by index for mbu).  For larger ``k`` the
+order of the remaining slots is an implementation detail of
+introselect, so the tail returns ``None`` and the caller generates then
+decodes — as it does for every other scenario.  Each engine keeps its
+own tables and its kernels' ctypes argument lists.  Tallies are
+byte-identical to every other backend at a fixed seed.
 
-:meth:`NativeDecodeEngine.fused_scenario_counts` replays a scenario's
-counter-hashed corruption stream in C and tallies the 4 statuses
-without materialising any batch array — the msed stream of
-:mod:`repro.orchestrate.corruption` and the ``mbu`` scenario's burst
-stream (:func:`~repro.orchestrate.corruption.fused_stream` says which).
-It encodes a lane block of clean words at once and decodes each
-trial's error pattern: a clean word's remainder is zero, so the chosen
-symbols' changes give the received remainder, and only an ELC hit
-under the ripple check builds the received word for the full decode.
-It is exact for ``k_symbols <= 2``: there the generator's
-``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
-arg-2nd-min)``, which the kernel reproduces with a two-minimum scan
-(and sorts by index for mbu).  For larger ``k`` the order of the
-remaining slots is an implementation detail of introselect, so the
-method returns ``None`` and the caller generates then decodes — as it
-does for every other scenario.  :meth:`fused_chunk_counts` is the msed
-case.
-
-Only registered as available when the probe's trial compile+load
-succeeds.  A code the kernels cannot take (more than
-:data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0, 64)``) raises
-:class:`BackendUnavailableError`, and ``auto`` steps down to numpy.
+:class:`NativeDecodeEngine` is the MUSE engine.  It subclasses the
+numpy engine for its table construction (dense ELC, confinement
+masks) and adds the flat tables the C kernels take (``2^p mod m`` per
+bit position, the rectangular symbol-bit table, each symbol's first
+bit where one shift and mask read it).  Its fused kernel encodes a
+lane block of clean words at once and decodes each trial's error
+pattern: a clean word's remainder is zero, so the chosen symbols'
+changes give the received remainder, and only an ELC hit under the
+ripple check builds the received word for the full decode.  A code the
+kernels cannot take (more than :data:`MAX_NATIVE_LIMBS` limbs, or
+``r`` outside ``(0, 64)``) raises :class:`BackendUnavailableError`.
 Symbols need no limit of their own: no kernel buffer is sized by the
 symbol count, and since every symbol holds at least one bit, 8 limbs
 hold at most 512 of them.
@@ -51,18 +49,58 @@ from repro.orchestrate.corruption import fused_stream
 MAX_NATIVE_LIMBS = 8
 
 
-class NativeDecodeEngine(NumpyDecodeEngine):
-    """C-kernel MUSE backend; numpy's tables, ``cc``'s code."""
+class NativeKernels:
+    """The ctypes plumbing both native engines share.
+
+    Mixed in ahead of a family's numpy engine, whose tables the kernels
+    take.  Each engine sets ``_stream_shape`` — the ``(columns,
+    symbols)`` its trial stream draws keys for — and runs its own fused
+    kernel in :meth:`_fused_kernel`.
+    """
 
     name = "native"
+    _stream_shape: tuple[int, int]
 
-    def __init__(self, code, ripple_check: bool = True):
-        super().__init__(code, ripple_check)
+    def __init__(self, code, option):
+        super().__init__(code, option)
         self._lib = load_library()
         if self._lib is None:
             raise BackendUnavailableError(
                 "native kernels unavailable (no working C compiler?)"
             )
+
+    def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
+        """:meth:`fused_scenario_counts` of the msed stream."""
+        return self.fused_scenario_counts("msed", chunk, key, k_symbols)
+
+    def fused_scenario_counts(self, scenario: str, chunk, key: int,
+                              k_symbols: int):
+        """The 4-status counts of one fused corruption->decode chunk.
+
+        Returns the counts :meth:`BatchDecodeResult.counts` would give
+        for the decoded ``scenario_chunk`` — byte-identical — or
+        ``None`` when the kernel cannot replay the scenario named
+        ``scenario`` at ``k_symbols`` (see :func:`fused_stream`),
+        telling the caller to take the unfused path.
+        """
+        stream = fused_stream(scenario, key, *self._stream_shape, k_symbols)
+        if stream is None:
+            return None
+        counts = np.zeros(4, dtype=np.int64)
+        self._fused_kernel(chunk, k_symbols, stream, counts)
+        return tuple(int(count) for count in counts)
+
+    def _fused_kernel(self, chunk, k_symbols: int, stream, counts) -> None:
+        """Run the family's fused kernel over ``chunk``, tallying into
+        ``counts``; ``stream`` is :func:`fused_stream`'s tuple."""
+        raise NotImplementedError
+
+
+class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
+    """C-kernel MUSE backend; numpy's tables, ``cc``'s code."""
+
+    def __init__(self, code, ripple_check: bool = True):
+        super().__init__(code, ripple_check)
         if self.limbs > MAX_NATIVE_LIMBS:
             raise BackendUnavailableError(
                 f"native kernels support up to {MAX_NATIVE_LIMBS} limbs, "
@@ -80,6 +118,7 @@ class NativeDecodeEngine(NumpyDecodeEngine):
         )
         self._hit_u8 = self._elc_hit.astype(np.uint8)
         self._k_mask = int_to_limb_row((1 << code.k) - 1, self.limbs)
+        self._stream_shape = (self.limbs, code.layout.symbol_count)
         # Per-symbol bit positions as a rectangular table for in-kernel
         # extract/insert (device-local bit order, like the layout), and
         # each symbol's first bit where it is one run of at most 32
@@ -121,28 +160,8 @@ class NativeDecodeEngine(NumpyDecodeEngine):
         )
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
-    def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
-        """:meth:`fused_scenario_counts` of the msed stream."""
-        return self.fused_scenario_counts("msed", chunk, key, k_symbols)
-
-    def fused_scenario_counts(self, scenario: str, chunk, key: int,
-                              k_symbols: int):
-        """The 4-status counts of one fused corruption->decode chunk.
-
-        Returns ``(clean, corrected, no_match, ripple)`` —
-        byte-identical to decoding ``muse_scenario_chunk`` — or
-        ``None`` when the kernel cannot replay the scenario named
-        ``scenario`` at ``k_symbols`` (see :func:`fused_stream`),
-        telling the caller to take the unfused path.
-        """
-        symbol_count = self.code.layout.symbol_count
-        stream = fused_stream(
-            scenario, key, self.limbs, symbol_count, k_symbols
-        )
-        if stream is None:
-            return None
+    def _fused_kernel(self, chunk, k_symbols: int, stream, counts) -> None:
         mode, data_keys, choice_keys, value_keys, start_keys = stream
-        counts = np.zeros(4, dtype=np.int64)
         self._lib.muse_fused_chunk(
             chunk.start, chunk.size, k_symbols, self.limbs, self.code.r,
             self.code.m, ptr(self._pow2), ptr(self._k_mask),
@@ -150,11 +169,10 @@ class NativeDecodeEngine(NumpyDecodeEngine):
             ptr(self._above_mask), ptr(self._bit_symbol),
             ptr(self._symbol_outside_masks), ptr(self._sym_bits),
             ptr(self._sym_widths), ptr(self._sym_first),
-            self._sym_bits.shape[1], symbol_count, mode, ptr(data_keys),
-            ptr(choice_keys), ptr(value_keys), ptr(start_keys),
-            int(self.ripple_check), ptr(counts),
+            self._sym_bits.shape[1], self.code.layout.symbol_count, mode,
+            ptr(data_keys), ptr(choice_keys), ptr(value_keys),
+            ptr(start_keys), int(self.ripple_check), ptr(counts),
         )
-        return tuple(int(count) for count in counts)
 
 
-__all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine"]
+__all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine", "NativeKernels"]

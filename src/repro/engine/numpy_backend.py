@@ -124,18 +124,10 @@ class NumpyBatchResult(BatchDecodeResult):
     """Batch result backed by limb arrays; ints materialise lazily."""
 
     def __init__(self, code, statuses, words, corrected, remainders):
-        self.code = code
-        self._statuses = statuses
+        super().__init__(code, statuses)
         self._words = words
         self._corrected = corrected
         self._remainders = remainders
-
-    @property
-    def statuses(self) -> Sequence[int]:
-        return self._statuses
-
-    def counts(self) -> tuple[int, int, int, int]:
-        return tuple(int(c) for c in np.bincount(self._statuses, minlength=4)[:4])
 
     def results(self):
         from repro.core.codec import DecodeResult, DecodeStatus, DetectionReason
@@ -144,7 +136,7 @@ class NumpyBatchResult(BatchDecodeResult):
         received = limbs_to_ints(self._words)
         corrected = limbs_to_ints(self._corrected)
         out = []
-        for i, status in enumerate(self._statuses.tolist()):
+        for i, status in enumerate(self.statuses.tolist()):
             if status == STATUS_CLEAN:
                 out.append(
                     DecodeResult(

@@ -1,12 +1,12 @@
-"""Batch Reed-Solomon decode engines (scalar reference vs vectorised numpy).
+"""Batch Reed-Solomon decode engines on the shared engine layer.
 
-The RS analogue of :mod:`repro.engine`: one :class:`RsDecodeEngine`
-binds an :class:`~repro.rs.reed_solomon.RSCode` to a batch execution
-strategy behind the same backend registry the MUSE engine uses
-(:func:`repro.engine.cached_engine` — an explicit backend that cannot
-run a code raises :class:`~repro.engine.base.BackendUnavailableError`,
-``auto`` steps down to the next rung).  The native rung
-(:mod:`repro.rs.engine_native`) subclasses :class:`NumpyRsEngine`.
+An :class:`RsDecodeEngine` is a :class:`~repro.engine.base.DecodeEngine`
+whose option is the device-confinement policy; its backends register
+as the ``"RS"`` family of the one registry and resolve through
+:func:`repro.engine.cached_engine`.  What is RS-specific here is the
+PGZ tables, the decode, and how :class:`NumpyRsBatchResult` rebuilds
+per-word results; the native rung (:mod:`repro.rs.engine_native`)
+subclasses :class:`NumpyRsEngine`.
 
 Codeword batches are ``(batch, n_symbols)`` uint32 symbol arrays.  The
 numpy backend runs the whole t=1 PGZ flow vectorised:
@@ -25,7 +25,7 @@ numpy backend runs the whole t=1 PGZ flow vectorised:
    confinement reduces to the lowest and highest flipped bit landing in
    the same device).
 
-Per-word outcomes reuse the MUSE engine's four tally-aligned status
+Per-word outcomes are the engine layer's four tally-aligned status
 codes; the fourth bucket is the device-confinement veto rather than a
 correction ripple.  Corruption streams are generated once, vectorised
 (:func:`repro.orchestrate.corruption.corruption_chunk` over the
@@ -36,8 +36,6 @@ byte-identically on every backend.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.engine import cached_engine
@@ -46,19 +44,15 @@ from repro.engine.base import (
     STATUS_CORRECTED,
     STATUS_DETECTED_NO_MATCH,
     STATUS_DETECTED_RIPPLE,
+    BatchDecodeResult,
+    DecodeEngine,
+    ScalarBatchResult,
 )
 from repro.rs.reed_solomon import RSCode, RSDecodeResult, RSDecodeStatus
 
 #: RS name for the fourth status bucket: the PGZ correction was valid
 #: but could not have been produced by a single failed device.
 STATUS_DETECTED_CONFINEMENT = STATUS_DETECTED_RIPPLE
-
-RS_STATUS_NAMES = (
-    "clean",
-    "corrected",
-    "detected_no_match",
-    "detected_confinement",
-)
 
 
 def device_confined(
@@ -79,73 +73,24 @@ def device_confined(
 
 
 # ----------------------------------------------------------------------
-# Batch results
+# Batch result and engines
 # ----------------------------------------------------------------------
 
-class RsBatchResult:
-    """Outcome of decoding one batch of RS codewords.
+class NumpyRsBatchResult(BatchDecodeResult):
+    """Batch result backed by symbol arrays; tuples materialise lazily.
 
-    ``statuses`` / ``counts()`` are the cheap tally views;
-    ``results()`` reconstructs per-word :class:`RSDecodeResult` objects
-    identical to ``code.decode`` — the device-policy verdict lives only
-    in the status codes (the bounded-distance decoder itself still
-    reports such words as CORRECTED, as the scalar decoder does).
+    :meth:`results` rebuilds what ``code.decode`` returns: the
+    device-policy verdict lives only in the status codes (the
+    bounded-distance decoder itself still reports such words as
+    CORRECTED, as the scalar decoder does).
     """
 
-    code: RSCode
-
-    @property
-    def statuses(self) -> Sequence[int]:
-        raise NotImplementedError
-
-    def counts(self) -> tuple[int, int, int, int]:
-        """``(clean, corrected, detected_no_match, detected_confinement)``."""
-        raise NotImplementedError
-
-    def results(self) -> list[RSDecodeResult]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.statuses)
-
-
-class ScalarRsBatchResult(RsBatchResult):
-    def __init__(self, code, statuses, results):
-        self.code = code
-        self._statuses = statuses
-        self._results = results
-
-    @property
-    def statuses(self) -> Sequence[int]:
-        return self._statuses
-
-    def counts(self) -> tuple[int, int, int, int]:
-        buckets = [0, 0, 0, 0]
-        for status in self._statuses:
-            buckets[status] += 1
-        return tuple(buckets)
-
-    def results(self) -> list[RSDecodeResult]:
-        return list(self._results)
-
-
-class NumpyRsBatchResult(RsBatchResult):
-    """Batch result backed by symbol arrays; tuples materialise lazily."""
-
     def __init__(self, code, statuses, words, corrected, positions, magnitudes):
-        self.code = code
-        self._statuses = statuses
+        super().__init__(code, statuses)
         self._words = words
         self._corrected = corrected
         self._positions = positions
         self._magnitudes = magnitudes
-
-    @property
-    def statuses(self) -> Sequence[int]:
-        return self._statuses
-
-    def counts(self) -> tuple[int, int, int, int]:
-        return tuple(int(c) for c in np.bincount(self._statuses, minlength=4)[:4])
 
     def results(self) -> list[RSDecodeResult]:
         received = self._words.tolist()
@@ -153,7 +98,7 @@ class NumpyRsBatchResult(RsBatchResult):
         positions = self._positions.tolist()
         magnitudes = self._magnitudes.tolist()
         out = []
-        for i, status in enumerate(self._statuses.tolist()):
+        for i, status in enumerate(self.statuses.tolist()):
             if status == STATUS_CLEAN:
                 out.append(
                     RSDecodeResult(RSDecodeStatus.CLEAN, tuple(received[i]))
@@ -172,20 +117,16 @@ class NumpyRsBatchResult(RsBatchResult):
         return out
 
 
-# ----------------------------------------------------------------------
-# Engines
-# ----------------------------------------------------------------------
-
-class RsDecodeEngine:
-    """One RS code bound to one batch-execution strategy.
+class RsDecodeEngine(DecodeEngine):
+    """An RS code bound to one batch-execution strategy.
 
     ``device_bits`` enables the device-confinement decode policy
     (``None`` disables it); the policy only affects which of the two
-    "corrected" status buckets a PGZ correction lands in.
+    "corrected" status buckets a PGZ correction lands in.  Batches are
+    symbol rows: ``encode_batch`` takes data-symbol rows and returns
+    codeword tuples, ``decode_batch`` takes codeword rows or (numpy,
+    zero-copy) a ``(B, n_symbols)`` uint32 array.
     """
-
-    #: registry name of the backend ("scalar", "numpy" or "native")
-    name: str
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
         self.code = code
@@ -196,18 +137,6 @@ class RsDecodeEngine:
             f", x{self.device_bits} policy" if self.device_bits is not None else ""
         )
         return f"{type(self).__name__}({self.code!r}{policy})"
-
-    def encode_batch(self, data) -> list[tuple[int, ...]]:
-        """Systematically encode a batch of data-symbol rows."""
-        raise NotImplementedError
-
-    def decode_batch(self, words) -> RsBatchResult:
-        """PGZ-decode a batch of codeword-symbol rows.
-
-        ``words`` may be a sequence of symbol sequences or (for the
-        numpy backend, zero-copy) a ``(B, n_symbols)`` uint32 array.
-        """
-        raise NotImplementedError
 
 
 def _as_symbol_rows(words) -> list[list[int]]:
@@ -226,7 +155,7 @@ class ScalarRsEngine(RsDecodeEngine):
         encode = self.code.encode
         return [encode(row) for row in _as_symbol_rows(data)]
 
-    def decode_batch(self, words) -> ScalarRsBatchResult:
+    def decode_batch(self, words) -> ScalarBatchResult:
         code = self.code
         device_bits = self.device_bits
         statuses = []
@@ -244,7 +173,7 @@ class ScalarRsEngine(RsDecodeEngine):
             else:
                 statuses.append(STATUS_CORRECTED)
             results.append(result)
-        return ScalarRsBatchResult(code, statuses, results)
+        return ScalarBatchResult(code, statuses, results)
 
 
 class NumpyRsEngine(RsDecodeEngine):
@@ -420,20 +349,19 @@ def get_rs_engine(
 ) -> RsDecodeEngine:
     """Build (or fetch the cached) RS engine for one code.
 
-    Shares the MUSE backend registry and its resolver
+    The ``"RS"`` family of the MUSE engines' registry and resolver
     (:func:`repro.engine.cached_engine`): engines are cached per
     ``(backend, device_bits)`` on the code, an explicit backend that
     cannot run the code raises, and ``auto`` takes the fastest rung
     that can.
     """
-    return cached_engine(code, backend, device_bits, rs=True)
+    return cached_engine(code, "RS", backend, device_bits)
 
 
 __all__ = [
+    "NumpyRsBatchResult",
     "NumpyRsEngine",
-    "RsBatchResult",
     "RsDecodeEngine",
-    "RS_STATUS_NAMES",
     "STATUS_CLEAN",
     "STATUS_CORRECTED",
     "STATUS_DETECTED_CONFINEMENT",

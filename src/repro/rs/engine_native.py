@@ -1,44 +1,32 @@
 """The native Reed-Solomon backend: C PGZ kernels via ctypes.
 
-The RS twin of :mod:`repro.engine.native` — subclasses
-:class:`repro.rs.engine.NumpyRsEngine` for the syndrome weights,
-encode constants and confinement lookup, adds the typed GF tables the
-C kernels take, and dispatches batch decode and the fused
-corruption->decode->tally chunk to the shared kernel library compiled
-by :mod:`repro.engine.cc`.  Both kernels take the ``2i mod order``
-syndrome-weight logs (``_w2_log``), so no ``% order`` runs per symbol.
-The fused chunk replays the msed and ``mbu`` streams of
-:func:`repro.orchestrate.corruption.rs_scenario_chunk` for
-``k_symbols <= 2`` (``None`` otherwise, and for every other scenario,
-as for MUSE) by decoding the error pattern alone: syndromes are linear
-and a clean word's are zero, so only the chosen symbols' terms enter
-and no codeword is built.  No kernel buffer is sized by the symbol
-count, so every RS code runs native, up to n equal to the field
-order.  Byte-identical tallies, native speed, no package installs.
+:class:`NativeRsEngine` mixes the shared
+:class:`~repro.engine.native.NativeKernels` plumbing (library load,
+fused tail) into :class:`repro.rs.engine.NumpyRsEngine` for the
+syndrome weights, encode constants and confinement lookup, and adds
+the typed GF tables and the ctypes argument lists of its two kernels.
+Both kernels take the ``2i mod order`` syndrome-weight logs
+(``_w2_log``), so no ``% order`` runs per symbol.  The fused chunk
+decodes the error pattern alone: syndromes are linear and a clean
+word's are zero, so only the chosen symbols' terms enter and no
+codeword is built.  No kernel buffer is sized by the symbol count, so
+every RS code runs native, up to n equal to the field order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.base import BackendUnavailableError
-from repro.engine.cc import load_library, ptr
-from repro.orchestrate.corruption import fused_stream
+from repro.engine.cc import ptr
+from repro.engine.native import NativeKernels
 from repro.rs.engine import NumpyRsBatchResult, NumpyRsEngine
 
 
-class NativeRsEngine(NumpyRsEngine):
+class NativeRsEngine(NativeKernels, NumpyRsEngine):
     """C-kernel RS backend; numpy's tables, ``cc``'s code."""
-
-    name = "native"
 
     def __init__(self, code, device_bits: int | None = 4):
         super().__init__(code, device_bits)
-        self._lib = load_library()
-        if self._lib is None:
-            raise BackendUnavailableError(
-                "native kernels unavailable (no working C compiler?)"
-            )
         self._exp2_nd = code.field.exp_nd
         self._log_nd = code.field.log_nd
         self._widths_nd = np.asarray(code.symbol_widths, dtype=np.int64)
@@ -49,6 +37,7 @@ class NativeRsEngine(NumpyRsEngine):
             if self._has_policy
             else np.zeros((1, 1), dtype=np.uint8)
         )
+        self._stream_shape = (code.data_symbols, code.n_symbols)
 
     def decode_arrays(self, words: np.ndarray) -> NumpyRsBatchResult:
         words = np.ascontiguousarray(words, dtype=np.uint32)
@@ -69,27 +58,9 @@ class NativeRsEngine(NumpyRsEngine):
             self.code, statuses, words, corrected, positions, magnitudes
         )
 
-    def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
-        """:meth:`fused_scenario_counts` of the msed stream."""
-        return self.fused_scenario_counts("msed", chunk, key, k_symbols)
-
-    def fused_scenario_counts(self, scenario: str, chunk, key: int,
-                              k_symbols: int):
-        """The 4-status counts of one fused corruption->decode chunk.
-
-        ``(clean, corrected, no_match, confinement)`` — byte-identical
-        to decoding ``rs_scenario_chunk`` — or ``None`` when the kernel
-        cannot replay the scenario named ``scenario`` at ``k_symbols``
-        (see :func:`fused_stream`).
-        """
+    def _fused_kernel(self, chunk, k_symbols: int, stream, counts) -> None:
         code = self.code
-        stream = fused_stream(
-            scenario, key, code.data_symbols, code.n_symbols, k_symbols
-        )
-        if stream is None:
-            return None
         mode, data_keys, choice_keys, value_keys, start_keys = stream
-        counts = np.zeros(4, dtype=np.int64)
         self._lib.rs_fused_chunk(
             chunk.start, chunk.size, k_symbols, ptr(self._exp2_nd),
             ptr(self._log_nd), ptr(self._w2_log), self._order,
@@ -102,7 +73,6 @@ class NativeRsEngine(NumpyRsEngine):
             ptr(choice_keys), ptr(value_keys), ptr(start_keys),
             ptr(counts),
         )
-        return tuple(int(count) for count in counts)
 
 
 __all__ = ["NativeRsEngine"]

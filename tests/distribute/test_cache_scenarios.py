@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from repro.distribute.cache import ResultCache
-from repro.distribute.checkpoint import spec_fingerprint
+from repro.distribute.checkpoint import CORRUPT_SUFFIX, spec_fingerprint
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.worker import CodeRef, MuseSimSpec, RsSimSpec
 from repro.reliability.metrics import MsedTally
@@ -189,3 +189,32 @@ class TestCacheCells:
         assert reader.lookup(KEY, spec, chunk_a).trials == 64
         assert reader.lookup(KEY, spec, chunk_b).miscorrected == 2
         assert reader.trials_recorded == 0
+
+    def test_torn_cell_heals_on_the_next_load(self, tmp_path):
+        """A cell torn by a kill mid-flush is rewritten on load to its
+        valid prefix (the damaged file kept as ``.corrupt``), so the
+        lost chunk recomputes once and later reruns record nothing."""
+        chunks = (Chunk(0, 64), Chunk(64, 64))
+        spec = MuseSimSpec(MUSE_REF)
+        writer = ResultCache(tmp_path)
+        for chunk in chunks:
+            writer.record(KEY, spec, chunk, tally(miscorrected=1, silent=63))
+        writer.flush()
+        (cell,) = tmp_path.glob("*.jsonl")
+        lines = cell.read_bytes().splitlines(keepends=True)
+        torn = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) * 2 // 3]
+        cell.write_bytes(torn)
+
+        recorded = []
+        for _ in range(3):
+            rerun = ResultCache(tmp_path)
+            for chunk in chunks:
+                if rerun.lookup(KEY, spec, chunk) is None:
+                    rerun.record(
+                        KEY, spec, chunk, tally(miscorrected=1, silent=63)
+                    )
+            rerun.flush()
+            recorded.append(rerun.trials_recorded)
+        assert recorded == [64, 0, 0]
+        assert cell.read_bytes() == b"".join(lines)
+        assert cell.with_name(cell.name + CORRUPT_SUFFIX).read_bytes() == torn

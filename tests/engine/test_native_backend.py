@@ -9,6 +9,7 @@ against the real registry rather than a mock.
 """
 
 import os
+from collections.abc import Mapping
 from functools import partial
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.orchestrate.corruption import (
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import derive_key
 from repro.reliability.monte_carlo import muse_design_point
+from repro.rs.engine import get_rs_engine
+from repro.rs.reed_solomon import rs_for_channel
 from repro.scenarios import resolve_scenario
 
 # Gate on the registry (not the raw compiler probe) so the suite also
@@ -62,9 +65,9 @@ class TestRegistrySemantics:
 
     def test_register_rejects_reserved_names(self):
         with pytest.raises(ValueError):
-            register_backend("auto", lambda: True, lambda code: None)
+            register_backend("auto", lambda: True, {"MUSE": lambda code: None})
         with pytest.raises(ValueError):
-            register_backend("", lambda: True, lambda code: None)
+            register_backend("", lambda: True, {"MUSE": lambda code: None})
 
     def test_env_var_disables_a_backend(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "native")
@@ -109,7 +112,7 @@ class TestRegistrySemantics:
         monkeypatch.setitem(
             _REGISTRY,
             "refuser",
-            RegisteredBackend("refuser", lambda: True, refuse, None, 99),
+            RegisteredBackend("refuser", lambda: True, {"MUSE": refuse}, 99),
         )
         code = muse_80_69()
         below = available_backends()[-2]
@@ -118,6 +121,60 @@ class TestRegistrySemantics:
         assert len(calls) == 1
         with pytest.raises(BackendUnavailableError):
             get_engine(code, "refuser")
+
+    def test_auto_steps_down_past_a_rung_without_the_family(
+        self, monkeypatch
+    ):
+        """A top rung with a MUSE engine only refuses RS codes like a
+        refusing factory: ``auto`` lands on the next rung, asking the
+        top rung once per code, and an explicit request raises."""
+        asked = []
+
+        class Engines(Mapping):
+            def __init__(self, engines):
+                self._engines = engines
+
+            def __getitem__(self, family):
+                asked.append(family)
+                return self._engines[family]
+
+            def __iter__(self):
+                return iter(self._engines)
+
+            def __len__(self):
+                return len(self._engines)
+
+        numpy_muse = _REGISTRY["numpy"].engines["MUSE"]
+        monkeypatch.setitem(
+            _REGISTRY,
+            "museonly",
+            RegisteredBackend(
+                "museonly", lambda: True, Engines({"MUSE": numpy_muse}), 99
+            ),
+        )
+        code = rs_for_channel(8, 144)
+        below = available_backends()[-2]
+        assert get_rs_engine(code, "auto") is get_rs_engine(code, below)
+        assert get_rs_engine(code, "auto") is get_rs_engine(code, below)
+        assert asked.count("RS") == 1
+        with pytest.raises(BackendUnavailableError, match="no RS engine"):
+            get_rs_engine(code, "museonly")
+        assert get_engine(muse_80_69(), "museonly").name == "numpy"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: resolve_backend("auto"),
+            lambda: get_engine(muse_80_69(), "auto"),
+        ],
+        ids=["resolve_backend", "get_engine"],
+    )
+    def test_every_rung_disabled_raises_naming_the_switch(
+        self, monkeypatch, call
+    ):
+        monkeypatch.setenv(DISABLE_ENV, "scalar,numpy,native")
+        with pytest.raises(BackendUnavailableError, match=DISABLE_ENV):
+            call()
 
 
 @requires_native

@@ -78,6 +78,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["table4", "--backend", "cuda"])
 
+    def test_every_backend_disabled_exits_2(self, monkeypatch, capsys):
+        """With every rung switched off, ``auto`` names the switch and
+        the CLI exits 2 instead of dying with a traceback."""
+        from repro.cli import main
+        from repro.engine import DISABLE_ENV
+
+        monkeypatch.setenv(DISABLE_ENV, "scalar,numpy,native")
+        assert main(["table4", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and DISABLE_ENV in err
+
     def test_run_quick_experiment(self, capsys):
         parser = build_parser()
         args = parser.parse_args(["table3"])

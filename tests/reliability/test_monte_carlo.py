@@ -135,7 +135,7 @@ class TestDesignPoints:
                 built.append(code)
                 return factory(code, option)
 
-            return build if factory is not None else None
+            return build
 
         for name, entry in list(_REGISTRY.items()):
             monkeypatch.setitem(
@@ -143,8 +143,10 @@ class TestDesignPoints:
                 name,
                 dataclasses.replace(
                     entry,
-                    factory=counting(entry.factory),
-                    rs_factory=counting(entry.rs_factory),
+                    engines={
+                        family: counting(factory)
+                        for family, factory in entry.engines.items()
+                    },
                 ),
             )
         build_table_iv(trials=64, seed=1)
