@@ -19,12 +19,17 @@ directory.  The line format is shared with the checkpoint journal
 a cell whose records are damaged (a kill mid-flush tears the last one)
 is rewritten on load to its header and valid prefix, the original kept
 as a ``.corrupt`` sidecar, before anything appends to it — so the
-chunks the damage lost recompute once.  Appends batch in memory and
-land via one fsync'd :func:`~repro.orchestrate.persist.durable_append`
-per :meth:`flush`.  The one caller is
-:func:`repro.orchestrate.pool.run_grid`: it looks every cell up before
-running a grid, records each chunk it runs, and flushes when the grid
-ends — in process, over a pool or on a distributed session alike.
+chunks the damage lost recompute once.  A cell torn inside its header
+line (a kill during its first flush leaves a prefix of the header it
+would write) is quarantined the same way and starts empty.  Any other
+file under a cell's name — undecodable, or the header of another cell
+— is foreign: left as it is, never appended to, every lookup a miss.
+Appends batch in memory and land via one fsync'd
+:func:`~repro.orchestrate.persist.durable_append` per :meth:`flush`.
+The one caller is :func:`repro.orchestrate.pool.run_grid`: it looks
+every cell up before running a grid, records each chunk it runs, and
+flushes when the grid ends — in process, over a pool or on a
+distributed session alike.
 """
 
 from __future__ import annotations
@@ -80,6 +85,12 @@ class ResultCache:
     def _path(self, digest: str) -> Path:
         return self.directory / f"{digest}.jsonl"
 
+    @staticmethod
+    def _header(key: int, fingerprint: str) -> bytes:
+        return _encode_line(
+            {"version": CACHE_VERSION, "key": key, "spec": fingerprint}
+        )
+
     def _load(
         self, digest: str, key: int, fingerprint: str
     ) -> dict[tuple[int, int], MsedTally]:
@@ -91,9 +102,15 @@ class ResultCache:
         path = self._path(digest)
         if not path.exists():
             return cell
-        lines = path.read_bytes().splitlines()
-        if not lines:
+        raw = path.read_bytes()
+        if not raw:
             return cell
+        own_header = self._header(key, fingerprint)
+        if raw != own_header and own_header.startswith(raw):
+            # Torn inside this cell's own header: nothing to keep.
+            quarantine_and_rewrite(path, [])
+            return cell
+        lines = raw.splitlines()
         header = _decode_line(lines[0])
         if (
             header is None
@@ -101,7 +118,7 @@ class ResultCache:
             or header.get("key") != key
             or header.get("spec") != fingerprint
         ):
-            # A foreign or damaged file under our digest: leave it
+            # A foreign or undecodable file under our digest: leave it
             # alone and treat the cell as empty (every lookup misses,
             # nothing is appended on top of it).
             self._foreign.add(digest)
@@ -163,12 +180,7 @@ class ResultCache:
         }
         queue = self._pending.setdefault(digest, [])
         if digest not in self._headered and not queue:
-            header = {
-                "version": CACHE_VERSION,
-                "key": key,
-                "spec": fingerprint,
-            }
-            queue.append(_encode_line(header))
+            queue.append(self._header(key, fingerprint))
         queue.append(_encode_line(record))
         self.trials_recorded += tally.trials
 

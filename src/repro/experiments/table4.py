@@ -103,9 +103,7 @@ def details(table: TableIV) -> dict:
         if point.sampling is not None:
             entry["converged"] = point.sampling.converged
             entry["rounds"] = point.sampling.rounds
-            if getattr(point.sampling, "escalated", False):
-                entry["escalated"] = True
-            cached = getattr(point.sampling, "trials_cached", 0)
+            cached = point.sampling.trials_cached
             if cached:
                 entry["trials_cached"] = cached
         points.append(entry)

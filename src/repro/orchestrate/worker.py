@@ -22,7 +22,7 @@ path of :func:`repro.orchestrate.pool.run_grid` run.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from repro.orchestrate.plan import Chunk
@@ -54,8 +54,9 @@ def as_code_ref(code_ref: "CodeRef | str | None") -> CodeRef:
     """Normalise a user-supplied ref (``CodeRef`` or string) or fail."""
     if code_ref is None:
         raise ValueError(
-            "multi-process runs rebuild the code in each worker and need "
-            "a picklable code_ref, e.g. "
+            "this run needs a picklable code_ref: result-cache cells are "
+            "keyed by it and multi-process or distributed workers rebuild "
+            "the code from it; pass e.g. "
             "CodeRef('repro.core.codes:muse_80_69') or the 'module:callable' "
             "string directly"
         )
@@ -80,20 +81,6 @@ def checked_code_ref(code_ref, code, signature) -> CodeRef:
             f"{code!r}; workers would tally a different code"
         )
     return ref
-
-
-def task_spec(runner, spec_class):
-    """``spec_class`` filled from ``runner``'s same-named fields, its
-    code replaced by the checked ``code_ref`` of the runner's family.
-
-    The one ``_task_spec`` body of the simulators and splitting
-    estimators: each declares its spec class, whose fields it shares.
-    """
-    values = {f.name: getattr(runner, f.name) for f in fields(spec_class)}
-    values["code"] = checked_code_ref(
-        runner.code_ref, runner.code, runner.family.signature
-    )
-    return spec_class(**values)
 
 
 @dataclass(frozen=True)

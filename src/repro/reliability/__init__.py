@@ -9,7 +9,8 @@
 * :mod:`~repro.reliability.sampling` — adaptive sampling (the
   :class:`AdaptivePolicy` stopping rule, applied by one campaign
   scheduler to a single point or a whole sweep) and importance
-  splitting for the silent / miscorrection tails.
+  splitting for the silent / miscorrection tails
+  (:class:`SplittingEstimator` over a plain msed simulator).
 """
 
 from repro.reliability.analytic import (
@@ -37,9 +38,8 @@ from repro.reliability.monte_carlo import (
 from repro.reliability.sampling import (
     AdaptivePolicy,
     Interval,
-    MuseSplittingEstimator,
-    RsSplittingEstimator,
     SplitResult,
+    SplittingEstimator,
     binomial_interval,
     clopper_pearson_interval,
     wilson_interval,
@@ -53,10 +53,9 @@ __all__ = [
     "MsedResult",
     "MsedTally",
     "MuseMsedSimulator",
-    "MuseSplittingEstimator",
     "RsMsedSimulator",
-    "RsSplittingEstimator",
     "SplitResult",
+    "SplittingEstimator",
     "TableIV",
     "binomial_interval",
     "build_table_iv",

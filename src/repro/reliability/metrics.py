@@ -206,8 +206,8 @@ class DesignPoint:
     result: MsedResult | None
     note: str = ""
     #: Set when the point was run adaptively: the campaign's outcome
-    #: (convergence flag, rounds, escalation, cached trials and the
-    #: policy the stopping decision used).
+    #: (convergence flag, rounds, cached trials and the policy the
+    #: stopping decision used).
     sampling: "CampaignOutcome | None" = None
 
 

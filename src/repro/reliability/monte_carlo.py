@@ -37,8 +37,7 @@ master seed the folded tally is byte-identical for every
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from repro.core.codec import MuseCode
@@ -65,8 +64,8 @@ from repro.orchestrate.worker import (
     CodeRef,
     MuseSimSpec,
     RsSimSpec,
+    checked_code_ref,
     group_labels,
-    task_spec,
 )
 from repro.reliability.metrics import (
     DesignPoint,
@@ -181,7 +180,13 @@ class _MsedSimulator:
         return _tally(counts)
 
     def _task_spec(self):
-        return task_spec(self, self.spec_class)
+        """``spec_class`` filled from this simulator's same-named
+        fields, its code replaced by the checked ``code_ref``."""
+        values = {f.name: getattr(self, f.name) for f in fields(self.spec_class)}
+        values["code"] = checked_code_ref(
+            self.code_ref, self.code, self.family.signature
+        )
+        return self.spec_class(**values)
 
     def _scenario_sequential(self, scenario, chunk: Chunk, key: int) -> MsedTally:
         """The scalar reference of one scenario chunk: one
@@ -372,7 +377,7 @@ def run_design_points(
 
 def run_design_points_adaptive(
     simulators: "list[MuseMsedSimulator | RsMsedSimulator]",
-    policy: "AdaptivePolicy | CampaignPolicy",
+    policy: AdaptivePolicy,
     seed: int,
     jobs: int = 1,
     chunk_size: int | None = None,
@@ -396,15 +401,9 @@ def run_design_points_adaptive(
     (including each point's ``trials_used`` and ``trials_cached``) —
     allocation is a pure function of the folded tallies.
     """
-    if isinstance(policy, CampaignPolicy):
-        campaign = policy
-    else:
-        campaign = CampaignPolicy(base=policy)
-    if trial_budget is not None:
-        campaign = dataclasses.replace(campaign, trial_budget=trial_budget)
-    return CampaignRunner(campaign, cache=_result_cache(cache_dir)).run(
-        simulators, seed, jobs, chunk_size, progress, executor, group_ns
-    )
+    return CampaignRunner(
+        CampaignPolicy(policy, trial_budget), cache=_result_cache(cache_dir)
+    ).run(simulators, seed, jobs, chunk_size, progress, executor, group_ns)
 
 
 def run_design_points_with_outcomes(

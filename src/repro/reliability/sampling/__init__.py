@@ -10,18 +10,19 @@ Four layers over the PR-3 streaming orchestrator:
   trials once its target-rate CI is tight enough, or at the trial
   ceiling;
 * :mod:`~repro.reliability.sampling.splitting` — importance splitting
-  for the silent / miscorrection tails: sample corruption *prefixes*
-  from the plain stream, branch the final corrupted symbol over all
-  its values, and fold exact per-stratum integer counts into an
-  unbiased, lower-variance rate estimate with real error bars even
-  where the plain stream sees zero events;
+  for the silent / miscorrection tails: ``SplittingEstimator(simulator)``
+  samples corruption *prefixes* from a plain msed simulator's stream,
+  branches the final corrupted symbol over all its values, and folds
+  exact per-stratum integer counts into an unbiased, lower-variance
+  rate estimate with real error bars even where the plain stream sees
+  zero events;
 * :mod:`~repro.reliability.sampling.scheduler` —
   :class:`CampaignRunner`, the one adaptive sampler, for a single point
   (``run_adaptive``) or a whole sweep.  Each round it spends the next
   batch of trials on the points furthest from their CI target
   (priority = half-width / goal), honours a campaign-wide trial
-  budget, escalates zero-event cells to the splitting estimator, and
-  folds completed cells from the cross-run result cache — while
+  budget, and folds completed cells from the cross-run result cache
+  (a zero-event point runs to its trial ceiling) — while
   keeping every allocation a pure function of the folded tallies, so
   ``trials_used`` stays byte-identical across ``(chunk_size, jobs,
   workers)`` and backends.  Every round extends the same trial stream,
@@ -50,12 +51,10 @@ from repro.reliability.sampling.scheduler import (
 )
 from repro.reliability.sampling.splitting import (
     DEFAULT_SPLIT_CHUNK_SIZE,
-    MuseSplitSpec,
-    MuseSplittingEstimator,
-    RsSplitSpec,
-    RsSplittingEstimator,
     SplitResult,
+    SplitSpec,
     SplitTally,
+    SplittingEstimator,
 )
 
 __all__ = [
@@ -67,12 +66,10 @@ __all__ = [
     "DEFAULT_SPLIT_CHUNK_SIZE",
     "INTERVAL_KINDS",
     "Interval",
-    "MuseSplitSpec",
-    "MuseSplittingEstimator",
-    "RsSplitSpec",
-    "RsSplittingEstimator",
     "SplitResult",
+    "SplitSpec",
     "SplitTally",
+    "SplittingEstimator",
     "binomial_interval",
     "clopper_pearson_interval",
     "policy_from_cli",

@@ -13,17 +13,16 @@ they shrink confidence intervals fastest:
   :class:`AdaptivePolicy` (largest first, bandit-style);
 * the *allocation* for a point is the projected number of trials that
   closes the gap (binomial half-widths shrink like ``1/sqrt(n)``, so
-  ``n_goal ≈ n · (half/goal)² · safety``), capped per round at a
+  ``n_goal ≈ n · (half/goal)² · SAFETY``), capped per round at a
   doubling so noisy early projections are re-examined at the next
   barrier;
 * a per-campaign ``trial_budget`` is drained greedily in priority
   order, so a fixed fleet spends a fixed budget where it buys the most
   certainty;
-* a point whose plain stream has seen zero events after
-  ``escalate_after`` trials is *escalated*: the campaign stops feeding
-  it plain trials and hands it to the importance-splitting estimator
-  (:mod:`~repro.reliability.sampling.splitting`), which bounds the
-  tail without needing events in the plain stream.
+* a point whose plain stream sees zero events runs to ``max_trials``
+  and reports its interval there; a split tail bound for it is
+  ``SplittingEstimator(simulator).run(n)``
+  (:mod:`~repro.reliability.sampling.splitting`), outside the campaign.
 
 Determinism contract (same as every other runner in this repo): the
 allocation is a **pure function of the folded tallies** — never of
@@ -34,9 +33,10 @@ so ``trials_used`` and every tally are byte-identical across
 ``(chunk_size, jobs, workers)`` and backends at a fixed seed.  Each
 round's chunks run through :func:`~repro.orchestrate.pool.run_grid`,
 in process, over a pool or on a distributed session, like a
-fixed-budget run's — and so does its result-cache traffic.  A point's
-rounds extend its one trial stream, so its tally is byte-identical to
-a fixed-trial run of the same length.
+fixed-budget run's — and so does its result-cache traffic; the
+campaign runs no chunk any other way.  A point's rounds extend its one
+trial stream, so its tally is byte-identical to a fixed-trial run of
+the same length.
 
 This module deliberately imports nothing from ``repro.distribute``:
 the optional result cache is handed to ``run_grid`` as is, and the
@@ -73,32 +73,23 @@ __all__ = [
     "PointView",
 ]
 
+#: Margin on the 1/sqrt(n) half-width projection, so a point's
+#: projected total lands just past its goal rather than just short.
+SAFETY = 1.15
+
 
 @dataclass(frozen=True)
 class CampaignPolicy:
-    """How a campaign spends trials across a whole sweep.
-
-    Wraps the per-point stopping rule (``base``) with fleet-level
-    knobs: a campaign-wide trial budget, zero-event escalation to
-    importance splitting, and the safety factor applied to the
-    1/sqrt(n) half-width projection.
-    """
+    """How a campaign spends trials across a whole sweep: the per-point
+    stopping rule (``base``) and an optional campaign-wide
+    ``trial_budget``."""
 
     base: AdaptivePolicy = field(default_factory=AdaptivePolicy)
     trial_budget: int | None = None
-    escalate_after: int | None = None
-    escalation_trials: int = 20_000
-    safety: float = 1.15
 
     def __post_init__(self) -> None:
         if self.trial_budget is not None and self.trial_budget < 1:
             raise ValueError("trial_budget must be at least 1")
-        if self.escalate_after is not None and self.escalate_after < 1:
-            raise ValueError("escalate_after must be at least 1")
-        if self.escalation_trials < 1:
-            raise ValueError("escalation_trials must be at least 1")
-        if self.safety < 1.0:
-            raise ValueError("safety must be at least 1.0")
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,8 @@ class CampaignScheduler:
         tolerance if set, or the relative tolerance scaled by the
         observed rate.  A zero-event cell has no rate to be relative
         to, so aim at ``ci_target·hi`` — the optimistic upper bound —
-        which keeps the projection growing until events appear (or
-        escalation takes the point away).
+        which keeps the projection growing until events appear or the
+        point reaches ``max_trials``.
         """
         base = self.policy.base
         goals = []
@@ -173,7 +164,7 @@ class CampaignScheduler:
         half = base.interval_of(view.result).half_width
         if half <= goal:
             return view.trials
-        projected = math.ceil(view.trials * (half / goal) ** 2 * self.policy.safety)
+        projected = math.ceil(view.trials * (half / goal) ** 2 * SAFETY)
         return max(view.trials + 1, min(base.max_trials, projected))
 
     def allocate(
@@ -230,25 +221,16 @@ class CampaignOutcome:
 
     The final tally (``result``, ``trials_used``), how the point
     ended (``converged``, ``rounds``, ``describe()``), the stopping
-    rule's own interval (``policy``, ``interval()``), and the
-    campaign-level story: the governing :class:`CampaignPolicy`,
-    whether the point was escalated to importance splitting (and the
-    resulting ``tail_bound``), and how many of its trials were served
-    from a result cache instead of being re-simulated.
+    rule's own interval (``policy``, ``interval()``), and how many of
+    its trials were served from a result cache instead of being
+    re-simulated.
     """
 
     result: MsedResult
     converged: bool
     rounds: int
     policy: AdaptivePolicy
-    campaign: CampaignPolicy
-    escalated: bool = False
-    tail_bound: Any | None = None
     trials_cached: int = 0
-    #: How the zero-event tail was handled when ``escalated``:
-    #: "importance splitting" where the estimator supports the
-    #: scenario, "Clopper-Pearson tail bound" otherwise.
-    escalation: str = "importance splitting"
 
     @property
     def trials_used(self) -> int:
@@ -258,9 +240,7 @@ class CampaignOutcome:
         return self.policy.interval_of(self.result)
 
     def describe(self) -> str:
-        if self.escalated:
-            reason = f"escalated to {self.escalation}"
-        elif self.converged:
+        if self.converged:
             reason = "converged"
         elif self.result.trials >= self.policy.max_trials:
             reason = "hit trial ceiling"
@@ -273,28 +253,6 @@ class CampaignOutcome:
             f"{reason} after {self.result.trials} trials"
             f" ({self.rounds} rounds{cached})"
         )
-
-
-def _splitting_estimator(simulator: Any) -> Any | None:
-    """Build the splitting twin of ``simulator``, or None if unknown.
-
-    Imported lazily, so campaigns that never escalate never load the
-    splitting module.  Returns None for fault scenarios the splitting
-    estimator does not support — the prefix stream it branches over is
-    the plain msed one — so the campaign reports a Clopper-Pearson
-    bound for those points instead.  The twin copies the simulator's
-    own fields, decode policy included: a point run with the RS device
-    policy off has its tail split with the policy off.
-    """
-    from repro.scenarios import resolve_scenario
-
-    name = getattr(simulator, "scenario", "msed")
-    if not resolve_scenario(name).supports_splitting:
-        return None
-
-    from repro.reliability.sampling.splitting import splitting_estimator
-
-    return splitting_estimator(simulator)
 
 
 @dataclass
@@ -333,7 +291,6 @@ class CampaignRunner:
         trials = [0] * count
         rounds = [0] * count
         converged = [False] * count
-        escalated = [False] * count
         budget_left = self.policy.trial_budget
         allocation = getattr(progress, "allocation", None)
 
@@ -354,7 +311,7 @@ class CampaignRunner:
                 PointView(
                     trials=trials[i],
                     result=tallies[i].freeze() if trials[i] else None,
-                    active=not (converged[i] or escalated[i]),
+                    active=not converged[i],
                 )
                 for i in range(count)
             ]
@@ -431,43 +388,8 @@ class CampaignRunner:
 
             for alloc in allocations:
                 i = alloc.index
-                frozen = tallies[i].freeze()
-                if base.satisfied(frozen):
+                if base.satisfied(tallies[i].freeze()):
                     converged[i] = True
-                elif (
-                    self.policy.escalate_after is not None
-                    and trials[i] >= self.policy.escalate_after
-                    and frozen.count(base.metric) == 0
-                ):
-                    escalated[i] = True
-                    telemetry.counter("campaign.escalations")
-                    telemetry.event(
-                        "campaign.escalated",
-                        point=str(groups[i]),
-                        round=round_no,
-                        trials=trials[i],
-                    )
-
-        tail_bounds: list[Any | None] = [None] * count
-        escalations = ["importance splitting"] * count
-        for i in range(count):
-            if not escalated[i]:
-                continue
-            estimator = _splitting_estimator(simulators[i])
-            if estimator is None:
-                # No splitting twin (unsupported scenario or family):
-                # bound the zero-event tail with the exact
-                # Clopper-Pearson interval of the plain stream instead.
-                escalations[i] = "Clopper-Pearson tail bound"
-                tail_bounds[i] = tallies[i].freeze().interval(
-                    kind="clopper-pearson",
-                    confidence=base.confidence,
-                    metric=base.metric,
-                )
-                continue
-            tail_bounds[i] = estimator.run(
-                self.policy.escalation_trials, seed=seed
-            )
 
         return [
             CampaignOutcome(
@@ -475,13 +397,9 @@ class CampaignRunner:
                 converged=converged[i],
                 rounds=rounds[i],
                 policy=base,
-                campaign=self.policy,
-                escalated=escalated[i],
-                tail_bound=tail_bounds[i],
                 trials_cached=(
                     trials[i] - computed[i] if self.cache is not None else 0
                 ),
-                escalation=escalations[i],
             )
             for i in range(count)
         ]

@@ -29,11 +29,11 @@ exact conditional probability instead of a noisy 0/1 indicator, so
 near-100% detection cells accumulate fractional events long before a
 plain run would see its first whole one.
 
-The estimator is written once, over the code-family layer of
-:mod:`repro.orchestrate.corruption`: :class:`MuseSplittingEstimator`
-and :class:`RsSplittingEstimator` declare only their fields, family,
-spec class and engine getter, and :func:`splitting_estimator` builds
-the twin of a plain simulator from that simulator's own fields.
+The estimator is written once, over a plain simulator:
+``SplittingEstimator(simulator)`` splits the msed stream of a
+:class:`~repro.reliability.monte_carlo.MuseMsedSimulator` or
+:class:`~repro.reliability.monte_carlo.RsMsedSimulator` under that
+simulator's own code, ``k_symbols``, backend and decode policy.
 
 Counts are kept as exact integers per held-out-symbol *width stratum*
 (prefix count, branch-event sums and sums of squares), so chunk tallies
@@ -46,20 +46,19 @@ edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
+from typing import Any
 
 import numpy as np
 
-from repro.engine import get_engine
 from repro.engine.base import STATUS_CLEAN, STATUS_CORRECTED
-from repro.orchestrate.corruption import MUSE, RS, split_chunk
+from repro.orchestrate.corruption import split_chunk
 from repro.orchestrate.plan import plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_grid
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import CodeRef, task_spec
 from repro.reliability.sampling.intervals import (
     Interval,
     clopper_pearson_interval,
@@ -67,13 +66,10 @@ from repro.reliability.sampling.intervals import (
 
 __all__ = [
     "DEFAULT_SPLIT_CHUNK_SIZE",
-    "MuseSplitSpec",
-    "MuseSplittingEstimator",
-    "RsSplitSpec",
-    "RsSplittingEstimator",
     "SplitResult",
+    "SplitSpec",
     "SplitTally",
-    "splitting_estimator",
+    "SplittingEstimator",
 ]
 
 #: Branching multiplies per-chunk memory by up to ``2^w`` (256 for
@@ -250,20 +246,31 @@ class SplitResult:
         )
 
 
-class _SplittingEstimator:
-    """The body both family estimators share.
+@dataclass
+class SplittingEstimator:
+    """Importance-splitting tail estimator over a plain msed simulator.
 
-    A subclass is a dataclass declaring only its fields, its
-    :class:`~repro.orchestrate.corruption.CodeFamily` as ``family``,
-    its worker recipe as ``spec_class`` and ``_engine(backend)``;
-    ``run`` streams the plan through the plain simulators' grid runner
-    (:func:`~repro.orchestrate.pool.run_grid`), in process or across a
-    pool; its chunks fold, and its ``decode_chunk`` spans are labelled,
-    as the ``split`` group.  The branch fan is inherently batched;
-    ``backend`` still selects the decode engine, and because every
-    engine classifies identically the tally is byte-identical across
-    them.
+    ``simulator`` is a ``MuseMsedSimulator`` or ``RsMsedSimulator``
+    whose scenario is ``"msed"``: its family, code, ``k_symbols`` and
+    backend pick the prefix stream, and its ``_engine`` decodes every
+    branch, decode policy included (an RS simulator with the device
+    policy off is split with the policy off).  ``run`` streams the
+    plan through :func:`~repro.orchestrate.pool.run_grid`, in process
+    or across a pool (rebuilt there from :class:`SplitSpec`); its
+    chunks fold, and its ``decode_chunk`` spans are labelled, as the
+    ``split`` group.  Every engine classifies identically, so the tally
+    is byte-identical across backends.
     """
+
+    simulator: Any
+
+    def __post_init__(self) -> None:
+        scenario = self.simulator.scenario
+        if scenario != "msed":
+            raise ValueError(
+                f"importance splitting branches the msed stream; a "
+                f"{scenario!r} simulator has no msed prefix to split"
+            )
 
     def run(
         self,
@@ -295,9 +302,10 @@ class _SplittingEstimator:
         original-value branch, which belongs to the ``k-1``-error
         prefix, not the stream.
         """
-        family, code = self.family, self.code
-        words, last = split_chunk(family, code, chunk, key, self.k_symbols)
-        engine = self._engine(self.backend)
+        simulator = self.simulator
+        family, code = simulator.family, simulator.code
+        words, last = split_chunk(family, code, chunk, key, simulator.k_symbols)
+        engine = simulator._engine(simulator.backend)
         view = family.batch_view(code, words)
         tally = SplitTally()
         for index, width in enumerate(view.widths):
@@ -325,85 +333,16 @@ class _SplittingEstimator:
             )
         return tally
 
-    def _task_spec(self):
-        return task_spec(self, self.spec_class)
+    def _task_spec(self) -> "SplitSpec":
+        return SplitSpec(self.simulator._task_spec())
 
 
 @dataclass(frozen=True)
-class MuseSplitSpec:
-    """Rebuild a :class:`MuseSplittingEstimator` inside a worker."""
+class SplitSpec:
+    """Rebuild a :class:`SplittingEstimator` inside a worker from its
+    simulator's own spec (which needs the simulator's ``code_ref``)."""
 
-    code: CodeRef
-    k_symbols: int = 2
-    ripple_check: bool = True
-    backend: str = "auto"
+    simulator: Any
 
-    def build(self) -> "MuseSplittingEstimator":
-        return MuseSplittingEstimator(
-            self.code.build(), self.k_symbols, self.ripple_check, self.backend
-        )
-
-
-@dataclass(frozen=True)
-class RsSplitSpec:
-    """Rebuild an :class:`RsSplittingEstimator` inside a worker."""
-
-    code: CodeRef
-    k_symbols: int = 2
-    device_bits: int | None = 4
-    backend: str = "auto"
-
-    def build(self) -> "RsSplittingEstimator":
-        return RsSplittingEstimator(
-            self.code.build(), self.k_symbols, self.device_bits, self.backend
-        )
-
-
-@dataclass
-class MuseSplittingEstimator(_SplittingEstimator):
-    """Importance-splitting rate estimator for a MUSE code."""
-
-    code: object
-    k_symbols: int = 2
-    ripple_check: bool = True
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-
-    family = MUSE
-    spec_class = MuseSplitSpec
-
-    def _engine(self, backend: str):
-        return get_engine(self.code, backend, ripple_check=self.ripple_check)
-
-
-@dataclass
-class RsSplittingEstimator(_SplittingEstimator):
-    """Importance-splitting rate estimator for an RS code."""
-
-    code: object
-    k_symbols: int = 2
-    device_bits: int | None = 4
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-
-    family = RS
-    spec_class = RsSplitSpec
-
-    def _engine(self, backend: str):
-        from repro.rs.engine import get_rs_engine
-
-        return get_rs_engine(self.code, backend, device_bits=self.device_bits)
-
-
-def splitting_estimator(simulator) -> "_SplittingEstimator | None":
-    """The splitting twin of a plain simulator, or None for a family
-    without one: the estimator of the simulator's ``family``, built
-    from the simulator's own same-named fields — code, ``k_symbols``,
-    decode policy, backend and ``code_ref``."""
-    family = getattr(simulator, "family", None)
-    for estimator in (MuseSplittingEstimator, RsSplittingEstimator):
-        if estimator.family is family:
-            return estimator(
-                **{f.name: getattr(simulator, f.name) for f in fields(estimator)}
-            )
-    return None
+    def build(self) -> SplittingEstimator:
+        return SplittingEstimator(self.simulator.build())

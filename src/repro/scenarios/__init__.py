@@ -36,9 +36,10 @@ in C (:func:`repro.orchestrate.corruption.fused_stream` lists what they
 can replay); the simulators generate then decode every other scenario.
 
 The registry is the single source of scenario names: CLI ``--scenario``
-choices, spec fields (and therefore ``spec_fingerprint`` result-cache
-cells), and the campaign scheduler's escalation support all derive
-from it.  Register your own with::
+choices and spec fields (and therefore ``spec_fingerprint`` result-cache
+cells) derive from it.  Only ``"msed"`` can be importance-split
+(:class:`~repro.reliability.sampling.splitting.SplittingEstimator`
+branches its prefix stream).  Register your own with::
 
     from repro.scenarios import Scenario, register_scenario
 
@@ -93,18 +94,12 @@ class Scenario:
     ``None`` marks the built-in ``"msed"`` scenario, whose generators
     predate the registry and live on the base key's streams
     (:func:`repro.orchestrate.corruption.corruption_chunk`).
-
-    ``supports_splitting`` gates the campaign scheduler's zero-event
-    escalation: only scenarios sharing the plain MSED prefix stream can
-    hand their tail to the importance-splitting estimator; everything
-    else reports a Clopper-Pearson bound instead.
     """
 
     name: str
     summary: str
     corrupt_batch: Optional[Callable] = field(default=None, repr=False)
     corrupt_word: Optional[Callable] = field(default=None, repr=False)
-    supports_splitting: bool = False
 
 
 _FACTORIES: dict[str, Callable[[], Scenario]] = {}

@@ -15,8 +15,8 @@ Built-ins (``repro-muse table4 --scenario NAME``):
 
 ========  ============================================================
 msed      the paper's transient model: ``k`` symbols replaced by
-          uniform never-the-original values (legacy stream, supports
-          importance-splitting escalation)
+          uniform never-the-original values (legacy stream, the one
+          ``SplittingEstimator`` branches)
 mbu       correlated multi-bit upset: an adjacent-bit burst (2..4
           bits) XORed *inside* each of the ``k`` chosen symbols
 stuck     permanent faults: two stuck-at cells (symbol, bit, forced
@@ -412,7 +412,6 @@ register_scenario(
             "transient k-symbol replacement, the paper's Table IV model "
             "(legacy stream; splitting-capable)"
         ),
-        supports_splitting=True,
     ),
 )
 register_scenario(

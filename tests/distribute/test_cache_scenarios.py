@@ -218,3 +218,34 @@ class TestCacheCells:
         assert recorded == [64, 0, 0]
         assert cell.read_bytes() == b"".join(lines)
         assert cell.with_name(cell.name + CORRUPT_SUFFIX).read_bytes() == torn
+
+    def test_cell_torn_inside_its_header_heals(self, tmp_path):
+        """A kill during a cell's first flush can leave only part of its
+        header line: the fragment is quarantined as ``.corrupt`` and the
+        cell starts empty, so both chunks recompute once and later
+        reruns record nothing."""
+        chunks = (Chunk(0, 64), Chunk(64, 64))
+        spec = MuseSimSpec(MUSE_REF)
+        writer = ResultCache(tmp_path)
+        for chunk in chunks:
+            writer.record(KEY, spec, chunk, tally(miscorrected=1, silent=63))
+        writer.flush()
+        (cell,) = tmp_path.glob("*.jsonl")
+        untorn = cell.read_bytes()
+        header = untorn.splitlines(keepends=True)[0]
+        torn = header[: len(header) // 2]
+        cell.write_bytes(torn)
+
+        recorded = []
+        for _ in range(3):
+            rerun = ResultCache(tmp_path)
+            for chunk in chunks:
+                if rerun.lookup(KEY, spec, chunk) is None:
+                    rerun.record(
+                        KEY, spec, chunk, tally(miscorrected=1, silent=63)
+                    )
+            rerun.flush()
+            recorded.append(rerun.trials_recorded)
+        assert recorded == [128, 0, 0]
+        assert cell.read_bytes() == untorn
+        assert cell.with_name(cell.name + CORRUPT_SUFFIX).read_bytes() == torn

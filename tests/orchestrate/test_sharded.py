@@ -17,6 +17,7 @@ from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
     build_table_iv,
+    run_design_points,
 )
 from repro.rs.reed_solomon import rs_144_128
 
@@ -88,6 +89,16 @@ class TestSimulatorSpecs:
         simulator = MuseMsedSimulator(muse_80_69())
         with pytest.raises(ValueError, match="code_ref"):
             simulator.run(64, seed=1, jobs=2, chunk_size=32)
+
+    def test_cached_in_process_run_without_code_ref_names_the_cache(
+        self, tmp_path
+    ):
+        """In process, only the result cache needs the spec (it keys
+        its cells by it), and the error says so rather than blaming
+        multi-process workers."""
+        simulator = MuseMsedSimulator(muse_80_69())
+        with pytest.raises(ValueError, match="code_ref: result-cache cells"):
+            run_design_points([simulator], 100, 1, cache_dir=str(tmp_path))
 
     def test_string_code_ref_accepted(self):
         simulator = MuseMsedSimulator(

@@ -9,13 +9,11 @@
   including through a 2-worker loopback :class:`DistributedSession`;
 * **budget** — a campaign-wide ``trial_budget`` is honoured exactly
   and reported as "budget exhausted" on the points it starves;
-* **escalation** — a zero-event point hands off to the importance
-  splitting estimator instead of burning plain trials to the ceiling;
+* **zero-event points** — a point whose stream sees no events runs
+  to its trial ceiling;
 * **result cache** — a warm re-run folds every cell from disk with
   zero new trials and byte-identical outcomes.
 """
-
-import dataclasses
 
 import pytest
 
@@ -76,18 +74,11 @@ class TestCampaignPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="trial_budget"):
             CampaignPolicy(trial_budget=0)
-        with pytest.raises(ValueError, match="escalate_after"):
-            CampaignPolicy(escalate_after=0)
-        with pytest.raises(ValueError, match="escalation_trials"):
-            CampaignPolicy(escalation_trials=0)
-        with pytest.raises(ValueError, match="safety"):
-            CampaignPolicy(safety=0.9)
 
     def test_defaults_wrap_base_policy(self):
         policy = CampaignPolicy(base=EASY)
         assert policy.base == EASY
         assert policy.trial_budget is None
-        assert policy.escalate_after is None
 
 
 class TestScheduler:
@@ -255,76 +246,44 @@ class TestBudget:
 
 class TestEscalation:
     #: muse_80_69's *silent* rate is ~0: the plain stream sees no
-    #: events, so without escalation this policy runs to the ceiling.
+    #: events, so this policy runs to the ceiling.
     ZERO_EVENT = AdaptivePolicy(
         ci_target=0.1, metric="silent", initial_trials=200, max_trials=4_000
     )
 
-    def test_zero_event_point_escalates_instead_of_burning_trials(self):
-        policy = CampaignPolicy(
-            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=200
-        )
-        (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
-        assert outcome.escalated
-        assert not outcome.converged
-        assert outcome.trials_used < self.ZERO_EVENT.max_trials
-        assert "importance splitting" in outcome.describe()
-
-    def test_escalated_point_carries_a_splitting_tail_bound(self):
-        policy = CampaignPolicy(
-            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=400
-        )
-        (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
-        assert outcome.tail_bound is not None
-        assert outcome.tail_bound.prefixes > 0
-
-    def test_splitting_failure_propagates(self, monkeypatch):
-        """A broken estimator is a bug to surface, never a silently
-        missing tail bound."""
-        from repro.reliability.sampling.splitting import MuseSplittingEstimator
-
-        def broken(self, *args, **kwargs):
-            raise RuntimeError("estimator bug")
-
-        monkeypatch.setattr(MuseSplittingEstimator, "run", broken)
-        policy = CampaignPolicy(
-            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=200
-        )
-        with pytest.raises(RuntimeError, match="estimator bug"):
-            CampaignRunner(policy).run([_muse()], seed=7)
-
-    @pytest.mark.parametrize(
-        "make, policy",
-        [(_rs, {"device_bits": None}), (_muse, {"ripple_check": False})],
-        ids=["rs-device-policy-off", "muse-ripple-check-off"],
-    )
-    def test_escalated_tail_keeps_the_points_decode_policy(self, make, policy):
-        """The splitting twin decodes under the point's own policy: an
-        RS point run with the device policy off has its tail split with
-        the policy off, not under the x4 default."""
-        from repro.reliability.sampling.splitting import (
-            MuseSplittingEstimator,
-            RsSplittingEstimator,
-        )
-
-        simulator = dataclasses.replace(make(), **policy)
-        twin = RsSplittingEstimator if make is _rs else MuseSplittingEstimator
-        own = twin(simulator.code, **policy).run(300, seed=3)
-        default = twin(simulator.code).run(300, seed=3)
-        assert own.rate("miscorrection") != default.rate("miscorrection")
-
-        campaign = CampaignPolicy(
-            base=self.ZERO_EVENT, escalate_after=400, escalation_trials=300
-        )
-        (outcome,) = CampaignRunner(campaign).run([simulator], seed=3)
-        assert outcome.escalated
-        assert outcome.tail_bound == own
-
     def test_without_escalation_the_point_runs_to_the_ceiling(self):
         policy = CampaignPolicy(base=self.ZERO_EVENT)
         (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
-        assert not outcome.escalated
         assert outcome.trials_used == self.ZERO_EVENT.max_trials
+
+    def test_zero_event_point_reports_its_interval_at_the_ceiling(self):
+        """No events and no convergence: the outcome says it hit the
+        ceiling and carries the policy's own interval there, a
+        positive upper bound rather than a point estimate of 0."""
+        policy = CampaignPolicy(base=self.ZERO_EVENT)
+        (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
+        assert outcome.result.count("silent") == 0
+        assert not outcome.converged
+        assert outcome.describe().startswith(
+            f"hit trial ceiling after {self.ZERO_EVENT.max_trials} trials"
+        )
+        interval = outcome.interval()
+        assert interval == self.ZERO_EVENT.interval_of(outcome.result)
+        assert interval.lo == 0.0
+        assert 0.0 < interval.hi < 1.0
+
+    def test_split_tail_bound_comes_from_the_estimator(self):
+        """Outside the campaign, the same zero-event point's split tail
+        bound is ``SplittingEstimator(point).run(n)``: every prefix is
+        counted and the bound stays ``[0, positive]``."""
+        from repro.reliability.sampling.splitting import SplittingEstimator
+
+        split = SplittingEstimator(_muse()).run(400, seed=7)
+        assert split.prefixes == 400
+        assert split.events("silent") == 0
+        interval = split.interval("silent")
+        assert interval.lo == 0.0
+        assert 0.0 < interval.hi < 1.0
 
 
 class TestResultCache:

@@ -8,26 +8,31 @@ rates as the plain stream — so on a deliberately weak toy code
 rate ~3e-3 is big enough to brute-force) the two estimators' confidence
 intervals must agree.  The splitting tally shares the orchestrator's
 fold contract: byte-identical across ``(chunk_size, jobs)`` and decode
-backends.
+backends.  ``SplittingEstimator`` takes the plain simulator itself, so
+it splits under that simulator's decode policy.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.codes import muse_80_69, toy_16_7
 from repro.engine import available_backends
+from repro.orchestrate.worker import CodeRef
 from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
     rs_design_point,
 )
 from repro.reliability.sampling.splitting import (
-    MuseSplittingEstimator,
-    RsSplittingEstimator,
+    SplittingEstimator,
     SplitTally,
     StratumTally,
 )
+from repro.rs.reed_solomon import rs_144_128
 
 TOY_REF = "repro.core.codes:toy_16_7"
+RS_REF = CodeRef("repro.reliability.monte_carlo:rs_design_point", (6,))
 
 BRUTE_TRIALS = 200_000
 SPLIT_TRIALS = 25_000
@@ -44,7 +49,7 @@ def toy_brute():
 
 @pytest.fixture(scope="module")
 def toy_split():
-    return MuseSplittingEstimator(toy_16_7(), k_symbols=3).run(
+    return SplittingEstimator(MuseMsedSimulator(toy_16_7(), k_symbols=3)).run(
         trials=SPLIT_TRIALS, seed=SEED
     )
 
@@ -89,7 +94,7 @@ class TestUnbiasedness:
         wobbles more than the split interval is wide."""
         code = rs_design_point(6)
         brute = RsMsedSimulator(code).run(trials=40_000, seed=SEED)
-        split = RsSplittingEstimator(code).run(trials=4_000, seed=SEED)
+        split = SplittingEstimator(RsMsedSimulator(code)).run(trials=4_000, seed=SEED)
         split_interval = split.interval("miscorrection")
         brute_interval = brute.interval(metric="miscorrection")
         assert split_interval.lo <= brute_interval.hi
@@ -104,7 +109,7 @@ class TestRareTail:
         """The motivating case: a strong code whose silent rate a plain
         run reports as '0 events'.  The splitting interval must stay
         [0, something-positive], not collapse to a point."""
-        split = MuseSplittingEstimator(muse_80_69()).run(
+        split = SplittingEstimator(MuseMsedSimulator(muse_80_69())).run(
             trials=2_000, seed=3
         )
         interval = split.interval("silent")
@@ -115,34 +120,72 @@ class TestRareTail:
     def test_fractional_events_accumulate_before_whole_ones(self):
         """On the toy, a handful of prefixes already yields branch
         events — the variance win over 0/1 indicators."""
-        split = MuseSplittingEstimator(toy_16_7(), k_symbols=3).run(
+        split = SplittingEstimator(MuseMsedSimulator(toy_16_7(), k_symbols=3)).run(
             trials=3_000, seed=1
         )
         assert split.events("silent") > 0
         assert split.branches == split.prefixes * 15  # 4-bit symbols
 
 
+class TestDecodePolicy:
+    @pytest.mark.parametrize(
+        "simulator, policy",
+        [
+            (lambda: RsMsedSimulator(rs_144_128()), {"device_bits": None}),
+            (lambda: MuseMsedSimulator(muse_80_69()), {"ripple_check": False}),
+        ],
+        ids=["rs-device-policy-off", "muse-ripple-check-off"],
+    )
+    def test_split_keeps_the_simulators_decode_policy(self, simulator, policy):
+        """The estimator decodes under its simulator's own policy: an
+        RS simulator with the device policy off is split with the
+        policy off, not under the x4 default."""
+        default = simulator()
+        own = SplittingEstimator(dataclasses.replace(default, **policy))
+        assert own.run(300, seed=3).rate("miscorrection") != (
+            SplittingEstimator(default).run(300, seed=3).rate("miscorrection")
+        )
+
+
 class TestFoldContract:
     def test_chunking_invariant(self):
-        estimator = MuseSplittingEstimator(toy_16_7(), k_symbols=3)
+        estimator = SplittingEstimator(MuseMsedSimulator(toy_16_7(), k_symbols=3))
         baseline = estimator.run(trials=5_000, seed=9)
         for chunk_size in (512, 1_777, 5_000):
             assert estimator.run(trials=5_000, seed=9, chunk_size=chunk_size) == baseline
 
-    def test_jobs_invariant(self):
-        estimator = MuseSplittingEstimator(
-            toy_16_7(), k_symbols=3, code_ref=TOY_REF
+    @pytest.mark.parametrize(
+        "simulator, trials, chunk_size",
+        [
+            (
+                lambda: MuseMsedSimulator(
+                    toy_16_7(), k_symbols=3, code_ref=TOY_REF
+                ),
+                4_000,
+                1_000,
+            ),
+            (
+                lambda: RsMsedSimulator(rs_design_point(6), code_ref=RS_REF),
+                600,
+                150,
+            ),
+        ],
+        ids=["muse", "rs"],
+    )
+    def test_jobs_invariant(self, simulator, trials, chunk_size):
+        estimator = SplittingEstimator(simulator())
+        serial = estimator.run(trials=trials, seed=9)
+        sharded = estimator.run(
+            trials=trials, seed=9, jobs=2, chunk_size=chunk_size
         )
-        serial = estimator.run(trials=4_000, seed=9)
-        sharded = estimator.run(trials=4_000, seed=9, jobs=2, chunk_size=1_000)
         assert sharded == serial
 
     def test_backends_agree(self):
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
         runs = {
-            backend: MuseSplittingEstimator(
-                toy_16_7(), k_symbols=3, backend=backend
+            backend: SplittingEstimator(
+                MuseMsedSimulator(toy_16_7(), k_symbols=3, backend=backend)
             ).run(trials=2_000, seed=4)
             for backend in ("scalar", "numpy")
         }
@@ -169,7 +212,7 @@ class TestFoldContract:
         assert forward.freeze().prefixes == 19
 
     def test_jobs_without_code_ref_raises(self):
-        estimator = MuseSplittingEstimator(toy_16_7(), k_symbols=3)
+        estimator = SplittingEstimator(MuseMsedSimulator(toy_16_7(), k_symbols=3))
         with pytest.raises(ValueError, match="code_ref"):
             estimator.run(trials=1_000, seed=1, jobs=2)
 

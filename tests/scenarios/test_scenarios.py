@@ -11,9 +11,10 @@ The acceptance contract this file pins:
 * native ``mbu`` chunks run in the fused kernels (no corruption batch
   is generated) and still tally the scalar reference stream, and a
   native msed build never loads the scenario registry;
-* the campaign scheduler escalates zero-event cells of a
-  non-splittable scenario to a Clopper-Pearson tail bound instead of
-  importance splitting.
+* only msed simulators can be importance-split: ``SplittingEstimator``
+  refuses every fault scenario;
+* scenario cells take the campaign's one path: a zero-event cell runs
+  to its ceiling and reports the policy's interval there.
 """
 
 import pytest
@@ -24,11 +25,13 @@ from repro.engine import available_backends
 from repro.orchestrate import CodeRef, derive_key
 from repro.orchestrate.plan import Chunk
 from repro.reliability.monte_carlo import MuseMsedSimulator, RsMsedSimulator
+from repro.reliability.sampling.intervals import clopper_pearson_interval
 from repro.reliability.sampling.scheduler import (
     CampaignPolicy,
     CampaignRunner,
 )
 from repro.reliability.sampling.sequential import AdaptivePolicy
+from repro.reliability.sampling.splitting import SplittingEstimator
 from repro.rs.reed_solomon import rs_144_128
 from repro.scenarios import (
     Scenario,
@@ -70,9 +73,11 @@ class TestRegistry:
         assert len(names) >= 6
 
     def test_msed_is_the_splitting_scenario(self):
-        assert resolve_scenario("msed").supports_splitting
-        for name in FAULTS:
-            assert not resolve_scenario(name).supports_splitting
+        for simulator in (muse_simulator, rs_simulator):
+            SplittingEstimator(simulator("msed"))
+            for name in FAULTS:
+                with pytest.raises(ValueError, match=name):
+                    SplittingEstimator(simulator(name))
 
     def test_fault_scenarios_ship_both_implementations(self):
         for name in FAULTS:
@@ -354,34 +359,44 @@ class TestFusedRoute:
         assert tally.freeze() == self._reference(simulator, name)
 
 
-class TestCampaignEscalation:
+class TestCampaignZeroEvent:
     def test_zero_event_scenario_cell_gets_clopper_pearson_bound(self):
         """mbu on MUSE(80,69) yields zero silent events at this seed
-        (pinned); the campaign must escalate — but to an exact CP tail
-        bound, not the msed-stream importance splitter."""
+        (pinned); the campaign runs the cell to its ceiling and reports
+        the policy's exact Clopper-Pearson bound there."""
         simulator = muse_simulator("mbu")
-        policy = CampaignPolicy(
-            base=AdaptivePolicy(
-                metric="silent", initial_trials=256, max_trials=2000
-            ),
-            escalate_after=500,
+        base = AdaptivePolicy(
+            metric="silent",
+            kind="clopper-pearson",
+            initial_trials=256,
+            max_trials=2000,
         )
-        [outcome] = CampaignRunner(policy).run([simulator], seed=7)
-        assert outcome.escalated
-        assert outcome.escalation == "Clopper-Pearson tail bound"
-        assert outcome.tail_bound is not None
-        assert outcome.tail_bound.lo == 0.0
-        assert outcome.tail_bound.hi > 0.0
-        assert "Clopper-Pearson" in outcome.describe()
+        [outcome] = CampaignRunner(CampaignPolicy(base=base)).run(
+            [simulator], seed=7
+        )
+        assert outcome.result.count("silent") == 0
+        assert not outcome.converged
+        assert outcome.trials_used == base.max_trials
+        assert outcome.interval() == clopper_pearson_interval(0, 2000)
+        assert outcome.interval().hi > 0.0
+        assert "hit trial ceiling" in outcome.describe()
 
-    def test_msed_still_escalates_to_importance_splitting(self):
-        simulator = muse_simulator("msed")
-        policy = CampaignPolicy(
-            base=AdaptivePolicy(
-                metric="silent", initial_trials=256, max_trials=2000
-            ),
-            escalate_after=500,
+    def test_scenario_cells_share_the_fixed_runs_stream(self):
+        """msed and fault cells run through the one campaign path: each
+        point's tally is its fixed run of the same length."""
+        simulators = [
+            muse_simulator("msed"),
+            muse_simulator("mbu"),
+            rs_simulator("stuck"),
+        ]
+        base = AdaptivePolicy(
+            ci_target=0.3, metric="failure", initial_trials=200,
+            max_trials=3000,
         )
-        [outcome] = CampaignRunner(policy).run([simulator], seed=7)
-        if outcome.escalated:
-            assert outcome.escalation == "importance splitting"
+        outcomes = CampaignRunner(CampaignPolicy(base=base)).run(
+            simulators, seed=7, chunk_size=128
+        )
+        for simulator, outcome in zip(simulators, outcomes):
+            assert outcome.result == simulator.run(
+                trials=outcome.trials_used, seed=7
+            )
