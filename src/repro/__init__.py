@@ -31,25 +31,33 @@ Subpackages
     Residue-checked processing-in-memory MAC (Section VI-B).
 ``repro.experiments``
     One runner per paper table/figure.
+
+The names below (``MuseCode``, ``muse_144_132`` …) load their modules
+on first use (:func:`repro._lazy.lazy_exports`), so ``import repro``
+costs almost nothing.
 """
 
-from repro.core import (
-    DecodeResult,
-    DecodeStatus,
-    ErrorDirection,
-    MultiplierSearch,
-    MuseCode,
-    SymbolErrorModel,
-    SymbolLayout,
-    find_multipliers,
-    get_code,
-    muse_80_67,
-    muse_80_69,
-    muse_80_70,
-    muse_144_128,
-    muse_144_132,
-    muse_268_256,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "DecodeResult",
+        "DecodeStatus",
+        "ErrorDirection",
+        "MultiplierSearch",
+        "MuseCode",
+        "SymbolErrorModel",
+        "SymbolLayout",
+        "find_multipliers",
+        "get_code",
+        "muse_80_67",
+        "muse_80_69",
+        "muse_80_70",
+        "muse_144_128",
+        "muse_144_132",
+        "muse_268_256",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -22,22 +22,29 @@ Examples
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
+from repro._lazy import lazy_exports
 from repro.engine import registered_backends
-from repro.experiments import (
-    ablation_frontier,
-    ablation_shuffle,
-    extension_double_device,
-    table4,
-)
 from repro.orchestrate.sweep import (
     EXPERIMENT_TARGETS,
     ExperimentTask,
     resolve_experiment,
     run_all,
 )
+
+# An experiment's module loads when its run first needs it, so
+# ``repro-muse table4`` never imports the ablations.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments": (
+        "ablation_frontier",
+        "ablation_shuffle",
+        "extension_double_device",
+        "table4",
+    ),
+})
 
 FAST_SETTINGS = {
     "trials": 2000,
@@ -47,16 +54,18 @@ FAST_SETTINGS = {
 }
 
 #: The experiments whose Monte-Carlo loops accept the streaming /
-#: sharding options (--trials/--seed/--jobs/--chunk-size), with their
-#: published per-experiment trial defaults (--quick takes the smaller
-#: of FAST_SETTINGS and the default — a preview never does more work).
-MONTE_CARLO_DEFAULT_TRIALS = {
-    "table4": table4.DEFAULT_TRIALS,
-    "ablation-shuffle": ablation_shuffle.DEFAULT_TRIALS,
-    "ablation-frontier": ablation_frontier.DEFAULT_TRIALS,
-    "extension-double-device": extension_double_device.DEFAULT_TRIALS,
-}
-MONTE_CARLO_EXPERIMENTS = tuple(MONTE_CARLO_DEFAULT_TRIALS)
+#: sharding options (--trials/--seed/--jobs/--chunk-size).
+MONTE_CARLO_EXPERIMENTS = (
+    "table4", "ablation-shuffle", "ablation-frontier", "extension-double-device",
+)
+
+
+def published_trials(name: str) -> int:
+    """A Monte-Carlo experiment's published per-point trial default,
+    its module's ``DEFAULT_TRIALS`` (--quick takes the smaller of
+    FAST_SETTINGS and it — a preview never does more work)."""
+    module_name = EXPERIMENT_TARGETS[name].partition(":")[0]
+    return importlib.import_module(module_name).DEFAULT_TRIALS
 
 #: The MSED experiments: their chunk grids run through the shared
 #: design-point runner, so they alone accept the adaptive campaign
@@ -330,9 +339,7 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
     def monte_carlo(name: str) -> dict:
         kw = {"backend": args.backend}
         if args.quick:
-            kw["trials"] = min(
-                FAST_SETTINGS["trials"], MONTE_CARLO_DEFAULT_TRIALS[name]
-            )
+            kw["trials"] = min(FAST_SETTINGS["trials"], published_trials(name))
         elif args.trials is not None:
             kw["trials"] = args.trials
         if args.seed is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from repro.core.symbols import SymbolLayout
@@ -70,8 +70,18 @@ def symbol_error_values(
     Returns
     -------
     frozenset of nonzero signed error values; size at most ``3^s - 1``
-    (bidirectional) or ``2^s - 1`` (asymmetric).
+    (bidirectional) or ``2^s - 1`` (asymmetric).  Memoised on
+    ``(bit positions, direction)``: every code over the same symbols
+    (the six Table-IV MUSE points share theirs) enumerates them once
+    per process.
     """
+    return _symbol_error_values(tuple(bit_positions), direction)
+
+
+@lru_cache(maxsize=None)
+def _symbol_error_values(
+    bit_positions: tuple[int, ...], direction: ErrorDirection
+) -> frozenset[int]:
     choices = (0,) + direction.signs
     values: set[int] = set()
     for signs in itertools.product(choices, repeat=len(bit_positions)):

@@ -29,6 +29,13 @@ JSON-line socket protocol and folds the returned tallies exactly once:
   torn journal tails, so the fault-tolerance story is *tested* the way
   the repo tests memory faults, not assumed.
 
+Each name above loads its module on first use
+(:func:`repro._lazy.lazy_exports`): a worker imports its own loop, the
+wire codec and chaos only — no coordinator, journal or cache — and a
+run without ``--distribute`` loads this module alone (for
+:func:`execution_context` and the two exceptions a fleet run can end
+with).
+
 The invariant, inherited from the chunk/fold contract and preserved by
 exactly-once folding: a distributed run's tally — and every adaptive
 stopping decision derived from it — is **byte-identical** to the
@@ -40,39 +47,32 @@ boundaries.
 from __future__ import annotations
 
 import contextlib
+from pathlib import Path
 from typing import Iterator
 
-from repro.distribute.chaos import (
-    CHAOS_ENV,
-    ChaosSpec,
-    FaultPlan,
-    parse_chaos,
-    resolve_chaos,
-)
-from repro.distribute.checkpoint import (
-    JOURNAL_NAME,
-    CheckpointJournal,
-    SalvageReport,
-)
-from repro.distribute.cache import ResultCache
-from repro.distribute.coordinator import (
-    INTERRUPT_ENV,
-    PARTIAL_RESULTS_NAME,
-    DistributedDegraded,
-    DistributedInterrupted,
-    DistributedSession,
-)
-from repro.distribute.local import spawn_local_workers
-from repro.distribute.progress import ChunkProgress
-from repro.distribute.queue import ChunkQueue
-from repro.distribute.wire import (
-    PROTOCOL_VERSION,
-    from_wire,
-    register_wire_type,
-    to_wire,
-)
-from repro.distribute.worker import serve_worker
-from repro.orchestrate.rng import derive_key
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".chaos": (
+        "CHAOS_ENV",
+        "ChaosSpec",
+        "FaultPlan",
+        "parse_chaos",
+        "resolve_chaos",
+    ),
+    ".checkpoint": ("JOURNAL_NAME", "CheckpointJournal", "SalvageReport"),
+    ".cache": ("ResultCache",),
+    ".coordinator": (
+        "INTERRUPT_ENV",
+        "PARTIAL_RESULTS_NAME",
+        "DistributedSession",
+    ),
+    ".local": ("spawn_local_workers",),
+    ".progress": ("ChunkProgress",),
+    ".queue": ("ChunkQueue",),
+    ".wire": ("PROTOCOL_VERSION", "from_wire", "register_wire_type", "to_wire"),
+    ".worker": ("serve_worker",),
+})
 
 __all__ = [
     "CHAOS_ENV",
@@ -101,6 +101,24 @@ __all__ = [
     "spawn_local_workers",
     "to_wire",
 ]
+
+
+class DistributedInterrupted(RuntimeError):
+    """Raised by the forced-interrupt fault hook after the journal is
+    saved; a ``--resume`` run picks up from the checkpoint."""
+
+
+class DistributedDegraded(RuntimeError):
+    """The run could not finish — poison chunk, total fleet loss — but
+    everything already folded was preserved: the checkpoint journal
+    holds every folded chunk and a partial-results report is written
+    next to it, so a later ``--resume`` finishes the run instead of
+    restarting it.
+    Surfaced by the CLI as exit code 4 (vs 3 for a plain interrupt)."""
+
+    def __init__(self, message: str, report_path: Path | None = None):
+        super().__init__(message)
+        self.report_path = report_path
 
 
 def parse_distribute(spec: str) -> dict:
@@ -146,6 +164,10 @@ def session_from_spec(
     environment in :class:`DistributedSession`; chaos reaches the
     spawned loopback workers too.
     """
+    from repro.distribute.checkpoint import CheckpointJournal
+    from repro.distribute.coordinator import DistributedSession
+    from repro.orchestrate.rng import derive_key
+
     kwargs = parse_distribute(spec)
     checkpoint = None
     if checkpoint_dir is not None:
@@ -182,6 +204,8 @@ def execution_context(
     coordinator, so ``checkpoint_dir`` without ``distribute`` refuses
     loudly instead of silently not journaling.
     """
+    from repro.distribute.progress import ChunkProgress
+
     printer = ChunkProgress() if progress else None
     if distribute is None:
         if checkpoint_dir is not None:

@@ -19,13 +19,16 @@ directory.  The line format is shared with the checkpoint journal
 a cell whose records are damaged (a kill mid-flush tears the last one)
 is rewritten on load to its header and valid prefix, the original kept
 as a ``.corrupt`` sidecar, before anything appends to it — so the
-chunks the damage lost recompute once.  A cell torn inside its header
-line (a kill during its first flush leaves a prefix of the header it
-would write) is quarantined the same way and starts empty.  Any other
-file under a cell's name — undecodable, or the header of another cell
-— is foreign: left as it is, never appended to, every lookup a miss.
-Appends batch in memory and land via one fsync'd
-:func:`~repro.orchestrate.persist.durable_append` per :meth:`flush`.
+chunks the damage lost recompute once — and a record torn exactly at
+its newline, which still decodes, is kept and gets its newline back
+(:func:`~repro.distribute.checkpoint.keep_prefix`).  A cell torn
+inside its header line (a kill during its first flush leaves a prefix
+of the header it would write) is quarantined the same way and starts
+empty.  Any other file under a cell's name — undecodable, or the
+header of another cell — is foreign: left as it is, never appended
+to, every lookup a miss.  Appends batch in memory and land via one
+fsync'd :func:`~repro.orchestrate.persist.durable_append` per
+:meth:`flush`.
 The one caller is :func:`repro.orchestrate.pool.run_grid`: it looks
 every cell up before running a grid, records each chunk it runs, and
 flushes when the grid ends — in process, over a pool or on a
@@ -43,6 +46,7 @@ from repro.distribute.checkpoint import (
     _TALLY_FIELDS,
     _decode_line,
     _encode_line,
+    keep_prefix,
     quarantine_and_rewrite,
     spec_fingerprint,
 )
@@ -133,11 +137,7 @@ class ResultCache:
             tally = MsedTally(**{name: counts[name] for name in _TALLY_FIELDS})
             cell[(record["start"], record["size"])] = tally
             kept += 1
-        if kept < len(lines):
-            # Records appended behind the damage would never load again.
-            quarantine_and_rewrite(
-                path, [line + b"\n" for line in lines[:kept]]
-            )
+        keep_prefix(path, raw, lines, kept)
         return cell
 
     def lookup(self, key: int, spec: Any, chunk: Chunk) -> MsedTally | None:

@@ -25,7 +25,10 @@ Durability model (version 2):
   damaged file is **salvaged**, not fatal: the original is quarantined
   as a ``.corrupt`` sidecar, the valid prefix is rewritten atomically,
   and a resumed run re-simulates only the chunks the tear lost
-  (:attr:`CheckpointJournal.salvage` reports what happened).
+  (:attr:`CheckpointJournal.salvage` reports what happened).  A tear
+  exactly at the final newline loses nothing: the record still
+  decodes, and :func:`keep_prefix` restores the newline before the
+  next append (the result cache shares the routine).
 """
 
 from __future__ import annotations
@@ -112,6 +115,31 @@ def quarantine_and_rewrite(path: Path, lines: list[bytes]) -> Path:
     os.replace(path, corrupt_path)
     atomic_write_text(path, b"".join(lines).decode())
     return corrupt_path
+
+
+def keep_prefix(
+    path: Path, raw: bytes, lines: list[bytes], kept: int
+) -> Path | None:
+    """Leave the CRC'd log at ``path`` (read as ``raw``, split into
+    ``lines``) holding its first ``kept`` lines, newline-terminated,
+    before anything appends to it — the one salvage step of the
+    checkpoint journal and the result cache.
+
+    Lines past the prefix (damage, and records behind it that would
+    never load again) are quarantined with the whole file
+    (:func:`quarantine_and_rewrite`), whose sidecar path is returned.
+    A file that keeps every line but lost its final newline — torn
+    exactly at it, so its last record still decodes — gets the newline
+    back in place; otherwise the next append would glue a record onto
+    that line and the following load would drop both.
+    """
+    if kept < len(lines):
+        return quarantine_and_rewrite(
+            path, [line + b"\n" for line in lines[:kept]]
+        )
+    if not raw.endswith(b"\n"):
+        durable_append(path, b"\n")
+    return None
 
 
 @dataclass(frozen=True)
@@ -213,16 +241,19 @@ class CheckpointJournal:
                 f"(different --seed?); refusing to mix streams"
             )
         kept = 0
-        damaged = False
         for line in lines[1:]:
             record = _decode_line(line)
             if record is None or not self._adopt(record):
-                damaged = True
                 break
             kept += 1
         self._header_written = True
-        if damaged:
-            self._quarantine_and_rewrite(kept, len(lines) - 1 - kept)
+        corrupt_path = keep_prefix(self.path, raw, lines, 1 + kept)
+        if corrupt_path is not None:
+            self.salvage = SalvageReport(
+                records_kept=kept,
+                lines_dropped=len(lines) - 1 - kept,
+                corrupt_path=corrupt_path,
+            )
 
     def _adopt(self, record: dict) -> bool:
         """Fold one decoded record into memory; ``False`` if malformed
@@ -261,19 +292,12 @@ class CheckpointJournal:
                 f"checkpoint journal {self.path} has version "
                 f"{legacy.get('version')!r}, expected {JOURNAL_VERSION}"
             )
-        self._quarantine_and_rewrite(0, len(lines))
-
-    def _quarantine_and_rewrite(self, kept: int, dropped: int) -> None:
-        """Salvage the damaged journal down to its header plus every
-        record held in memory (:func:`quarantine_and_rewrite`)."""
-        lines = [self._header_line()] + [
-            _encode_line(self._record_dict(group_key, start, size, tally))
-            for (group_key, start, size), tally in sorted(self._entries.items())
-        ]
         self.salvage = SalvageReport(
-            records_kept=kept,
-            lines_dropped=dropped,
-            corrupt_path=quarantine_and_rewrite(self.path, lines),
+            records_kept=0,
+            lines_dropped=len(lines),
+            corrupt_path=quarantine_and_rewrite(
+                self.path, [self._header_line()]
+            ),
         )
         self._header_written = True
 

@@ -48,10 +48,10 @@ import os
 import socketserver
 import threading
 import time
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro import telemetry
+from repro.distribute import DistributedDegraded, DistributedInterrupted
 from repro.distribute.chaos import FaultPlan, resolve_chaos, spec_string
 from repro.distribute.checkpoint import CheckpointJournal, spec_fingerprint
 from repro.distribute.queue import ChunkQueue
@@ -78,24 +78,6 @@ MAX_TASK_ATTEMPTS = 3
 #: The durable partial-results report a degraded run leaves next to
 #: the checkpoint journal (see :class:`DistributedDegraded`).
 PARTIAL_RESULTS_NAME = "partial-results.json"
-
-
-class DistributedInterrupted(RuntimeError):
-    """Raised by the forced-interrupt fault hook after the journal is
-    saved; a ``--resume`` run picks up from the checkpoint."""
-
-
-class DistributedDegraded(RuntimeError):
-    """The run could not finish — poison chunk, total fleet loss — but
-    everything already folded was preserved: the checkpoint journal
-    holds every folded chunk and a partial-results report is written
-    next to it, so a later ``--resume`` finishes the run instead of
-    restarting it.
-    Surfaced by the CLI as exit code 4 (vs 3 for a plain interrupt)."""
-
-    def __init__(self, message: str, report_path: Path | None = None):
-        super().__init__(message)
-        self.report_path = report_path
 
 
 class _WorkerServer(socketserver.ThreadingTCPServer):

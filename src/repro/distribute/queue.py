@@ -10,8 +10,13 @@ The batch size N is guided self-scheduling
 connected workers))``, so early leases are large and the last ones are
 single chunks.  Two rules bound it:
 
-* a spec no result has timed yet leases **one** chunk, whose reported
-  compute time sizes the next lease;
+* a spec no result has timed yet is sized from the results of its
+  *shape* — specs of the same class, scenario, ``k_symbols`` and chunk
+  size (the design points of one table); while no result of that
+  shape is back either, a lease is **one** chunk, whose reported
+  compute time sizes the next, and a worker still computing a lease
+  gets none (its pipelined request is answered ``idle``, and the one
+  that carries its results gets a sized lease);
 * a lease's expected compute (chunks x the spec's mean reported
   seconds per chunk) stays under :data:`LEASE_BUDGET` of
   ``lease_timeout``, so a batch of slow chunks is never stolen from a
@@ -54,6 +59,18 @@ from repro.orchestrate.plan import guided_share
 LEASE_BUDGET = 1 / 8
 
 
+def _shape(task: Any) -> tuple:
+    """What makes two specs' chunks cost about the same: spec class,
+    scenario, ``k_symbols`` and chunk size (the code may differ)."""
+    spec = task.spec
+    return (
+        type(spec),
+        getattr(spec, "scenario", None),
+        getattr(spec, "k_symbols", None),
+        task.chunk.size,
+    )
+
+
 @dataclass
 class Lease:
     """One outstanding chunk: who has it and when it is presumed lost."""
@@ -75,6 +92,8 @@ class ChunkQueue:
     requeues: int = 0
     #: spec -> [seconds, chunks] summed over its timed results.
     timings: dict[Any, list] = field(default_factory=dict)
+    #: The same sums per shape (:func:`_shape`), for untimed specs.
+    shape_timings: dict[tuple, list] = field(default_factory=dict)
     _next_id: int = 0
 
     def add_task(self, task: Any) -> int:
@@ -84,11 +103,18 @@ class ChunkQueue:
         self.pending.append(task_id)
         return task_id
 
-    def lease_size(self, spec: Any, workers: int) -> int:
-        """How many chunks of ``spec`` the next lease may take."""
-        timed = self.timings.get(spec)
+    def lease_size(self, task: Any, worker: str, workers: int) -> int:
+        """How many chunks of ``task``'s spec ``worker``'s next lease
+        may take (0: none yet)."""
+        timed = self.timings.get(task.spec)
         if timed is None:
-            return 1
+            timed = self.shape_timings.get(_shape(task))
+        if timed is None:
+            # One chunk, and none to a worker that is still computing
+            # a lease: its results, due with its next request, will
+            # time the shape and size that request's lease.
+            held = any(lease.worker == worker for lease in self.leases.values())
+            return 0 if held else 1
         share = guided_share(len(self.pending), workers)
         seconds, chunks = timed
         if seconds <= 0:
@@ -101,14 +127,16 @@ class ChunkQueue:
     ) -> list[tuple[int, Any]]:
         """Lease ``worker`` a batch of consecutive pending chunks sharing
         one group, spec and stream key; ``[]`` if the queue is
-        momentarily empty (idle — or all work is leased out).
-        ``workers`` is how many share the queue (the guided divisor)."""
+        momentarily empty (idle — or all work is leased out), or if
+        ``worker`` must first report the result that times the next
+        spec's shape (:meth:`lease_size`).  ``workers`` is how many
+        share the queue (the guided divisor)."""
         while self.pending and self.pending[0] in self.completed:
             self.pending.popleft()
         if not self.pending:
             return []
         first = self.tasks[self.pending[0]]
-        limit = self.lease_size(first.spec, workers)
+        limit = self.lease_size(first, worker, workers)
         deadline = now + self.lease_timeout
         batch: list[tuple[int, Any]] = []
         while self.pending and len(batch) < limit:
@@ -138,10 +166,13 @@ class ChunkQueue:
             raise KeyError(f"unknown task id {task_id}")
         self.completed.add(task_id)
         if seconds is not None:
-            spec = self.tasks[task_id].spec
-            timed = self.timings.setdefault(spec, [0.0, 0])
-            timed[0] += seconds
-            timed[1] += 1
+            task = self.tasks[task_id]
+            for sums in (
+                self.timings.setdefault(task.spec, [0.0, 0]),
+                self.shape_timings.setdefault(_shape(task), [0.0, 0]),
+            ):
+                sums[0] += seconds
+                sums[1] += 1
         return True
 
     def requeue(self, task_id: int) -> None:

@@ -197,15 +197,18 @@ class NumpyDecodeEngine(DecodeEngine):
         self._above_mask = int_to_limb_row(
             ((1 << width) - 1) ^ low_mask_int, self.limbs
         )
-        # Dense remainder-indexed ELC: hit mask + wrapping addend.
+        # Dense remainder-indexed ELC: hit mask + wrapping addend, each
+        # filled in one scatter (an array per entry would dominate the
+        # engine build).
+        entries = list(code.elc.entries())
+        remainders = np.array([e.remainder for e in entries], dtype=np.int64)
         hit = np.zeros(code.m, dtype=bool)
+        hit[remainders] = True
         addend = np.zeros((code.m, self.limbs), dtype=np.uint64)
         modulus = 1 << width
-        for entry in code.elc.entries():
-            hit[entry.remainder] = True
-            addend[entry.remainder] = int_to_limb_row(
-                (-entry.error_value) % modulus, self.limbs
-            )
+        addend[remainders] = ints_to_limbs(
+            [(-entry.error_value) % modulus for entry in entries], self.limbs
+        )
         self._elc_hit = hit
         self._elc_addend = addend
         # Confinement tables: bit position -> owning symbol (positions at

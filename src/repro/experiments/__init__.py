@@ -22,7 +22,16 @@ string — or, for experiments with machine-readable summaries (table4),
 a ``(report, details)`` pair whose dict lands in the sweep's
 ``summary.json``; the CLI (``repro-muse``) dispatches to them.
 
-The package imports none of them itself: ``import
-repro.experiments.table4`` loads Table IV's stack alone, not the
-Figure-6 CPU simulator or the VLSI model.
+The package imports none of them itself, and ``import
+repro.experiments.table4`` loads only what a plain Table-IV run uses:
+the MUSE codec, error model, symbol layouts and ELC
+(``repro.core``), the RS baseline (``repro.rs``), the backend registry
+and C-kernel loader (``repro.engine``), the chunk plan, trial stream,
+code-family generators, worker specs and grid fold
+(``repro.orchestrate``), the simulators, tallies and confidence
+intervals (``repro.reliability``) and telemetry's no-op helpers.  It
+loads no other experiment, not the Figure-6 CPU simulator or the VLSI
+model, and not the fleet (``repro.distribute``), the sweep, the
+adaptive campaign, importance splitting, telemetry's sinks or a
+process pool: each of those loads when a run's options first use it.
 """

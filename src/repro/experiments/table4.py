@@ -11,10 +11,9 @@ the report shows what each cell actually spent.
 
 from __future__ import annotations
 
-from repro.distribute import execution_context
 from repro.reliability.metrics import TableIV
-from repro.telemetry import telemetry_session
 from repro.reliability.monte_carlo import build_table_iv
+from repro.telemetry import telemetry_session
 from repro.reliability.sampling.sequential import AdaptivePolicy, policy_from_cli
 
 PAPER_MUSE = {0: 99.17, 1: 98.35, 2: 96.70, 3: 93.39, 4: 86.71, 5: 85.03}
@@ -164,6 +163,10 @@ def build(
     swaps the injected corruption stream for any registered fault
     scenario (:mod:`repro.scenarios`).
     """
+    # The package alone: its fleet, journal and progress modules load
+    # only for the options that use them.
+    from repro.distribute import execution_context
+
     policy: AdaptivePolicy | None = None
     if isinstance(adaptive, AdaptivePolicy):
         policy = adaptive

@@ -19,41 +19,44 @@ studies past one process while keeping memory flat in trial count:
   ``repro-muse all`` sweep with captured reports and a results
   directory.
 
+Each name above loads its module on first use
+(:func:`repro._lazy.lazy_exports`), so importing one piece never pulls
+in the sweep or a process pool.
+
 The invariant every piece preserves: for a fixed master seed the folded
 tally of a run is **byte-identical** for every ``(chunk_size, jobs)``
 combination, including ``jobs=1`` vs ``jobs>1``.
 """
 
-from repro.orchestrate.persist import atomic_write_json, atomic_write_text
-from repro.orchestrate.plan import (
-    Chunk,
-    DEFAULT_CHUNK_SIZE,
-    plan_chunk_range,
-    plan_chunks,
-    resolve_chunk_size,
-)
-from repro.orchestrate.pool import (
-    ProgressCallback,
-    map_unordered,
-    run_grid,
-    run_sharded,
-)
-from repro.orchestrate.rng import counter_draws, derive_key, mix64, trial_seed
-from repro.orchestrate.sweep import (
-    EXPERIMENT_TARGETS,
-    ExperimentTask,
-    SweepOutcome,
-    resolve_experiment,
-    run_all,
-)
-from repro.orchestrate.worker import (
-    ChunkTask,
-    CodeRef,
-    MuseSimSpec,
-    RsSimSpec,
-    group_labels,
-    run_chunk_task,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".persist": ("atomic_write_json", "atomic_write_text"),
+    ".plan": (
+        "Chunk",
+        "DEFAULT_CHUNK_SIZE",
+        "plan_chunk_range",
+        "plan_chunks",
+        "resolve_chunk_size",
+    ),
+    ".pool": ("ProgressCallback", "map_unordered", "run_grid", "run_sharded"),
+    ".rng": ("counter_draws", "derive_key", "mix64", "trial_seed"),
+    ".sweep": (
+        "EXPERIMENT_TARGETS",
+        "ExperimentTask",
+        "SweepOutcome",
+        "resolve_experiment",
+        "run_all",
+    ),
+    ".worker": (
+        "ChunkTask",
+        "CodeRef",
+        "MuseSimSpec",
+        "RsSimSpec",
+        "group_labels",
+        "run_chunk_task",
+    ),
+})
 
 __all__ = [
     "Chunk",

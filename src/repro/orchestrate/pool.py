@@ -24,7 +24,6 @@ materialisation.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.orchestrate.plan import Chunk, guided_batches
@@ -78,6 +77,8 @@ def map_unordered(
             if progress is not None:
                 progress(done, total)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     batches = (
         guided_batches(task_list, jobs)
         if guided

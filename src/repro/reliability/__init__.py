@@ -11,39 +11,38 @@
   scheduler to a single point or a whole sweep) and importance
   splitting for the silent / miscorrection tails
   (:class:`SplittingEstimator` over a plain msed simulator).
+
+Each name loads its module on first use
+(:func:`repro._lazy.lazy_exports`): a fixed-budget run never loads the
+campaign scheduler or the splitting estimator.
 """
 
-from repro.reliability.analytic import (
-    AnalyticMsed,
-    predict,
-    predict_table_iv_muse_row,
-)
-from repro.reliability.metrics import (
-    DesignPoint,
-    MsedResult,
-    MsedTally,
-    TableIV,
-)
-from repro.reliability.monte_carlo import (
-    MuseMsedSimulator,
-    RsMsedSimulator,
-    build_table_iv,
-    largest_144_multiplier,
-    muse_design_point,
-    rs_design_point,
-    run_design_points,
-    run_design_points_adaptive,
-    run_design_points_with_outcomes,
-)
-from repro.reliability.sampling import (
-    AdaptivePolicy,
-    Interval,
-    SplitResult,
-    SplittingEstimator,
-    binomial_interval,
-    clopper_pearson_interval,
-    wilson_interval,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".analytic": ("AnalyticMsed", "predict", "predict_table_iv_muse_row"),
+    ".metrics": ("DesignPoint", "MsedResult", "MsedTally", "TableIV"),
+    ".monte_carlo": (
+        "MuseMsedSimulator",
+        "RsMsedSimulator",
+        "build_table_iv",
+        "largest_144_multiplier",
+        "muse_design_point",
+        "rs_design_point",
+        "run_design_points",
+        "run_design_points_adaptive",
+        "run_design_points_with_outcomes",
+    ),
+    ".sampling": (
+        "AdaptivePolicy",
+        "Interval",
+        "SplitResult",
+        "SplittingEstimator",
+        "binomial_interval",
+        "clopper_pearson_interval",
+        "wilson_interval",
+    ),
+})
 
 __all__ = [
     "AdaptivePolicy",

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.core.codec import MuseCode
-from repro.core.error_model import SymbolErrorModel
-from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
 from repro.engine import get_engine
 # The per-family generators stay importable from here: perfbench's
@@ -73,15 +72,13 @@ from repro.reliability.metrics import (
     MsedTally,
     TableIV,
 )
-from repro.reliability.sampling.scheduler import (
-    CampaignOutcome,
-    CampaignPolicy,
-    CampaignRunner,
-)
 from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.chipkill import assess
 from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import RSCode, rs_for_channel
+
+if TYPE_CHECKING:
+    from repro.reliability.sampling.scheduler import CampaignOutcome
 
 
 def _tally(counts) -> MsedTally:
@@ -256,12 +253,18 @@ class RsMsedSimulator(_MsedSimulator):
 # Table IV assembly
 # ----------------------------------------------------------------------
 
-#: Largest valid multipliers for the 144-bit C4B model at the two
-#: redundancies the paper publishes (verified in tests).  Immutable:
-#: lazily-discovered values live in the lru_cache below, never here, so
-#: concurrent or batched callers can't observe a half-filled table.
+#: Largest valid multipliers for the 144-bit C4B model at every
+#: redundancy a Table-IV design point uses: the paper's r = 16 and
+#: r = 12 picks and the r = 13..15 codes between them (each equal to a
+#: fresh descending search, verified in tests), so building the table
+#: runs no search.  Immutable: values for any other r are searched and
+#: live in the lru_cache below, never here, so concurrent or batched
+#: callers can't observe a half-filled table.
 PAPER_144_MULTIPLIERS = {
     16: 65519,  # the paper's MUSE(144,128) pick
+    15: 32749,
+    14: 16367,
+    13: 8167,
     12: 4065,   # the paper's MUSE(144,132) pick
 }
 
@@ -270,12 +273,15 @@ PAPER_144_MULTIPLIERS = {
 def largest_144_multiplier(r: int) -> int:
     """Largest valid multiplier for the 144-bit C4B model at budget r.
 
-    Memoised because the r=15/16 descending searches cost a few
-    seconds; the published picks short-circuit the search entirely.
+    The recorded multipliers short-circuit the search; any other r runs
+    it once per process.
     """
     known = PAPER_144_MULTIPLIERS.get(r)
     if known is not None:
         return known
+    from repro.core.error_model import SymbolErrorModel
+    from repro.core.search import MultiplierSearch
+
     model = SymbolErrorModel(SymbolLayout.sequential(144, 4))
     result = MultiplierSearch(model, r).run_descending(stop_after=1)
     if not result.found:
@@ -401,6 +407,11 @@ def run_design_points_adaptive(
     (including each point's ``trials_used`` and ``trials_cached``) —
     allocation is a pure function of the folded tallies.
     """
+    from repro.reliability.sampling.scheduler import (
+        CampaignPolicy,
+        CampaignRunner,
+    )
+
     return CampaignRunner(
         CampaignPolicy(policy, trial_budget), cache=_result_cache(cache_dir)
     ).run(simulators, seed, jobs, chunk_size, progress, executor, group_ns)

@@ -28,34 +28,36 @@ Four layers over the PR-3 streaming orchestrator:
   workers)`` and backends.  Every round extends the same trial stream,
   so a stopped tally is byte-identical to a fixed-trial run of the
   same length — the prefix property.
+
+Each name loads its module on first use
+(:func:`repro._lazy.lazy_exports`).
 """
 
-from repro.reliability.sampling.intervals import (
-    INTERVAL_KINDS,
-    Interval,
-    binomial_interval,
-    clopper_pearson_interval,
-    wilson_interval,
-)
-from repro.reliability.sampling.sequential import (
-    AdaptivePolicy,
-    policy_from_cli,
-)
+from repro._lazy import lazy_exports
 
-# scheduler builds on sequential's policy type; keep it after.
-from repro.reliability.sampling.scheduler import (
-    CampaignOutcome,
-    CampaignPolicy,
-    CampaignRunner,
-    CampaignScheduler,
-)
-from repro.reliability.sampling.splitting import (
-    DEFAULT_SPLIT_CHUNK_SIZE,
-    SplitResult,
-    SplitSpec,
-    SplitTally,
-    SplittingEstimator,
-)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".intervals": (
+        "INTERVAL_KINDS",
+        "Interval",
+        "binomial_interval",
+        "clopper_pearson_interval",
+        "wilson_interval",
+    ),
+    ".sequential": ("AdaptivePolicy", "policy_from_cli"),
+    ".scheduler": (
+        "CampaignOutcome",
+        "CampaignPolicy",
+        "CampaignRunner",
+        "CampaignScheduler",
+    ),
+    ".splitting": (
+        "DEFAULT_SPLIT_CHUNK_SIZE",
+        "SplitResult",
+        "SplitSpec",
+        "SplitTally",
+        "SplittingEstimator",
+    ),
+})
 
 __all__ = [
     "AdaptivePolicy",

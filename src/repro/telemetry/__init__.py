@@ -16,6 +16,10 @@ clocks and counts events — it never touches an RNG stream, a chunk
 plan, or a fold — so tallies are byte-identical with telemetry on or
 off (pinned by the parity tests in ``tests/telemetry/``).
 
+The package itself is small: the sinks, the manifest and the report
+load when a session opens or a report renders
+(:func:`repro._lazy.lazy_exports`).
+
 Worker subprocesses do **not** open their own session against the
 coordinator's run directory (concurrent appends to one event log
 would interleave batches); they keep plain counter dicts and ship
@@ -32,19 +36,15 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, ContextManager, Iterator
 
-from repro.orchestrate.persist import atomic_write_json
-from repro.telemetry.log import log_enabled, log_level, log_line
-from repro.telemetry.manifest import MANIFEST_NAME, build_manifest
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.report import render_report
-from repro.telemetry.sinks import (
-    EVENT_LOG_NAME,
-    PROM_NAME,
-    EventLogSink,
-    PrometheusTextfileSink,
-    read_events,
-)
+from repro._lazy import lazy_exports
 from repro.telemetry.spans import span_recorder
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".log": ("log_enabled", "log_level", "log_line"),
+    ".manifest": ("MANIFEST_NAME",),
+    ".report": ("render_report",),
+    ".sinks": ("EVENT_LOG_NAME", "PROM_NAME", "read_events"),
+})
 
 __all__ = [
     "Telemetry",
@@ -74,6 +74,14 @@ class Telemetry:
     """All observability state of one run, bound to one directory."""
 
     def __init__(self, run_dir: str | Path, **meta: Any) -> None:
+        from repro.telemetry.registry import MetricsRegistry
+        from repro.telemetry.sinks import (
+            EVENT_LOG_NAME,
+            PROM_NAME,
+            EventLogSink,
+            PrometheusTextfileSink,
+        )
+
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.meta = {k: v for k, v in meta.items() if v is not None}
@@ -130,6 +138,9 @@ class Telemetry:
     # -- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
+        from repro.orchestrate.persist import atomic_write_json
+        from repro.telemetry.manifest import MANIFEST_NAME, build_manifest
+
         if self._closed:
             return
         self._closed = True

@@ -219,6 +219,33 @@ class TestCacheCells:
         assert cell.read_bytes() == b"".join(lines)
         assert cell.with_name(cell.name + CORRUPT_SUFFIX).read_bytes() == torn
 
+    def test_record_torn_at_its_newline_is_kept(self, tmp_path):
+        """A kill can cut a cell exactly at its last newline, leaving a
+        record that still decodes: it is kept and its newline restored
+        before the next append, so no chunk recomputes twice and no
+        ``.corrupt`` sidecar appears."""
+        chunks = (Chunk(0, 64), Chunk(64, 64))
+        spec = MuseSimSpec(MUSE_REF)
+        writer = ResultCache(tmp_path)
+        writer.record(KEY, spec, chunks[0], tally(miscorrected=1, silent=63))
+        writer.flush()
+        (cell,) = tmp_path.glob("*.jsonl")
+        cell.write_bytes(cell.read_bytes()[:-1])
+
+        recorded = []
+        for _ in range(3):
+            rerun = ResultCache(tmp_path)
+            for chunk in chunks:
+                if rerun.lookup(KEY, spec, chunk) is None:
+                    rerun.record(
+                        KEY, spec, chunk, tally(miscorrected=1, silent=63)
+                    )
+            rerun.flush()
+            recorded.append(rerun.trials_recorded)
+        assert recorded == [64, 0, 0]
+        assert not cell.with_name(cell.name + CORRUPT_SUFFIX).exists()
+        assert len(cell.read_bytes().splitlines()) == 3  # header + 2 chunks
+
     def test_cell_torn_inside_its_header_heals(self, tmp_path):
         """A kill during a cell's first flush can leave only part of its
         header line: the fragment is quarantined as ``.corrupt`` and the

@@ -214,6 +214,26 @@ class TestSalvage:
         assert reopened.salvage is None
         assert len(reopened) == 2
 
+    def test_record_torn_at_its_newline_survives_two_resumes(self, tmp_path):
+        """A journal cut exactly at its final newline still decodes its
+        last record: the resume keeps it and restores the newline, so
+        the next record appends on a line of its own and a second
+        resume holds both."""
+        _journal_with_records(tmp_path, count=1)
+        path = tmp_path / JOURNAL_NAME
+        path.write_bytes(path.read_bytes()[:-1])
+
+        journal = CheckpointJournal.open(tmp_path, KEY, resume=True)
+        assert journal.salvage is None
+        assert journal.lookup(0, Chunk(0, 8), FP).silent == 1
+        journal.record(0, Chunk(8, 8), tally(silent=2), FP)
+
+        reopened = CheckpointJournal.open(tmp_path, KEY, resume=True)
+        assert reopened.salvage is None
+        assert reopened.lookup(0, Chunk(0, 8), FP).silent == 1
+        assert reopened.lookup(0, Chunk(8, 8), FP).silent == 2
+        assert not path.with_name(JOURNAL_NAME + CORRUPT_SUFFIX).exists()
+
     def test_salvaged_resume_refolds_byte_identically(self, tmp_path):
         """The healed prefix plus re-simulated lost chunks folds to the
         same totals as an undamaged journal."""

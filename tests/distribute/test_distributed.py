@@ -299,6 +299,37 @@ class TestCheckpointResume:
         journal = CheckpointJournal.open(tmp_path, key, resume=True)
         assert len(journal) == chunks
 
+    def test_first_table_build_of_a_session_leases_in_batches(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh session sizes each untimed design point's leases
+        from a timed point of the same shape, so a one-shot build does
+        not open every point with single-chunk leases: 130 chunks in
+        at most 25 appends (a warm build pays 19), same tallies."""
+        from repro.distribute import checkpoint
+
+        appends = []
+        durable_append = checkpoint.durable_append
+
+        def counting(path, data):
+            appends.append(data)
+            durable_append(path, data)
+
+        monkeypatch.setattr(checkpoint, "durable_append", counting)
+        serial = build_table_iv(trials=200_000, chunk_size=16384)
+        with DistributedSession(
+            local_workers=2,
+            checkpoint=CheckpointJournal.open(tmp_path, derive_key(2022)),
+        ) as session:
+            fleet = build_table_iv(
+                trials=200_000, chunk_size=16384, executor=session
+            )
+        assert [p.result for p in fleet.points] == [
+            p.result for p in serial.points
+        ]
+        assert sum(data.count(b"\n") for data in appends) == 130 + 1
+        assert len(appends) <= 25
+
     def test_resume_of_finished_run_recomputes_nothing(self, tmp_path):
         simulator = muse_simulator()
         key = derive_key(SEED)

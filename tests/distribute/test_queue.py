@@ -65,6 +65,35 @@ class TestLeaseSizes:
         # 29 pending: ceil(29 / 4) = 8.
         assert len(queue.claim("w2", now=0.0, workers=2)) == 8
 
+    def test_untimed_spec_is_sized_from_its_shape(self):
+        """A spec no result has timed takes the guided share when a
+        spec of its shape (class, scenario, k_symbols, chunk size) is
+        timed; a spec of another shape still leases one chunk."""
+        queue = ChunkQueue()
+        queue.add_task(task(0, spec="a"))
+        for index in range(1, 9):
+            queue.add_task(task(index, spec="b", group=1))
+        for index in range(9, 17):
+            queue.add_task(ChunkTask(2, "c", Chunk(index * 2, 2), key=7))
+        assert ids(queue.claim("w1", now=0.0, workers=1)) == [0]
+        queue.complete(0, seconds=0.001)
+        # "b" has never been timed but shares "a"'s shape: ceil(16 / 2).
+        assert ids(queue.claim("w1", now=0.0, workers=1)) == list(range(1, 9))
+        # "c"'s chunks are twice the size: a shape of its own.
+        assert ids(queue.claim("w2", now=0.0, workers=1)) == [9]
+
+    def test_busy_worker_waits_for_its_untimed_shape(self):
+        """While nothing of a shape is timed, a worker still computing
+        a lease gets no second single chunk: its results, due with its
+        next request, size that request's lease instead."""
+        queue = make_queue(20)
+        assert ids(queue.claim("w1", now=0.0, workers=2)) == [0]
+        assert queue.claim("w1", now=0.0, workers=2) == []
+        assert ids(queue.claim("w2", now=0.0, workers=2)) == [1]
+        queue.complete(0, seconds=0.001)
+        # 18 pending over 2 workers: ceil(18 / 4) = 5 chunks.
+        assert ids(queue.claim("w1", now=0.0, workers=2)) == [2, 3, 4, 5, 6]
+
     def test_guided_leases_shrink_to_single_chunks(self):
         queue = timed_queue(40)
         sizes = []
@@ -99,7 +128,7 @@ class TestLeaseSizes:
         queue.add_task(task(4, spec="a", group=1))
         queue.timings["a"] = [0.001, 1]
         assert ids(queue.claim("w", now=0.0, workers=1)) == [0, 1, 2]
-        assert queue.claim("w", now=0.0) == [(3, task(3, spec="b"))]
+        assert queue.claim("w2", now=0.0) == [(3, task(3, spec="b"))]
         assert ids(queue.claim("w", now=0.0, workers=1)) == [4]
 
     def test_every_chunk_of_a_lease_shares_its_deadline(self):
@@ -162,6 +191,7 @@ class TestBatchLeaseRecovery:
 class TestWorkerDeath:
     def test_release_worker_requeues_its_leases(self):
         queue = make_queue(3)
+        queue.timings["spec-a"] = [1.0, 1]  # 10 s / 8 fits one 1 s chunk
         queue.claim("dead", now=0.0)
         queue.claim("dead", now=0.0)
         queue.claim("alive", now=0.0)
@@ -180,6 +210,7 @@ class TestWorkerDeath:
 class TestStragglers:
     def test_reap_expired_steals_old_leases(self):
         queue = make_queue(2, lease_timeout=5.0)
+        queue.timings["spec-a"] = [1.0, 1]  # 5 s / 8 fits one chunk
         queue.claim("slow", now=0.0)  # deadline 5.0
         queue.claim("fast", now=3.0)  # deadline 8.0
         assert queue.reap_expired(now=6.0) == 1  # only the slow lease

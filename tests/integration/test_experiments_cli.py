@@ -314,36 +314,120 @@ class TestTable4Report:
         )
 
 
+def run_probe(probe: str) -> str:
+    """Run ``probe`` in a fresh interpreter on this checkout's source;
+    its stdout, stripped."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env={
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+        },
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.strip()
+
+
+def loaded_after(statement: str, modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` (each with its submodules) a fresh
+    interpreter holds after running ``statement``, as a sorted list."""
+    return run_probe(
+        "import sys\n"
+        f"{statement}\n"
+        f"wanted = {modules!r}\n"
+        "print(sorted(name for name in sys.modules if any(\n"
+        "    name == w or name.startswith(w + '.') for w in wanted)))\n"
+    )
+
+
+#: The packages whose exports load their modules on first use.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.orchestrate",
+    "repro.reliability",
+    "repro.reliability.sampling",
+    "repro.telemetry",
+    "repro.distribute",
+)
+
+
 class TestImports:
     def test_table4_import_loads_no_other_experiment(self):
         """``import repro.experiments.table4`` — what every library
         caller and the benchmark's set-up probe pay — loads Table IV's
         stack alone: not the other experiments, and not the Figure-6
         CPU simulator behind them."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        probe = (
-            "import sys\n"
-            "import repro.experiments.table4\n"
-            "print(sorted(name for name in sys.modules if name in (\n"
-            "    'repro.experiments.figure6', 'repro.perf.simulator')))\n"
+        loaded = loaded_after(
+            "import repro.experiments.table4",
+            ("repro.experiments.figure6", "repro.perf.simulator"),
         )
-        loaded = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={
-                **os.environ,
-                "PYTHONPATH": src + (os.pathsep + path if path else ""),
-            },
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        ).stdout.strip()
         assert loaded == "[]"
+
+    def test_table4_import_loads_no_fleet_sweep_or_campaign(self):
+        """A plain Table-IV run uses none of the fleet, the sweep, the
+        adaptive campaign, importance splitting or a process pool, so
+        importing it loads none of them."""
+        loaded = loaded_after(
+            "import repro.experiments.table4",
+            (
+                "repro.distribute",
+                "repro.orchestrate.sweep",
+                "repro.reliability.sampling.splitting",
+                "repro.reliability.sampling.scheduler",
+                "concurrent.futures.process",
+                "socketserver",
+            ),
+        )
+        assert loaded == "[]"
+
+    def test_worker_import_loads_no_coordinator_journal_or_cache(self):
+        """A loopback or remote worker runs chunks: it never loads the
+        coordinator, the checkpoint journal or the result cache."""
+        loaded = loaded_after(
+            "import repro.distribute.worker",
+            (
+                "repro.distribute.coordinator",
+                "repro.distribute.checkpoint",
+                "repro.distribute.cache",
+            ),
+        )
+        assert loaded == "[]"
+
+    def test_every_lazy_export_resolves(self):
+        """In a fresh interpreter, every name in each lazy package's
+        ``__all__`` (and each experiment the CLI exposes) resolves and
+        is listed by ``dir()``, an alias is its source's object, and an
+        unknown name is an AttributeError."""
+        probe = (
+            "import importlib\n"
+            f"for package in {LAZY_PACKAGES!r} + ('repro.cli',):\n"
+            "    module = importlib.import_module(package)\n"
+            "    names = getattr(module, '__all__', (\n"
+            "        'table4', 'ablation_shuffle', 'ablation_frontier',\n"
+            "        'extension_double_device'))\n"
+            "    for name in names:\n"
+            "        getattr(module, name)\n"
+            "        assert name in dir(module), (package, name)\n"
+            "    try:\n"
+            "        module.no_such_export\n"
+            "    except AttributeError as exc:\n"
+            "        assert 'no_such_export' in str(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(package + ' resolved an unknown name')\n"
+            "import repro.core.naming\n"
+            "assert repro.core.parse_error_class is repro.core.naming.parse\n"
+            "print('ok')\n"
+        )
+        assert run_probe(probe) == "ok"

@@ -110,8 +110,20 @@ class TestDesignPoints:
             rs_design_point(8)
 
     def test_largest_multipliers_have_right_width(self):
+        """Each recorded multiplier is what a fresh descending search
+        finds, so building the table can skip the search."""
+        from repro.core.error_model import SymbolErrorModel
+        from repro.core.search import MultiplierSearch
+        from repro.core.symbols import SymbolLayout
+        from repro.reliability.monte_carlo import PAPER_144_MULTIPLIERS
+
+        assert sorted(PAPER_144_MULTIPLIERS) == [12, 13, 14, 15, 16]
+        model = SymbolErrorModel(SymbolLayout.sequential(144, 4))
         for r in (12, 13, 14, 15, 16):
             assert largest_144_multiplier(r).bit_length() == r
+            search = MultiplierSearch(model, r).run_descending(stop_after=1)
+            assert search.found
+            assert PAPER_144_MULTIPLIERS[r] == search.multipliers[-1]
 
     def test_design_points_are_memoised(self):
         """Every Table-IV point is one code object per process, so the
