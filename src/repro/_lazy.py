@@ -13,12 +13,51 @@ A registry filled when its module loads (backends, scenarios, wire
 types) is still filled before it is read, because every reader imports
 the module that fills it; no package ``__init__`` fills one on the
 side.
+
+:func:`lazy_import` does the same for one heavy dependency a module
+uses only inside some of its functions: numpy, which a fused native
+Table-IV run never calls, is imported by the first function that does.
 """
 
 from __future__ import annotations
 
 import importlib
 from typing import Any, Callable
+
+
+class _Deferred:
+    """The stand-in :func:`lazy_import` binds: the first attribute read
+    imports the module and rebinds the global to it."""
+
+    __slots__ = ("_namespace", "_alias", "_source")
+
+    def __init__(self, namespace: dict[str, Any], alias: str, source: str):
+        self._namespace = namespace
+        self._alias = alias
+        self._source = source
+
+    def __getattr__(self, name: str) -> Any:
+        module = importlib.import_module(self._source)
+        self._namespace[self._alias] = module
+        return getattr(module, name)
+
+    def __repr__(self) -> str:
+        return f"<{self._source}, imported on first use>"
+
+
+def lazy_import(namespace: dict[str, Any], alias: str, source: str) -> Any:
+    """``import SOURCE as ALIAS`` at module level, paid on first use.
+
+    Returns a stand-in to bind as the module global ``alias``; the first
+    attribute read through it (``np.zeros``, say) imports ``source``
+    and rebinds ``namespace[alias]`` to the real module, so every later
+    read is a plain global lookup and hot loops pay nothing per call.
+    Only attribute reads trigger it, so use it for a module the code
+    reaches as ``alias.name``.  Use::
+
+        np = lazy_import(globals(), "np", "numpy")
+    """
+    return _Deferred(namespace, alias, source)
 
 
 def lazy_exports(

@@ -139,8 +139,8 @@ class MuseCode:
                 codeword=codeword,
             )
 
-        entry = self.elc.lookup(remainder)
-        if entry is None:
+        error_value = self.elc.remainder_values.get(remainder)
+        if error_value is None:
             return DecodeResult(
                 status=DecodeStatus.DETECTED,
                 data=None,
@@ -148,7 +148,7 @@ class MuseCode:
                 reason=DetectionReason.REMAINDER_NOT_FOUND,
             )
 
-        corrected = codeword - entry.error_value
+        corrected = codeword - error_value
         # Ripple check: a true single-symbol error is undone exactly, so
         # the adder only toggles bits of one symbol.  A miscorrection of
         # a multi-symbol error may carry/borrow across the boundary or
@@ -172,7 +172,7 @@ class MuseCode:
             status=DecodeStatus.CORRECTED,
             data=corrected >> self.r,
             codeword=corrected,
-            error_value=entry.error_value,
+            error_value=error_value,
         )
 
     def decode_without_ripple_check(self, codeword: int) -> DecodeResult:
@@ -191,20 +191,20 @@ class MuseCode:
         remainder = codeword % self.m
         if remainder == 0:
             return DecodeResult(DecodeStatus.CLEAN, codeword >> self.r, codeword)
-        entry = self.elc.lookup(remainder)
-        if entry is None:
+        error_value = self.elc.remainder_values.get(remainder)
+        if error_value is None:
             return DecodeResult(
                 DecodeStatus.DETECTED,
                 None,
                 codeword,
                 reason=DetectionReason.REMAINDER_NOT_FOUND,
             )
-        corrected = (codeword - entry.error_value) & ((1 << self.n) - 1)
+        corrected = (codeword - error_value) & ((1 << self.n) - 1)
         return DecodeResult(
             DecodeStatus.CORRECTED,
             corrected >> self.r,
             corrected,
-            error_value=entry.error_value,
+            error_value=error_value,
         )
 
     # ------------------------------------------------------------------

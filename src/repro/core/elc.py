@@ -51,44 +51,48 @@ class ErrorLookupCircuit:
     def __init__(self, model: ErrorModel, m: int):
         self.model = model
         self.m = m
-        table: dict[int, ELCEntry] = {}
+        values: dict[int, int] = {}
         for value in sorted(model.error_values()):
             remainder = value % m
             if remainder == 0:
                 raise ValueError(
                     f"multiplier {m} maps error value {value} to remainder 0"
                 )
-            if remainder in table:
-                other = table[remainder].error_value
+            if remainder in values:
                 raise ValueError(
-                    f"multiplier {m} maps error values {other} and {value} "
-                    f"to the same remainder {remainder}"
+                    f"multiplier {m} maps error values {values[remainder]} "
+                    f"and {value} to the same remainder {remainder}"
                 )
-            table[remainder] = ELCEntry(
-                remainder=remainder,
-                magnitude=abs(value),
-                sign=1 if value > 0 else -1,
-            )
-        self._table = table
+            values[remainder] = value
+        #: remainder -> signed error value, as plain ints: what the
+        #: scalar decoder and the engine tables read.
+        self.remainder_values = values
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _entry(remainder: int, value: int) -> ELCEntry:
+        return ELCEntry(remainder, abs(value), 1 if value > 0 else -1)
+
     def lookup(self, remainder: int) -> ELCEntry | None:
         """Return the matching entry, or None (uncorrectable signal)."""
-        return self._table.get(remainder)
+        value = self.remainder_values.get(remainder)
+        return None if value is None else self._entry(remainder, value)
 
     def entries(self):
-        """Iterate every CAM entry (the decode engines build dense
-        remainder-indexed tables from this)."""
-        return iter(self._table.values())
+        """Iterate every CAM entry, each built on demand."""
+        return (
+            self._entry(remainder, value)
+            for remainder, value in self.remainder_values.items()
+        )
 
     def __contains__(self, remainder: int) -> bool:
-        return remainder in self._table
+        return remainder in self.remainder_values
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.remainder_values)
 
     # ------------------------------------------------------------------
     # Hardware accounting (Table V inputs)
@@ -97,7 +101,7 @@ class ErrorLookupCircuit:
     @property
     def entry_count(self) -> int:
         """Number of CAM entries (1080 for MUSE(144,132))."""
-        return len(self._table)
+        return len(self.remainder_values)
 
     @cached_property
     def remainder_bits(self) -> int:

@@ -10,8 +10,16 @@ backends:
   (always available);
 * ``numpy`` — fixed-width arrays with the whole decode flow vectorised
   (:mod:`repro.engine.numpy_backend`, :class:`repro.rs.engine.NumpyRsEngine`);
-* ``native`` — the numpy tables driven by self-compiled C kernels
+* ``native`` — self-compiled C kernels over the same tables
   (:mod:`repro.engine.native`, :mod:`repro.rs.engine_native`).
+
+Each code's tables are built once, numpy-free, by
+:mod:`repro.engine.tables`: the native engines pass those buffers to
+the kernels and the numpy engines read them as ``np.frombuffer``
+views.  numpy is imported on first use (:func:`repro._lazy.lazy_import`)
+here and along the whole fused path, so a native run whose chunks all
+run fused never loads it; a batch decode, which computes on ndarrays,
+does.
 
 All classify every word into one of four :data:`STATUS_*` codes, which
 deliberately mirror the Monte-Carlo tally buckets: the reliability
@@ -24,7 +32,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from repro._lazy import lazy_import
+
+np = lazy_import(globals(), "np", "numpy")
 
 if TYPE_CHECKING:
     from repro.core.codec import DecodeResult, MuseCode

@@ -2,7 +2,8 @@
 
 The top rung of the backend ladder: four kernels (MUSE decode, MUSE
 fused chunk, RS PGZ decode, RS fused chunk) written once in C99 plus
-GCC vector extensions over the numpy engines' table layouts, compiled
+GCC vector extensions over the table layouts of
+:mod:`repro.engine.tables`, compiled
 at first use with the system compiler (``$CC``, default ``cc``, with
 ``-O3 -march=native -fPIC -shared``) into a cache under the temp
 directory addressed by the source, the compiler, its flags and the host
@@ -35,7 +36,12 @@ Availability is probed by actually compiling (cached across processes
 by that key), so ``available_backends()`` never advertises a backend
 that cannot run.  Any failure — no compiler, one that rejects
 ``-march=native``, a read-only temp dir — just reports unavailable;
-``auto`` then falls back down the ladder.
+``auto`` then falls back down the ladder.  A warm start loads the
+cached library without importing ``subprocess`` or ``tempfile``
+(``tempfile`` only when ``REPRO_NATIVE_CACHE`` is unset), and
+:func:`ptr` takes any buffer, so nothing here needs numpy: the kernels
+read the engines' immutable ``bytes`` tables and stream keys through
+``const`` pointers.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ import ctypes
 import hashlib
 import os
 import platform
-import subprocess
-import tempfile
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -560,6 +564,8 @@ def _cache_dir() -> str:
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:
         return override
+    import tempfile
+
     tag = getattr(os, "getuid", lambda: "any")()
     return os.path.join(tempfile.gettempdir(), f"repro-native-{tag}")
 
@@ -640,6 +646,8 @@ def load_library() -> "ctypes.CDLL | None":
         shared = _library_path()
         os.makedirs(os.path.dirname(shared), exist_ok=True)
         if not os.path.exists(shared):
+            import subprocess
+
             source = shared[: -len(".so")] + ".c"
             with open(source, "w") as handle:
                 handle.write(_SOURCE)
@@ -660,9 +668,21 @@ def load_library() -> "ctypes.CDLL | None":
     return _lib
 
 
-def ptr(array) -> ctypes.c_void_p:
-    """The address of an ndarray's buffer, as a kernel pointer argument."""
-    return ctypes.c_void_p(array.ctypes.data)
+def ptr(buffer) -> ctypes.c_void_p:
+    """The address of a contiguous buffer, as a kernel pointer argument.
+
+    Takes ``bytes`` (the engines' tables and stream keys: immutable, so
+    nothing can write them, and the kernels read them through ``const``
+    pointers), an ndarray (read-only or empty too), or any other
+    writable buffer, such as an ``array.array``.  The caller keeps the
+    buffer alive for the call.
+    """
+    if isinstance(buffer, bytes):
+        return ctypes.cast(buffer, ctypes.c_void_p)
+    ndarray = getattr(buffer, "ctypes", None)
+    if ndarray is not None:
+        return ctypes.c_void_p(ndarray.data)
+    return ctypes.c_void_p(ctypes.addressof(ctypes.c_char.from_buffer(buffer)))
 
 
 def native_kernels_available() -> bool:

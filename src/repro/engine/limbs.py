@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
+from repro._lazy import lazy_import
+
+np = lazy_import(globals(), "np", "numpy")
 
 LIMB_BITS = 64
 _LIMB_MASK = (1 << LIMB_BITS) - 1

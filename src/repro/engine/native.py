@@ -1,48 +1,54 @@
-"""The native backend: self-compiled C kernels over the numpy tables.
+"""The native backend: self-compiled C kernels over each code's tables.
 
 :class:`NativeKernels` is what both families' native engines share:
 loading the ctypes library built by :mod:`repro.engine.cc` (a host
 without one refuses the code, so ``auto`` steps down to numpy), and
 the fused tail — :func:`~repro.orchestrate.corruption.fused_stream`
 says whether a kernel can replay a scenario's counter-hashed stream,
-the kernel tallies the 4 statuses of the chunk without materialising
-any batch array, and :meth:`~NativeKernels.fused_chunk_counts` is the
-msed case.  It replays the msed stream and the ``mbu`` scenario's
-burst stream, and is exact for ``k_symbols <= 2``: there the
-generator's ``argpartition(scores, k-1)[:, :k]`` provably yields
-``(argmin, arg-2nd-min)``, which the kernels reproduce with a
-two-minimum scan (sorted by index for mbu).  For larger ``k`` the
-order of the remaining slots is an implementation detail of
-introselect, so the tail returns ``None`` and the caller generates then
-decodes — as it does for every other scenario.  Each engine keeps its
-own tables and its kernels' ctypes argument lists.  Tallies are
-byte-identical to every other backend at a fixed seed.
+the kernel tallies the 4 statuses of the chunk into a 4-slot stdlib
+array without materialising any batch array, and
+:meth:`~NativeKernels.fused_chunk_counts` is the msed case.  It
+replays the msed stream and the ``mbu`` scenario's burst stream, and
+is exact for ``k_symbols <= 2``: there the generator's
+``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
+arg-2nd-min)``, which the kernels reproduce with a two-minimum scan
+(sorted by index for mbu).  For larger ``k`` the order of the
+remaining slots is an implementation detail of introselect, so the
+tail returns ``None`` and the caller generates then decodes — as it
+does for every other scenario.  Tallies are byte-identical to every
+other backend at a fixed seed.
+
+The fused tail runs on ``bytes`` alone — the code's tables
+(:mod:`repro.engine.tables`), the stream keys and the counts — so a
+run whose chunks all run fused never imports numpy; ``decode_batch``,
+which takes and returns ndarrays, does.
 
 :class:`NativeDecodeEngine` is the MUSE engine.  It subclasses the
-numpy engine for its table construction (dense ELC, confinement
-masks) and adds the flat tables the C kernels take (``2^p mod m`` per
-bit position, the rectangular symbol-bit table, each symbol's first
-bit where one shift and mask read it).  Its fused kernel encodes a
-lane block of clean words at once and decodes each trial's error
-pattern: a clean word's remainder is zero, so the chosen symbols'
-changes give the received remainder, and only an ELC hit under the
-ripple check builds the received word for the full decode.  A code the
-kernels cannot take (more than :data:`MAX_NATIVE_LIMBS` limbs, or
-``r`` outside ``(0, 64)``) raises :class:`BackendUnavailableError`.
-Symbols need no limit of their own: no kernel buffer is sized by the
-symbol count, and since every symbol holds at least one bit, 8 limbs
-hold at most 512 of them.
+numpy engine for its batch layout and passes the code's
+:class:`~repro.engine.tables.MuseTables` buffers — the ones the numpy
+engine views — to the kernels.  Its fused kernel encodes a lane block
+of clean words at once and decodes each trial's error pattern: a clean
+word's remainder is zero, so the chosen symbols' changes give the
+received remainder, and only an ELC hit under the ripple check builds
+the received word for the full decode.  A code the kernels cannot take
+(more than :data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0,
+64)``) raises :class:`BackendUnavailableError`.  Symbols need no limit
+of their own: no kernel buffer is sized by the symbol count, and since
+every symbol holds at least one bit, 8 limbs hold at most 512 of them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
+from repro._lazy import lazy_import
 from repro.engine.base import BackendUnavailableError
 from repro.engine.cc import load_library, ptr
-from repro.engine.limbs import LIMB_BITS, int_to_limb_row
+from repro.engine.limbs import LIMB_BITS
 from repro.engine.numpy_backend import NumpyBatchResult, NumpyDecodeEngine
 from repro.orchestrate.corruption import fused_stream
+
+np = lazy_import(globals(), "np", "numpy")
 
 #: The C kernels keep words in 8-limb stack scratch (``word[8]``, and
 #: ``clean[8]`` per lane block).
@@ -52,10 +58,10 @@ MAX_NATIVE_LIMBS = 8
 class NativeKernels:
     """The ctypes plumbing both native engines share.
 
-    Mixed in ahead of a family's numpy engine, whose tables the kernels
-    take.  Each engine sets ``_stream_shape`` — the ``(columns,
-    symbols)`` its trial stream draws keys for — and runs its own fused
-    kernel in :meth:`_fused_kernel`.
+    Mixed in ahead of a family's numpy engine, whose ``tables`` buffers
+    the kernels take.  Each engine sets ``_stream_shape`` — the
+    ``(columns, symbols)`` its trial stream draws keys for — and runs
+    its own fused kernel in :meth:`_fused_kernel`.
     """
 
     name = "native"
@@ -86,9 +92,9 @@ class NativeKernels:
         stream = fused_stream(scenario, key, *self._stream_shape, k_symbols)
         if stream is None:
             return None
-        counts = np.zeros(4, dtype=np.int64)
+        counts = array("q", (0, 0, 0, 0))
         self._fused_kernel(chunk, k_symbols, stream, counts)
-        return tuple(int(count) for count in counts)
+        return tuple(counts)
 
     def _fused_kernel(self, chunk, k_symbols: int, stream, counts) -> None:
         """Run the family's fused kernel over ``chunk``, tallying into
@@ -97,7 +103,7 @@ class NativeKernels:
 
 
 class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
-    """C-kernel MUSE backend; numpy's tables, ``cc``'s code."""
+    """C-kernel MUSE backend; the code's table buffers, ``cc``'s code."""
 
     def __init__(self, code, ripple_check: bool = True):
         super().__init__(code, ripple_check)
@@ -110,40 +116,7 @@ class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
             raise BackendUnavailableError(
                 f"fused encode needs 0 < r < {LIMB_BITS}, got {code.r}"
             )
-        # 2^p mod m per bit position: the residue's 32-bit chunk weights
-        # and the remainder an error pattern adds.
-        self._pow2 = np.array(
-            [pow(2, p, code.m) for p in range(LIMB_BITS * self.limbs)],
-            dtype=np.uint64,
-        )
-        self._hit_u8 = self._elc_hit.astype(np.uint8)
-        self._k_mask = int_to_limb_row((1 << code.k) - 1, self.limbs)
         self._stream_shape = (self.limbs, code.layout.symbol_count)
-        # Per-symbol bit positions as a rectangular table for in-kernel
-        # extract/insert (device-local bit order, like the layout), and
-        # each symbol's first bit where it is one run of at most 32
-        # ascending bits inside one limb (read with a shift and a mask),
-        # else -1 (read bit by bit).
-        symbols = code.layout.symbols
-        self._sym_widths = np.array(
-            [len(bits) for bits in symbols], dtype=np.int64
-        )
-        self._sym_bits = np.zeros(
-            (len(symbols), int(self._sym_widths.max())), dtype=np.int64
-        )
-        for index, bits in enumerate(symbols):
-            self._sym_bits[index, : len(bits)] = bits
-        self._sym_first = np.array(
-            [
-                bits[0]
-                if len(bits) <= 32
-                and bits[0] // LIMB_BITS == bits[-1] // LIMB_BITS
-                and tuple(bits) == tuple(range(bits[0], bits[0] + len(bits)))
-                else -1
-                for bits in symbols
-            ],
-            dtype=np.int64,
-        )
 
     def decode_limbs(self, words: np.ndarray) -> NumpyBatchResult:
         words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -151,25 +124,27 @@ class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
         corrected = np.empty_like(words)
         statuses = np.empty(batch, dtype=np.uint8)
         rems = np.empty(batch, dtype=np.uint64)
+        tables = self.tables
         self._lib.muse_decode_batch(
             ptr(words), batch, self.limbs, ptr(corrected), ptr(statuses),
-            ptr(rems), self.code.m, ptr(self._pow2),
-            ptr(self._hit_u8), ptr(self._elc_addend), ptr(self._low_mask),
-            ptr(self._above_mask), ptr(self._bit_symbol),
-            ptr(self._symbol_outside_masks), int(self.ripple_check),
+            ptr(rems), self.code.m, ptr(tables.pow2), ptr(tables.hit),
+            ptr(tables.addend), ptr(tables.low_mask), ptr(tables.above_mask),
+            ptr(tables.bit_symbol), ptr(tables.outside),
+            int(self.ripple_check),
         )
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
     def _fused_kernel(self, chunk, k_symbols: int, stream, counts) -> None:
         mode, data_keys, choice_keys, value_keys, start_keys = stream
+        tables = self.tables
         self._lib.muse_fused_chunk(
             chunk.start, chunk.size, k_symbols, self.limbs, self.code.r,
-            self.code.m, ptr(self._pow2), ptr(self._k_mask),
-            ptr(self._hit_u8), ptr(self._elc_addend), ptr(self._low_mask),
-            ptr(self._above_mask), ptr(self._bit_symbol),
-            ptr(self._symbol_outside_masks), ptr(self._sym_bits),
-            ptr(self._sym_widths), ptr(self._sym_first),
-            self._sym_bits.shape[1], self.code.layout.symbol_count, mode,
+            self.code.m, ptr(tables.pow2), ptr(tables.k_mask),
+            ptr(tables.hit), ptr(tables.addend), ptr(tables.low_mask),
+            ptr(tables.above_mask), ptr(tables.bit_symbol),
+            ptr(tables.outside), ptr(tables.sym_bits),
+            ptr(tables.sym_widths), ptr(tables.sym_first),
+            tables.max_width, tables.symbol_count, mode,
             ptr(data_keys), ptr(choice_keys), ptr(value_keys),
             ptr(start_keys), int(self.ripple_check), ptr(counts),
         )

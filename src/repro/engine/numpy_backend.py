@@ -8,7 +8,9 @@ Codewords live in ``(batch, limbs)`` uint64 arrays
 2. **ELC lookup** — the remainder indexes two dense tables built from
    the code's Error Lookup Circuit: a hit mask and, per remainder, the
    *addend* ``(-error_value) mod 2^W`` so the correction is a single
-   wrapping multi-limb add.
+   wrapping multi-limb add.  Every table is a read-only view of the
+   code's :class:`~repro.engine.tables.MuseTables`, the buffers the
+   native kernels take.
 3. **Ripple check** — underflow and overflow of the true correction
    both surface as set bits at positions >= n (the limb width W
    exceeds n by construction), one mask test; symbol confinement is a
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from repro._lazy import lazy_import
 from repro.engine.base import (
     BackendUnavailableError,
     BatchDecodeResult,
@@ -40,11 +41,13 @@ from repro.engine.limbs import (
     add,
     int_to_limb_row,
     ints_to_limbs,
-    limb_count,
     limbs_to_ints,
     lshift,
     residue,
 )
+from repro.engine.tables import muse_tables
+
+np = lazy_import(globals(), "np", "numpy")
 
 
 def _lowest_set_bit(batch: np.ndarray) -> np.ndarray:
@@ -144,13 +147,14 @@ class NumpyBatchResult(BatchDecodeResult):
                     )
                 )
             elif status == STATUS_CORRECTED:
-                entry = code.elc.lookup(int(self._remainders[i]))
                 out.append(
                     DecodeResult(
                         DecodeStatus.CORRECTED,
                         corrected[i] >> code.r,
                         corrected[i],
-                        error_value=entry.error_value,
+                        error_value=code.elc.remainder_values[
+                            int(self._remainders[i])
+                        ],
                     )
                 )
             elif status == STATUS_DETECTED_NO_MATCH:
@@ -190,40 +194,8 @@ class NumpyDecodeEngine(DecodeEngine):
                 f"multiplier {code.m} too wide for the chunked residue "
                 f"accumulator (> {MAX_MULTIPLIER_BITS} bits)"
             )
-        self.limbs = limb_count(code.n)
-        width = LIMB_BITS * self.limbs
-        low_mask_int = (1 << code.n) - 1
-        self._low_mask = int_to_limb_row(low_mask_int, self.limbs)
-        self._above_mask = int_to_limb_row(
-            ((1 << width) - 1) ^ low_mask_int, self.limbs
-        )
-        # Dense remainder-indexed ELC: hit mask + wrapping addend, each
-        # filled in one scatter (an array per entry would dominate the
-        # engine build).
-        entries = list(code.elc.entries())
-        remainders = np.array([e.remainder for e in entries], dtype=np.int64)
-        hit = np.zeros(code.m, dtype=bool)
-        hit[remainders] = True
-        addend = np.zeros((code.m, self.limbs), dtype=np.uint64)
-        modulus = 1 << width
-        addend[remainders] = ints_to_limbs(
-            [(-entry.error_value) % modulus for entry in entries], self.limbs
-        )
-        self._elc_hit = hit
-        self._elc_addend = addend
-        # Confinement tables: bit position -> owning symbol (positions at
-        # or above n map to a sentinel row whose "outside" mask is all
-        # ones, so out-of-range changed bits can never look confined),
-        # and per symbol the complement of its mask.
-        sentinel = code.layout.symbol_count
-        bit_symbol = np.full(width, sentinel, dtype=np.int64)
-        bit_symbol[: code.n] = code.layout.bit_to_symbol
-        self._bit_symbol = bit_symbol
-        outside = np.stack(
-            [~int_to_limb_row(mask, self.limbs) for mask in code.layout.masks]
-            + [np.full(self.limbs, ~np.uint64(0), dtype=np.uint64)]
-        )
-        self._symbol_outside_masks = outside
+        self.tables = muse_tables(code)
+        self.limbs = self.tables.limbs
 
     # -- batches -------------------------------------------------------
 
@@ -262,14 +234,15 @@ class NumpyDecodeEngine(DecodeEngine):
     def decode_limbs(self, words: np.ndarray) -> NumpyBatchResult:
         """Figure-4 over a limb batch; the whole hot path lives here."""
         code = self.code
+        nd = self.tables.nd
         rem = residue(words, code.m)
         statuses = np.full(words.shape[0], STATUS_DETECTED_NO_MATCH, dtype=np.uint8)
         statuses[rem == 0] = STATUS_CLEAN
         corrected = words.copy()
-        candidates = np.flatnonzero(self._elc_hit[rem])
+        candidates = np.flatnonzero(nd.hit[rem])
         if candidates.size:
             received = words[candidates]
-            fixed = add(received, self._elc_addend[rem[candidates]])
+            fixed = add(received, nd.addend[rem[candidates]])
             if self.ripple_check:
                 # Bits at/above n flag both underflow and overflow of
                 # the true (unwrapped) correction; then the changed bits
@@ -277,16 +250,16 @@ class NumpyDecodeEngine(DecodeEngine):
                 # to *some* symbol equals confinement to the symbol
                 # owning the lowest changed bit, so one gathered mask
                 # test per row replaces a sweep over every symbol.
-                out_of_range = np.any((fixed & self._above_mask) != 0, axis=1)
+                out_of_range = np.any((fixed & nd.above_mask) != 0, axis=1)
                 changed = fixed ^ received
-                symbol = self._bit_symbol[_lowest_set_bit(changed)]
-                outside = self._symbol_outside_masks[symbol]
+                symbol = nd.bit_symbol[_lowest_set_bit(changed)]
+                outside = nd.outside[symbol]
                 confined = ~np.any((changed & outside) != 0, axis=1)
                 accepted = ~out_of_range & confined
             else:
                 # The ablation decoder wraps the adder result into the
                 # n-bit word and always delivers, like the scalar path.
-                fixed &= self._low_mask
+                fixed &= nd.low_mask
                 accepted = np.ones(candidates.size, dtype=bool)
             statuses[candidates[accepted]] = STATUS_CORRECTED
             statuses[candidates[~accepted]] = STATUS_DETECTED_RIPPLE

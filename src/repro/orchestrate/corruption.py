@@ -37,14 +37,16 @@ keys.  The fused native kernels replay the msed draws — and the
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Callable
 
-import numpy as np
-
+from repro._lazy import lazy_import
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
+
+np = lazy_import(globals(), "np", "numpy")
 
 #: Stream tags keeping the three per-trial draw families independent.
 STREAM_DATA = 0
@@ -57,15 +59,12 @@ FUSED_MSED = 0
 FUSED_MBU = 1
 
 
-def _keys(key: int, stream: int, count: int) -> "np.ndarray":
-    """Stream keys ``(stream, 0..count-1)`` under ``key`` as a read-only
-    uint64 array."""
-    keys = np.array(
-        [derive_key(key, stream, index) for index in range(count)],
-        dtype=np.uint64,
-    )
-    keys.flags.writeable = False
-    return keys
+def _keys(key: int, stream: int, count: int) -> bytes:
+    """Stream keys ``(stream, 0..count-1)`` under ``key`` as an
+    immutable machine-order uint64 buffer."""
+    return array(
+        "Q", [derive_key(key, stream, index) for index in range(count)]
+    ).tobytes()
 
 
 @lru_cache(maxsize=32)
@@ -74,12 +73,15 @@ def fused_stream(scenario: str, key: int, columns: int, symbols: int,
     """What a fused kernel needs to replay the stream of the scenario
     named ``scenario``, or ``None`` when it cannot.
 
-    Returns ``(mode, data_keys, choice_keys, value_keys, start_keys)``
-    as read-only uint64 arrays — one key per data column, per symbol and
-    per corrupted slot.  Every chunk of a point shares them, so they
-    are derived once per point (memoised) rather than once per chunk.  The clean words always come from the base key's
-    DATA stream; msed chooses and replaces from the base CHOICE/VALUE
-    keys (``start_keys`` unused), mbu chooses and bursts from its
+    Returns ``(mode, data_keys, choice_keys, value_keys, start_keys)``:
+    an int and four immutable ``bytes`` of machine-order uint64 keys —
+    one key per data column, per symbol and per corrupted slot (read
+    them with ``array("Q", keys)``), passed to the kernels as they are.
+    Every chunk of a point shares them, so they are derived once per
+    point (memoised) rather than once per chunk.  The clean words
+    always come from the base key's DATA stream; msed chooses and
+    replaces from the base CHOICE/VALUE keys (``start_keys`` unused),
+    mbu chooses and bursts from its
     :func:`~repro.scenarios.scenario_stream_key` (``S_CHOICE`` per
     symbol, ``S_LEN``/``S_START`` per slot).  ``None`` for every other
     scenario and for ``k_symbols`` outside 1..2, where the kernels'
@@ -178,14 +180,13 @@ def muse_clean_chunk(code, chunk: Chunk, key: int):
     corruption stream starts from.
     """
     from repro.engine import get_engine
-    from repro.engine.limbs import int_to_limb_row
 
     engine = get_engine(code, "numpy")
     trials = _trial_counters(chunk)
     data = np.empty((trials.size, engine.limbs), dtype=np.uint64)
     for limb in range(engine.limbs):
         data[:, limb] = counter_draws(derive_key(key, STREAM_DATA, limb), trials)
-    data &= int_to_limb_row((1 << code.k) - 1, engine.limbs)
+    data &= engine.tables.nd.k_mask
     return engine.encode_limbs(data)
 
 

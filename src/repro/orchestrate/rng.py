@@ -24,7 +24,9 @@ scalar and vectorised chunkings agree about which trial is which.
 
 from __future__ import annotations
 
-import numpy as np
+from repro._lazy import lazy_import
+
+np = lazy_import(globals(), "np", "numpy")
 
 _MASK64 = (1 << 64) - 1
 

@@ -4,9 +4,11 @@ An :class:`RsDecodeEngine` is a :class:`~repro.engine.base.DecodeEngine`
 whose option is the device-confinement policy; its backends register
 as the ``"RS"`` family of the one registry and resolve through
 :func:`repro.engine.cached_engine`.  What is RS-specific here is the
-PGZ tables, the decode, and how :class:`NumpyRsBatchResult` rebuilds
-per-word results; the native rung (:mod:`repro.rs.engine_native`)
-subclasses :class:`NumpyRsEngine`.
+PGZ decode and how :class:`NumpyRsBatchResult` rebuilds per-word
+results; the tables are the code's numpy-free
+:class:`~repro.engine.tables.RsTables`, which the numpy backend reads
+as read-only views and the native rung (:mod:`repro.rs.engine_native`,
+a :class:`NumpyRsEngine` subclass) passes to its kernels.
 
 Codeword batches are ``(batch, n_symbols)`` uint32 symbol arrays.  The
 numpy backend runs the whole t=1 PGZ flow vectorised:
@@ -36,8 +38,7 @@ byte-identically on every backend.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro._lazy import lazy_import
 from repro.engine import cached_engine
 from repro.engine.base import (
     STATUS_CLEAN,
@@ -48,7 +49,10 @@ from repro.engine.base import (
     DecodeEngine,
     ScalarBatchResult,
 )
+from repro.engine.tables import rs_tables
 from repro.rs.reed_solomon import RSCode, RSDecodeResult, RSDecodeStatus
+
+np = lazy_import(globals(), "np", "numpy")
 
 #: RS name for the fourth status bucket: the PGZ correction was valid
 #: but could not have been produced by a single failed device.
@@ -183,45 +187,7 @@ class NumpyRsEngine(RsDecodeEngine):
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
         super().__init__(code, device_bits)
-        field = code.field
-        order = field.order
-        n = code.n_symbols
-        positions = np.arange(n, dtype=np.int64)
-        # Syndrome weight logs: log(alpha^i) == i, log(alpha^2i) == 2i mod q.
-        self._w1_log = positions
-        self._w2_log = (2 * positions) % order
-        self._order = order
-        # Check-symbol solve constants (see RSCode.encode).
-        p, q = n - 2, n - 1
-        ap, aq = field.pow_alpha(p), field.pow_alpha(q)
-        ap2, aq2 = field.pow_alpha(2 * p), field.pow_alpha(2 * q)
-        self._enc_aq, self._enc_aq2 = aq, aq2
-        self._enc_ap, self._enc_ap2 = ap, ap2
-        self._enc_det = field.mul(ap, aq2) ^ field.mul(aq, ap2)
-        # Partial-last-symbol padding mask (0 disables the check).
-        self._pad_mask = np.uint32(
-            ((1 << code.symbol_bits) - (1 << code.partial_bits))
-            if code.partial_bits
-            else 0
-        )
-        self._partial_position = code.data_symbols - 1
-        # Device-confinement lookup: (position, magnitude) -> confined.
-        # Devices are contiguous bit ranges, so a correction is confined
-        # iff its lowest and highest flipped bits share a device.
-        if device_bits is not None:
-            offsets = np.asarray(code.symbol_bit_offsets, dtype=np.int64)
-            values = np.arange(1 << code.symbol_bits, dtype=np.int64)
-            # frexp exponents are exact bit lengths for ints < 2^53.
-            low = np.frexp((values & -values).astype(np.float64))[1] - 1
-            high = np.frexp(values.astype(np.float64))[1] - 1
-            confined = (
-                (offsets[:, None] + low[None, :]) // device_bits
-                == (offsets[:, None] + high[None, :]) // device_bits
-            )
-            confined[:, 0] = True  # magnitude 0 never occurs, keep it benign
-            self._confined = confined
-        else:
-            self._confined = None
+        self.tables = rs_tables(code, device_bits)
 
     # -- batches -------------------------------------------------------
 
@@ -249,23 +215,24 @@ class NumpyRsEngine(RsDecodeEngine):
         """Systematic encode of a ``(B, k)`` uint32 data batch."""
         code = self.code
         field = code.field
-        exp2, log = field.exp_nd, field.log_nd
+        tables = self.tables
+        nd = tables.nd
         k = code.data_symbols
-        logd = log[data]
+        logd = nd.log[data]
         nz = data != 0
         s1 = np.bitwise_xor.reduce(
-            np.where(nz, exp2[logd + self._w1_log[:k]], np.uint32(0)), axis=1
+            np.where(nz, nd.exp2[logd + nd.w1_log[:k]], np.uint32(0)), axis=1
         )
         s2 = np.bitwise_xor.reduce(
-            np.where(nz, exp2[logd + self._w2_log[:k]], np.uint32(0)), axis=1
+            np.where(nz, nd.exp2[logd + nd.w2_log[:k]], np.uint32(0)), axis=1
         )
         c1 = field.div_batch(
-            field.mul_batch(s1, self._enc_aq2) ^ field.mul_batch(s2, self._enc_aq),
-            self._enc_det,
+            field.mul_batch(s1, tables.aq2) ^ field.mul_batch(s2, tables.aq),
+            tables.det,
         )
         c2 = field.div_batch(
-            field.mul_batch(s2, self._enc_ap) ^ field.mul_batch(s1, self._enc_ap2),
-            self._enc_det,
+            field.mul_batch(s2, tables.ap) ^ field.mul_batch(s1, tables.ap2),
+            tables.det,
         )
         return np.concatenate(
             [data, c1[:, None], c2[:, None]], axis=1
@@ -284,16 +251,17 @@ class NumpyRsEngine(RsDecodeEngine):
     def decode_arrays(self, words: np.ndarray) -> NumpyRsBatchResult:
         """The whole t=1 PGZ flow over a ``(B, n)`` uint32 batch."""
         code = self.code
-        field = code.field
-        exp2, log = field.exp_nd, field.log_nd
-        order = self._order
+        tables = self.tables
+        nd = tables.nd
+        exp2, log = nd.exp2, nd.log
+        order = tables.order
         logw = log[words]
         nz = words != 0
         s1 = np.bitwise_xor.reduce(
-            np.where(nz, exp2[logw + self._w1_log], np.uint32(0)), axis=1
+            np.where(nz, exp2[logw + nd.w1_log], np.uint32(0)), axis=1
         )
         s2 = np.bitwise_xor.reduce(
-            np.where(nz, exp2[logw + self._w2_log], np.uint32(0)), axis=1
+            np.where(nz, exp2[logw + nd.w2_log], np.uint32(0)), axis=1
         )
         batch = words.shape[0]
         statuses = np.full(batch, STATUS_DETECTED_NO_MATCH, dtype=np.uint8)
@@ -314,20 +282,20 @@ class NumpyRsEngine(RsDecodeEngine):
             magnitude = exp2[l1[in_range] - pos + order].astype(np.uint32)
             fixed = words[rows, pos] ^ magnitude
             valid = np.ones(rows.size, dtype=bool)
-            if self._pad_mask:
+            if tables.pad_mask:
                 # Corrections landing on virtual padding bits of the
                 # partial last data symbol are impossible for a real
                 # single-symbol error: detected.
                 valid &= ~(
-                    (pos == self._partial_position)
-                    & ((fixed & self._pad_mask) != 0)
+                    (pos == tables.partial_position)
+                    & ((fixed & np.uint32(tables.pad_mask)) != 0)
                 )
             good_rows = rows[valid]
             corrected[good_rows, pos[valid]] = fixed[valid]
             positions[good_rows] = pos[valid]
             magnitudes[good_rows] = magnitude[valid]
-            if self._confined is not None:
-                confined = self._confined[pos[valid], magnitude[valid]]
+            if nd.confined is not None:
+                confined = nd.confined[pos[valid], magnitude[valid]]
                 statuses[good_rows[confined]] = STATUS_CORRECTED
                 statuses[good_rows[~confined]] = STATUS_DETECTED_CONFINEMENT
             else:

@@ -15,16 +15,24 @@ Two execution styles share the same tables:
   :meth:`pow_alpha_batch` run the same lookups over whole ndarrays for
   the vectorised Reed-Solomon engine.
 
+The native RS kernels read the tables as the immutable machine-order
+buffers of :attr:`GaloisField.buffers`; ``exp_nd``/``log_nd`` are
+read-only numpy views of those same buffers, so numpy loads only when
+an ndarray path first asks for one.
+
 Symbol sizes 2..16 bits are supported — Table IV needs 5-, 6-, 7- and
 8-bit symbols.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-import numpy as np
+from repro._lazy import lazy_import
+
+np = lazy_import(globals(), "np", "numpy")
 
 #: Primitive polynomials (with the x^m term) for each supported field size.
 PRIMITIVE_POLYNOMIALS: dict[int, int] = {
@@ -136,36 +144,30 @@ class GaloisField:
     # Vectorised field operations
     # ------------------------------------------------------------------
 
-    def _nd_tables(self):
-        """Lazily built ndarray views of the lookup tables.
+    @cached_property
+    def buffers(self) -> tuple[bytes, bytes]:
+        """The doubled exp table (uint32, length ``2 * order``) and the
+        log table (int64; index 0 holds a harmless 0 sentinel — callers
+        must mask zero operands themselves) as immutable machine-order
+        buffers: what the native RS kernels read."""
+        return array("I", self._exp2).tobytes(), array("q", self.log).tobytes()
 
-        ``exp_nd`` is the doubled exp table (uint32, length 2 * order)
-        and ``log_nd`` the log table (int64; index 0 holds a harmless 0
-        sentinel — callers must mask zero operands themselves).
-        """
-        tables = self.__dict__.get("_nd")
-        if tables is None:
-            tables = (
-                np.array(self._exp2, dtype=np.uint32),
-                np.array(self.log, dtype=np.int64),
-            )
-            self.__dict__["_nd"] = tables
-        return tables
-
-    @property
+    @cached_property
     def exp_nd(self):
-        """Doubled exp table as a uint32 ndarray (``exp_nd[i] == alpha^i``
-        for ``0 <= i < 2 * order``)."""
-        return self._nd_tables()[0]
+        """The doubled exp table as a read-only uint32 view of
+        :attr:`buffers` (``exp_nd[i] == alpha^i`` for
+        ``0 <= i < 2 * order``)."""
+        return np.frombuffer(self.buffers[0], dtype=np.uint32)
 
-    @property
+    @cached_property
     def log_nd(self):
-        """Log table as an int64 ndarray; ``log_nd[0]`` is a 0 sentinel."""
-        return self._nd_tables()[1]
+        """The log table as a read-only int64 view of :attr:`buffers`;
+        ``log_nd[0]`` is a 0 sentinel."""
+        return np.frombuffer(self.buffers[1], dtype=np.int64)
 
     def mul_batch(self, a, b):
         """Elementwise field product of two symbol ndarrays (broadcasts)."""
-        exp2, log = self._nd_tables()
+        exp2, log = self.exp_nd, self.log_nd
         a = np.asarray(a)
         b = np.asarray(b)
         product = exp2[log[a] + log[b]]
@@ -173,7 +175,7 @@ class GaloisField:
 
     def div_batch(self, a, b):
         """Elementwise field quotient; raises if any divisor is zero."""
-        exp2, log = self._nd_tables()
+        exp2, log = self.exp_nd, self.log_nd
         a = np.asarray(a)
         b = np.asarray(b)
         if np.any(b == 0):
@@ -183,8 +185,7 @@ class GaloisField:
 
     def pow_alpha_batch(self, i):
         """``alpha^i`` for an ndarray of integers (negative allowed)."""
-        exp2, _ = self._nd_tables()
-        return exp2[np.asarray(i) % self.order]
+        return self.exp_nd[np.asarray(i) % self.order]
 
 
 @lru_cache(maxsize=None)

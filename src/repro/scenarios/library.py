@@ -41,8 +41,7 @@ never return the original by construction.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro._lazy import lazy_import
 from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
 from repro.scenarios import (
     BatchSymbolView,
@@ -50,6 +49,8 @@ from repro.scenarios import (
     WordSymbolView,
     register_scenario,
 )
+
+np = lazy_import(globals(), "np", "numpy")
 
 #: Sub-stream tags under the scenario stream key.  Every scenario uses
 #: its own key (hashed from its name), so tags may overlap *across*

@@ -316,9 +316,9 @@ class TestTrialGeneration:
 
     def test_fused_stream_keys_are_memoised_and_read_only(self):
         """Every chunk of a point replays one set of stream keys: equal
-        arguments return the same arrays, equal to a fresh derivation,
+        arguments return the same buffers, equal to a fresh derivation,
         and no caller can write them."""
-        import numpy as np
+        from array import array
 
         from repro.orchestrate.corruption import fused_stream
 
@@ -327,9 +327,10 @@ class TestTrialGeneration:
             _, *keys = fused_stream(scenario, key, 3, 36, 2)
             _, *again = fused_stream(scenario, key, 3, 36, 2)
             _, *fresh = fused_stream.__wrapped__(scenario, key, 3, 36, 2)
-            for array, same, derived in zip(keys, again, fresh):
-                assert array is same
-                assert np.array_equal(array, derived)
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+            for buffer, same, derived in zip(keys, again, fresh):
+                assert buffer is same
+                assert array("Q", buffer) == array("Q", derived)
+                with pytest.raises(TypeError):
+                    buffer[0] = 0
+                with pytest.raises(TypeError):
+                    memoryview(buffer).cast("Q")[0] = 0

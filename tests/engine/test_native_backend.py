@@ -8,7 +8,9 @@ errors, ``auto`` stepping down past a refusing rung) run everywhere,
 against the real registry rather than a mock.
 """
 
+import ctypes
 import os
+import subprocess
 from collections.abc import Mapping
 from functools import partial
 
@@ -229,7 +231,7 @@ class TestKernelCache:
             raise OSError("no compiler on this host")
 
         monkeypatch.setattr(cc, "_lib", None)
-        monkeypatch.setattr(cc.subprocess, "run", no_compiler)
+        monkeypatch.setattr(subprocess, "run", no_compiler)
         assert cc.load_library() is not None
 
 
@@ -358,3 +360,102 @@ class TestNativeFusedChunk:
         parts = [counts(Chunk(0, 110)), counts(Chunk(110, 90)),
                  counts(Chunk(200, 100))]
         assert tuple(sum(c) for c in zip(*parts)) == whole
+
+
+class _KernelSpy:
+    """Stands in for a native engine's kernel library, recording each
+    kernel's pointer arguments before running it."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.pointers: set[int] = set()
+
+    def __getattr__(self, name):
+        kernel = getattr(self.lib, name)
+
+        def call(*args):
+            self.pointers.update(
+                arg.value for arg in args if isinstance(arg, ctypes.c_void_p)
+            )
+            return kernel(*args)
+
+        return call
+
+
+@requires_native
+class TestSharedTables:
+    """One numpy-free table build per code: the native engine passes its
+    buffers to the kernels, and the numpy engine reads the same memory
+    through read-only views."""
+
+    @staticmethod
+    def count_builds(monkeypatch, cls) -> list:
+        builds = []
+        build = cls.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return builds
+
+    @staticmethod
+    def assert_views_of_kernel_buffers(views, spy):
+        for view in views:
+            assert not view.flags.writeable
+            assert view.ctypes.data in spy.pointers
+
+    def test_muse(self, monkeypatch):
+        from repro.core.codec import MuseCode
+        from repro.core.symbols import SymbolLayout
+        from repro.engine.tables import MuseTables
+
+        builds = self.count_builds(monkeypatch, MuseTables)
+        code = MuseCode(SymbolLayout.sequential(144, 4), 4065)
+        native = get_engine(code, "native")
+        numpy_engine = get_engine(code, "numpy")
+        get_engine(code, "numpy", ripple_check=False)
+        assert len(builds) == 1
+        assert numpy_engine.tables is native.tables
+
+        spy = _KernelSpy(native._lib)
+        monkeypatch.setattr(native, "_lib", spy)
+        key = derive_key(2022)
+        words = muse_corruption_chunk(code, Chunk(0, 256), key, 2)
+        assert (
+            native.decode_batch(words).counts()
+            == numpy_engine.decode_batch(words).counts()
+        )
+        assert native.fused_chunk_counts(Chunk(0, 256), key, 2) is not None
+        nd = numpy_engine.tables.nd
+        self.assert_views_of_kernel_buffers(
+            (nd.hit, nd.addend, nd.k_mask, nd.low_mask, nd.above_mask,
+             nd.bit_symbol, nd.outside),
+            spy,
+        )
+
+    def test_rs(self, monkeypatch):
+        from repro.engine.tables import RsTables
+        from repro.orchestrate.corruption import rs_corruption_chunk
+
+        builds = self.count_builds(monkeypatch, RsTables)
+        code = rs_for_channel(7, 144)  # a partial symbol: the pad mask
+        native = get_rs_engine(code, "native")
+        numpy_engine = get_rs_engine(code, "numpy")
+        assert len(builds) == 1
+        assert numpy_engine.tables is native.tables
+
+        spy = _KernelSpy(native._lib)
+        monkeypatch.setattr(native, "_lib", spy)
+        key = derive_key(2022)
+        words = rs_corruption_chunk(code, Chunk(0, 256), key, 2)
+        assert (
+            native.decode_batch(words).counts()
+            == numpy_engine.decode_batch(words).counts()
+        )
+        assert native.fused_chunk_counts(Chunk(0, 256), key, 2) is not None
+        nd = numpy_engine.tables.nd
+        self.assert_views_of_kernel_buffers(
+            (nd.exp2, nd.log, nd.w2_log, nd.confined), spy
+        )

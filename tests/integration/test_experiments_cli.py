@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, run
+from repro.engine import available_backends
 from repro.experiments import (
     ablation_shuffle,
     figure1b,
@@ -363,6 +364,12 @@ LAZY_PACKAGES = (
 )
 
 
+requires_native = pytest.mark.skipif(
+    "native" not in available_backends(),
+    reason="native backend unavailable (no C compiler, or disabled)",
+)
+
+
 class TestImports:
     def test_table4_import_loads_no_other_experiment(self):
         """``import repro.experiments.table4`` — what every library
@@ -402,6 +409,41 @@ class TestImports:
                 "repro.distribute.checkpoint",
                 "repro.distribute.cache",
             ),
+        )
+        assert loaded == "[]"
+
+    @requires_native
+    @pytest.mark.parametrize("scenario", ["msed", "mbu"])
+    def test_fused_native_table4_run_never_imports_numpy(self, scenario):
+        """A native ``table4`` run whose chunks all run fused (msed and
+        mbu at k = 2) computes nothing on ndarrays: its tables, stream
+        keys and counts are stdlib buffers, so it never imports numpy."""
+        loaded = loaded_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['table4', '--trials', '1000', '--backend',\n"
+            f"                 'native', '--scenario', {scenario!r}]) == 0",
+            ("numpy",),
+        )
+        assert loaded == "[]"
+
+    @requires_native
+    def test_fused_worker_chunk_never_imports_numpy(self):
+        """A fleet worker pays no numpy import for a fused chunk."""
+        loaded = loaded_after(
+            "import repro.distribute.worker\n"
+            "from repro.orchestrate.plan import Chunk\n"
+            "from repro.orchestrate.rng import derive_key\n"
+            "from repro.orchestrate.worker import (\n"
+            "    ChunkTask, CodeRef, MuseSimSpec, run_chunk_task)\n"
+            "spec = MuseSimSpec(CodeRef(\n"
+            "    'repro.reliability.monte_carlo:muse_design_point', (1,)),\n"
+            "    backend='native')\n"
+            "_, _, tally = run_chunk_task(\n"
+            "    ChunkTask(0, spec, Chunk(0, 4096), derive_key(2022)))\n"
+            "assert tally.trials == 4096, tally",
+            ("numpy",),
         )
         assert loaded == "[]"
 
