@@ -137,9 +137,10 @@ def toy_16_7() -> MuseCode:
     Not a paper code.  m = 393 is the *first* multiplier the Algorithm-1
     search accepts over four 4-bit symbols, so it separates single-symbol
     errors (a real SSC code) while 3-symbol corruptions alias to valid
-    codewords at a rate (~3e-3) large enough to measure by brute force —
-    the calibration target the importance-splitting unbiasedness tests
-    need (a strong code's silent rate is too rare to brute-force).
+    codewords at a rate (~3e-3) large enough to see.  Its whole outcome
+    space is small enough to enumerate — 172,800 cases at k = 2 and
+    1,728,000 at k = 3 — so it is the target of the exact ground-truth
+    tests the Monte-Carlo is checked against.
     """
     return MuseCode(SymbolLayout.sequential(16, 4), 393, name="TOY(16,7)")
 

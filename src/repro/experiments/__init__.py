@@ -32,6 +32,6 @@ code-family generators, worker specs and grid fold
 intervals (``repro.reliability``) and telemetry's no-op helpers.  It
 loads no other experiment, not the Figure-6 CPU simulator or the VLSI
 model, and not the fleet (``repro.distribute``), the sweep, the
-adaptive campaign, importance splitting, telemetry's sinks or a
-process pool: each of those loads when a run's options first use it.
+adaptive campaign, telemetry's sinks or a process pool: each of those
+loads when a run's options first use it.
 """

@@ -12,9 +12,8 @@ Every generator is written once, over a :class:`CodeFamily`: the
 :data:`MUSE` and :data:`RS` instances hide how each family stores
 words (uint64 limb batches and big ints for MUSE, uint32 symbol
 arrays and symbol lists for RS) behind a clean chunk, a clean word and
-two symbol views, so :func:`corruption_chunk`, :func:`split_chunk`,
-:func:`scenario_chunk` and :func:`scenario_word` never ask which
-family they serve.
+two symbol views, so :func:`corruption_chunk`, :func:`scenario_chunk`
+and :func:`scenario_word` never ask which family they serve.
 
 Per trial the draws are fixed-count and stream-separated:
 
@@ -164,7 +163,7 @@ class CodeFamily:
     widths: Callable[[Any], tuple[int, ...]]
     clean_chunk: Callable[[Any, Chunk, int], "np.ndarray"]
     clean_word: Callable[[Any, int, int], Any]
-    batch_view: Callable[..., BatchSymbolView]
+    batch_view: Callable[[Any, "np.ndarray", "np.ndarray"], BatchSymbolView]
     word_view: Callable[[Any, list, int], WordSymbolView]
     signature: Callable[[Any], tuple]
 
@@ -211,7 +210,7 @@ def _muse_widths(code) -> tuple[int, ...]:
     return tuple(len(symbol) for symbol in code.layout.symbols)
 
 
-def _muse_batch_view(code, words, trials=None) -> BatchSymbolView:
+def _muse_batch_view(code, words, trials) -> BatchSymbolView:
     from repro.engine.numpy_backend import (
         extract_symbol_batch,
         insert_symbol_batch,
@@ -272,7 +271,7 @@ def rs_clean_word(code, trial: int, key: int) -> list[int]:
     return list(code.encode(data))
 
 
-def _rs_batch_view(code, words, trials=None) -> BatchSymbolView:
+def _rs_batch_view(code, words, trials) -> BatchSymbolView:
     return BatchSymbolView(
         trials=trials,
         widths=tuple(code.symbol_widths),
@@ -318,11 +317,10 @@ RS = CodeFamily(
 )
 
 
-def _check_k(k_symbols: int, low: int, symbol_count: int,
-             message: str = "k_symbols must be") -> None:
-    if not low <= k_symbols <= symbol_count:
+def _check_k(k_symbols: int, symbol_count: int) -> None:
+    if not 1 <= k_symbols <= symbol_count:
         raise ValueError(
-            f"{message} in [{low}, {symbol_count}], got {k_symbols}"
+            f"k_symbols must be in [1, {symbol_count}], got {k_symbols}"
         )
 
 
@@ -339,17 +337,19 @@ def _choose_symbols(
     return np.argpartition(scores, k_symbols - 1, axis=1)[:, :k_symbols]
 
 
-def _msed_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
-                k_symbols: int, replaced: int):
-    """Clean chunk words with the first ``replaced`` of their ``k``
-    chosen symbols overwritten by fresh never-the-original values.
+def corruption_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
+                     k_symbols: int = 2):
+    """Generate chunk trials of ``family``'s MSED corruption stream.
 
-    Returns ``(words, chosen)``.
+    Returns the family's batch of corrupted codewords, consumable by
+    any of its decode engines.  ``key`` is
+    :func:`repro.orchestrate.rng.derive_key` of the run's master seed.
     """
+    _check_k(k_symbols, len(family.widths(code)))
     words = family.clean_chunk(code, chunk, key)
     view = family.batch_view(code, words, _trial_counters(chunk))
     chosen = _choose_symbols(key, view.trials, len(view.widths), k_symbols)
-    for slot in range(replaced):
+    for slot in range(k_symbols):
         draws = counter_draws(derive_key(key, STREAM_VALUE, slot), view.trials)
         slot_symbols = chosen[:, slot]
         for index, width in enumerate(view.widths):
@@ -363,44 +363,7 @@ def _msed_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
             view.write(
                 rows, index, draw + (draw >= original).astype(np.uint64)
             )
-    return words, chosen
-
-
-def corruption_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
-                     k_symbols: int = 2):
-    """Generate chunk trials of ``family``'s MSED corruption stream.
-
-    Returns the family's batch of corrupted codewords, consumable by
-    any of its decode engines.  ``key`` is
-    :func:`repro.orchestrate.rng.derive_key` of the run's master seed.
-    """
-    _check_k(k_symbols, 1, len(family.widths(code)))
-    return _msed_chunk(family, code, chunk, key, k_symbols, k_symbols)[0]
-
-
-def split_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
-                k_symbols: int = 2):
-    """Generate chunk trials of the *prefix* corruption stream.
-
-    The importance-splitting front half of :func:`corruption_chunk`:
-    the same clean words, the same ``k`` chosen symbols, and the same
-    replacement values for the first ``k - 1`` of them — but the last
-    chosen symbol is left intact and its index returned instead, so the
-    splitting estimator can branch over *every* value it could take.
-
-    Returns ``(words, last_symbols)``: the prefix-corrupted batch and
-    the per-trial held-out symbol index (int64).  Because the CHOICE
-    and VALUE streams are shared with the full generator, the prefix
-    distribution here is exactly the full stream's marginal over
-    everything but the final draw.
-    """
-    _check_k(
-        k_symbols, 2, len(family.widths(code)), "splitting needs k_symbols"
-    )
-    words, chosen = _msed_chunk(
-        family, code, chunk, key, k_symbols, k_symbols - 1
-    )
-    return words, chosen[:, k_symbols - 1].astype(np.int64)
+    return words
 
 
 def scenario_chunk(family: CodeFamily, scenario, code, chunk: Chunk,
@@ -417,7 +380,7 @@ def scenario_chunk(family: CodeFamily, scenario, code, chunk: Chunk,
         return corruption_chunk(family, code, chunk, key, k_symbols)
     from repro.scenarios import scenario_stream_key
 
-    _check_k(k_symbols, 1, len(family.widths(code)))
+    _check_k(k_symbols, len(family.widths(code)))
     words = family.clean_chunk(code, chunk, key)
     scenario.corrupt_batch(
         scenario_stream_key(key, scenario.name),
@@ -442,7 +405,7 @@ def scenario_word(family: CodeFamily, scenario, code, trial: int, key: int,
         )
     from repro.scenarios import scenario_stream_key
 
-    _check_k(k_symbols, 1, len(family.widths(code)))
+    _check_k(k_symbols, len(family.widths(code)))
     holder = [family.clean_word(code, trial, key)]
     scenario.corrupt_word(
         scenario_stream_key(key, scenario.name),
@@ -456,7 +419,6 @@ def scenario_word(family: CodeFamily, scenario, code, trial: int, key: int,
 # family (tests, benches, and perfbench's tracing via monte_carlo).
 muse_corruption_chunk = partial(corruption_chunk, MUSE)
 rs_corruption_chunk = partial(corruption_chunk, RS)
-muse_split_chunk = partial(split_chunk, MUSE)
 muse_scenario_chunk = partial(scenario_chunk, MUSE)
 rs_scenario_chunk = partial(scenario_chunk, RS)
 muse_scenario_word = partial(scenario_word, MUSE)

@@ -5,8 +5,8 @@ of ``(point index, chunk)`` cells runs — on the caller's own runners
 in process, across a :class:`ProcessPoolExecutor`, or through a
 distributed executor's ``run_tasks`` — and folds each point's chunk
 tallies, serving and filling the optional result cache and calling the
-progress printer the same way on all three; fixed-budget runs,
-campaign rounds and the splitting estimator all call it.
+progress printer the same way on all three; fixed-budget runs and
+campaign rounds both call it.
 :func:`run_sharded` folds any list of :class:`ChunkTask` by group,
 serially or over a pool.
 

@@ -6,15 +6,13 @@
   fixed-budget or adaptive.
 * :class:`MsedResult` — detected / miscorrected / silent accounting,
   every rate with a Wilson / Clopper-Pearson interval.
-* :mod:`~repro.reliability.sampling` — adaptive sampling (the
+* :mod:`~repro.reliability.sampling` — adaptive sampling: the
   :class:`AdaptivePolicy` stopping rule, applied by one campaign
-  scheduler to a single point or a whole sweep) and importance
-  splitting for the silent / miscorrection tails
-  (:class:`SplittingEstimator` over a plain msed simulator).
+  scheduler to a single point or a whole sweep.
 
 Each name loads its module on first use
 (:func:`repro._lazy.lazy_exports`): a fixed-budget run never loads the
-campaign scheduler or the splitting estimator.
+campaign scheduler.
 """
 
 from repro._lazy import lazy_exports
@@ -36,8 +34,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".sampling": (
         "AdaptivePolicy",
         "Interval",
-        "SplitResult",
-        "SplittingEstimator",
         "binomial_interval",
         "clopper_pearson_interval",
         "wilson_interval",
@@ -53,8 +49,6 @@ __all__ = [
     "MsedTally",
     "MuseMsedSimulator",
     "RsMsedSimulator",
-    "SplitResult",
-    "SplittingEstimator",
     "TableIV",
     "binomial_interval",
     "build_table_iv",

@@ -1,6 +1,6 @@
-"""Adaptive rare-event sampling for the reliability Monte-Carlo.
+"""Adaptive sampling for the reliability Monte-Carlo.
 
-Four layers over the PR-3 streaming orchestrator:
+Three layers over the streaming orchestrator:
 
 * :mod:`~repro.reliability.sampling.intervals` — Wilson-score and
   Clopper-Pearson binomial confidence intervals (stdlib-only), the
@@ -9,13 +9,6 @@ Four layers over the PR-3 streaming orchestrator:
   :class:`AdaptivePolicy`, the stopping rule: a point has had enough
   trials once its target-rate CI is tight enough, or at the trial
   ceiling;
-* :mod:`~repro.reliability.sampling.splitting` — importance splitting
-  for the silent / miscorrection tails: ``SplittingEstimator(simulator)``
-  samples corruption *prefixes* from a plain msed simulator's stream,
-  branches the final corrupted symbol over all its values, and folds
-  exact per-stratum integer counts into an unbiased, lower-variance
-  rate estimate with real error bars even where the plain stream sees
-  zero events;
 * :mod:`~repro.reliability.sampling.scheduler` —
   :class:`CampaignRunner`, the one adaptive sampler, for a single point
   (``run_adaptive``) or a whole sweep.  Each round it spends the next
@@ -50,13 +43,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "CampaignRunner",
         "CampaignScheduler",
     ),
-    ".splitting": (
-        "DEFAULT_SPLIT_CHUNK_SIZE",
-        "SplitResult",
-        "SplitSpec",
-        "SplitTally",
-        "SplittingEstimator",
-    ),
 })
 
 __all__ = [
@@ -65,13 +51,8 @@ __all__ = [
     "CampaignPolicy",
     "CampaignRunner",
     "CampaignScheduler",
-    "DEFAULT_SPLIT_CHUNK_SIZE",
     "INTERVAL_KINDS",
     "Interval",
-    "SplitResult",
-    "SplitSpec",
-    "SplitTally",
-    "SplittingEstimator",
     "binomial_interval",
     "clopper_pearson_interval",
     "policy_from_cli",

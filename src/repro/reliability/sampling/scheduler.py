@@ -19,10 +19,8 @@ they shrink confidence intervals fastest:
 * a per-campaign ``trial_budget`` is drained greedily in priority
   order, so a fixed fleet spends a fixed budget where it buys the most
   certainty;
-* a point whose plain stream sees zero events runs to ``max_trials``
-  and reports its interval there; a split tail bound for it is
-  ``SplittingEstimator(simulator).run(n)``
-  (:mod:`~repro.reliability.sampling.splitting`), outside the campaign.
+* a point whose stream sees zero events runs to ``max_trials`` and
+  reports its interval there.
 
 Determinism contract (same as every other runner in this repo): the
 allocation is a **pure function of the folded tallies** — never of

@@ -37,9 +37,7 @@ can replay); the simulators generate then decode every other scenario.
 
 The registry is the single source of scenario names: CLI ``--scenario``
 choices and spec fields (and therefore ``spec_fingerprint`` result-cache
-cells) derive from it.  Only ``"msed"`` can be importance-split
-(:class:`~repro.reliability.sampling.splitting.SplittingEstimator`
-branches its prefix stream).  Register your own with::
+cells) derive from it.  Register your own with::
 
     from repro.scenarios import Scenario, register_scenario
 

@@ -15,8 +15,7 @@ Built-ins (``repro-muse table4 --scenario NAME``):
 
 ========  ============================================================
 msed      the paper's transient model: ``k`` symbols replaced by
-          uniform never-the-original values (legacy stream, the one
-          ``SplittingEstimator`` branches)
+          uniform never-the-original values (legacy stream)
 mbu       correlated multi-bit upset: an adjacent-bit burst (2..4
           bits) XORed *inside* each of the ``k`` chosen symbols
 stuck     permanent faults: two stuck-at cells (symbol, bit, forced
@@ -411,7 +410,7 @@ register_scenario(
         name="msed",
         summary=(
             "transient k-symbol replacement, the paper's Table IV model "
-            "(legacy stream; splitting-capable)"
+            "(legacy stream)"
         ),
     ),
 )

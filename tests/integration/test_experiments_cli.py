@@ -384,14 +384,13 @@ class TestImports:
 
     def test_table4_import_loads_no_fleet_sweep_or_campaign(self):
         """A plain Table-IV run uses none of the fleet, the sweep, the
-        adaptive campaign, importance splitting or a process pool, so
-        importing it loads none of them."""
+        adaptive campaign or a process pool, so importing it loads none
+        of them."""
         loaded = loaded_after(
             "import repro.experiments.table4",
             (
                 "repro.distribute",
                 "repro.orchestrate.sweep",
-                "repro.reliability.sampling.splitting",
                 "repro.reliability.sampling.scheduler",
                 "concurrent.futures.process",
                 "socketserver",

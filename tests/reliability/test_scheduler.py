@@ -272,19 +272,6 @@ class TestEscalation:
         assert interval.lo == 0.0
         assert 0.0 < interval.hi < 1.0
 
-    def test_split_tail_bound_comes_from_the_estimator(self):
-        """Outside the campaign, the same zero-event point's split tail
-        bound is ``SplittingEstimator(point).run(n)``: every prefix is
-        counted and the bound stays ``[0, positive]``."""
-        from repro.reliability.sampling.splitting import SplittingEstimator
-
-        split = SplittingEstimator(_muse()).run(400, seed=7)
-        assert split.prefixes == 400
-        assert split.events("silent") == 0
-        interval = split.interval("silent")
-        assert interval.lo == 0.0
-        assert 0.0 < interval.hi < 1.0
-
 
 class TestResultCache:
     def test_warm_rerun_executes_zero_new_trials(self, tmp_path):

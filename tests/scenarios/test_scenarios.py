@@ -11,8 +11,6 @@ The acceptance contract this file pins:
 * native ``mbu`` chunks run in the fused kernels (no corruption batch
   is generated) and still tally the scalar reference stream, and a
   native msed build never loads the scenario registry;
-* only msed simulators can be importance-split: ``SplittingEstimator``
-  refuses every fault scenario;
 * scenario cells take the campaign's one path: a zero-event cell runs
   to its ceiling and reports the policy's interval there.
 """
@@ -31,7 +29,6 @@ from repro.reliability.sampling.scheduler import (
     CampaignRunner,
 )
 from repro.reliability.sampling.sequential import AdaptivePolicy
-from repro.reliability.sampling.splitting import SplittingEstimator
 from repro.rs.reed_solomon import rs_144_128
 from repro.scenarios import (
     Scenario,
@@ -71,13 +68,6 @@ class TestRegistry:
         assert names[0] == "msed"
         assert set(BUILTINS) <= set(names)
         assert len(names) >= 6
-
-    def test_msed_is_the_splitting_scenario(self):
-        for simulator in (muse_simulator, rs_simulator):
-            SplittingEstimator(simulator("msed"))
-            for name in FAULTS:
-                with pytest.raises(ValueError, match=name):
-                    SplittingEstimator(simulator(name))
 
     def test_fault_scenarios_ship_both_implementations(self):
         for name in FAULTS:
