@@ -5,7 +5,7 @@ top rung on any host with ``cc``:
 
 * full ``build_table_iv`` at 100k trials on ``backend="native"``:
   byte-identical points to numpy and **>= 5x faster** end to end;
-* C compilation happens at probe/registration time and is excluded by
+* C compilation happens at probe time and is excluded by
   the warm pass;
 * timings merge into ``benchmarks/BENCH_table4.json`` as ``native_*``
   columns.

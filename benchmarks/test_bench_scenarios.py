@@ -4,7 +4,7 @@ On the native backend the fused kernels replay the msed and ``mbu``
 streams in one draw->decode->tally pass; every other scenario runs a
 generate-then-decode pipeline (numpy batch corruption, decode on
 whatever backend is resolved).  This file measures what that costs:
-trials/second for every registered fault scenario against the plain
+trials/second for every fault scenario against the plain
 msed stream on the same code and trial budget, plus the
 scalar-reference overhead ratio on a smaller budget.  Results land in
 ``benchmarks/BENCH_scenarios.json``.
@@ -40,7 +40,7 @@ def _timed_run(scenario: str, trials: int, backend: str = "auto"):
 def test_scenario_throughput_within_an_order_of_msed():
     """Every scenario's path (fused or generate-then-decode) must stay
     within 10x of the fused msed kernel's wall time at the same budget
-    — the pluggable registry is allowed to cost, not to be unusable."""
+    — a fault scenario is allowed to cost, not to be unusable."""
     backend = resolve_backend("auto")
     _timed_run("msed", 2_000)  # warm engine caches / JIT
     msed_seconds, _ = _timed_run("msed", TRIALS)

@@ -27,7 +27,7 @@ import os
 import sys
 
 from repro._lazy import lazy_exports
-from repro.engine import registered_backends
+from repro.engine import BACKENDS
 from repro.orchestrate.sweep import (
     EXPERIMENT_TARGETS,
     ExperimentTask,
@@ -201,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "fault scenario for the MSED Monte-Carlo (table4, "
-            "ablations): choices come from the scenario registry "
-            "(repro.scenarios) — 'msed' is the paper's transient "
-            "k-symbol model; 'mbu'/'stuck'/'rowfail'/'scrub'/'wear' "
+            "ablations; the table in repro.scenarios): 'msed' is the "
+            "paper's transient k-symbol model; "
+            "'mbu'/'stuck'/'rowfail'/'scrub'/'wear' "
             "inject correlated bursts, permanent faults, row "
             "failures, scrub-interval accumulation, and wear-dependent "
             "flips; every scenario tallies byte-identically across "
@@ -228,14 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", *registered_backends()],
+        choices=["auto", *BACKENDS],
         default="auto",
         help=(
-            "decode engine for the Monte-Carlo experiments: choices "
-            "come from the backend registry ('scalar' is the big-int "
-            "reference path, 'numpy' vectorises batches, 'native' runs "
-            "self-compiled fused C kernels); 'auto' picks the fastest "
-            "backend that can run each code on this host (table4, "
+            "decode engine for the Monte-Carlo experiments ('scalar' is "
+            "the big-int reference path, 'numpy' vectorises batches, "
+            "'native' runs self-compiled fused C kernels); 'auto' picks "
+            "the fastest backend that can run each code on this host (table4, "
             "ablations, extension-double-device; also the worker "
             "subcommand's engine override)"
         ),
@@ -691,10 +690,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(args)
     except BackendUnavailableError as exc:
-        # Registered-but-unavailable backends stay listed in --backend
-        # choices (the registry is host-independent); an explicit
-        # request for one fails here with the availability story
-        # instead of a traceback.
+        # Unavailable backends stay listed in --backend choices (the
+        # list is host-independent); an explicit request for one fails
+        # here with the availability story instead of a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,21 +80,16 @@ class ErasureDecoder:
         """Smallest multiplier able to erase this window: 2^(w+1) - 1."""
         return 2 * window.max_magnitude
 
-    def _validated_window(self, erased_symbols: tuple[int, ...]) -> ErasureWindow:
-        """Build the erasure window and enforce the multiplier floor."""
-        window = window_for_symbols(self.code, erased_symbols)
-        if self.code.m <= self.required_multiplier_floor(window):
-            raise ErasureWindowError(
-                f"multiplier {self.code.m} too small to erase a "
-                f"{window.width}-bit window"
-            )
-        return window
-
     def decode(
         self, codeword: int, erased_symbols: tuple[int, ...]
     ) -> DecodeResult:
         code = self.code
-        window = self._validated_window(erased_symbols)
+        window = window_for_symbols(code, erased_symbols)
+        if code.m <= self.required_multiplier_floor(window):
+            raise ErasureWindowError(
+                f"multiplier {code.m} too small to erase a "
+                f"{window.width}-bit window"
+            )
         remainder = codeword % code.m
         if remainder == 0:
             return DecodeResult(
@@ -139,20 +134,13 @@ class ErasureDecoder:
         self,
         codewords: Sequence[int],
         erased_symbols: Sequence[tuple[int, ...]] | tuple[int, ...],
-        backend: str = "auto",
     ) -> list[DecodeResult]:
-        """Known-location decode of a whole batch at once.
+        """Known-location decode of a batch, word by word through
+        :meth:`decode`.
 
         ``erased_symbols`` is either one symbol tuple applied to every
-        word or one tuple per word.  Words are grouped by their erasure
-        window and each group runs through the vectorised limb path
-        (:mod:`repro.engine.erasure_numpy`); ``backend`` follows the
-        engine registry semantics (explicit ``numpy`` raises without
-        numpy, ``auto`` degrades to the scalar per-word loop).  Results
-        are scalar-identical and returned in input order.
+        word or one tuple per word; results come back in input order.
         """
-        from repro.engine import resolve_backend
-
         words = list(codewords)
         if erased_symbols and isinstance(erased_symbols[0], int):
             per_word = [tuple(erased_symbols)] * len(words)
@@ -163,22 +151,7 @@ class ErasureDecoder:
                     f"got {len(words)} codewords but {len(per_word)} "
                     "erasure tuples"
                 )
-        if resolve_backend(backend) == "scalar":
-            return [
-                self.decode(word, symbols)
-                for word, symbols in zip(words, per_word)
-            ]
-        from repro.engine.erasure_numpy import erasure_decode_window_batch
-
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for row, symbols in enumerate(per_word):
-            groups.setdefault(symbols, []).append(row)
-        results: list[DecodeResult | None] = [None] * len(words)
-        for symbols, rows in groups.items():
-            window = self._validated_window(symbols)
-            decoded = erasure_decode_window_batch(
-                self.code, [words[row] for row in rows], window
-            )
-            for row, result in zip(rows, decoded):
-                results[row] = result
-        return results
+        return [
+            self.decode(word, symbols)
+            for word, symbols in zip(words, per_word)
+        ]

@@ -3,8 +3,9 @@
 A :class:`DecodeEngine` binds one code to a *batch* encoder/decoder.
 Both code families — MUSE (:class:`~repro.core.codec.MuseCode`) and
 Reed-Solomon (:class:`~repro.rs.engine.RsDecodeEngine` over an
-:class:`~repro.rs.reed_solomon.RSCode`) — run on three interchangeable
-backends:
+:class:`~repro.rs.reed_solomon.RSCode`) — run on the three fixed
+backends of :data:`repro.engine.BACKENDS`, and
+:data:`repro.engine.ENGINES` names each family's engine class on each:
 
 * ``scalar`` — the reference path, one scalar ``decode`` call per word
   (always available);
@@ -116,7 +117,7 @@ class DecodeEngine(ABC):
         frontier experiment measures.
     """
 
-    #: registry name of the backend ("scalar", "numpy" or "native")
+    #: the backend's name in :data:`repro.engine.BACKENDS`
     name: str
 
     def __init__(self, code: "MuseCode", ripple_check: bool = True):

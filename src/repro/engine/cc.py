@@ -111,8 +111,9 @@ static inline lanes_t block_counters(int64_t first_trial) {
  * twice on a one-symbol code, whose k = 1 leaves slot 1 unused); a
  * later symbol has the higher index, so it displaces a kept score only
  * when strictly smaller, and ties go to the lower index.  msed keeps
- * argpartition's (argmin, 2nd-min) slot order; registered scenarios
- * sort the chosen symbols by index, as _chosen_sorted_batch does. */
+ * argpartition's (argmin, 2nd-min) slot order; the other scenarios
+ * sort the chosen symbols by index, as their batch generators sort
+ * choose_symbols' choice. */
 static inline void choose_block(int32_t mode, int64_t k_symbols,
         const uint64_t *choice_keys, int64_t symbol_count,
         lanes_t counters, int64_t chosen[LANES][2]) {
@@ -634,8 +635,8 @@ def load_library() -> "ctypes.CDLL | None":
 
     A warm cache loads without running the compiler.  Returns ``None``
     on any failure — no compiler, one that rejects ``-march=native``, a
-    read-only cache — and the registry probe then reports the native
-    backend unavailable instead of erroring.
+    read-only cache — and the availability probe then reports the
+    native backend unavailable instead of erroring.
     """
     global _lib, _load_failed
     if _lib is not None:
@@ -686,7 +687,8 @@ def ptr(buffer) -> ctypes.c_void_p:
 
 
 def native_kernels_available() -> bool:
-    """Probe for the registry: can the C kernels compile and load here?"""
+    """The native backend's probe: can the C kernels compile and load
+    here?"""
     return load_library() is not None
 
 

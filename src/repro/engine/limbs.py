@@ -86,25 +86,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise multi-limb subtract, wrapping modulo ``2^(64 * L)``.
-
-    An underflow of the true integer result (``a < b``) wraps and
-    leaves set bits in the headroom above bit ``n`` — detectable by the
-    same mask test the decoders use for the wrapping adder.
-    """
-    out = np.empty_like(a)
-    borrow = np.zeros(a.shape[0], dtype=np.uint64)
-    for j in range(a.shape[1]):
-        diff = a[:, j] - b[:, j]
-        underflow_ab = a[:, j] < b[:, j]
-        total = diff - borrow
-        underflow_borrow = diff < borrow
-        out[:, j] = total
-        borrow = (underflow_ab | underflow_borrow).astype(np.uint64)
-    return out
-
-
 def lshift(a: np.ndarray, bits: int) -> np.ndarray:
     """Shift every word left by ``bits`` (< 64); drops bits past the top limb."""
     if not 0 <= bits < LIMB_BITS:
@@ -115,19 +96,6 @@ def lshift(a: np.ndarray, bits: int) -> np.ndarray:
     fill = np.uint64(LIMB_BITS - bits)
     out = a << shift
     out[:, 1:] |= a[:, :-1] >> fill
-    return out
-
-
-def rshift(a: np.ndarray, bits: int) -> np.ndarray:
-    """Shift every word right by ``bits`` (< 64)."""
-    if not 0 <= bits < LIMB_BITS:
-        raise ValueError(f"shift must be in [0, {LIMB_BITS}), got {bits}")
-    if bits == 0:
-        return a.copy()
-    shift = np.uint64(bits)
-    fill = np.uint64(LIMB_BITS - bits)
-    out = a >> shift
-    out[:, :-1] |= a[:, 1:] << fill
     return out
 
 

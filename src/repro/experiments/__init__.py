@@ -25,7 +25,7 @@ a ``(report, details)`` pair whose dict lands in the sweep's
 The package imports none of them itself, and ``import
 repro.experiments.table4`` loads only what a plain Table-IV run uses:
 the MUSE codec, error model, symbol layouts and ELC
-(``repro.core``), the RS baseline (``repro.rs``), the backend registry
+(``repro.core``), the RS baseline (``repro.rs``), the backend table
 and C-kernel loader (``repro.engine``), the chunk plan, trial stream,
 code-family generators, worker specs and grid fold
 (``repro.orchestrate``), the simulators, tallies and confidence

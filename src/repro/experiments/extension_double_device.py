@@ -114,7 +114,10 @@ class ErasureChunkRunner:
     Trial ``t`` is generated from a counter-seeded
     :class:`random.Random`, so chunk tallies fold split-invariantly —
     the same scheme the MSED simulators use, applied to known-location
-    erasure decoding.
+    erasure decoding.  ``backend`` picks the engine that encodes the
+    clean words; the erasure decode has one implementation,
+    :meth:`ErasureDecoder.decode`, so the tally is the same on every
+    backend.
     """
 
     def __init__(self, code: MuseCode, backend: str = "auto"):
@@ -138,7 +141,7 @@ class ErasureChunkRunner:
             for symbol, value in zip(pair, pair_values):
                 codeword = code.layout.insert_symbol(codeword, symbol, value)
             corrupted.append(codeword)
-        results = self.decoder.decode_batch(corrupted, pairs, backend=self.backend)
+        results = self.decoder.decode_batch(corrupted, pairs)
         recovered = sum(
             1
             for data, result in zip(datas, results)

@@ -160,8 +160,8 @@ def build(
     cross-run result cache, on every path.  ``telemetry_dir``
     records the run's event log, metrics and manifest there.  None of
     them changes the tallies of the trials that do run.  ``scenario``
-    swaps the injected corruption stream for any registered fault
-    scenario (:mod:`repro.scenarios`).
+    swaps the injected corruption stream for any fault scenario
+    (:mod:`repro.scenarios`).
     """
     # The package alone: its fleet, journal and progress modules load
     # only for the options that use them.

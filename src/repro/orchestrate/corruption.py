@@ -27,11 +27,13 @@ Per trial the draws are fixed-count and stream-separated:
   replacement is never the original.  (The mod introduces a bias of
   order ``2^(w-64)`` — vanishing for the <= 16-bit symbols here.)
 
-Registered fault scenarios (:mod:`repro.scenarios`) corrupt the same
-clean words through the same views, drawing from their own stream
-keys.  The fused native kernels replay the msed draws — and the
-``mbu`` scenario's — in C from the stream keys of
-:func:`fused_stream`, which decides which streams they can replay.
+The fault scenarios (:mod:`repro.scenarios`) corrupt the same clean
+words through the same views, drawing from their own stream keys; the
+ones that choose or replace symbols call the msed stream's own
+:func:`choose_symbols` and :func:`replace_symbols` under their key.
+The fused native kernels replay the msed draws — and the ``mbu``
+scenario's — in C from the stream keys of :func:`fused_stream`, which
+decides which streams they can replay.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def fused_stream(scenario: str, key: int, columns: int, symbols: int,
     always come from the base key's DATA stream; msed chooses and
     replaces from the base CHOICE/VALUE keys (``start_keys`` unused),
     mbu chooses and bursts from its
-    :func:`~repro.scenarios.scenario_stream_key` (``S_CHOICE`` per
+    :func:`~repro.scenarios.scenario_stream_key` (``STREAM_CHOICE`` per
     symbol, ``S_LEN``/``S_START`` per slot).  ``None`` for every other
     scenario and for ``k_symbols`` outside 1..2, where the kernels'
     two-minimum scan no longer fixes the chosen set's order — callers
@@ -100,13 +102,13 @@ def fused_stream(scenario: str, key: int, columns: int, symbols: int,
         )
     if scenario == "mbu":
         from repro.scenarios import scenario_stream_key
-        from repro.scenarios.library import S_CHOICE, S_LEN, S_START
+        from repro.scenarios.library import S_LEN, S_START
 
         skey = scenario_stream_key(key, scenario)
         return (
             FUSED_MBU,
             _keys(key, STREAM_DATA, columns),
-            _keys(skey, S_CHOICE, symbols),
+            _keys(skey, STREAM_CHOICE, symbols),
             _keys(skey, S_LEN, k_symbols),
             _keys(skey, S_START, k_symbols),
         )
@@ -324,32 +326,28 @@ def _check_k(k_symbols: int, symbol_count: int) -> None:
         )
 
 
-def _choose_symbols(
-    key: int, trials: "np.ndarray", symbol_count: int, k_symbols: int
+def choose_symbols(
+    key: int, trials: "np.ndarray", count: int, k: int
 ) -> "np.ndarray":
-    """The ``k`` distinct corrupted symbols per trial: k smallest of
-    ``symbol_count`` iid uint64 scores (per-row, so split-invariant)."""
-    scores = np.empty((trials.size, symbol_count), dtype=np.uint64)
-    for index in range(symbol_count):
+    """The ``k`` distinct chosen symbols per trial, in argpartition's
+    order: the k smallest of ``count`` iid uint64 scores drawn from
+    ``(STREAM_CHOICE, symbol)`` under ``key`` (per row, so
+    split-invariant)."""
+    scores = np.empty((trials.size, count), dtype=np.uint64)
+    for index in range(count):
         scores[:, index] = counter_draws(
             derive_key(key, STREAM_CHOICE, index), trials
         )
-    return np.argpartition(scores, k_symbols - 1, axis=1)[:, :k_symbols]
+    return np.argpartition(scores, k - 1, axis=1)[:, :k]
 
 
-def corruption_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
-                     k_symbols: int = 2):
-    """Generate chunk trials of ``family``'s MSED corruption stream.
-
-    Returns the family's batch of corrupted codewords, consumable by
-    any of its decode engines.  ``key`` is
-    :func:`repro.orchestrate.rng.derive_key` of the run's master seed.
-    """
-    _check_k(k_symbols, len(family.widths(code)))
-    words = family.clean_chunk(code, chunk, key)
-    view = family.batch_view(code, words, _trial_counters(chunk))
-    chosen = _choose_symbols(key, view.trials, len(view.widths), k_symbols)
-    for slot in range(k_symbols):
+def replace_symbols(
+    key: int, view: BatchSymbolView, chosen: "np.ndarray"
+) -> None:
+    """Give each trial's chosen symbols a uniform never-the-original
+    value: column ``j`` of ``chosen`` draws from ``(STREAM_VALUE, j)``
+    under ``key``."""
+    for slot in range(chosen.shape[1]):
         draws = counter_draws(derive_key(key, STREAM_VALUE, slot), view.trials)
         slot_symbols = chosen[:, slot]
         for index, width in enumerate(view.widths):
@@ -363,6 +361,21 @@ def corruption_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
             view.write(
                 rows, index, draw + (draw >= original).astype(np.uint64)
             )
+
+
+def corruption_chunk(family: CodeFamily, code, chunk: Chunk, key: int,
+                     k_symbols: int = 2):
+    """Generate chunk trials of ``family``'s MSED corruption stream.
+
+    Returns the family's batch of corrupted codewords, consumable by
+    any of its decode engines.  ``key`` is
+    :func:`repro.orchestrate.rng.derive_key` of the run's master seed.
+    """
+    _check_k(k_symbols, len(family.widths(code)))
+    words = family.clean_chunk(code, chunk, key)
+    view = family.batch_view(code, words, _trial_counters(chunk))
+    chosen = choose_symbols(key, view.trials, len(view.widths), k_symbols)
+    replace_symbols(key, view, chosen)
     return words
 
 

@@ -207,8 +207,8 @@ class MuseMsedSimulator(_MsedSimulator):
     ``backend`` picks the decode engine ("scalar", "numpy", "native" or
     "auto"); ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef`
     or a ``"module:callable"`` string) lets ``jobs > 1`` workers rebuild
-    the code instead of pickling it; ``scenario`` names the registered
-    fault scenario (:mod:`repro.scenarios`) — by default "msed", the
+    the code instead of pickling it; ``scenario`` names the fault
+    scenario (:mod:`repro.scenarios`) — by default "msed", the
     paper's transient model.
     """
 
@@ -487,8 +487,8 @@ def build_table_iv(
     ``.sampling``.  Fixed or adaptive, ``cache_dir`` folds the chunks
     an earlier run computed from the result cache and files the rest.
 
-    ``scenario`` swaps the injected corruption stream for any
-    registered fault scenario (:mod:`repro.scenarios`) — same grid,
+    ``scenario`` swaps the injected corruption stream for any fault
+    scenario (:mod:`repro.scenarios`) — same grid,
     same determinism contract, per-scenario result-cache cells.
     """
     simulators: list[MuseMsedSimulator | RsMsedSimulator] = [

@@ -1,8 +1,8 @@
 """Batch Reed-Solomon decode engines on the shared engine layer.
 
 An :class:`RsDecodeEngine` is a :class:`~repro.engine.base.DecodeEngine`
-whose option is the device-confinement policy; its backends register
-as the ``"RS"`` family of the one registry and resolve through
+whose option is the device-confinement policy; its backends are the
+``"RS"`` family of :data:`repro.engine.ENGINES` and resolve through
 :func:`repro.engine.cached_engine`.  What is RS-specific here is the
 PGZ decode and how :class:`NumpyRsBatchResult` rebuilds per-word
 results; the tables are the code's numpy-free
@@ -317,7 +317,7 @@ def get_rs_engine(
 ) -> RsDecodeEngine:
     """Build (or fetch the cached) RS engine for one code.
 
-    The ``"RS"`` family of the MUSE engines' registry and resolver
+    The ``"RS"`` family of the MUSE engines' table and resolver
     (:func:`repro.engine.cached_engine`): engines are cached per
     ``(backend, device_bits)`` on the code, an explicit backend that
     cannot run the code raises, and ``auto`` takes the fastest rung

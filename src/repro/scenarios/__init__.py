@@ -1,4 +1,4 @@
-"""Pluggable fault-scenario registry for the Monte-Carlo simulators.
+"""The fault scenarios of the Monte-Carlo simulators.
 
 A *scenario* is a named corruption recipe: given the clean codeword of
 trial ``t`` it decides which symbols/bits to disturb and how.  Every
@@ -8,8 +8,8 @@ scenario is a pure function of ``(spec, chunk range, splitmix64 key)``
 byte-identical across ``(chunk_size, jobs, workers)`` and backends at
 a fixed seed.
 
-Every registered scenario ships two synchronised implementations of
-the **same** stream (the historical MSED stream has neither; its
+Every fault scenario ships two synchronised implementations of the
+**same** stream (the historical MSED stream has neither; its
 generators live in :mod:`repro.orchestrate.corruption`):
 
 * ``corrupt_batch(skey, view, k_symbols)`` — vectorised over a whole
@@ -35,15 +35,10 @@ The native backend's fused kernels replay the msed and ``mbu`` streams
 in C (:func:`repro.orchestrate.corruption.fused_stream` lists what they
 can replay); the simulators generate then decode every other scenario.
 
-The registry is the single source of scenario names: CLI ``--scenario``
-choices and spec fields (and therefore ``spec_fingerprint`` result-cache
-cells) derive from it.  Register your own with::
-
-    from repro.scenarios import Scenario, register_scenario
-
-    register_scenario("mine", lambda: Scenario(
-        name="mine", summary="...", corrupt_batch=..., corrupt_word=...,
-    ))
+:data:`~repro.scenarios.library.SCENARIOS`, the table at the end of
+:mod:`repro.scenarios.library`, is the single source of scenario names:
+CLI ``--scenario`` choices and spec fields (and therefore
+``spec_fingerprint`` result-cache cells) derive from it.
 """
 
 from __future__ import annotations
@@ -57,14 +52,13 @@ from repro.orchestrate.rng import derive_key
 
 __all__ = [
     "BatchSymbolView",
+    "SCENARIOS",
     "Scenario",
     "STREAM_SCENARIO",
     "WordSymbolView",
-    "register_scenario",
     "resolve_scenario",
     "scenario_names",
     "scenario_stream_key",
-    "scenario_summaries",
 ]
 
 #: Stream tag separating every scenario's draws from the base
@@ -84,13 +78,13 @@ def scenario_stream_key(key: int, name: str) -> int:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One registered corruption recipe.
+    """One named corruption recipe.
 
     ``corrupt_batch`` / ``corrupt_word`` both receive the scenario
     stream key, a symbol view, and the simulator's ``k_symbols`` (which
     a scenario may ignore — e.g. row failure corrupts every symbol).
-    ``None`` marks the built-in ``"msed"`` scenario, whose generators
-    predate the registry and live on the base key's streams
+    ``None`` marks the ``"msed"`` scenario, whose generators predate
+    the other scenarios and live on the base key's streams
     (:func:`repro.orchestrate.corruption.corruption_chunk`).
     """
 
@@ -100,57 +94,20 @@ class Scenario:
     corrupt_word: Optional[Callable] = field(default=None, repr=False)
 
 
-_FACTORIES: dict[str, Callable[[], Scenario]] = {}
-_RESOLVED: dict[str, Scenario] = {}
-
-
-def register_scenario(name: str, factory: Callable[[], Scenario]) -> None:
-    """Register ``factory`` (a zero-arg ``Scenario`` builder) as ``name``.
-
-    Names are registry keys *and* spec-fingerprint material, so
-    re-registering one is refused — a silent replacement could make two
-    different corruption streams share result-cache cells.
-    """
-    if not name or not name.replace("-", "").replace("_", "").isalnum():
-        raise ValueError(f"scenario name must be a non-empty slug, got {name!r}")
-    if name in _FACTORIES:
-        raise ValueError(f"scenario {name!r} is already registered")
-    _FACTORIES[name] = factory
-
-
 def resolve_scenario(name: str) -> Scenario:
-    """The :class:`Scenario` registered as ``name`` (built once, cached)."""
-    scenario = _RESOLVED.get(name)
+    """The :class:`Scenario` named ``name``."""
+    scenario = SCENARIOS.get(name)
     if scenario is None:
-        factory = _FACTORIES.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown scenario {name!r}; registered: "
-                f"{', '.join(scenario_names())}"
-            )
-        scenario = factory()
-        if scenario.name != name:
-            raise ValueError(
-                f"scenario factory for {name!r} built one named "
-                f"{scenario.name!r}"
-            )
-        _RESOLVED[name] = scenario
+        raise ValueError(
+            f"unknown scenario {name!r}; registered: {', '.join(SCENARIOS)}"
+        )
     return scenario
 
 
 def scenario_names() -> tuple[str, ...]:
-    """Every registered scenario name, in registration order.
-
-    The built-ins register ``"msed"`` first, so it leads CLI choices.
-    """
-    return tuple(_FACTORIES)
+    """Every scenario name, ``"msed"`` first (it leads CLI choices)."""
+    return tuple(SCENARIOS)
 
 
-def scenario_summaries() -> dict[str, str]:
-    """``name -> one-line summary`` for help text and docs."""
-    return {name: resolve_scenario(name).summary for name in _FACTORIES}
-
-
-# Built-in scenarios register on import; library.py must stay below the
-# registry definitions it calls into.
-from repro.scenarios import library as _library  # noqa: E402,F401
+# The table needs Scenario and the views above, so it loads last.
+from repro.scenarios.library import SCENARIOS  # noqa: E402

@@ -1,17 +1,20 @@
-"""The built-in fault scenarios.
+"""The fault scenarios and their table, :data:`SCENARIOS`.
 
-Every scenario here implements the same stream twice — a vectorised
-``corrupt_batch`` over a :class:`~repro.scenarios.BatchSymbolView` and
-a pure-Python ``corrupt_word`` over a
-:class:`~repro.scenarios.WordSymbolView` — with integer-only
-arithmetic, so the two paths agree bit for bit (pinned by
-``tests/scenarios``).  All draws come from the scenario stream key via
-sub-streams tagged below; ties in the k-smallest symbol selection are
-broken by index on the scalar side and are astronomically unlikely to
-occur at all with 64-bit scores (the same assumption the MSED
-generators make).
+Every fault scenario here implements the same stream twice — a
+vectorised ``corrupt_batch`` over a
+:class:`~repro.scenarios.BatchSymbolView` and a pure-Python
+``corrupt_word`` over a :class:`~repro.scenarios.WordSymbolView` —
+with integer-only arithmetic, so the two paths agree bit for bit
+(pinned by ``tests/scenarios``).  All draws come from the scenario
+stream key via sub-streams tagged below.  The batch side chooses and
+replaces symbols with the msed generators' own helpers
+(:func:`~repro.orchestrate.corruption.choose_symbols`,
+:func:`~repro.orchestrate.corruption.replace_symbols`), sorting the
+choice by index; ties in the k-smallest symbol selection are broken by
+index on the scalar side and are astronomically unlikely to occur at
+all with 64-bit scores (the same assumption the MSED generators make).
 
-Built-ins (``repro-muse table4 --scenario NAME``):
+Scenarios (``repro-muse table4 --scenario NAME``):
 
 ========  ============================================================
 msed      the paper's transient model: ``k`` symbols replaced by
@@ -41,21 +44,23 @@ never return the original by construction.
 from __future__ import annotations
 
 from repro._lazy import lazy_import
-from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
-from repro.scenarios import (
-    BatchSymbolView,
-    Scenario,
-    WordSymbolView,
-    register_scenario,
+from repro.orchestrate.corruption import (
+    STREAM_CHOICE,
+    STREAM_VALUE,
+    choose_symbols,
+    replace_symbols,
 )
+from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
+from repro.scenarios import BatchSymbolView, Scenario, WordSymbolView
 
 np = lazy_import(globals(), "np", "numpy")
 
 #: Sub-stream tags under the scenario stream key.  Every scenario uses
 #: its own key (hashed from its name), so tags may overlap *across*
-#: scenarios but must be distinct within one.
-S_CHOICE = 1   # per-symbol selection scores (k smallest win)
-S_VALUE = 2    # replacement value draws, one per chosen slot
+#: scenarios but must be distinct within one.  The first two are the
+#: msed stream's, which the shared batch helpers draw from.
+S_CHOICE = STREAM_CHOICE  # per-symbol selection scores (k smallest win)
+S_VALUE = STREAM_VALUE    # replacement value draws, one per chosen slot
 S_LEN = 3      # mbu: burst length draw per slot
 S_START = 4    # mbu: burst start draw per slot
 S_FSYM = 5     # stuck: fault's symbol index
@@ -111,16 +116,6 @@ def _chosen_sorted_word(
     return sorted(index for _, index in scores[:k])
 
 
-def _chosen_sorted_batch(
-    skey: int, trials, symbol_count: int, k: int
-) -> "np.ndarray":
-    scores = np.empty((trials.size, symbol_count), dtype=np.uint64)
-    for index in range(symbol_count):
-        scores[:, index] = _draws(skey, S_CHOICE, index, trials)
-    chosen = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    return np.sort(chosen, axis=1)
-
-
 def _apply_mask_batch(view: BatchSymbolView, masks: "np.ndarray") -> None:
     """XOR per-symbol ``masks`` (rows x symbols, uint64) into the view."""
     for index in range(masks.shape[1]):
@@ -157,7 +152,9 @@ def mbu_word(skey: int, view: WordSymbolView, k_symbols: int) -> None:
 
 def mbu_batch(skey: int, view: BatchSymbolView, k_symbols: int) -> None:
     trials = view.trials
-    chosen = _chosen_sorted_batch(skey, trials, len(view.widths), k_symbols)
+    chosen = np.sort(
+        choose_symbols(skey, trials, len(view.widths), k_symbols), axis=1
+    )
     for slot in range(k_symbols):
         r_len = _draws(skey, S_LEN, slot, trials)
         r_start = _draws(skey, S_START, slot, trials)
@@ -191,24 +188,6 @@ def _replace_word(skey: int, view: WordSymbolView, chosen: list[int]) -> None:
         view.put(index, draw + (1 if draw >= original else 0))
 
 
-def _replace_batch(
-    skey: int, view: BatchSymbolView, chosen: "np.ndarray"
-) -> None:
-    trials = view.trials
-    for slot in range(chosen.shape[1]):
-        draws = _draws(skey, S_VALUE, slot, trials)
-        slot_symbols = chosen[:, slot]
-        for index, width in enumerate(view.widths):
-            rows = np.flatnonzero(slot_symbols == index)
-            if rows.size == 0:
-                continue
-            original = view.read(rows, index)
-            draw = draws[rows] % np.uint64((1 << width) - 1)
-            view.write(
-                rows, index, draw + (draw >= original).astype(np.uint64)
-            )
-
-
 def stuck_word(skey: int, view: WordSymbolView, k_symbols: int) -> None:
     chosen = _chosen_sorted_word(skey, view.trial, len(view.widths), k_symbols)
     _replace_word(skey, view, chosen)
@@ -227,9 +206,9 @@ def stuck_word(skey: int, view: WordSymbolView, k_symbols: int) -> None:
 def stuck_batch(skey: int, view: BatchSymbolView, k_symbols: int) -> None:
     trials = view.trials
     symbol_count = len(view.widths)
-    _replace_batch(
+    replace_symbols(
         skey, view,
-        _chosen_sorted_batch(skey, trials, symbol_count, k_symbols),
+        np.sort(choose_symbols(skey, trials, symbol_count, k_symbols), axis=1),
     )
     for fault in range(STUCK_FAULTS):
         fault_symbols = _draws(skey, S_FSYM, fault, trials) % np.uint64(
@@ -401,61 +380,47 @@ def wear_batch(skey: int, view: BatchSymbolView, k_symbols: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# registration
+# the table
 # ----------------------------------------------------------------------
 
-register_scenario(
-    "msed",
-    lambda: Scenario(
-        name="msed",
-        summary=(
+#: Every scenario by name, ``msed`` first (it leads the CLI choices).
+SCENARIOS = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            "msed",
             "transient k-symbol replacement, the paper's Table IV model "
-            "(legacy stream)"
+            "(legacy stream)",
         ),
-    ),
-)
-register_scenario(
-    "mbu",
-    lambda: Scenario(
-        name="mbu",
-        summary="correlated multi-bit upset: 2-4 adjacent bits per chosen symbol",
-        corrupt_batch=mbu_batch,
-        corrupt_word=mbu_word,
-    ),
-)
-register_scenario(
-    "stuck",
-    lambda: Scenario(
-        name="stuck",
-        summary="two per-trial stuck-at cells layered under transient flips",
-        corrupt_batch=stuck_batch,
-        corrupt_word=stuck_word,
-    ),
-)
-register_scenario(
-    "rowfail",
-    lambda: Scenario(
-        name="rowfail",
-        summary="row failure: the same row index flips in every symbol",
-        corrupt_batch=rowfail_batch,
-        corrupt_word=rowfail_word,
-    ),
-)
-register_scenario(
-    "scrub",
-    lambda: Scenario(
-        name="scrub",
-        summary="geometric read count between scrubs accumulates distinct upsets",
-        corrupt_batch=scrub_batch,
-        corrupt_word=scrub_word,
-    ),
-)
-register_scenario(
-    "wear",
-    lambda: Scenario(
-        name="wear",
-        summary="per-cell flip probability rising with the trial-indexed writes",
-        corrupt_batch=wear_batch,
-        corrupt_word=wear_word,
-    ),
-)
+        Scenario(
+            "mbu",
+            "correlated multi-bit upset: 2-4 adjacent bits per chosen symbol",
+            mbu_batch,
+            mbu_word,
+        ),
+        Scenario(
+            "stuck",
+            "two per-trial stuck-at cells layered under transient flips",
+            stuck_batch,
+            stuck_word,
+        ),
+        Scenario(
+            "rowfail",
+            "row failure: the same row index flips in every symbol",
+            rowfail_batch,
+            rowfail_word,
+        ),
+        Scenario(
+            "scrub",
+            "geometric read count between scrubs accumulates distinct upsets",
+            scrub_batch,
+            scrub_word,
+        ),
+        Scenario(
+            "wear",
+            "per-cell flip probability rising with the trial-indexed writes",
+            wear_batch,
+            wear_word,
+        ),
+    )
+}

@@ -1,32 +1,32 @@
-"""The native (self-compiled C) MUSE backend and the backend registry.
+"""The native (self-compiled C) MUSE backend and the backend table.
 
 The native suites skip on hosts without a working C compiler — the
-registry probe is the same gate ``auto`` resolution uses, so skipping
-here means the backend can never have been selected either.  Registry
-semantics (priority order, env-var disabling, explicit-unavailable
+availability probe is the same gate ``auto`` resolution uses, so
+skipping here means the backend can never have been selected either.
+Backend semantics (rung order, env-var disabling, explicit-unavailable
 errors, ``auto`` stepping down past a refusing rung) run everywhere,
-against the real registry rather than a mock.
+against the real tables rather than a mock.
 """
 
 import ctypes
+import importlib
 import os
 import subprocess
-from collections.abc import Mapping
 from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.codec import MuseCode
 from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
 from repro.engine import (
+    BACKENDS,
     DISABLE_ENV,
+    ENGINES,
     BackendUnavailableError,
-    RegisteredBackend,
-    _REGISTRY,
+    DecodeEngine,
     available_backends,
     get_engine,
-    register_backend,
-    registered_backends,
     resolve_backend,
 )
 from repro.orchestrate.corruption import (
@@ -40,7 +40,7 @@ from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import rs_for_channel
 from repro.scenarios import resolve_scenario
 
-# Gate on the registry (not the raw compiler probe) so the suite also
+# Gate on availability (not the raw compiler probe) so the suite also
 # skips when REPRO_DISABLE_BACKENDS hides the backend from `auto`.
 requires_native = pytest.mark.skipif(
     "native" not in available_backends(),
@@ -61,15 +61,27 @@ FUSED_IDS = [f"144_{128 + extra}" for extra in range(4)] + CODE_IDS
 FUSED_SCENARIOS = ("msed", "mbu")
 
 
+class RefusingEngine:
+    """An engine class that refuses every code, counting the attempts."""
+
+    built = []
+
+    def __init__(self, code, option):
+        RefusingEngine.built.append(code)
+        raise BackendUnavailableError("refuses every code")
+
+
 class TestRegistrySemantics:
     def test_three_rungs_registered(self):
-        assert registered_backends() == ("scalar", "numpy", "native")
-
-    def test_register_rejects_reserved_names(self):
-        with pytest.raises(ValueError):
-            register_backend("auto", lambda: True, {"MUSE": lambda code: None})
-        with pytest.raises(ValueError):
-            register_backend("", lambda: True, {"MUSE": lambda code: None})
+        assert BACKENDS == ("scalar", "numpy", "native")
+        assert set(ENGINES) == {"MUSE", "RS"}
+        for family, engines in ENGINES.items():
+            assert tuple(engines) == BACKENDS
+            for backend, target in engines.items():
+                module, _, attr = target.partition(":")
+                engine = getattr(importlib.import_module(module), attr)
+                assert issubclass(engine, DecodeEngine)
+                assert engine.name == backend
 
     def test_env_var_disables_a_backend(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "native")
@@ -102,66 +114,53 @@ class TestRegistrySemantics:
         assert get_engine(code, "auto") is get_engine(code, best)
 
     def test_auto_steps_down_past_a_refusing_rung(self, monkeypatch):
-        """A top rung whose factory refuses a code hands ``auto`` to the
+        """A top rung whose engine refuses a code hands ``auto`` to the
         next rung — tried once per code, not once per call — while an
         explicit request for it raises."""
-        calls = []
-
-        def refuse(code, ripple_check=True):
-            calls.append(code)
-            raise BackendUnavailableError("refuses every code")
-
+        top, below = available_backends()[-1], available_backends()[-2]
         monkeypatch.setitem(
-            _REGISTRY,
-            "refuser",
-            RegisteredBackend("refuser", lambda: True, {"MUSE": refuse}, 99),
+            ENGINES["MUSE"], top, f"{__name__}:RefusingEngine"
         )
-        code = muse_80_69()
-        below = available_backends()[-2]
+        monkeypatch.setattr(RefusingEngine, "built", [])
+        # A fresh code: the memoised muse_80_69() may already hold its
+        # auto engine, which would never ask the refusing rung.
+        template = muse_80_69()
+        code = MuseCode(template.layout, template.m, name=template.name)
         assert get_engine(code, "auto") is get_engine(code, below)
         assert get_engine(code, "auto") is get_engine(code, below)
-        assert len(calls) == 1
+        assert RefusingEngine.built == [code]
         with pytest.raises(BackendUnavailableError):
-            get_engine(code, "refuser")
+            get_engine(code, top)
 
-    def test_auto_steps_down_past_a_rung_without_the_family(
-        self, monkeypatch
-    ):
-        """A top rung with a MUSE engine only refuses RS codes like a
-        refusing factory: ``auto`` lands on the next rung, asking the
-        top rung once per code, and an explicit request raises."""
-        asked = []
-
-        class Engines(Mapping):
-            def __init__(self, engines):
-                self._engines = engines
-
-            def __getitem__(self, family):
-                asked.append(family)
-                return self._engines[family]
-
-            def __iter__(self):
-                return iter(self._engines)
-
-            def __len__(self):
-                return len(self._engines)
-
-        numpy_muse = _REGISTRY["numpy"].engines["MUSE"]
-        monkeypatch.setitem(
-            _REGISTRY,
-            "museonly",
-            RegisteredBackend(
-                "museonly", lambda: True, Engines({"MUSE": numpy_muse}), 99
-            ),
-        )
-        code = rs_for_channel(8, 144)
-        below = available_backends()[-2]
+    def test_auto_steps_down_past_a_refusing_rs_rung(self, monkeypatch):
+        """The RS family steps down through the same resolver: its top
+        rung is asked once per code, and an explicit request raises."""
+        top, below = available_backends()[-1], available_backends()[-2]
+        monkeypatch.setitem(ENGINES["RS"], top, f"{__name__}:RefusingEngine")
+        monkeypatch.setattr(RefusingEngine, "built", [])
+        code = rs_for_channel(8, 144)  # a fresh code, no engines cached
         assert get_rs_engine(code, "auto") is get_rs_engine(code, below)
         assert get_rs_engine(code, "auto") is get_rs_engine(code, below)
-        assert asked.count("RS") == 1
-        with pytest.raises(BackendUnavailableError, match="no RS engine"):
-            get_rs_engine(code, "museonly")
-        assert get_engine(muse_80_69(), "museonly").name == "numpy"
+        assert RefusingEngine.built == [code]
+        with pytest.raises(BackendUnavailableError):
+            get_rs_engine(code, top)
+        assert get_engine(muse_80_69(), top).name == top
+
+    def test_auto_is_a_request_not_a_rung(self):
+        """``auto`` names no engine of its own: it resolves to a rung
+        of :data:`BACKENDS`."""
+        assert "auto" not in BACKENDS
+        assert all("auto" not in engines for engines in ENGINES.values())
+        assert resolve_backend("auto") in BACKENDS
+
+    @pytest.mark.parametrize("name", ["", "Native"])
+    def test_unknown_name_refused_by_both_families(self, name):
+        """A name outside :data:`BACKENDS` is refused with the list of
+        backends, for MUSE and RS codes alike."""
+        with pytest.raises(ValueError, match="scalar"):
+            get_engine(muse_80_69(), name)
+        with pytest.raises(ValueError, match="native"):
+            get_rs_engine(rs_for_channel(8, 144), name)
 
     @pytest.mark.parametrize(
         "call",

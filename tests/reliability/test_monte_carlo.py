@@ -1,11 +1,9 @@
 """Monte-Carlo MSED simulator tests, including Table IV shape anchors."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
-from repro.engine import _REGISTRY, available_backends
+from repro.engine import available_backends
 from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
@@ -136,33 +134,16 @@ class TestDesignPoints:
         for extra_bits in (0, 2, 4, 6):
             assert rs_design_point(extra_bits) is rs_design_point(extra_bits)
 
-    def test_second_table_build_builds_no_engine(self, monkeypatch):
+    def test_second_table_build_builds_no_engine(self):
         """Only the first Table-IV build of a process pays for the
         design points' engine tables."""
         build_table_iv(trials=64, seed=1)
-        built = []
-
-        def counting(factory):
-            def build(code, option):
-                built.append(code)
-                return factory(code, option)
-
-            return build
-
-        for name, entry in list(_REGISTRY.items()):
-            monkeypatch.setitem(
-                _REGISTRY,
-                name,
-                dataclasses.replace(
-                    entry,
-                    engines={
-                        family: counting(factory)
-                        for family, factory in entry.engines.items()
-                    },
-                ),
-            )
+        points = [muse_design_point(extra) for extra in range(6)] + [
+            rs_design_point(extra) for extra in (0, 2, 4, 6)
+        ]
+        before = [dict(point._engine_cache) for point in points]
         build_table_iv(trials=64, seed=1)
-        assert built == []
+        assert [point._engine_cache for point in points] == before
 
 
 class TestTableIVShape:

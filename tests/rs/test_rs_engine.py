@@ -51,7 +51,7 @@ class TestRegistry:
         )
 
     def test_auto_prefers_fastest_available(self):
-        """auto lands on the registry's top rung; every vector backend
+        """auto lands on the top available rung; every vector backend
         subclasses the numpy engine, so the tables are shared."""
         engine = get_rs_engine(make_code(8), "auto")
         assert isinstance(engine, NumpyRsEngine)

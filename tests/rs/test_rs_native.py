@@ -17,7 +17,7 @@ from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import rs_for_channel
 from repro.scenarios import resolve_scenario
 
-# Gate on the registry (not the raw compiler probe) so the suite also
+# Gate on availability (not the raw compiler probe) so the suite also
 # skips when REPRO_DISABLE_BACKENDS hides the backend from `auto`.
 pytestmark = pytest.mark.skipif(
     "native" not in available_backends(),

@@ -1,8 +1,8 @@
-"""Fault-scenario registry and its determinism contract.
+"""The fault-scenario table and its determinism contract.
 
 The acceptance contract this file pins:
 
-* every registered scenario's scalar reference (``corrupt_word``) and
+* every fault scenario's scalar reference (``corrupt_word``) and
   numpy batch (``corrupt_batch``) produce **byte-identical** corrupted
   words, for both code families, on chunks with non-zero start;
 * per scenario, the folded tally is invariant across chunk splits,
@@ -10,7 +10,7 @@ The acceptance contract this file pins:
   2-worker distributed loopback session — at a fixed seed;
 * native ``mbu`` chunks run in the fused kernels (no corruption batch
   is generated) and still tally the scalar reference stream, and a
-  native msed build never loads the scenario registry;
+  native msed build never loads the scenario table;
 * scenario cells take the campaign's one path: a zero-event cell runs
   to its ceiling and reports the policy's interval there.
 """
@@ -31,12 +31,10 @@ from repro.reliability.sampling.scheduler import (
 from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.reed_solomon import rs_144_128
 from repro.scenarios import (
-    Scenario,
-    register_scenario,
+    SCENARIOS,
     resolve_scenario,
     scenario_names,
     scenario_stream_key,
-    scenario_summaries,
 )
 
 SEED = 99
@@ -76,34 +74,44 @@ class TestRegistry:
             assert scenario.corrupt_word is not None
 
     def test_summaries_cover_every_name(self):
-        summaries = scenario_summaries()
+        summaries = {
+            name: scenario.summary for name, scenario in SCENARIOS.items()
+        }
         assert set(summaries) == set(scenario_names())
         assert all(summaries.values())
-
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario("mbu", lambda: Scenario("mbu", "dup"))
-
-    def test_bad_slug_refused(self):
-        with pytest.raises(ValueError, match="slug"):
-            register_scenario("no spaces!", lambda: Scenario("x", "y"))
 
     def test_unknown_scenario_lists_registered_names(self):
         with pytest.raises(ValueError, match="mbu"):
             resolve_scenario("definitely-not-registered")
 
-    def test_factory_name_mismatch_refused(self):
-        from repro import scenarios as registry
+    def test_table_keys_are_the_scenario_names(self):
+        """A name is spec-fingerprint material, so the key a scenario is
+        found under must be the name it hashes its stream from."""
+        for name, scenario in SCENARIOS.items():
+            assert scenario.name == name
+            assert resolve_scenario(name) is scenario
 
-        register_scenario(
-            "tmp-mismatch", lambda: Scenario("other", "wrong name")
-        )
-        try:
-            with pytest.raises(ValueError, match="named"):
-                resolve_scenario("tmp-mismatch")
-        finally:
-            registry._FACTORIES.pop("tmp-mismatch", None)
-            registry._RESOLVED.pop("tmp-mismatch", None)
+    def test_names_are_slugs(self):
+        """Names double as CLI ``--scenario`` choices."""
+        for name in scenario_names():
+            assert name and name == name.lower()
+            assert name.replace("-", "").replace("_", "").isalnum()
+
+    def test_sub_stream_tags_distinct(self):
+        """Tags under one scenario key never collide, and the shared
+        choice/replacement helpers draw from the msed stream's tags."""
+        from repro.orchestrate import corruption
+        from repro.scenarios import library
+
+        tags = {
+            name: value
+            for name, value in vars(library).items()
+            if name.startswith("S_") and isinstance(value, int)
+        }
+        assert len(tags) >= 11
+        assert len(set(tags.values())) == len(tags)
+        assert tags["S_CHOICE"] == corruption.STREAM_CHOICE
+        assert tags["S_VALUE"] == corruption.STREAM_VALUE
 
     def test_stream_keys_differ_by_name(self):
         key = derive_key(SEED)
