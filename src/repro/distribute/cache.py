@@ -4,10 +4,11 @@ The checkpoint journal (:mod:`repro.distribute.checkpoint`) makes one
 *run* resumable; this cache makes the *results themselves* durable
 across runs.  Every folded chunk tally is filed under its **cell** —
 the ``(stream key, spec fingerprint)`` pair — where the fingerprint is
-:func:`~repro.distribute.checkpoint.spec_fingerprint`: the spec's
-structural identity minus the decode backend (scalar, numpy and native
-tally byte-identically, so a cell computed on one backend is served to
-all of them).  Because every chunk's tally is a pure
+:func:`~repro.distribute.checkpoint.spec_fingerprint`: the trial
+stream's version and the spec's structural identity minus the decode
+backend (scalar, numpy and native tally byte-identically, so a cell
+computed on one backend is served to all of them, while a cell drawn
+under an older stream misses).  Because every chunk's tally is a pure
 function of ``(spec, chunk range, key)``, a cache hit *is* the
 recomputation: re-running any completed ``(code, scenario, seed)``
 cell folds straight off disk with zero new trials.

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.orchestrate.corruption import STREAM_VERSION
 from repro.orchestrate.persist import (
     atomic_write_text,
     decode_crc_line,
@@ -74,11 +75,13 @@ def _group_key(group: Any) -> str:
 def spec_fingerprint(spec: Any) -> str:
     """What must match for a journalled chunk to be reusable.
 
-    The spec's structural repr, minus the decode backend: scalar and
-    numpy tally byte-identically (the PR-1/PR-2 contract), so a
-    checkpoint taken on one backend resumes on any other — but a
-    changed code, ``k_symbols`` or decode policy must refuse, not
-    silently fold chunks of a different experiment.
+    The trial stream's version
+    (:data:`~repro.orchestrate.corruption.STREAM_VERSION`) and the
+    spec's structural repr, minus the decode backend: every backend
+    tallies byte-identically, so a checkpoint taken on one backend
+    resumes on any other — but a changed code, ``k_symbols``, decode
+    policy or stream must refuse, not silently fold chunks of a
+    different experiment.
 
     Memoised per spec: the coordinator fingerprints every chunk it
     looks up, journals and reports, and a run has a handful of specs.
@@ -92,7 +95,7 @@ def spec_fingerprint(spec: Any) -> str:
 def _fingerprint(spec: Any) -> str:
     if dataclasses.is_dataclass(spec) and hasattr(spec, "backend"):
         spec = dataclasses.replace(spec, backend="any")
-    return repr(spec)
+    return f"stream-v{STREAM_VERSION} {spec!r}"
 
 
 _memo_fingerprint = functools.lru_cache(maxsize=512)(_fingerprint)

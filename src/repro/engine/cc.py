@@ -17,12 +17,13 @@ mode argument picks msed's never-the-original replacement or mbu's
 adjacent-bit burst XOR (:mod:`repro.scenarios.library`), and
 :func:`repro.orchestrate.corruption.fused_stream` supplies the matching
 mode and stream keys.  Every other scenario stays generate-then-decode.
-Both share one choice scan, ``choose_block``: trials are independent,
-so it scores ``LANES`` consecutive trials at once, one per 64-bit
-vector lane, and keeps each lane's two smallest (value, index) pairs
-with compares and selects.  ``LANES`` follows the ISA ``-march=native``
-targets — 8 with AVX-512DQ, 4 with AVX2, else 1 — which is why the
-host CPU is part of the cache key.  The same block step draws every
+Both share one choice step, ``choose_block``: trials are independent,
+so it chooses for ``LANES`` consecutive trials at once, one per 64-bit
+vector lane, running Floyd's sampler on each lane's ``k`` (up to
+``MAX_SLOTS``) draws and keeping the picks ascending with compares and
+selects.  ``LANES`` follows the ISA ``-march=native`` targets — 8 with
+AVX-512DQ, 4 with AVX2, else 1 — which is why the host CPU is part of
+the cache key.  The same block step draws every
 slot's replacement for the block (``draw_slots``), and the MUSE kernel
 encodes the block's clean codewords in lanes (``encode_block``).  Both
 kernels then decode the error pattern: a clean word's remainder and
@@ -60,7 +61,10 @@ _SOURCE = r"""
 #define MODE_MBU 1
 /* repro/scenarios/library.py MBU_MAX_BURST */
 #define MBU_MAX_BURST 4
-/* Trials one choice scan covers: one per 64-bit lane of the target's
+/* The most symbols one trial corrupts (repro/orchestrate/corruption.py
+ * FUSED_MAX_SLOTS); change_residue's bound lets MUSE sum up to 7. */
+#define MAX_SLOTS 5
+/* Trials one lane block draws: one per 64-bit lane of the target's
  * widest integer vectors with a native 64-bit multiply (AVX-512DQ's
  * vpmullq), or four AVX2 lanes; 1 elsewhere.  _FLAGS' -march=native
  * lets the host ISA pick it. */
@@ -105,46 +109,33 @@ static inline lanes_t block_counters(int64_t first_trial) {
     return counters;
 }
 
-/* The k <= 2 chosen symbols of the LANES trials at `counters`, one
- * trial per lane: the two smallest of S iid scores in (value, index)
- * order.  Each lane starts from its first two real scores (symbol 0's
- * twice on a one-symbol code, whose k = 1 leaves slot 1 unused); a
- * later symbol has the higher index, so it displaces a kept score only
- * when strictly smaller, and ties go to the lower index.  msed keeps
- * argpartition's (argmin, 2nd-min) slot order; the other scenarios
- * sort the chosen symbols by index, as their batch generators sort
- * choose_symbols' choice. */
-static inline void choose_block(int32_t mode, int64_t k_symbols,
+/* Floyd's sampler over the LANES trials at `counters`, one trial per
+ * lane: the k distinct chosen symbols, ascending, so chosen[s] is the
+ * symbol slot s corrupts.  Step i, with j = S - k + i, draws u from
+ * choice key i and maps it to t = floor(u (j + 1) / 2^64) through u's
+ * 32-bit halves (no product overflows, and the low half's dropped bits
+ * cannot carry), then takes j if an earlier step took t, else t.
+ * Earlier picks are all below j, so taking j never collides.  Each
+ * pick is inserted into the ascending picks before it. */
+static inline void choose_block(int64_t k_symbols,
         const uint64_t *choice_keys, int64_t symbol_count,
-        lanes_t counters, int64_t chosen[LANES][2]) {
+        lanes_t counters, lanes_t chosen[MAX_SLOTS]) {
     const lanes_t zero = {0};
-    uint64_t second_symbol = symbol_count > 1;
-    lanes_t first = mix64_lanes(counters + choice_keys[0]);
-    lanes_t second = mix64_lanes(counters + choice_keys[second_symbol]);
-    lanes_t swap = (lanes_t)(second < first);
-    lanes_t kept = first;
-    first = select_lanes(swap, second, first);
-    second = select_lanes(swap, kept, second);
-    lanes_t first_index = swap & second_symbol;
-    lanes_t second_index = ~swap & second_symbol;
-    for (int64_t s = 2; s < symbol_count; s++) {
-        lanes_t score = mix64_lanes(counters + choice_keys[s]);
-        lanes_t index = zero + (uint64_t)s;
-        lanes_t below_first = (lanes_t)(score < first);
-        lanes_t below_second = (lanes_t)(score < second);
-        second = select_lanes(below_first, first,
-                              select_lanes(below_second, score, second));
-        second_index = select_lanes(below_first, first_index,
-                select_lanes(below_second, index, second_index));
-        first = select_lanes(below_first, score, first);
-        first_index = select_lanes(below_first, index, first_index);
-    }
-    for (int64_t lane = 0; lane < LANES; lane++) {
-        int64_t best = (int64_t)first_index[lane];
-        int64_t next = (int64_t)second_index[lane];
-        int swap_slots = mode != MODE_MSED && k_symbols == 2 && next < best;
-        chosen[lane][0] = swap_slots ? next : best;
-        chosen[lane][1] = swap_slots ? best : next;
+    for (int64_t step = 0; step < k_symbols; step++) {
+        uint64_t top = (uint64_t)(symbol_count - k_symbols + step);
+        lanes_t u = mix64_lanes(counters + choice_keys[step]);
+        lanes_t pick = ((u >> 32) * (top + 1)
+                        + (((u & 0xFFFFFFFFULL) * (top + 1)) >> 32)) >> 32;
+        lanes_t taken = zero;
+        for (int64_t earlier = 0; earlier < step; earlier++)
+            taken |= (lanes_t)(chosen[earlier] == pick);
+        chosen[step] = select_lanes(taken, zero + top, pick);
+        for (int64_t slot = step; slot > 0; slot--) {
+            lanes_t low = chosen[slot - 1], high = chosen[slot];
+            lanes_t swap = (lanes_t)(high < low);
+            chosen[slot - 1] = select_lanes(swap, high, low);
+            chosen[slot] = select_lanes(swap, low, high);
+        }
     }
 }
 
@@ -154,7 +145,8 @@ static inline void choose_block(int32_t mode, int64_t k_symbols,
  * value draws rather than hash them twice. */
 static inline void draw_slots(int32_t mode, int64_t k_symbols,
         const uint64_t *value_keys, const uint64_t *start_keys,
-        lanes_t counters, lanes_t values[2], lanes_t starts[2]) {
+        lanes_t counters, lanes_t values[MAX_SLOTS],
+        lanes_t starts[MAX_SLOTS]) {
     for (int64_t slot = 0; slot < k_symbols; slot++) {
         values[slot] = mix64_lanes(counters + value_keys[slot]);
         starts[slot] = mode == MODE_MBU
@@ -310,7 +302,8 @@ static inline void write_symbol(uint64_t *word, uint64_t value,
  * from `original` to `received` makes to the word: (received -
  * original) * 2^first, or the same bit by bit over its bit table.
  * Since pow2[p] = 2^p mod m < 2^28 and a symbol read with one shift is
- * at most 32 bits wide, each term stays below 2^61. */
+ * at most 32 bits wide, each term stays below 2^61, so a uint64 sums
+ * the terms of up to 7 slots. */
 static inline uint64_t change_residue(uint64_t original, uint64_t received,
         uint64_t m, const uint64_t *pow2, int64_t first,
         const int64_t *bits, int64_t width) {
@@ -324,8 +317,9 @@ static inline uint64_t change_residue(uint64_t original, uint64_t received,
 }
 
 /* Fused corruption draw -> decode -> tally; the compiled twin of
- * repro/orchestrate/corruption.py's msed and mbu streams for k <= 2.
- * Each LANES block encodes its clean words at once (encode_block).  A
+ * repro/orchestrate/corruption.py's msed and mbu streams for
+ * k <= MAX_SLOTS.  Each LANES block chooses its symbols
+ * (choose_block) and encodes its clean words at once (encode_block).  A
  * clean word's remainder is zero and the remainder is linear, so a
  * trial's received remainder is that of its error pattern alone: the
  * chosen symbols' changes.  Zero is clean, a miss in the ELC no-match,
@@ -343,23 +337,23 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         const uint64_t *data_keys, const uint64_t *choice_keys,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int32_t ripple, int64_t *counts) {
-    lanes_t clean[8], values[2], starts[2];
-    int64_t block[LANES][2];
+    lanes_t clean[8], chosen[MAX_SLOTS], values[MAX_SLOTS],
+        starts[MAX_SLOTS];
     for (int64_t i = 0; i < size; i++) {
         /* lanes past the chunk's end are drawn and dropped */
         int64_t lane = i % LANES;
         if (lane == 0) {
             lanes_t counters = block_counters(start + i);
-            choose_block(mode, k_symbols, choice_keys, symbol_count,
-                         counters, block);
+            choose_block(k_symbols, choice_keys, symbol_count, counters,
+                         chosen);
             draw_slots(mode, k_symbols, value_keys, start_keys, counters,
                        values, starts);
             encode_block(counters, limbs, r_shift, m, pow2, k_mask,
                          data_keys, clean);
         }
-        uint64_t received[2], acc = 0;
+        uint64_t received[MAX_SLOTS], acc = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
-            int64_t symbol = block[lane][slot];
+            int64_t symbol = (int64_t)chosen[slot][lane];
             int64_t width = sym_widths[symbol];
             int64_t first = sym_first[symbol];
             const int64_t *bits = sym_bits + symbol * max_width;
@@ -375,7 +369,7 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             uint64_t word[8], fixed[8];
             for (int64_t j = 0; j < limbs; j++) word[j] = clean[j][lane];
             for (int64_t slot = 0; slot < k_symbols; slot++) {
-                int64_t symbol = block[lane][slot];
+                int64_t symbol = (int64_t)chosen[slot][lane];
                 write_symbol(word, received[slot], sym_first[symbol],
                              sym_bits + symbol * max_width,
                              sym_widths[symbol]);
@@ -490,9 +484,9 @@ static inline int64_t rs_data_symbol(const uint64_t *data_keys,
 
 /* Fused corruption draw -> decode -> tally; the compiled twin of
  * repro/orchestrate/corruption.py's msed and mbu RS streams for
- * k <= 2.  A clean word's syndromes are zero and syndromes are linear,
- * so the received word's are those of the error pattern alone: the
- * kernel adds one term per chosen symbol and never builds the word.
+ * k <= MAX_SLOTS.  A clean word's syndromes are zero and syndromes are
+ * linear, so the received word's are those of the error pattern alone:
+ * the kernel adds one term per chosen symbol and never builds the word.
  * Only msed's never-the-original replacement needs a chosen symbol's
  * clean value -- one DATA draw for a data symbol, the check-symbol
  * solve for a check symbol; mbu's burst needs none. */
@@ -508,23 +502,21 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
     struct rs_tables rs = {exp2, logt, w2_log, order, n_symbols, pad_mask,
                            partial_position, confined, has_policy,
                            conf_stride};
-    lanes_t values[2], starts[2];
-    int64_t block[LANES][2];
+    lanes_t chosen[MAX_SLOTS], values[MAX_SLOTS], starts[MAX_SLOTS];
     for (int64_t i = 0; i < size; i++) {
         /* lanes past the chunk's end are drawn and dropped */
         int64_t lane = i % LANES;
         if (lane == 0) {
             lanes_t counters = block_counters(start + i);
-            choose_block(mode, k_symbols, choice_keys, n_symbols, counters,
-                         block);
+            choose_block(k_symbols, choice_keys, n_symbols, counters,
+                         chosen);
             draw_slots(mode, k_symbols, value_keys, start_keys, counters,
                        values, starts);
         }
-        const int64_t *chosen = block[lane];
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         int64_t s1 = 0, s2 = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
-            int64_t symbol = chosen[slot];
+            int64_t symbol = (int64_t)chosen[slot][lane];
             /* msed steps over the clean value; mbu never reads it */
             int64_t original = 0;
             if (mode == MODE_MSED && symbol < data_symbols) {

@@ -8,15 +8,14 @@ says whether a kernel can replay a scenario's counter-hashed stream,
 the kernel tallies the 4 statuses of the chunk into a 4-slot stdlib
 array without materialising any batch array, and
 :meth:`~NativeKernels.fused_chunk_counts` is the msed case.  It
-replays the msed stream and the ``mbu`` scenario's burst stream, and
-is exact for ``k_symbols <= 2``: there the generator's
-``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
-arg-2nd-min)``, which the kernels reproduce with a two-minimum scan
-(sorted by index for mbu).  For larger ``k`` the order of the
-remaining slots is an implementation detail of introselect, so the
-tail returns ``None`` and the caller generates then decodes — as it
-does for every other scenario.  Tallies are byte-identical to every
-other backend at a fixed seed.
+replays the msed stream and the ``mbu`` scenario's burst stream for
+``k_symbols`` up to
+:data:`~repro.orchestrate.corruption.FUSED_MAX_SLOTS`: the kernels run
+the generator's own Floyd sampler
+(:func:`~repro.orchestrate.corruption.choose_symbols`) and slot order.
+Past that ``k``, and for every other scenario, the tail returns
+``None`` and the caller generates then decodes.  Tallies are
+byte-identical to every other backend at a fixed seed.
 
 The fused tail runs on ``bytes`` alone — the code's tables
 (:mod:`repro.engine.tables`), the stream keys and the counts — so a

@@ -20,8 +20,9 @@ Per trial the draws are fixed-count and stream-separated:
 * ``(DATA, column)`` — raw data limbs / symbols (the family's
   ``clean_chunk`` stops here, which is how tests recover the
   pre-corruption words);
-* ``(CHOICE, symbol)`` — one uint64 score per symbol; the corrupted
-  set is the ``k`` smallest scores (distinct by construction);
+* ``(CHOICE, step)`` — one uint64 draw per corrupted symbol, which
+  Floyd's sampler turns into ``k`` distinct symbols, handed to the
+  slots in ascending symbol order (:func:`choose_symbols`);
 * ``(VALUE, slot)`` — the replacement draw for each corrupted slot,
   reduced mod ``2^w - 1`` and stepped over the original value, so the
   replacement is never the original.  (The mod introduces a bias of
@@ -34,6 +35,11 @@ ones that choose or replace symbols call the msed stream's own
 The fused native kernels replay the msed draws — and the ``mbu``
 scenario's — in C from the stream keys of :func:`fused_stream`, which
 decides which streams they can replay.
+
+:data:`STREAM_VERSION` names this recipe.  Result-cache cells and
+checkpoint journals carry it in their spec fingerprint
+(:func:`repro.distribute.checkpoint.spec_fingerprint`), so a tally
+drawn under an older recipe is never folded into a run of this one.
 """
 
 from __future__ import annotations
@@ -49,6 +55,13 @@ from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
 
 np = lazy_import(globals(), "np", "numpy")
 
+#: The version of the trial stream below: bump it with any change that
+#: moves a tally at a fixed seed.  Version 1 chose the corrupted
+#: symbols as the k smallest of one score per symbol; version 2 draws
+#: them with Floyd's sampler and hands them to the slots in ascending
+#: order.
+STREAM_VERSION = 2
+
 #: Stream tags keeping the three per-trial draw families independent.
 STREAM_DATA = 0
 STREAM_CHOICE = 1
@@ -58,6 +71,9 @@ STREAM_VALUE = 2
 #: :mod:`repro.engine.cc`).
 FUSED_MSED = 0
 FUSED_MBU = 1
+#: The most symbols a fused kernel corrupts per trial (``MAX_SLOTS`` in
+#: :mod:`repro.engine.cc`).
+FUSED_MAX_SLOTS = 5
 
 
 def _keys(key: int, stream: int, count: int) -> bytes:
@@ -76,27 +92,27 @@ def fused_stream(scenario: str, key: int, columns: int, symbols: int,
 
     Returns ``(mode, data_keys, choice_keys, value_keys, start_keys)``:
     an int and four immutable ``bytes`` of machine-order uint64 keys —
-    one key per data column, per symbol and per corrupted slot (read
-    them with ``array("Q", keys)``), passed to the kernels as they are.
+    one key per data column, then three per corrupted slot (read them
+    with ``array("Q", keys)``), passed to the kernels as they are.
     Every chunk of a point shares them, so they are derived once per
     point (memoised) rather than once per chunk.  The clean words
     always come from the base key's DATA stream; msed chooses and
     replaces from the base CHOICE/VALUE keys (``start_keys`` unused),
     mbu chooses and bursts from its
-    :func:`~repro.scenarios.scenario_stream_key` (``STREAM_CHOICE`` per
-    symbol, ``S_LEN``/``S_START`` per slot).  ``None`` for every other
-    scenario and for ``k_symbols`` outside 1..2, where the kernels'
-    two-minimum scan no longer fixes the chosen set's order — callers
-    then generate the chunk and batch-decode it.
+    :func:`~repro.scenarios.scenario_stream_key` (``STREAM_CHOICE``,
+    ``S_LEN`` and ``S_START`` per slot).  ``None`` for every other
+    scenario and for ``k_symbols`` outside 1..:data:`FUSED_MAX_SLOTS`
+    (or past ``symbols``) — callers then generate the chunk and
+    batch-decode it.
     """
-    if not 1 <= k_symbols <= min(2, symbols):
+    if not 1 <= k_symbols <= min(FUSED_MAX_SLOTS, symbols):
         return None
     if scenario == "msed":
         value = _keys(key, STREAM_VALUE, k_symbols)
         return (
             FUSED_MSED,
             _keys(key, STREAM_DATA, columns),
-            _keys(key, STREAM_CHOICE, symbols),
+            _keys(key, STREAM_CHOICE, k_symbols),
             value,
             value,
         )
@@ -108,7 +124,7 @@ def fused_stream(scenario: str, key: int, columns: int, symbols: int,
         return (
             FUSED_MBU,
             _keys(key, STREAM_DATA, columns),
-            _keys(skey, STREAM_CHOICE, symbols),
+            _keys(skey, STREAM_CHOICE, k_symbols),
             _keys(skey, S_LEN, k_symbols),
             _keys(skey, S_START, k_symbols),
         )
@@ -329,16 +345,39 @@ def _check_k(k_symbols: int, symbol_count: int) -> None:
 def choose_symbols(
     key: int, trials: "np.ndarray", count: int, k: int
 ) -> "np.ndarray":
-    """The ``k`` distinct chosen symbols per trial, in argpartition's
-    order: the k smallest of ``count`` iid uint64 scores drawn from
-    ``(STREAM_CHOICE, symbol)`` under ``key`` (per row, so
-    split-invariant)."""
-    scores = np.empty((trials.size, count), dtype=np.uint64)
-    for index in range(count):
-        scores[:, index] = counter_draws(
-            derive_key(key, STREAM_CHOICE, index), trials
-        )
-    return np.argpartition(scores, k - 1, axis=1)[:, :k]
+    """The ``k`` distinct chosen symbols of each trial, by Floyd's
+    sampler: a ``(trials, k)`` int64 array, each row ascending, so
+    column ``j`` is the symbol slot ``j`` corrupts.
+
+    Step ``i``, with ``j = count - k + i``, draws ``u`` from
+    ``(STREAM_CHOICE, i)`` under ``key`` and maps it to ``t =
+    floor(u (j + 1) / 2^64)``, uniform over ``0..j`` up to a bias below
+    ``count / 2^64``; it takes ``j`` if an earlier step took ``t``,
+    else ``t``.  Every k-subset is then equally likely.  Row by row, so
+    split-invariant.
+    """
+    chosen = np.empty((trials.size, k), dtype=np.int64)
+    for step in range(k):
+        top = count - k + step
+        draws = counter_draws(derive_key(key, STREAM_CHOICE, step), trials)
+        # floor(u (j + 1) / 2^64) in uint64: 32-bit halves of u times
+        # j + 1 < 2^32 never overflow, and the dropped low bits of the
+        # low half's product cannot carry into the result.
+        bound = np.uint64(top + 1)
+        pick = (
+            (
+                (draws >> np.uint64(32)) * bound
+                + (((draws & np.uint64(0xFFFFFFFF)) * bound) >> np.uint64(32))
+            )
+            >> np.uint64(32)
+        ).view(np.int64)
+        # Every earlier pick is below j, so swapping in j never makes a
+        # new match.
+        for earlier in range(step):
+            pick = np.where(chosen[:, earlier] == pick, top, pick)
+        chosen[:, step] = pick
+    chosen.sort(axis=1)
+    return chosen
 
 
 def replace_symbols(

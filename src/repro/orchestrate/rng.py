@@ -49,7 +49,7 @@ def mix64(x: int) -> int:
 def derive_key(seed: int, *path: int) -> int:
     """Derive a 64-bit stream key from a master seed and a path.
 
-    Distinct paths (e.g. ``(DATA, limb)`` vs ``(SCORES, symbol)``) give
+    Distinct paths (e.g. ``(DATA, limb)`` vs ``(CHOICE, step)``) give
     statistically independent streams of :func:`trial_seed` /
     :func:`counter_draws` values under the same master seed.
     """

@@ -156,7 +156,7 @@ class _MsedSimulator:
         returned tallies over a run's chunks reproduces ``run``.  Every
         scenario takes one route: one compiled draw->decode->tally pass
         when the engine can replay the stream (``fused_scenario_counts``:
-        native, msed or mbu, k <= 2), else ``scenario_chunk`` then a
+        native, msed or mbu, k <= 5), else ``scenario_chunk`` then a
         batch decode on whatever engine ``backend`` resolves to.
         """
         engine = self._engine(self.backend)

@@ -9,10 +9,10 @@ with integer-only arithmetic, so the two paths agree bit for bit
 stream key via sub-streams tagged below.  The batch side chooses and
 replaces symbols with the msed generators' own helpers
 (:func:`~repro.orchestrate.corruption.choose_symbols`,
-:func:`~repro.orchestrate.corruption.replace_symbols`), sorting the
-choice by index; ties in the k-smallest symbol selection are broken by
-index on the scalar side and are astronomically unlikely to occur at
-all with 64-bit scores (the same assumption the MSED generators make).
+:func:`~repro.orchestrate.corruption.replace_symbols`); the scalar
+side runs the same Floyd sampler in :func:`_chosen_sorted_word`.  Both
+hand the chosen symbols to the slots in ascending index order, so slot
+``j`` names the same symbol on both paths.
 
 Scenarios (``repro-muse table4 --scenario NAME``):
 
@@ -59,7 +59,7 @@ np = lazy_import(globals(), "np", "numpy")
 #: its own key (hashed from its name), so tags may overlap *across*
 #: scenarios but must be distinct within one.  The first two are the
 #: msed stream's, which the shared batch helpers draw from.
-S_CHOICE = STREAM_CHOICE  # per-symbol selection scores (k smallest win)
+S_CHOICE = STREAM_CHOICE  # Floyd's sampler: one draw per chosen symbol
 S_VALUE = STREAM_VALUE    # replacement value draws, one per chosen slot
 S_LEN = 3      # mbu: burst length draw per slot
 S_START = 4    # mbu: burst start draw per slot
@@ -102,18 +102,19 @@ def _draws(skey: int, tag: int, slot: int, trials) -> "np.ndarray":
 def _chosen_sorted_word(
     skey: int, trial: int, symbol_count: int, k: int
 ) -> list[int]:
-    """The ``k`` chosen symbols of ``trial``, ascending.
+    """The ``k`` chosen symbols of ``trial``, ascending: the scalar
+    twin of :func:`~repro.orchestrate.corruption.choose_symbols`.
 
-    k smallest of ``symbol_count`` iid uint64 scores — the MSED
-    selection trick — but returned *sorted by index* so slot ``j``
-    means the same symbol on the scalar and batch paths (argpartition's
-    internal order is arbitrary).
+    Floyd's sampler: step ``i`` maps its draw to ``t = floor(u (j + 1)
+    / 2^64)`` with ``j = symbol_count - k + i`` and takes ``j`` if an
+    earlier step took ``t``, else ``t``.
     """
-    scores = sorted(
-        (_draw(skey, S_CHOICE, index, trial), index)
-        for index in range(symbol_count)
-    )
-    return sorted(index for _, index in scores[:k])
+    chosen: list[int] = []
+    for step in range(k):
+        top = symbol_count - k + step
+        pick = (_draw(skey, S_CHOICE, step, trial) * (top + 1)) >> 64
+        chosen.append(top if pick in chosen else pick)
+    return sorted(chosen)
 
 
 def _apply_mask_batch(view: BatchSymbolView, masks: "np.ndarray") -> None:
@@ -152,9 +153,7 @@ def mbu_word(skey: int, view: WordSymbolView, k_symbols: int) -> None:
 
 def mbu_batch(skey: int, view: BatchSymbolView, k_symbols: int) -> None:
     trials = view.trials
-    chosen = np.sort(
-        choose_symbols(skey, trials, len(view.widths), k_symbols), axis=1
-    )
+    chosen = choose_symbols(skey, trials, len(view.widths), k_symbols)
     for slot in range(k_symbols):
         r_len = _draws(skey, S_LEN, slot, trials)
         r_start = _draws(skey, S_START, slot, trials)
@@ -207,8 +206,7 @@ def stuck_batch(skey: int, view: BatchSymbolView, k_symbols: int) -> None:
     trials = view.trials
     symbol_count = len(view.widths)
     replace_symbols(
-        skey, view,
-        np.sort(choose_symbols(skey, trials, symbol_count, k_symbols), axis=1),
+        skey, view, choose_symbols(skey, trials, symbol_count, k_symbols)
     )
     for fault in range(STUCK_FAULTS):
         fault_symbols = _draws(skey, S_FSYM, fault, trials) % np.uint64(

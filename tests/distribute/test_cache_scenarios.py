@@ -30,41 +30,48 @@ def tally(**counts) -> MsedTally:
 
 #: Literal fingerprints of Table-IV simulators' task specs — the keys
 #: of their result-cache cells and checkpoint journal records.  A
-#: refactor of the simulators must leave every one of them unmoved.
+#: refactor of the simulators must leave every one of them unmoved; a
+#: new trial stream moves the version prefix of all of them.
 MC = "repro.reliability.monte_carlo"
 TABLE_IV_FINGERPRINTS = [
     (
         "muse", 4, "msed", {},
+        "stream-v2 "
         f"MuseSimSpec(code=CodeRef(target='{MC}:muse_design_point', "
         "args=(4,)), k_symbols=2, ripple_check=True, backend='any', "
         "scenario='msed')",
     ),
     (
         "muse", 4, "mbu", {},
+        "stream-v2 "
         f"MuseSimSpec(code=CodeRef(target='{MC}:muse_design_point', "
         "args=(4,)), k_symbols=2, ripple_check=True, backend='any', "
         "scenario='mbu')",
     ),
     (
         "rs", 6, "msed", {},
+        "stream-v2 "
         f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
         "args=(6,)), k_symbols=2, device_bits=4, backend='any', "
         "scenario='msed')",
     ),
     (
         "rs", 6, "mbu", {},
+        "stream-v2 "
         f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
         "args=(6,)), k_symbols=2, device_bits=4, backend='any', "
         "scenario='mbu')",
     ),
     (
         "rs", 6, "msed", {"device_bits": None},
+        "stream-v2 "
         f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
         "args=(6,)), k_symbols=2, device_bits=None, backend='any', "
         "scenario='msed')",
     ),
     (
         "rs", 6, "mbu", {"device_bits": None},
+        "stream-v2 "
         f"RsSimSpec(code=CodeRef(target='{MC}:rs_design_point', "
         "args=(6,)), k_symbols=2, device_bits=None, backend='any', "
         "scenario='mbu')",

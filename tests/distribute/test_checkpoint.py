@@ -1,10 +1,12 @@
 """Checkpoint journal: durable appends, salvage, resume gating,
 fingerprints."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.distribute import cache
 from repro.distribute.checkpoint import (
     CORRUPT_SUFFIX,
     JOURNAL_NAME,
@@ -13,6 +15,7 @@ from repro.distribute.checkpoint import (
     _decode_line,
     spec_fingerprint,
 )
+from repro.orchestrate.corruption import STREAM_VERSION
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.worker import CodeRef, MuseSimSpec
 from repro.reliability.metrics import MsedTally
@@ -110,6 +113,46 @@ class TestSpecFingerprint:
         assert spec_fingerprint(
             MuseSimSpec(code=ref, ripple_check=True)
         ) != spec_fingerprint(MuseSimSpec(code=ref, ripple_check=False))
+
+
+def v1_fingerprint(spec) -> str:
+    """The fingerprint of a spec under stream version 1, which named no
+    stream: the spec's repr with the backend masked."""
+    return repr(dataclasses.replace(spec, backend="any"))
+
+
+class TestStreamVersion:
+    """Tallies drawn under the version-1 stream (the k smallest of one
+    score per symbol) must never fold into a run of version 2 (Floyd's
+    sampler): the fingerprint names the stream."""
+
+    SPEC = MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69"))
+
+    def test_fingerprint_names_the_stream(self):
+        assert STREAM_VERSION == 2
+        assert spec_fingerprint(self.SPEC) == (
+            f"stream-v2 {v1_fingerprint(self.SPEC)}"
+        )
+
+    def test_v1_cache_cell_misses(self, tmp_path, monkeypatch):
+        chunk = Chunk(0, 64)
+        with monkeypatch.context() as v1:
+            v1.setattr(cache, "spec_fingerprint", v1_fingerprint)
+            writer = cache.ResultCache(tmp_path)
+            writer.record(KEY, self.SPEC, chunk, tally(silent=64))
+            writer.flush()
+            assert cache.ResultCache(tmp_path).lookup(
+                KEY, self.SPEC, chunk
+            ) == tally(silent=64)
+        assert cache.ResultCache(tmp_path).lookup(KEY, self.SPEC, chunk) is None
+
+    def test_v1_journal_is_refused(self, tmp_path):
+        CheckpointJournal.open(tmp_path, KEY).record(
+            0, Chunk(0, 64), tally(silent=64), v1_fingerprint(self.SPEC)
+        )
+        journal = CheckpointJournal.open(tmp_path, KEY, resume=True)
+        with pytest.raises(ValueError, match="different simulator"):
+            journal.lookup(0, Chunk(0, 64), spec_fingerprint(self.SPEC))
 
 
 class TestDurability:

@@ -81,24 +81,25 @@ def point_id(point) -> str:
 
 
 def engines(family, factory, flag):
-    """``(code, native, numpy, generate)`` of one design point; ``flag``
-    is the ripple check (MUSE) or the x4 device policy (RS)."""
+    """``(code, symbols, native, numpy, generate)`` of one design point;
+    ``flag`` is the ripple check (MUSE) or the x4 device policy (RS)."""
     if family == "MUSE":
         code = factory()
         native = get_engine(code, "native", ripple_check=flag)
         numpy = get_engine(code, "numpy", ripple_check=flag)
-        return code, native, numpy, muse_scenario_chunk
+        symbols = code.layout.symbol_count
+        return code, symbols, native, numpy, muse_scenario_chunk
     code = factory()
     device_bits = 4 if flag else None
     native = get_rs_engine(code, "native", device_bits)
     numpy = get_rs_engine(code, "numpy", device_bits)
-    return code, native, numpy, rs_scenario_chunk
+    return code, code.n_symbols, native, numpy, rs_scenario_chunk
 
 
-#: The choice scan scores up to 8 trials at once, one per vector lane,
-#: and drops the lanes past a chunk's end: chunks that end inside, on
-#: and just past a lane block, at starts off the global 8-trial grid,
-#: for both streams at both k.
+#: The kernels draw up to 8 trials at once, one per vector lane, and
+#: drop the lanes past a chunk's end: chunks that end inside, on and
+#: just past a lane block, at starts off the global 8-trial grid, for
+#: both streams at the smallest, the Table-IV and the largest fused k.
 LANE_EDGES = [
     {
         "scenario": scenario,
@@ -109,7 +110,7 @@ LANE_EDGES = [
         "flag": index % 2 == 0,
     }
     for scenario in ("msed", "mbu")
-    for k_symbols in (1, 2)
+    for k_symbols in (1, 2, 5)
     for index, size in enumerate((1, 3, 4, 5, 7, 8, 9, 16, 17))
 ]
 
@@ -126,7 +127,7 @@ def lane_edge_examples(test):
 @lane_edge_examples
 @given(
     scenario=st.sampled_from(("msed", "mbu")),
-    k_symbols=st.integers(1, 2),
+    k_symbols=st.integers(1, 5),
     start=st.integers(0, 2**40),
     size=st.integers(1, 2048),
     seed=st.integers(0, 2**64 - 1),
@@ -135,7 +136,9 @@ def lane_edge_examples(test):
 def test_fused_counts_equal_generate_then_decode(
     point, scenario, k_symbols, start, size, seed, flag
 ):
-    code, native, numpy, generate = engines(*point, flag)
+    code, symbols, native, numpy, generate = engines(*point, flag)
+    # The 4-symbol codes cap k at 4.
+    k_symbols = min(k_symbols, symbols)
     stream = resolve_scenario(scenario)
     chunk = Chunk(start, size)
     key = derive_key(seed)

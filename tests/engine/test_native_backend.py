@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.codec import MuseCode
-from repro.core.codes import muse_80_67, muse_80_69, muse_80_70, muse_144_132
+from repro.core.codes import (
+    muse_80_67,
+    muse_80_69,
+    muse_80_70,
+    muse_144_132,
+    toy_16_7,
+)
 from repro.engine import (
     BACKENDS,
     DISABLE_ENV,
@@ -259,9 +265,9 @@ class TestNativeDecodeParity:
         """The parity stream is only a real pin if all 4 statuses occur,
         including the ripple path and its in-kernel ctz/confinement."""
         # The weakened eq-6 hybrid code miscorrects often enough that a
-        # short 2-symbol stream also lands silent-clean aliases.
+        # short 3-symbol stream also lands a silent-clean alias.
         code = muse_80_70()
-        words = muse_corruption_chunk(code, Chunk(0, 600), derive_key(2022), 2)
+        words = muse_corruption_chunk(code, Chunk(0, 600), derive_key(2022), 3)
         statuses = set(get_engine(code, "native").decode_batch(words).statuses)
         assert statuses == {0, 1, 2, 3}
 
@@ -283,7 +289,7 @@ class TestNativeFusedChunk:
     """``fused_scenario_counts`` against numpy generate-then-decode of
     ``muse_scenario_chunk``, per replayable scenario."""
 
-    @pytest.mark.parametrize("k_symbols", [1, 2])
+    @pytest.mark.parametrize("k_symbols", [1, 2, 3, 5])
     @pytest.mark.parametrize("factory", FUSED_CODES, ids=FUSED_IDS)
     @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
     def test_counts_match_generate_then_decode(
@@ -330,16 +336,22 @@ class TestNativeFusedChunk:
         ) == engine.fused_scenario_counts("msed", chunk, key, k_symbols)
 
     def test_declines_what_it_cannot_replay(self):
-        """k outside 1..2 and the unfused scenarios are not exactly
-        replayable -> the caller must fall back."""
+        """k outside 1..5 (or past the symbol count) and the unfused
+        scenarios are not replayable -> the caller must fall back."""
         engine = get_engine(muse_80_69(), "native")
         chunk, key = Chunk(0, 10), derive_key(1)
-        assert engine.fused_chunk_counts(chunk, key, 3) is None
-        assert engine.fused_chunk_counts(chunk, key, 0) is None
-        assert engine.fused_scenario_counts("mbu", chunk, key, 3) is None
-        assert engine.fused_scenario_counts("mbu", chunk, key, 0) is None
+        for scenario in FUSED_SCENARIOS:
+            for k_symbols in (0, 6):
+                assert (
+                    engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+                    is None
+                ), (scenario, k_symbols)
+        assert engine.fused_chunk_counts(chunk, key, 6) is None
+        toy = get_engine(toy_16_7(), "native")
+        assert toy.fused_chunk_counts(chunk, key, 4) is not None
+        assert toy.fused_chunk_counts(chunk, key, 5) is None
         for name in ("stuck", "rowfail", "scrub", "wear"):
-            for k_symbols in (1, 2):
+            for k_symbols in (1, 2, 5):
                 assert (
                     engine.fused_scenario_counts(name, chunk, key, k_symbols)
                     is None

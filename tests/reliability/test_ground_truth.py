@@ -9,23 +9,24 @@ where the outcome space is small enough:
   never-the-original replacement: 172,800 cases at k = 2, decoded by
   the scalar codec, and 1,728,000 at k = 3, built vectorised and
   decoded by the numpy engine.  Every case is equally likely.
-* RS(144,134), the +6b design point, at k = 2 under either device
-  policy.  The decode reads only the error pattern, and an msed
-  replacement's XOR with the original is uniform over the nonzero
-  values of the symbol's width, whatever the original was.  So every
-  pattern is placed on the zero codeword and weighted by its sampling
-  probability, ``1 / (C(n, 2) (2^w_p - 1) (2^w_q - 1))``.
+* the four RS Table-IV points at k = 2 with the x4 device policy on,
+  and +6b also with it off.  The decode reads only the error pattern,
+  and an msed replacement's XOR with the original is uniform over the
+  nonzero values of the symbol's width, whatever the original was.  So
+  every pattern is placed on the zero codeword and weighted by its
+  sampling probability, ``1 / (C(n, 2) (2^w_p - 1) (2^w_q - 1))``.
 
 Each outcome class of a fixed-seed Monte-Carlo run must lie within
 |z| < 4 of its exact rate, on the ``auto`` backend (the fused kernels
-where they run) and, for the toy, on ``scalar``; a class whose exact
-rate is 0 must see no event at all.
+where they run) and on ``numpy`` (the toy on ``scalar``); a class whose
+exact rate is 0 must see no event at all.
 
 The weights those enumerations assume are checked on the generated
 stream itself: the toy's clean words, corrupted symbol sets and
-replacements, and RS's symbol pairs and error values, are each uniform
-over what the enumeration ranges over (a chi-square statistic within
-4 standard deviations), and no replacement equals its original.
+replacements, MUSE(144,132)'s and RS's symbol pairs, and RS's error
+values, are each uniform over what the enumeration ranges over (a
+chi-square statistic within 4 standard deviations), and no replacement
+equals its original.
 
 Last, silent is exactly 0 at k = 2 on all ten Table-IV points, shown
 from the codes' structure rather than sampled: a MUSE two-symbol error
@@ -142,11 +143,14 @@ def toy_exact_k3():
     return [int(count) for count in counts]
 
 
-def rs_exact_k2(code, device_bits):
-    """Exact k = 2 outcome rates of an RS code: every two-symbol error
-    pattern on the zero codeword, decoded by the numpy engine and
-    weighted by its sampling probability."""
-    engine = get_rs_engine(code, "numpy", device_bits=device_bits)
+@cache
+def rs_exact_k2(extra_bits, device_bits):
+    """Exact k = 2 outcome rates of an RS Table-IV point: every
+    two-symbol error pattern on the zero codeword, decoded by the
+    ``auto`` engine (native's batch decode where it runs) and weighted
+    by its sampling probability."""
+    code = rs_design_point(extra_bits)
+    engine = get_rs_engine(code, "auto", device_bits=device_bits)
     widths = code.symbol_widths
     rates = [Fraction(0)] * 4
     patterns = 0
@@ -197,21 +201,36 @@ class TestToyExact:
         assert_matches_exact(result, exact)
 
 
+#: ``(extra_bits, device_bits, patterns, percent)``: each RS point's
+#: enumerated pattern count and exact outcome rates in :data:`CLASSES`
+#: order.
+RS_EXACT = [
+    (0, 4, 9_948_825, [0.0, 0.738, 93.725, 5.536]),
+    (2, 4, 3_102_610, [0.0, 2.333, 85.668, 11.999]),
+    (4, 4, 1_095_444, [0.0, 9.977, 65.079, 24.943]),
+    (6, 4, 376_278, [0.0, 35.850, 14.453, 49.697]),
+    (6, None, 376_278, [0.0, 85.547, 14.453, 0.0]),
+]
+
+
 class TestRsExact:
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
     @pytest.mark.parametrize(
-        "device_bits, percent",
-        [(4, [0.0, 35.850, 14.453, 49.697]), (None, [0.0, 85.547, 14.453, 0.0])],
-        ids=["policy-on", "policy-off"],
+        "extra_bits, device_bits, patterns, percent",
+        RS_EXACT,
+        ids=["+0b", "+2b", "+4b", "+6b", "+6b-policy-off"],
     )
-    def test_monte_carlo_matches_exact(self, device_bits, percent):
-        code = rs_design_point(6)
-        patterns, exact = rs_exact_k2(code, device_bits)
-        assert patterns == 376_278
+    def test_monte_carlo_matches_exact(
+        self, extra_bits, device_bits, patterns, percent, backend
+    ):
+        enumerated, exact = rs_exact_k2(extra_bits, device_bits)
+        assert enumerated == patterns
         assert sum(exact) == 1
         assert [round(100 * float(rate), 3) for rate in exact] == percent
-        result = RsMsedSimulator(code, device_bits=device_bits).run(
-            trials=200_000, seed=SEED
-        )
+        result = RsMsedSimulator(
+            rs_design_point(extra_bits), device_bits=device_bits,
+            backend=backend,
+        ).run(trials=200_000, seed=SEED)
         assert_matches_exact(result, exact)
 
 
@@ -220,10 +239,12 @@ PREMISE_TRIALS = 60_000
 
 
 @cache
-def toy_stream(k_symbols):
-    """The toy's clean words, then its clean and corrupted msed words
-    at ``k_symbols`` as ``(trials, 4)`` symbol grids."""
-    code = toy_16_7()
+def muse_stream(point, k_symbols):
+    """The clean words of ``point`` (``"toy"`` for TOY(16,7), else a
+    MUSE Table-IV point's extra bits), then its clean and corrupted
+    msed words at ``k_symbols`` as ``(trials, symbols)`` symbol
+    grids."""
+    code = toy_16_7() if point == "toy" else muse_design_point(point)
     chunk, key = Chunk(0, PREMISE_TRIALS), derive_key(SEED)
     clean = muse_clean_chunk(code, chunk, key)
     corrupted = muse_corruption_chunk(code, chunk, key, k_symbols)
@@ -256,7 +277,7 @@ class TestSamplingPremises:
 
     def test_toy_clean_words_are_uniform_over_the_codewords(self):
         code = toy_16_7()
-        clean, _, _ = toy_stream(2)
+        clean, _, _ = muse_stream("toy", 2)
         values, counts = np.unique(clean[:, 0], return_counts=True)
         assert set(values.tolist()) == {
             code.encode(data) for data in range(1 << code.k)
@@ -265,17 +286,19 @@ class TestSamplingPremises:
         assert chi_square_z(counts, expected, values.size - 1) < 4
 
     @pytest.mark.parametrize(
-        "family, k_symbols", [("toy", 2), ("toy", 3), ("rs", 2)],
-        ids=["toy-k2", "toy-k3", "rs-k2"],
+        "point, k_symbols", [("toy", 2), ("toy", 3), (0, 2), ("rs", 2)],
+        ids=["toy-k2", "toy-k3", "muse+0b-k2", "rs-k2"],
     )
-    def test_corrupted_symbol_sets_are_uniform(self, family, k_symbols):
+    def test_corrupted_symbol_sets_are_uniform(self, point, k_symbols):
         """Exactly ``k`` symbols differ from the clean word in every
         trial (a replacement never equals its original), and each of
-        the C(symbols, k) sets is drawn equally often."""
-        if family == "toy":
-            _, clean, corrupted = toy_stream(k_symbols)
-        else:
+        the C(symbols, k) sets is drawn equally often: 4 or 6 sets on
+        the toy, 630 pairs of MUSE(144,132)'s 36 symbols, 406 of RS
+        +6b's 29."""
+        if point == "rs":
             _, clean, corrupted = rs_stream()
+        else:
+            _, clean, corrupted = muse_stream(point, k_symbols)
         differs = clean != corrupted
         assert (differs.sum(axis=1) == k_symbols).all()
         symbols = differs.shape[1]
@@ -290,7 +313,7 @@ class TestSamplingPremises:
         """Given its original, a corrupted toy symbol takes each of the
         15 other values equally often: step ``j`` (replacement =
         original + j + 1 mod 16) is uniform over 0..14."""
-        _, clean, corrupted = toy_stream(2)
+        _, clean, corrupted = muse_stream("toy", 2)
         rows, columns = np.nonzero(clean != corrupted)
         original = clean[rows, columns].astype(np.int64)
         step = (corrupted[rows, columns].astype(np.int64) - original - 1) % 16

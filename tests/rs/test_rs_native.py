@@ -59,7 +59,7 @@ class TestNativeRsFusedChunk:
     ``rs_scenario_chunk``, per replayable scenario."""
 
     @pytest.mark.parametrize("b", TABLE_IV_B)
-    @pytest.mark.parametrize("k_symbols", [1, 2])
+    @pytest.mark.parametrize("k_symbols", [1, 2, 3, 5])
     @pytest.mark.parametrize("scenario", FUSED_SCENARIOS)
     def test_counts_match_generate_then_decode(self, scenario, b, k_symbols):
         code = make_code(b)
@@ -83,14 +83,23 @@ class TestNativeRsFusedChunk:
         ) == engine.fused_scenario_counts("msed", chunk, key, k_symbols)
 
     def test_declines_what_it_cannot_replay(self):
+        """k outside 1..5 (or past the symbol count) and the unfused
+        scenarios are not replayable -> the caller must fall back."""
         engine = get_rs_engine(make_code(8), "native")
         chunk, key = Chunk(0, 10), derive_key(1)
-        assert engine.fused_chunk_counts(chunk, key, 3) is None
-        assert engine.fused_chunk_counts(chunk, key, 0) is None
-        assert engine.fused_scenario_counts("mbu", chunk, key, 3) is None
-        assert engine.fused_scenario_counts("mbu", chunk, key, 0) is None
+        for scenario in FUSED_SCENARIOS:
+            for k_symbols in (0, 6):
+                assert (
+                    engine.fused_scenario_counts(scenario, chunk, key, k_symbols)
+                    is None
+                ), (scenario, k_symbols)
+        assert engine.fused_chunk_counts(chunk, key, 6) is None
+        small = get_rs_engine(rs_for_channel(3, 12), "native")
+        assert small.code.n_symbols == 4
+        assert small.fused_chunk_counts(chunk, key, 4) is not None
+        assert small.fused_chunk_counts(chunk, key, 5) is None
         for name in ("stuck", "rowfail", "scrub", "wear"):
-            for k_symbols in (1, 2):
+            for k_symbols in (1, 2, 5):
                 assert (
                     engine.fused_scenario_counts(name, chunk, key, k_symbols)
                     is None
