@@ -80,9 +80,12 @@ class ErasureDecoder:
         """Smallest multiplier able to erase this window: 2^(w+1) - 1."""
         return 2 * window.max_magnitude
 
-    def decode(
-        self, codeword: int, erased_symbols: tuple[int, ...]
-    ) -> DecodeResult:
+    def _prepare(
+        self, erased_symbols: tuple[int, ...]
+    ) -> tuple[ErasureWindow, int]:
+        """The window of ``erased_symbols``, checked against the
+        multiplier floor, and the inverse of ``2^offset`` mod ``m``:
+        what every word erasing those symbols shares."""
         code = self.code
         window = window_for_symbols(code, erased_symbols)
         if code.m <= self.required_multiplier_floor(window):
@@ -90,6 +93,17 @@ class ErasureDecoder:
                 f"multiplier {code.m} too small to erase a "
                 f"{window.width}-bit window"
             )
+        return window, pow(1 << window.offset, -1, code.m)
+
+    def decode(
+        self, codeword: int, erased_symbols: tuple[int, ...]
+    ) -> DecodeResult:
+        return self._decode(codeword, *self._prepare(erased_symbols))
+
+    def _decode(
+        self, codeword: int, window: ErasureWindow, inverse_shift: int
+    ) -> DecodeResult:
+        code = self.code
         remainder = codeword % code.m
         if remainder == 0:
             return DecodeResult(
@@ -98,7 +112,6 @@ class ErasureDecoder:
                 codeword=codeword,
             )
         # Solve d * 2^offset == remainder (mod m) for the centered d.
-        inverse_shift = pow(1 << window.offset, -1, code.m)
         d = (remainder * inverse_shift) % code.m
         if d > code.m - d:
             d -= code.m  # pick the negative representative
@@ -135,8 +148,8 @@ class ErasureDecoder:
         codewords: Sequence[int],
         erased_symbols: Sequence[tuple[int, ...]] | tuple[int, ...],
     ) -> list[DecodeResult]:
-        """Known-location decode of a batch, word by word through
-        :meth:`decode`.
+        """Known-location decode of a batch, word by word, as
+        :meth:`decode` would.
 
         ``erased_symbols`` is either one symbol tuple applied to every
         word or one tuple per word; results come back in input order.
@@ -151,7 +164,12 @@ class ErasureDecoder:
                     f"got {len(words)} codewords but {len(per_word)} "
                     "erasure tuples"
                 )
+        # A batch names few windows: build each once.
+        prepared = {
+            symbols: self._prepare(symbols)
+            for symbols in dict.fromkeys(per_word)
+        }
         return [
-            self.decode(word, symbols)
+            self._decode(word, *prepared[symbols])
             for word, symbols in zip(words, per_word)
         ]

@@ -29,9 +29,15 @@ encodes the block's clean codewords in lanes (``encode_block``).  Both
 kernels then decode the error pattern: a clean word's remainder and
 syndromes are zero and both are linear, so the chosen symbols' changes
 alone give the received word's.  MUSE classifies a trial from that
-remainder and builds the received word only for an ELC hit under the
-ripple check; RS never builds it, and shares its PGZ verdict
-(``rs_verdict``) with the RS batch decode.
+remainder, and settles an ELC hit under the ripple check on the
+entry's claimed symbol alone (``0 <= x - d < 2^w`` on its received
+value, see :class:`~repro.engine.tables.MuseTables`); only a claimed
+symbol that is not one run of bits builds the received word for the
+full check.  RS never builds it: a chosen check symbol's clean value is
+an XOR of check-term rows, and the PGZ verdict (``rs_verdict``) is the
+RS batch decode's.  The fused draws divide by no runtime divisor but
+mbu's small burst ones: ``% m`` and msed's ``% (2^w - 1)`` are
+multiply-high reductions (``reduce``).
 
 Availability is probed by actually compiling (cached across processes
 by that key), so ``available_backends()`` never advertises a backend
@@ -77,6 +83,40 @@ _SOURCE = r"""
 #endif
 
 typedef uint64_t lanes_t __attribute__((vector_size(8 * LANES)));
+
+/* x mod d without a divide, given magic = UINT64_MAX / d (d >= 1): the
+ * quotient estimate floor(x magic / 2^64) is exact or one short, so
+ * one conditional subtract finishes the remainder. */
+static inline uint64_t reduce(uint64_t x, uint64_t d, uint64_t magic) {
+    uint64_t q = (uint64_t)(((unsigned __int128)x * magic) >> 64);
+    uint64_t r = x - q * d;
+    return r >= d ? r - d : r;
+}
+
+/* reduce() in every lane.  Vector ISAs multiply 32 x 32 -> 64 bits at
+ * most, so the high half of each 64 x 64-bit product is assembled from
+ * four such products. */
+static inline lanes_t reduce_lanes(lanes_t x, uint64_t d, uint64_t magic) {
+    const lanes_t zero = {0};
+    uint64_t low = magic & 0xFFFFFFFFULL, high = magic >> 32;
+    lanes_t xl = x & 0xFFFFFFFFULL, xh = x >> 32;
+    lanes_t mid = xh * low + ((xl * low) >> 32);
+    lanes_t q = xh * high + (mid >> 32)
+                + ((xl * high + (mid & 0xFFFFFFFFULL)) >> 32);
+    lanes_t r = x - q * d;
+    return r - ((zero + d) & (lanes_t)(r >= zero + d));
+}
+
+/* reduce()'s magic for msed's replacement divisor 2^w - 1 at each
+ * width w = 1..63, fixed at compile time (entry 0 is unused).  mbu's
+ * burst divisors (at most 7 for the Table-IV widths) keep the hardware
+ * divide, which measured no slower there. */
+#define WIDTH1(w) UINT64_MAX / ((1ULL << (w)) - 1ULL)
+#define WIDTH4(w) WIDTH1(w), WIDTH1(w + 1), WIDTH1(w + 2), WIDTH1(w + 3)
+#define WIDTH16(w) WIDTH4(w), WIDTH4(w + 4), WIDTH4(w + 8), WIDTH4(w + 12)
+static const uint64_t WIDTH_MAGIC[64] = {
+    0, WIDTH1(1), WIDTH1(2), WIDTH1(3), WIDTH4(4), WIDTH4(8), WIDTH4(12),
+    WIDTH16(16), WIDTH16(32), WIDTH16(48)};
 
 static inline uint64_t mix64(uint64_t x) {
     x ^= x >> 30;
@@ -161,7 +201,8 @@ static inline void draw_slots(int32_t mode, int64_t k_symbols,
 static inline uint64_t rewrite_symbol(int32_t mode, uint64_t original,
         int64_t width, uint64_t value_draw, uint64_t start_draw) {
     if (mode == MODE_MSED) {
-        uint64_t draw = value_draw % ((1ULL << width) - 1ULL);
+        uint64_t draw = reduce(value_draw, (1ULL << width) - 1ULL,
+                               WIDTH_MAGIC[width]);
         return draw + (draw >= original);
     }
     uint64_t mask = 1;
@@ -187,61 +228,71 @@ static inline uint64_t residue_row(const uint64_t *word, int64_t limbs,
     return acc % m;
 }
 
-/* Figure-4 decode of one codeword of remainder `rem`; returns the
- * status code and writes the delivered word into fixed[] (== word[]
- * unless accepted). */
-static int muse_decode_row(const uint64_t *word, uint64_t *fixed,
-        int64_t limbs, uint64_t rem, const uint8_t *hit,
-        const uint64_t *addend, const uint64_t *low_mask,
-        const uint64_t *above_mask, const int64_t *bit_symbol,
-        const uint64_t *outside, int ripple) {
-    for (int64_t j = 0; j < limbs; j++) fixed[j] = word[j];
-    if (rem == 0) return 0;
-    if (!hit[rem]) return 2;
-    const uint64_t *row = addend + (int64_t)rem * limbs;
+/* fixed[] = word[] + row[] over `limbs` limbs, wrapping mod 2^W: an
+ * ELC correction, row being the entry's (-e) mod 2^W. */
+static inline void add_row(const uint64_t *word, const uint64_t *row,
+                           uint64_t *fixed, int64_t limbs) {
     uint64_t carry = 0;
     for (int64_t j = 0; j < limbs; j++) {
-        uint64_t a = word[j];
-        uint64_t partial = a + row[j];
+        uint64_t partial = word[j] + row[j];
         uint64_t total = partial + carry;
         fixed[j] = total;
-        carry = (partial < a) || (total < carry);
+        carry = (partial < word[j]) || (total < carry);
     }
+}
+
+/* The ripple check of a correction word[] -> fixed[] claimed by the
+ * symbol whose mask complement is outside_row: 1 (corrected) when it
+ * stays below bit n and inside that symbol, else 3 (vetoed).  The
+ * claimed symbol owns the correction's lowest changed bit, so inside it
+ * is inside one symbol. */
+static inline int ripple_verdict(const uint64_t *word,
+        const uint64_t *fixed, int64_t limbs, const uint64_t *above_mask,
+        const uint64_t *outside_row) {
+    uint64_t stray = 0;
+    for (int64_t j = 0; j < limbs; j++)
+        stray |= (fixed[j] & above_mask[j])
+                 | ((fixed[j] ^ word[j]) & outside_row[j]);
+    return stray ? 3 : 1;
+}
+
+/* Figure-4 decode of one codeword of remainder `rem`; returns the
+ * status code and writes the delivered word into fixed[] (== word[]
+ * unless accepted).  entry[rem] is 0 for an ELC miss, else the row of
+ * the remainder's addend and claimed symbol. */
+static int muse_decode_row(const uint64_t *word, uint64_t *fixed,
+        int64_t limbs, uint64_t rem, const uint32_t *entry,
+        const uint64_t *addend, const int64_t *claim_symbol,
+        const uint64_t *low_mask, const uint64_t *above_mask,
+        const uint64_t *outside, int ripple) {
+    uint32_t hit = entry[rem];
+    if (rem == 0 || !hit) {
+        for (int64_t j = 0; j < limbs; j++) fixed[j] = word[j];
+        return rem == 0 ? 0 : 2;
+    }
+    add_row(word, addend + (int64_t)hit * limbs, fixed, limbs);
     if (!ripple) {
         for (int64_t j = 0; j < limbs; j++) fixed[j] &= low_mask[j];
         return 1;
     }
-    int out_of_range = 0;
-    for (int64_t j = 0; j < limbs; j++)
-        if (fixed[j] & above_mask[j]) out_of_range = 1;
-    int64_t lowest = 0;
-    for (int64_t j = 0; j < limbs; j++) {
-        uint64_t changed = fixed[j] ^ word[j];
-        if (changed) {
-            lowest = 64 * j + __builtin_ctzll(changed);
-            break;
-        }
-    }
-    const uint64_t *outside_row = outside + bit_symbol[lowest] * limbs;
-    int confined = 1;
-    for (int64_t j = 0; j < limbs; j++)
-        if ((fixed[j] ^ word[j]) & outside_row[j]) confined = 0;
-    if (confined && !out_of_range) return 1;
+    if (ripple_verdict(word, fixed, limbs, above_mask,
+                       outside + claim_symbol[hit] * limbs) == 1)
+        return 1;
     for (int64_t j = 0; j < limbs; j++) fixed[j] = word[j];
     return 3;
 }
 
 void muse_decode_batch(const uint64_t *words, int64_t batch, int64_t limbs,
         uint64_t *corrected, uint8_t *statuses, uint64_t *rems,
-        uint64_t m, const uint64_t *pow2, const uint8_t *hit,
-        const uint64_t *addend, const uint64_t *low_mask,
-        const uint64_t *above_mask, const int64_t *bit_symbol,
+        uint64_t m, const uint64_t *pow2, const uint32_t *entry,
+        const uint64_t *addend, const int64_t *claim_symbol,
+        const uint64_t *low_mask, const uint64_t *above_mask,
         const uint64_t *outside, int32_t ripple) {
     for (int64_t i = 0; i < batch; i++) {
         const uint64_t *word = words + i * limbs;
         rems[i] = residue_row(word, limbs, pow2, m);
         statuses[i] = muse_decode_row(word, corrected + i * limbs, limbs,
-            rems[i], hit, addend, low_mask, above_mask, bit_symbol,
+            rems[i], entry, addend, claim_symbol, low_mask, above_mask,
             outside, ripple);
     }
 }
@@ -251,7 +302,7 @@ void muse_decode_batch(const uint64_t *words, int64_t batch, int64_t limbs,
  * r bits, plus the check (m - word % m) % m.  The low r bits are clear
  * and the check is below m < 2^r, so an OR adds it without a carry. */
 static inline void encode_block(lanes_t counters, int64_t limbs,
-        int64_t r_shift, uint64_t m, const uint64_t *pow2,
+        int64_t r_shift, uint64_t m, uint64_t m_magic, const uint64_t *pow2,
         const uint64_t *k_mask, const uint64_t *data_keys,
         lanes_t clean[8]) {
     const lanes_t zero = {0};
@@ -264,7 +315,7 @@ static inline void encode_block(lanes_t counters, int64_t limbs,
         acc += (word >> 32) * pow2[64 * j + 32];
         clean[j] = word;
     }
-    lanes_t rem = acc % m;
+    lanes_t rem = reduce_lanes(acc, m, m_magic);
     clean[0] |= (m - rem) & (lanes_t)(rem != zero);
 }
 
@@ -322,21 +373,27 @@ static inline uint64_t change_residue(uint64_t original, uint64_t received,
  * (choose_block) and encodes its clean words at once (encode_block).  A
  * clean word's remainder is zero and the remainder is linear, so a
  * trial's received remainder is that of its error pattern alone: the
- * chosen symbols' changes.  Zero is clean, a miss in the ELC no-match,
- * and a hit corrected -- unless the ripple check is on, when the
- * received word is built and decoded in full. */
+ * chosen symbols' changes.  Zero is clean, an ELC miss no-match, and a
+ * hit corrected -- unless the ripple check is on.  Then the hit's
+ * claimed symbol settles it (see repro/engine/tables.py): for a symbol
+ * that is one run of bits [f, f + w), with e = d 2^f, the correction is
+ * accepted iff 0 <= x - d < 2^w on the symbol's received value x (the
+ * slot's new value if the trial corrupted it, else the clean block's);
+ * any other claimed symbol gets the full check on the rebuilt received
+ * word. */
 void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         int64_t limbs, int64_t r_shift, uint64_t m,
         const uint64_t *pow2, const uint64_t *k_mask,
-        const uint8_t *hit, const uint64_t *addend,
-        const uint64_t *low_mask, const uint64_t *above_mask,
-        const int64_t *bit_symbol, const uint64_t *outside,
+        const uint32_t *entry, const uint64_t *addend,
+        const int64_t *claim_symbol, const int64_t *claim_delta,
+        const uint64_t *above_mask, const uint64_t *outside,
         const int64_t *sym_bits, const int64_t *sym_widths,
         const int64_t *sym_first, int64_t max_width,
         int64_t symbol_count, int32_t mode,
         const uint64_t *data_keys, const uint64_t *choice_keys,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int32_t ripple, int64_t *counts) {
+    const uint64_t m_magic = UINT64_MAX / m;
     lanes_t clean[8], chosen[MAX_SLOTS], values[MAX_SLOTS],
         starts[MAX_SLOTS];
     for (int64_t i = 0; i < size; i++) {
@@ -348,8 +405,8 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
                          chosen);
             draw_slots(mode, k_symbols, value_keys, start_keys, counters,
                        values, starts);
-            encode_block(counters, limbs, r_shift, m, pow2, k_mask,
-                         data_keys, clean);
+            encode_block(counters, limbs, r_shift, m, m_magic, pow2,
+                         k_mask, data_keys, clean);
         }
         uint64_t received[MAX_SLOTS], acc = 0;
         for (int64_t slot = 0; slot < k_symbols; slot++) {
@@ -363,19 +420,35 @@ void muse_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             acc += change_residue(original, received[slot], m, pow2, first,
                                   bits, width);
         }
-        uint64_t rem = acc % m;
-        int status = rem == 0 ? 0 : hit[rem] ? 1 : 2;
-        if (status == 1 && ripple) {
-            uint64_t word[8], fixed[8];
-            for (int64_t j = 0; j < limbs; j++) word[j] = clean[j][lane];
-            for (int64_t slot = 0; slot < k_symbols; slot++) {
-                int64_t symbol = (int64_t)chosen[slot][lane];
-                write_symbol(word, received[slot], sym_first[symbol],
-                             sym_bits + symbol * max_width,
-                             sym_widths[symbol]);
+        uint64_t rem = reduce(acc, m, m_magic);
+        uint32_t hit = entry[rem];
+        int status = rem == 0 ? 0 : hit ? 1 : 2;
+        if (hit && ripple) {
+            int64_t claim = claim_symbol[hit];
+            int64_t first = sym_first[claim];
+            if (first >= 0) {
+                int64_t width = sym_widths[claim];
+                uint64_t x = read_symbol(clean, lane, first,
+                    sym_bits + claim * max_width, width);
+                for (int64_t slot = 0; slot < k_symbols; slot++)
+                    if ((int64_t)chosen[slot][lane] == claim)
+                        x = received[slot];
+                /* unsigned: exact for any int64 delta, as x < 2^32 */
+                status = x - (uint64_t)claim_delta[hit] < (1ULL << width)
+                         ? 1 : 3;
+            } else {
+                uint64_t word[8], fixed[8];
+                for (int64_t j = 0; j < limbs; j++) word[j] = clean[j][lane];
+                for (int64_t slot = 0; slot < k_symbols; slot++) {
+                    int64_t symbol = (int64_t)chosen[slot][lane];
+                    write_symbol(word, received[slot], sym_first[symbol],
+                                 sym_bits + symbol * max_width,
+                                 sym_widths[symbol]);
+                }
+                add_row(word, addend + (int64_t)hit * limbs, fixed, limbs);
+                status = ripple_verdict(word, fixed, limbs, above_mask,
+                                        outside + claim * limbs);
             }
-            status = muse_decode_row(word, fixed, limbs, rem, hit, addend,
-                low_mask, above_mask, bit_symbol, outside, ripple);
         }
         counts[status] += 1;
     }
@@ -393,18 +466,6 @@ struct rs_tables {
     int has_policy;
     int64_t conf_stride;
 };
-
-static inline int64_t gf_mul(int64_t a, int64_t b,
-        const uint32_t *exp2, const int64_t *logt) {
-    if (a == 0 || b == 0) return 0;
-    return exp2[logt[a] + logt[b]];
-}
-
-static inline int64_t gf_div(int64_t a, int64_t b,
-        const uint32_t *exp2, const int64_t *logt, int64_t order) {
-    if (a == 0) return 0;
-    return exp2[logt[a] - logt[b] + order];
-}
 
 /* Add symbol `value` at `position` to the syndromes S1, S2. */
 static inline void rs_syndrome_term(const struct rs_tables *rs,
@@ -482,20 +543,43 @@ static inline int64_t rs_data_symbol(const uint64_t *data_keys,
                      & ((1ULL << widths[j]) - 1ULL));
 }
 
+/* The two check symbols of the clean word of trial `counter`, packed
+ * c1 | c2 << 16.  They are GF(2)-linear in the data, so they are the
+ * XOR over data symbols j, and over each value's slice_bits-wide
+ * slices s, of check_terms[v][s * data_symbols + j]: the checks of the
+ * data word holding only slice s, of value v, at symbol j (RsTables).
+ * Slices run outermost, so a field up to GF(2^8), one slice, runs one
+ * plain loop; a wider one hashes each data symbol once per slice. */
+static inline uint32_t rs_clean_checks(const uint32_t *check_terms,
+        int64_t slice_bits, int64_t slices, int64_t data_symbols,
+        const int64_t *widths, const uint64_t *data_keys, uint64_t counter) {
+    int64_t rows = data_symbols * slices;
+    uint64_t slice_mask = (1ULL << slice_bits) - 1ULL;
+    uint32_t checks = 0;
+    for (int64_t s = 0; s < slices; s++)
+        for (int64_t j = 0; j < data_symbols; j++) {
+            uint64_t value = (uint64_t)rs_data_symbol(data_keys, widths, j,
+                counter) >> (slice_bits * s);
+            checks ^= check_terms[(int64_t)(value & slice_mask) * rows
+                                  + s * data_symbols + j];
+        }
+    return checks;
+}
+
 /* Fused corruption draw -> decode -> tally; the compiled twin of
  * repro/orchestrate/corruption.py's msed and mbu RS streams for
  * k <= MAX_SLOTS.  A clean word's syndromes are zero and syndromes are
  * linear, so the received word's are those of the error pattern alone:
  * the kernel adds one term per chosen symbol and never builds the word.
  * Only msed's never-the-original replacement needs a chosen symbol's
- * clean value -- one DATA draw for a data symbol, the check-symbol
- * solve for a check symbol; mbu's burst needs none. */
+ * clean value -- one DATA draw for a data symbol, the check terms
+ * (rs_clean_checks) for a check symbol; mbu's burst needs none. */
 void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
         const uint32_t *exp2, const int64_t *logt, const int64_t *w2_log,
         int64_t order, int64_t n_symbols, int64_t data_symbols,
         const int64_t *widths, int64_t pad_mask, int64_t partial_position,
         const uint8_t *confined, int32_t has_policy, int64_t conf_stride,
-        int64_t aq, int64_t aq2, int64_t ap, int64_t ap2, int64_t det,
+        const uint32_t *check_terms, int64_t slice_bits, int64_t slices,
         int32_t mode, const uint64_t *data_keys, const uint64_t *choice_keys,
         const uint64_t *value_keys, const uint64_t *start_keys,
         int64_t *counts) {
@@ -522,16 +606,10 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             if (mode == MODE_MSED && symbol < data_symbols) {
                 original = rs_data_symbol(data_keys, widths, symbol, counter);
             } else if (mode == MODE_MSED) {
-                /* a check symbol: the clean word's solve (rs_clean_chunk) */
-                int64_t d1 = 0, d2 = 0;
-                for (int64_t j = 0; j < data_symbols; j++)
-                    rs_syndrome_term(&rs, j, rs_data_symbol(data_keys, widths,
-                        j, counter), &d1, &d2);
-                original = symbol == data_symbols
-                    ? gf_div(gf_mul(d1, aq2, exp2, logt)
-                        ^ gf_mul(d2, aq, exp2, logt), det, exp2, logt, order)
-                    : gf_div(gf_mul(d2, ap, exp2, logt)
-                        ^ gf_mul(d1, ap2, exp2, logt), det, exp2, logt, order);
+                uint32_t checks = rs_clean_checks(check_terms, slice_bits,
+                    slices, data_symbols, widths, data_keys, counter);
+                original = symbol == data_symbols ? checks & 0xFFFF
+                                                  : checks >> 16;
             }
             int64_t error = (int64_t)rewrite_symbol(mode, (uint64_t)original,
                 widths[symbol], values[slot][lane], starts[slot][lane])
@@ -617,7 +695,7 @@ def _declare(lib: "ctypes.CDLL") -> None:
     lib.rs_fused_chunk.restype = None
     lib.rs_fused_chunk.argtypes = [
         i64, i64, i64, p, p, p, i64, i64, i64, p, i64, i64, p, i32, i64,
-        i64, i64, i64, i64, i64, i32, p, p, p, p, p,
+        p, i64, i64, i32, p, p, p, p, p,
     ]
 
 

@@ -28,12 +28,14 @@ numpy engine for its batch layout and passes the code's
 engine views — to the kernels.  Its fused kernel encodes a lane block
 of clean words at once and decodes each trial's error pattern: a clean
 word's remainder is zero, so the chosen symbols' changes give the
-received remainder, and only an ELC hit under the ripple check builds
-the received word for the full decode.  A code the kernels cannot take
-(more than :data:`MAX_NATIVE_LIMBS` limbs, or ``r`` outside ``(0,
-64)``) raises :class:`BackendUnavailableError`.  Symbols need no limit
-of their own: no kernel buffer is sized by the symbol count, and since
-every symbol holds at least one bit, 8 limbs hold at most 512 of them.
+received remainder.  An ELC hit under the ripple check is settled on
+its claimed symbol's received value; only a claimed symbol that is not
+one run of bits builds the received word for the full check.  A code
+the kernels cannot take (more than :data:`MAX_NATIVE_LIMBS` limbs, or
+``r`` outside ``(0, 64)``) raises :class:`BackendUnavailableError`.
+Symbols need no limit of their own: no kernel buffer is sized by the
+symbol count, and since every symbol holds at least one bit, 8 limbs
+hold at most 512 of them.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
         tables = self.tables
         self._lib.muse_decode_batch(
             ptr(words), batch, self.limbs, ptr(corrected), ptr(statuses),
-            ptr(rems), self.code.m, ptr(tables.pow2), ptr(tables.hit),
-            ptr(tables.addend), ptr(tables.low_mask), ptr(tables.above_mask),
-            ptr(tables.bit_symbol), ptr(tables.outside),
-            int(self.ripple_check),
+            ptr(rems), self.code.m, ptr(tables.pow2), ptr(tables.entry),
+            ptr(tables.addend), ptr(tables.claim_symbol),
+            ptr(tables.low_mask), ptr(tables.above_mask),
+            ptr(tables.outside), int(self.ripple_check),
         )
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
@@ -139,8 +141,8 @@ class NativeDecodeEngine(NativeKernels, NumpyDecodeEngine):
         self._lib.muse_fused_chunk(
             chunk.start, chunk.size, k_symbols, self.limbs, self.code.r,
             self.code.m, ptr(tables.pow2), ptr(tables.k_mask),
-            ptr(tables.hit), ptr(tables.addend), ptr(tables.low_mask),
-            ptr(tables.above_mask), ptr(tables.bit_symbol),
+            ptr(tables.entry), ptr(tables.addend), ptr(tables.claim_symbol),
+            ptr(tables.claim_delta), ptr(tables.above_mask),
             ptr(tables.outside), ptr(tables.sym_bits),
             ptr(tables.sym_widths), ptr(tables.sym_first),
             tables.max_width, tables.symbol_count, mode,

@@ -5,17 +5,19 @@ Codewords live in ``(batch, limbs)`` uint64 arrays
 
 1. **Residue** — limb-wise accumulation against precomputed
    ``2^(32 j) mod m`` chunk weights, one final ``% m``.
-2. **ELC lookup** — the remainder indexes two dense tables built from
-   the code's Error Lookup Circuit: a hit mask and, per remainder, the
-   *addend* ``(-error_value) mod 2^W`` so the correction is a single
-   wrapping multi-limb add.  Every table is a read-only view of the
-   code's :class:`~repro.engine.tables.MuseTables`, the buffers the
+2. **ELC lookup** — the remainder indexes ``entry``, the code's Error
+   Lookup Circuit by entry ordinal (0 is a miss), and an entry's row
+   holds the *addend* ``(-e) mod 2^W`` of its error value ``e``, so the
+   correction is a single wrapping multi-limb add, and its *claimed
+   symbol*, the owner of bit v2(e).  Every table is a read-only view of
+   the code's :class:`~repro.engine.tables.MuseTables`, the buffers the
    native kernels take.
 3. **Ripple check** — underflow and overflow of the true correction
    both surface as set bits at positions >= n (the limb width W
-   exceeds n by construction), one mask test; symbol confinement is a
-   vectorised XOR against the layout's per-symbol masks, evaluated
-   only on the ELC-hit rows.
+   exceeds n by construction), one mask test; a correction's lowest
+   changed bit is v2(e), so confinement to some symbol is confinement
+   to the claimed one, a vectorised XOR against its mask complement,
+   evaluated only on the ELC-hit rows.
 
 Per-word outcomes are uint8 status codes; nothing on the hot path
 touches a Python integer.
@@ -48,29 +50,6 @@ from repro.engine.limbs import (
 from repro.engine.tables import muse_tables
 
 np = lazy_import(globals(), "np", "numpy")
-
-
-def _lowest_set_bit(batch: np.ndarray) -> np.ndarray:
-    """Position of the lowest set bit of each (nonzero) word.
-
-    ``x & -x`` isolates the bit; its float64 log2 is exact because the
-    isolated value is a power of two (<= 2^63, within float64's exact
-    range for powers of two).
-    """
-    positions = np.zeros(batch.shape[0], dtype=np.int64)
-    found = np.zeros(batch.shape[0], dtype=bool)
-    one = np.uint64(1)
-    for j in range(batch.shape[1]):
-        limb = batch[:, j]
-        take = ~found & (limb != 0)
-        if take.any():
-            isolated = limb[take]
-            isolated &= ~isolated + one
-            positions[take] = LIMB_BITS * j + np.log2(
-                isolated.astype(np.float64)
-            ).astype(np.int64)
-            found |= take
-    return positions
 
 
 # ----------------------------------------------------------------------
@@ -239,22 +218,22 @@ class NumpyDecodeEngine(DecodeEngine):
         statuses = np.full(words.shape[0], STATUS_DETECTED_NO_MATCH, dtype=np.uint8)
         statuses[rem == 0] = STATUS_CLEAN
         corrected = words.copy()
-        candidates = np.flatnonzero(nd.hit[rem])
+        hits = nd.entry[rem]
+        candidates = np.flatnonzero(hits)
         if candidates.size:
+            entries = hits[candidates]
             received = words[candidates]
-            fixed = add(received, nd.addend[rem[candidates]])
+            fixed = add(received, nd.addend[entries])
             if self.ripple_check:
                 # Bits at/above n flag both underflow and overflow of
                 # the true (unwrapped) correction; then the changed bits
-                # must sit inside a single symbol's mask.  Confinement
-                # to *some* symbol equals confinement to the symbol
-                # owning the lowest changed bit, so one gathered mask
-                # test per row replaces a sweep over every symbol.
+                # must sit inside a single symbol's mask.  The lowest
+                # changed bit is v2(e), so confinement to *some* symbol
+                # equals confinement to the entry's claimed symbol, the
+                # owner of that bit: one gathered mask test per row.
                 out_of_range = np.any((fixed & nd.above_mask) != 0, axis=1)
-                changed = fixed ^ received
-                symbol = nd.bit_symbol[_lowest_set_bit(changed)]
-                outside = nd.outside[symbol]
-                confined = ~np.any((changed & outside) != 0, axis=1)
+                outside = nd.outside[nd.claim_symbol[entries]]
+                confined = ~np.any(((fixed ^ received) & outside) != 0, axis=1)
                 accepted = ~out_of_range & confined
             else:
                 # The ablation decoder wraps the adder result into the

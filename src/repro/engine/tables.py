@@ -23,6 +23,10 @@ from repro.engine.limbs import LIMB_BITS, limb_count
 
 np = lazy_import(globals(), "np", "numpy")
 
+#: ``MuseTables.claim_delta``'s bound: past ``2^w`` for every run the
+#: kernels read with a shift (at most 32 bits wide).
+_DELTA_CLAMP = 1 << 32
+
 
 def _cached(code, key, build):
     """``build()`` once per ``code`` and ``key``, kept on the code like
@@ -59,28 +63,44 @@ def _machine_order(little: bytes | bytearray) -> bytes:
 class MuseTables:
     """The decode tables of one MUSE code.
 
-    ``hit`` and ``addend`` are the dense remainder-indexed ELC: a 0/1
-    byte per remainder and the wrapping addend ``(-error_value) mod
-    2^W`` as a ``(m, limbs)`` uint64 row, so a correction is one
-    multi-limb add.  ``low_mask``/``above_mask`` split a ``W``-bit word
-    at bit ``n``.  ``bit_symbol`` maps each of the ``W`` bit positions
-    to its symbol (positions at or above ``n`` to a sentinel row of
-    ``outside`` that is all ones, so out-of-range changed bits never
-    look confined) and ``outside`` holds each symbol's mask complement.
-    The kernels also take ``pow2`` (``2^p mod m`` per bit position: the
-    residue's 32-bit chunk weights and the remainder an error pattern
-    adds), ``k_mask`` (the data bits), and each symbol's width, bit
-    positions (a ``(symbols, max_width)`` table, device-local bit
-    order like the layout) and first bit where the symbol is one run of
-    at most 32 ascending bits inside one limb (read with a shift and a
-    mask), else -1 (read bit by bit).
+    The ELC is indexed by entry ordinal: ``entry`` (uint32 per
+    remainder) is 0 for a miss, else the 1-based row of the remainder's
+    error value ``e`` in three per-entry tables (row 0 is unused):
+    ``addend``, the wrapping ``(-e) mod 2^W`` as a ``limbs``-wide uint64
+    row, so a correction is one multi-limb add; ``claim_symbol``, the
+    symbol owning bit v2(e) (the sentinel ``symbol_count`` for a bit no
+    symbol owns); and ``claim_delta``, ``d = e >> first`` where that
+    symbol is a run read from bit ``first`` (see ``sym_first``), clamped
+    to ``±2^32``.
+
+    The claim settles the ripple check.  A correction's lowest changed
+    bit is v2(e), so its changed bits lie inside one symbol iff they lie
+    inside the claimed one: confinement to the claimed symbol is
+    ``confined_to_single_symbol`` plus the range check.  For a run
+    ``[f, f + w)``, ``e = d 2^f`` and that holds iff ``0 <= x - d <
+    2^w`` on the symbol's received value ``x`` (the clamp, past every
+    such ``2^w``, keeps each verdict and fits an int64).  Any other
+    claimed symbol takes the full test on the corrected word:
+    ``above_mask`` (bits at and above ``n`` of a ``W``-bit word) and
+    ``outside`` (each symbol's mask complement, plus an all-ones row for
+    the sentinel, so a change no symbol owns is never confined).
+    ``low_mask`` wraps a correction into ``n`` bits with the ripple
+    check off.
+
+    The fused kernel also takes ``pow2`` (``2^p mod m`` per bit
+    position: the residue's 32-bit chunk weights and the remainder an
+    error pattern adds), ``k_mask`` (the data bits), and each symbol's
+    width, bit positions (a ``(symbols, max_width)`` table,
+    device-local bit order like the layout) and first bit where the
+    symbol is one run of at most 32 ascending bits inside one limb (read
+    with a shift and a mask), else -1 (read bit by bit); ``sym_first``
+    ends with a -1 for the sentinel claim.
     """
 
     def __init__(self, code):
         layout = code.layout
         self.limbs = limbs = limb_count(code.n)
         width = LIMB_BITS * limbs
-        row = 8 * limbs
         m = code.m
         powers, power = [], 1 % m
         for _ in range(width):
@@ -92,19 +112,8 @@ class MuseTables:
         self.k_mask = _limb_rows([(1 << code.k) - 1], limbs)
         self.low_mask = _limb_rows([low], limbs)
         self.above_mask = _limb_rows([full ^ low], limbs)
-        hit = bytearray(m)
-        addend = bytearray(m * row)
-        for remainder, value in code.elc.remainder_values.items():
-            hit[remainder] = 1
-            addend[remainder * row:(remainder + 1) * row] = (
-                (-value) & full
-            ).to_bytes(row, "little")
-        self.hit = bytes(hit)
-        self.addend = _machine_order(addend)
         symbols = layout.symbols
         self.symbol_count = len(symbols)
-        sentinel = [self.symbol_count] * (width - code.n)
-        self.bit_symbol = _pack("q", (*layout.bit_to_symbol, *sentinel))
         self.outside = _limb_rows(
             [full ^ mask for mask in layout.masks] + [full], limbs
         )
@@ -118,29 +127,46 @@ class MuseTables:
                 for bit in (*bits, *[0] * (self.max_width - len(bits)))
             ),
         )
-        self.sym_first = _pack(
-            "q",
-            (
-                bits[0]
-                if len(bits) <= 32
-                and bits[0] // LIMB_BITS == bits[-1] // LIMB_BITS
-                and tuple(bits) == tuple(range(bits[0], bits[0] + len(bits)))
-                else -1
-                for bits in symbols
-            ),
-        )
+        firsts = [
+            bits[0]
+            if len(bits) <= 32
+            and bits[0] // LIMB_BITS == bits[-1] // LIMB_BITS
+            and tuple(bits) == tuple(range(bits[0], bits[0] + len(bits)))
+            else -1
+            for bits in symbols
+        ] + [-1]
+        self.sym_first = _pack("q", firsts)
+
+        values = code.elc.remainder_values
+        entry = array("I", bytes(4 * m))
+        for ordinal, remainder in enumerate(values, 1):
+            entry[remainder] = ordinal
+        self.entry = entry.tobytes()
+        errors = list(values.values())
+        self.addend = _limb_rows([0, *((-e) & full for e in errors)], limbs)
+        owner = (*layout.bit_to_symbol, *[len(symbols)] * (width - code.n))
+        claims = [owner[(e & -e).bit_length() - 1] for e in errors]
+        # A claim that is not a run shifts past the word: its delta, 0
+        # or -1, is never read.
+        shifts = [first if first >= 0 else width for first in firsts]
+        deltas = [e >> shifts[s] for e, s in zip(errors, claims)]
+        bound = _DELTA_CLAMP
+        if deltas and not -bound <= min(deltas) <= max(deltas) <= bound:
+            deltas = [max(-bound, min(bound, d)) for d in deltas]
+        self.claim_symbol = _pack("q", [0, *claims])
+        self.claim_delta = _pack("q", [0, *deltas])
 
     @cached_property
     def nd(self) -> SimpleNamespace:
         """Read-only ndarray views of the tables the numpy engine reads."""
         limbs = self.limbs
         return SimpleNamespace(
-            hit=np.frombuffer(self.hit, dtype=bool),
+            entry=np.frombuffer(self.entry, dtype=np.uint32),
             addend=np.frombuffer(self.addend, np.uint64).reshape(-1, limbs),
+            claim_symbol=np.frombuffer(self.claim_symbol, dtype=np.int64),
             k_mask=np.frombuffer(self.k_mask, dtype=np.uint64),
             low_mask=np.frombuffer(self.low_mask, dtype=np.uint64),
             above_mask=np.frombuffer(self.above_mask, dtype=np.uint64),
-            bit_symbol=np.frombuffer(self.bit_symbol, dtype=np.int64),
             outside=np.frombuffer(self.outside, np.uint64).reshape(-1, limbs),
         )
 
@@ -161,9 +187,17 @@ class RsTables:
     a table either way).  Devices own contiguous bit ranges, so a
     correction is confined iff its lowest and highest flipped bits
     share a device, which depends only on the symbol's bit offset modulo
-    ``device_bits``: one row per offset class.  The scalars are the
-    check-symbol solve constants (see ``RSCode.encode``) and the
+    ``device_bits``: one row per offset class.  ``pad_mask`` is the
     partial last data symbol's padding mask (0 disables the check).
+
+    ``check_terms`` replaces the check-symbol solve (``RSCode.encode``):
+    the two check symbols are GF(2)-linear in the data, so a clean
+    word's are the XOR, over its data symbols ``j`` and the
+    ``slice_bits``-wide slices ``s`` of each value (one slice up to
+    GF(2^8), one per 8 bits above), of ``check_terms[v][s *
+    data_symbols + j]``, a ``(2^slice_bits, slices * data_symbols)``
+    uint32 table whose entry packs ``c1 | c2 << 16`` for the data word
+    holding only ``v << (slice_bits * s)`` at symbol ``j``.
     """
 
     def __init__(self, code, device_bits: int | None):
@@ -173,10 +207,7 @@ class RsTables:
         self.exp2, self.log = field.buffers
         self.w2_log = _pack("q", ((2 * i) % order for i in range(n)))
         self.widths = _pack("q", code.symbol_widths)
-        p, q = n - 2, n - 1
-        self.ap, self.aq = field.pow_alpha(p), field.pow_alpha(q)
-        self.ap2, self.aq2 = field.pow_alpha(2 * p), field.pow_alpha(2 * q)
-        self.det = field.mul(self.ap, self.aq2) ^ field.mul(self.aq, self.ap2)
+        self.slice_bits, self.slices, self.check_terms = _check_terms(code)
         self.pad_mask = (
             (1 << code.symbol_bits) - (1 << code.partial_bits)
             if code.partial_bits
@@ -215,6 +246,9 @@ class RsTables:
             log=self.field.log_nd,
             w1_log=np.arange(self.n_symbols, dtype=np.int64),
             w2_log=np.frombuffer(self.w2_log, dtype=np.int64),
+            check_terms=np.frombuffer(self.check_terms, np.uint32).reshape(
+                1 << self.slice_bits, -1
+            ),
             confined=(
                 np.frombuffer(self.confined, dtype=bool).reshape(
                     -1, self.conf_stride
@@ -223,6 +257,57 @@ class RsTables:
                 else None
             ),
         )
+
+
+def _check_terms(code) -> tuple[int, int, bytes]:
+    """``(slice_bits, slices, check_terms)`` of :class:`RsTables`.
+
+    ``RSCode.encode`` solves ``c1 = (S1 a^2q + S2 a^q) / det`` and ``c2
+    = (S2 a^p + S1 a^2p) / det`` (``a`` = alpha, ``p``/``q`` the check
+    positions); a data word holding only ``v`` at symbol ``j`` has ``S1
+    = v a^j`` and ``S2 = v a^2j``, so its checks are ``v`` times one
+    coefficient each, a sum of logs.  That gives the terms of each unit
+    value ``2^t``; every other value's are the XOR of its bits' terms,
+    filled in by doubling: the ``2^i`` rows built so far, XORed with bit
+    ``i``'s terms, are the next ``2^i``.  Each doubling is a few big-int
+    operations over the whole table, so no Python loop runs per entry.
+    """
+    field = code.field
+    exp, log, order = field.exp, field.log, field.order
+    exp2 = exp * 2  # indexed by a sum of two logs
+    bits = code.symbol_bits
+    slice_bits = min(bits, 8)
+    slices = -(-bits // slice_bits)
+    p, q = code.n_symbols - 2, code.n_symbols - 1
+
+    def log_sum(a: int, b: int) -> int:
+        return log[exp[a % order] ^ exp[b % order]]
+
+    log_det = log_sum(p + 2 * q, q + 2 * p)
+    coefficients = [
+        ((log_sum(j + 2 * q, 2 * j + q) - log_det) % order,
+         (log_sum(2 * j + p, j + 2 * p) - log_det) % order)
+        for j in range(code.data_symbols)
+    ]
+
+    def unit_terms(t: int) -> list[int]:
+        """Each data symbol's packed checks for the unit value ``2^t``
+        (zeros past the field's bits)."""
+        if t >= bits:
+            return [0] * len(coefficients)
+        unit = log[1 << t]
+        return [exp2[c1 + unit] | exp2[c2 + unit] << 16 for c1, c2 in coefficients]
+
+    row_bits = 32 * slices * len(coefficients)
+    table = 0  # the rows of values 0..2^i - 1, value 0 lowest
+    for i in range(slice_bits):
+        # bit i of slice s is bit slice_bits * s + i of the value
+        terms = [
+            term for s in range(slices) for term in unit_terms(slice_bits * s + i)
+        ]
+        block = int.from_bytes(_pack("I", terms) * (1 << i), "little")
+        table |= (table ^ block) << (row_bits << i)
+    return slice_bits, slices, table.to_bytes(row_bits << slice_bits >> 3, "little")
 
 
 def rs_tables(code, device_bits: int | None) -> RsTables:

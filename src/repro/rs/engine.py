@@ -212,30 +212,21 @@ class NumpyRsEngine(RsDecodeEngine):
     # -- encode --------------------------------------------------------
 
     def encode_arrays(self, data: np.ndarray) -> np.ndarray:
-        """Systematic encode of a ``(B, k)`` uint32 data batch."""
-        code = self.code
-        field = code.field
+        """Systematic encode of a ``(B, k)`` uint32 data batch: the
+        check symbols are the XOR of each data symbol's check terms
+        (:class:`~repro.engine.tables.RsTables`)."""
         tables = self.tables
-        nd = tables.nd
-        k = code.data_symbols
-        logd = nd.log[data]
-        nz = data != 0
-        s1 = np.bitwise_xor.reduce(
-            np.where(nz, nd.exp2[logd + nd.w1_log[:k]], np.uint32(0)), axis=1
-        )
-        s2 = np.bitwise_xor.reduce(
-            np.where(nz, nd.exp2[logd + nd.w2_log[:k]], np.uint32(0)), axis=1
-        )
-        c1 = field.div_batch(
-            field.mul_batch(s1, tables.aq2) ^ field.mul_batch(s2, tables.aq),
-            tables.det,
-        )
-        c2 = field.div_batch(
-            field.mul_batch(s2, tables.ap) ^ field.mul_batch(s1, tables.ap2),
-            tables.det,
-        )
+        terms = tables.nd.check_terms
+        k = self.code.data_symbols
+        mask = np.uint32((1 << tables.slice_bits) - 1)
+        checks = np.zeros(data.shape[0], dtype=np.uint32)
+        for s in range(tables.slices):
+            values = (data >> np.uint32(tables.slice_bits * s)) & mask
+            columns = np.arange(s * k, (s + 1) * k)
+            checks ^= np.bitwise_xor.reduce(terms[values, columns], axis=1)
         return np.concatenate(
-            [data, c1[:, None], c2[:, None]], axis=1
+            [data, (checks & 0xFFFF)[:, None], (checks >> 16)[:, None]],
+            axis=1,
         ).astype(np.uint32)
 
     def encode_batch(self, data) -> list[tuple[int, ...]]:

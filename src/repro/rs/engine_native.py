@@ -6,13 +6,14 @@ fused tail) into :class:`repro.rs.engine.NumpyRsEngine` for its batch
 layout, and passes the code's numpy-free
 :class:`~repro.engine.tables.RsTables` buffers — GF exp and log, the
 ``2i mod order`` syndrome-weight logs (so no ``% order`` runs per
-symbol), the symbol widths and the confinement table, the ones the
-numpy engine views — to its two kernels.  The fused chunk decodes the
-error pattern alone: syndromes are linear and a clean word's are zero,
-so only the chosen symbols' terms enter and no codeword is built; it
-runs on ``bytes`` alone and never imports numpy.  No kernel buffer is
-sized by the symbol count, so every RS code runs native, up to n equal
-to the field order.
+symbol), the symbol widths, the confinement table and the check terms,
+the ones the numpy engine views — to its two kernels.  The fused chunk
+decodes the error pattern alone: syndromes are linear and a clean
+word's are zero, so only the chosen symbols' terms enter and no
+codeword is built, and a chosen check symbol's clean value is an XOR of
+check terms; it runs on ``bytes`` alone and never imports numpy.  No
+kernel buffer is sized by the symbol count, so every RS code runs
+native, up to n equal to the field order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class NativeRsEngine(NativeKernels, NumpyRsEngine):
             code.n_symbols, code.data_symbols, ptr(tables.widths),
             tables.pad_mask, tables.partial_position,
             ptr(tables.confined), int(tables.has_policy), tables.conf_stride,
-            tables.aq, tables.aq2, tables.ap, tables.ap2, tables.det, mode,
+            ptr(tables.check_terms), tables.slice_bits, tables.slices, mode,
             ptr(data_keys), ptr(choice_keys), ptr(value_keys),
             ptr(start_keys), ptr(counts),
         )

@@ -12,8 +12,7 @@ Two execution styles share the same tables:
   (``exp[i % order] == _exp2[i]`` for ``i < 2 * order``) so the hot
   path needs no ``% order`` reduction;
 * :meth:`GaloisField.mul_batch` / :meth:`div_batch` /
-  :meth:`pow_alpha_batch` run the same lookups over whole ndarrays for
-  the vectorised Reed-Solomon engine.
+  :meth:`pow_alpha_batch` run the same lookups over whole ndarrays.
 
 The native RS kernels read the tables as the immutable machine-order
 buffers of :attr:`GaloisField.buffers`; ``exp_nd``/``log_nd`` are

@@ -441,8 +441,8 @@ class TestSharedTables:
         assert native.fused_chunk_counts(Chunk(0, 256), key, 2) is not None
         nd = numpy_engine.tables.nd
         self.assert_views_of_kernel_buffers(
-            (nd.hit, nd.addend, nd.k_mask, nd.low_mask, nd.above_mask,
-             nd.bit_symbol, nd.outside),
+            (nd.entry, nd.addend, nd.claim_symbol, nd.k_mask, nd.low_mask,
+             nd.above_mask, nd.outside),
             spy,
         )
 
@@ -468,5 +468,5 @@ class TestSharedTables:
         assert native.fused_chunk_counts(Chunk(0, 256), key, 2) is not None
         nd = numpy_engine.tables.nd
         self.assert_views_of_kernel_buffers(
-            (nd.exp2, nd.log, nd.w2_log, nd.confined), spy
+            (nd.exp2, nd.log, nd.w2_log, nd.confined, nd.check_terms), spy
         )
