@@ -121,7 +121,7 @@ def test_adaptive_table_iv_saves_trials_without_losing_accuracy():
                     "ci_target": POLICY.ci_target,
                     "metric": POLICY.metric,
                     "confidence": POLICY.confidence,
-                    "kind": POLICY.kind,
+                    "kind": "wilson",
                     "initial_trials": POLICY.initial_trials,
                     "max_trials": POLICY.max_trials,
                 },

@@ -17,10 +17,18 @@ Both sides are timed warm: the in-process side after a 200-trial
 build, each fleet after its workers have joined and run the same
 200-trial build.  Worker spawn is a fixed cost of its own (about half a
 second), recorded separately rather than charged to the transport.
+
+One build takes tens of milliseconds on the fused native kernels, so a
+single wall-clock sample per side is mostly scheduling noise on a
+shared host.  The transport bound is therefore judged on the median of
+``PAIRS`` warm pairs (one in-process and one 1-worker loopback build
+each, alternating which runs first), and every pair's ratio lands in
+the artifact, which is written before the bound is checked.
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -31,15 +39,19 @@ from repro.reliability.monte_carlo import build_table_iv
 
 ARTIFACT = Path(__file__).parent / "BENCH_distributed.json"
 
-# 100k trials keeps the run compute-dominated even on the fused native
-# backend (~5x-13x over numpy), so the ratio asserted below measures
-# per-chunk transport rather than fixed costs.
+# 100k trials in chunks of 4096: about 250 chunks, so the ratio
+# asserted below weighs per-chunk transport against the fused kernels'
+# compute.
 TRIALS = 100_000
 SEED = 2022
 CHUNK_SIZE = 4_096
-#: The warm-up build both sides run before the timed one.
+#: The warm-up build both sides run before the timed ones.
 WARM_TRIALS = 200
 JOIN_TIMEOUT_S = 60.0
+#: Warm (in-process, 1-worker loopback) pairs behind the median ratio.
+PAIRS = 7
+#: The bound on the median pair ratio, loopback over in-process.
+MAX_OVERHEAD = 4.0
 
 
 def wait_for_workers(session: DistributedSession, workers: int) -> None:
@@ -51,18 +63,27 @@ def wait_for_workers(session: DistributedSession, workers: int) -> None:
         time.sleep(0.002)
 
 
+def timed(build):
+    """``(seconds, table)`` of one ``build()``."""
+    start = time.perf_counter()
+    table = build()
+    return time.perf_counter() - start, table
+
+
 def test_distributed_table_iv_parity_and_scaling():
     build_table_iv(trials=WARM_TRIALS, seed=SEED)  # searches, engines
 
-    start = time.perf_counter()
-    single = build_table_iv(
-        trials=TRIALS, seed=SEED, jobs=1, chunk_size=CHUNK_SIZE
-    )
-    in_process_seconds = time.perf_counter() - start
+    def in_process():
+        return build_table_iv(
+            trials=TRIALS, seed=SEED, jobs=1, chunk_size=CHUNK_SIZE
+        )
+
+    single = in_process()
 
     timings = {}
     spawns = {}
     tables = {}
+    pairs = []  # (in-process seconds, 1-worker loopback seconds)
     for workers in (1, 2):
         start = time.perf_counter()
         with DistributedSession(local_workers=workers) as session:
@@ -70,29 +91,31 @@ def test_distributed_table_iv_parity_and_scaling():
             spawns[workers] = time.perf_counter() - start
             # Workers import, build the design points and their engines.
             build_table_iv(trials=WARM_TRIALS, seed=SEED, executor=session)
-            start = time.perf_counter()
-            tables[workers] = build_table_iv(
-                trials=TRIALS,
-                seed=SEED,
-                chunk_size=CHUNK_SIZE,
-                executor=session,
-            )
-            timings[workers] = time.perf_counter() - start
+
+            def loopback():
+                return build_table_iv(
+                    trials=TRIALS,
+                    seed=SEED,
+                    chunk_size=CHUNK_SIZE,
+                    executor=session,
+                )
+
+            timings[workers], tables[workers] = timed(loopback)
+            if workers == 1:
+                for index in range(PAIRS):
+                    builds = (in_process, loopback)
+                    if index % 2:
+                        builds = builds[::-1]
+                    seconds = {build: timed(build)[0] for build in builds}
+                    pairs.append((seconds[in_process], seconds[loopback]))
 
     for workers, table in tables.items():
         assert [p.result for p in table.points] == [
             p.result for p in single.points
         ], f"distributed tally diverged at {workers} workers"
 
-    # The transport must not collapse throughput: chunks of 4096 trials
-    # amortise the JSON round-trips, so even loopback-on-one-CPU stays
-    # within a modest factor of in-process.
-    overhead = timings[1] / in_process_seconds
-    assert overhead < 4.0, (
-        f"1-worker loopback run took {overhead:.2f}x the in-process time "
-        f"({timings[1]:.3f}s vs {in_process_seconds:.3f}s)"
-    )
-
+    ratios = [loop / local for local, loop in pairs]
+    overhead = statistics.median(ratios)
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -101,8 +124,15 @@ def test_distributed_table_iv_parity_and_scaling():
                 "seed": SEED,
                 "chunk_size": CHUNK_SIZE,
                 "backend": resolve_backend("auto"),
-                "in_process_seconds": round(in_process_seconds, 4),
-                "workers1_seconds": round(timings[1], 4),
+                "in_process_seconds": round(
+                    statistics.median(local for local, _ in pairs), 4
+                ),
+                "workers1_seconds": round(
+                    statistics.median(loop for _, loop in pairs), 4
+                ),
+                "workers1_pair_ratios": [round(r, 3) for r in ratios],
+                "workers1_median_ratio": round(overhead, 3),
+                "max_median_ratio": MAX_OVERHEAD,
                 "workers2_seconds": round(timings[2], 4),
                 "workers1_spawn_seconds": round(spawns[1], 4),
                 "workers2_spawn_seconds": round(spawns[2], 4),
@@ -113,14 +143,24 @@ def test_distributed_table_iv_parity_and_scaling():
                 if hasattr(os, "sched_getaffinity")
                 else os.cpu_count(),
                 "note": (
-                    "warm timings, spawn recorded apart; speedup tracks "
-                    "available cores; a single-CPU container shows ~1x "
-                    "plus transport overhead"
+                    "warm timings, spawn recorded apart; in-process and "
+                    "workers1 are medians over the alternating pairs; "
+                    "speedup tracks available cores; a single-CPU "
+                    "container shows ~1x plus transport overhead"
                 ),
             },
             indent=2,
         )
         + "\n"
+    )
+
+    # The transport must not collapse throughput: chunks of 4096 trials
+    # amortise the JSON round-trips, so even loopback-on-one-CPU stays
+    # within a modest factor of in-process.
+    assert overhead < MAX_OVERHEAD, (
+        f"1-worker loopback builds took a median {overhead:.2f}x the "
+        f"in-process time over {PAIRS} pairs "
+        f"(ratios {[round(r, 2) for r in ratios]})"
     )
 
 

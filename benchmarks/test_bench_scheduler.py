@@ -167,10 +167,7 @@ def test_campaign_cache_rerun_executes_zero_trials(tmp_path):
     """Acceptance: a re-run of a completed cell folds entirely from the
     fingerprint-keyed cache — zero new trials recorded."""
     from repro.distribute import ResultCache
-    from repro.reliability.sampling.scheduler import (
-        CampaignPolicy,
-        CampaignRunner,
-    )
+    from repro.reliability.sampling.scheduler import CampaignRunner
 
     simulators = _table_iv_simulators()
     policy = AdaptivePolicy(
@@ -180,9 +177,7 @@ def test_campaign_cache_rerun_executes_zero_trials(tmp_path):
         simulators, policy, seed=SEED, cache_dir=str(tmp_path)
     )
     probe = ResultCache(tmp_path)
-    warm = CampaignRunner(CampaignPolicy(base=policy), cache=probe).run(
-        simulators, seed=SEED
-    )
+    warm = CampaignRunner(policy, cache=probe).run(simulators, seed=SEED)
     assert [o.result for o in warm] == [o.result for o in cold]
     assert probe.trials_recorded == 0
     assert probe.misses == 0

@@ -14,7 +14,8 @@ Subpackages
 ``repro.rs``
     Reed-Solomon ChipKill baseline over GF(2^m).
 ``repro.memory``
-    DRAM geometry, codeword striping/shuffle routing, fault injection.
+    DRAM geometry, codeword striping/shuffle routing, the Figure-2
+    controller with device failures.
 ``repro.engine``
     Pluggable batch decode engines: the scalar big-int reference and a
     vectorised numpy backend over ``(batch, limbs)`` uint64 codewords.

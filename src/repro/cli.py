@@ -8,9 +8,7 @@ Examples
     repro-muse table4 --trials 1000000 --jobs 8   # rare-tail Table IV
     repro-muse table4 --chunk-size 65536 --seed 7 # streamed, reseeded
     repro-muse table4 --adaptive --ci-target 0.1  # stop when CIs tighten
-    repro-muse table4 --adaptive --trial-budget 200000 --cache-dir cache \\
-        # campaign-scheduled sweep: budget goes to the loosest CIs,
-        # completed cells fold from the cross-run cache with 0 trials
+    repro-muse table4 --adaptive --cache-dir cache  # reuse earlier chunks
     repro-muse figure6 --quick             # 3-benchmark, short-trace preview
     repro-muse all --jobs 4 --results-dir results  # concurrent sweep
     repro-muse table4 --distribute local:4 # loopback coordinator + 4 workers
@@ -169,17 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "adaptive trial ceiling per design point (default 1000000); "
             "points whose interval never tightens stop here"
-        ),
-    )
-    parser.add_argument(
-        "--trial-budget", type=int, default=None,
-        help=(
-            "campaign-wide trial budget for --adaptive sweeps: each "
-            "round's trials go to the design points furthest from "
-            "--ci-target (priority = CI half-width / goal) until the "
-            "budget is spent; allocation is a pure function of the "
-            "folded tallies, so results stay byte-identical across "
-            "--jobs/--chunk-size/--distribute"
         ),
     )
     parser.add_argument(
@@ -389,8 +376,6 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
                 # ceiling, cap the adaptive run at the quick budget
                 # instead of the 10^6-trial default.
                 kw["max_trials"] = kw["trials"]
-            if args.trial_budget is not None:
-                kw["trial_budget"] = args.trial_budget
         return kw
 
     trace = {"mem_ops": mem_ops}
@@ -543,20 +528,6 @@ def run(args: argparse.Namespace) -> int:
         print(
             "error: --trials does not apply with --adaptive; "
             "use --max-trials for the per-point ceiling",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trial_budget is not None and not args.adaptive:
-        # The campaign scheduler only runs in adaptive mode; a budget on
-        # a fixed-trial run would silently do nothing.
-        print(
-            "error: --trial-budget requires --adaptive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trial_budget is not None and args.trial_budget < 1:
-        print(
-            "error: --trial-budget must be at least 1",
             file=sys.stderr,
         )
         return 2

@@ -59,17 +59,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".naming": ("ErrorClass", "ErrorClassName", "parse_error_class=parse"),
     ".residue": (
-        "ResidueParameters",
-        "an_decode",
-        "an_encode",
-        "an_is_codeword",
-        "an_remainder",
         "check_bits",
         "redundancy_bits",
-        "systematic_check_field",
-        "systematic_data",
         "systematic_encode",
-        "systematic_remainder",
     ),
     ".search": (
         "MultiplierSearch",
@@ -102,16 +94,11 @@ __all__ = [
     "HybridErrorModel",
     "MultiplierSearch",
     "MuseCode",
-    "ResidueParameters",
     "SearchResult",
     "SingleBitErrorModel",
     "SymbolErrorModel",
     "SymbolLayout",
     "TABLE_I",
-    "an_decode",
-    "an_encode",
-    "an_is_codeword",
-    "an_remainder",
     "build_hybrid_code",
     "candidate_multipliers",
     "check_bits",
@@ -132,9 +119,6 @@ __all__ = [
     "redundancy_bits",
     "smallest_feasible_redundancy",
     "symbol_error_values",
-    "systematic_check_field",
-    "systematic_data",
     "systematic_encode",
-    "systematic_remainder",
     "window_for_symbols",
 ]

@@ -1,27 +1,18 @@
 """Residue-code arithmetic primitives (paper Section II, Eqs. 1-4).
 
-Two formulations are provided:
+A residue (AN) code stores ``m * data`` (Eq. 1) and flags any nonzero
+remainder (Eqs. 2-3); the paper instead uses the **systematic** form
+(Chien 1964, Eq. 4): the data is shifted left by ``r`` bits and a check
+value ``X`` is stored in the freed low bits so that the whole codeword
+is divisible by ``m``.  Data and check bits are separable, so the
+error-free read path needs no arithmetic at all.
 
-* **Non-systematic (AN code)** — the 1960s construction: the codeword is
-  ``m * data`` (Eq. 1); decoding divides by ``m`` and any nonzero
-  remainder signals an error (Eqs. 2-3).  Simple, but the data is only
-  available after a division, which is why the paper does not use it on
-  the memory path.
-
-* **Systematic (Chien 1964)** — Eq. 4: the data is shifted left by ``r``
-  bits and a check value ``X`` is stored in the freed low bits so that
-  the whole codeword is divisible by ``m``.  Data and check bits are
-  separable, so the error-free read path needs no arithmetic at all.
-
-Both formulations share the central invariant ``codeword % m == 0`` for
-clean codewords, and an error of value ``e`` leaves the remainder
-``e % m`` — the fingerprint the Error Lookup Circuit translates back
-into a correction.
+A clean codeword satisfies ``codeword % m == 0``, and an error of value
+``e`` leaves the remainder ``e % m`` — the fingerprint the Error Lookup
+Circuit translates back into a correction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def redundancy_bits(m: int) -> int:
@@ -36,37 +27,6 @@ def redundancy_bits(m: int) -> int:
     if m <= 1:
         raise ValueError(f"multiplier must be >= 2, got {m}")
     return m.bit_length()
-
-
-# ----------------------------------------------------------------------
-# Non-systematic AN code (Eqs. 1-3)
-# ----------------------------------------------------------------------
-
-def an_encode(data: int, m: int) -> int:
-    """Eq. 1: ``codeword = m * data``."""
-    if data < 0:
-        raise ValueError("data must be non-negative")
-    return m * data
-
-
-def an_remainder(codeword: int, m: int) -> int:
-    """Eq. 2: ``remainder = codeword mod m`` (0 for clean codewords)."""
-    return codeword % m
-
-
-def an_decode(codeword: int, m: int) -> tuple[int, int]:
-    """Eqs. 2-3 (error-free branch): return ``(data, remainder)``.
-
-    A nonzero remainder means the codeword is corrupted; the caller
-    corrects by subtracting the error value mapped from the remainder
-    and dividing again.
-    """
-    return codeword // m, codeword % m
-
-
-def an_is_codeword(value: int, m: int) -> bool:
-    """True if ``value`` is a valid AN codeword of multiplier ``m``."""
-    return value >= 0 and value % m == 0
 
 
 # ----------------------------------------------------------------------
@@ -92,59 +52,3 @@ def systematic_encode(data: int, m: int, r: int | None = None) -> int:
     if r is None:
         r = redundancy_bits(m)
     return (data << r) + check_bits(data, m, r)
-
-
-def systematic_data(codeword: int, r: int) -> int:
-    """Separate the data field: ``data = codeword >> r`` (Table II).
-
-    This is the *zero-latency* read path: no arithmetic is needed when
-    the remainder is zero.
-    """
-    return codeword >> r
-
-
-def systematic_check_field(codeword: int, r: int) -> int:
-    """The stored ``X`` field (low ``r`` bits of the codeword)."""
-    return codeword & ((1 << r) - 1)
-
-
-def systematic_remainder(codeword: int, m: int) -> int:
-    """Remainder of a systematic codeword; 0 iff clean (same as Eq. 2)."""
-    return codeword % m
-
-
-@dataclass(frozen=True)
-class ResidueParameters:
-    """The arithmetic identity card of one MUSE code.
-
-    Ties together the multiplier, its redundancy requirement, and the
-    codeword/data widths — the quantities Table II relates.
-    """
-
-    n: int
-    m: int
-
-    @property
-    def r(self) -> int:
-        """Check-bit count, ``ceil(log2 m)``."""
-        return redundancy_bits(self.m)
-
-    @property
-    def k(self) -> int:
-        """Data bits: ``n - r``."""
-        return self.n - self.r
-
-    def encode(self, data: int) -> int:
-        """Systematic encode with width checking."""
-        if data >> self.k:
-            raise ValueError(f"data does not fit in {self.k} bits")
-        return systematic_encode(data, self.m, self.r)
-
-    def data(self, codeword: int) -> int:
-        return systematic_data(codeword, self.r)
-
-    def remainder(self, codeword: int) -> int:
-        return systematic_remainder(codeword, self.m)
-
-    def is_clean(self, codeword: int) -> bool:
-        return 0 <= codeword < (1 << self.n) and codeword % self.m == 0

@@ -62,12 +62,12 @@ class ChunkProgress:
     def allocation(
         self,
         round_no: int,
-        entries: "list[tuple[Any, int, int, float, float]]",
+        entries: "list[tuple[Any, int, int, float]]",
     ) -> None:
         """One campaign allocation round: where the next trials go.
 
-        ``entries`` is ``(group, allocated, total_trials, ci_half_width,
-        priority)`` per point that received trials.  Allocation rounds
+        ``entries`` is ``(group, allocated, total_trials, ci_half_width)``
+        per point that received trials.  Allocation rounds
         are rare (a handful per campaign) and are the scheduler's whole
         observable story, so they bypass the throttle.
         """
@@ -77,9 +77,9 @@ class ChunkProgress:
             f"allocated, elapsed {elapsed:.1f}s",
             stream=self.stream,
         )
-        for group, allocated, total, half, priority in entries:
+        for group, allocated, total, half in entries:
             log_line(
                 f"[campaign]   point {group}: +{allocated} trials "
-                f"(-> {total}) ci-half {half:.3g} priority {priority:.3g}",
+                f"(-> {total}) ci-half {half:.3g}",
                 stream=self.stream,
             )

@@ -61,7 +61,6 @@ def frontier(
     adaptive: AdaptivePolicy | None = None,
     executor=None,
     progress_cb=None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
 ) -> list[FrontierPoint]:
@@ -89,7 +88,7 @@ def frontier(
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress_cb,
         adaptive=adaptive, executor=executor, group_ns="frontier",
-        trial_budget=trial_budget, cache_dir=cache_dir,
+        cache_dir=cache_dir,
     )
     points = []
     for index, (extra_bits, code) in enumerate(codes):
@@ -132,7 +131,6 @@ def k_sweep(
     adaptive: AdaptivePolicy | None = None,
     executor=None,
     progress_cb=None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
 ) -> list[KSweepPoint]:
@@ -162,7 +160,7 @@ def k_sweep(
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress_cb,
         adaptive=adaptive, executor=executor, group_ns="k-sweep",
-        trial_budget=trial_budget, cache_dir=cache_dir,
+        cache_dir=cache_dir,
     )
     return [
         KSweepPoint(
@@ -242,7 +240,6 @@ def main(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     progress: bool = False,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
     telemetry_dir: str | None = None,
@@ -272,14 +269,14 @@ def main(
             frontier(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
-                progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=cache_dir, scenario=scenario,
+                progress_cb=progress_cb, cache_dir=cache_dir,
+                scenario=scenario,
             ),
             k_sweep(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
-                progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=cache_dir, scenario=scenario,
+                progress_cb=progress_cb, cache_dir=cache_dir,
+                scenario=scenario,
             ),
         )
     if scenario != "msed":

@@ -92,7 +92,6 @@ def msed_sweep(
     adaptive: AdaptivePolicy | None = None,
     executor=None,
     progress_cb=None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
 ) -> list[ShuffleMsedRow]:
@@ -122,8 +121,7 @@ def msed_sweep(
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs=jobs, chunk_size=chunk_size,
         progress=progress_cb, adaptive=adaptive, executor=executor,
-        group_ns="shuffle-msed", trial_budget=trial_budget,
-        cache_dir=cache_dir,
+        group_ns="shuffle-msed", cache_dir=cache_dir,
     )
     rows = []
     for (code, _), result, outcome in zip(points, results, outcomes):
@@ -199,7 +197,6 @@ def main(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     progress: bool = False,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
     telemetry_dir: str | None = None,
@@ -232,7 +229,6 @@ def main(
             else None,
             executor=executor,
             progress_cb=progress_cb,
-            trial_budget=trial_budget,
             cache_dir=cache_dir,
             scenario=scenario,
         )

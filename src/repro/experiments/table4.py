@@ -57,21 +57,13 @@ def render(table: TableIV) -> str:
         converged = sum(1 for p in sampled if p.sampling.converged)
         lines.append(
             f"\nadaptive sampling: stop at {policy.metric}-rate CI half-width "
-            f"<= {policy.ci_target:g} x rate ({policy.kind} @"
+            f"<= {policy.ci_target:g} x rate (wilson @"
             f"{policy.confidence:.0%}), ceiling {policy.max_trials}"
         )
-        ceiling = sum(
-            1
-            for p in sampled
-            if not p.sampling.converged
-            and p.result.trials >= p.sampling.policy.max_trials
-        )
-        starved = len(sampled) - converged - ceiling
-        tail = f"{converged} converged, {ceiling} hit the ceiling"
-        if starved:
-            tail += f", {starved} out of budget"
         lines.append(
-            f"  total trials {total} across {len(sampled)} points; {tail}"
+            f"  total trials {total} across {len(sampled)} points; "
+            f"{converged} converged, {len(sampled) - converged} hit the "
+            "ceiling"
         )
     return "\n".join(lines)
 
@@ -118,7 +110,7 @@ def details(table: TableIV) -> dict:
             "ci_target": policy.ci_target,
             "ci_abs": policy.ci_abs,
             "confidence": policy.confidence,
-            "kind": policy.kind,
+            "kind": "wilson",
             "metric": policy.metric,
             "initial_trials": policy.initial_trials,
             "max_trials": policy.max_trials,
@@ -144,7 +136,6 @@ def build(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     progress: bool = False,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
     telemetry_dir: str | None = None,
@@ -155,7 +146,6 @@ def build(
     session (``local:N`` or ``listen:PORT``); ``checkpoint_dir`` /
     ``resume`` journal and replay completed chunks; ``progress`` prints
     chunk progress and campaign allocations to stderr.
-    ``trial_budget`` caps the adaptive campaign's total spend;
     ``cache_dir`` folds already-computed cells straight from the
     cross-run result cache, on every path.  ``telemetry_dir``
     records the run's event log, metrics and manifest there.  None of
@@ -204,7 +194,6 @@ def build(
                 progress=progress_cb,
                 adaptive=policy,
                 executor=executor,
-                trial_budget=trial_budget,
                 cache_dir=cache_dir,
                 scenario=scenario,
             )
@@ -227,7 +216,6 @@ def main(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     progress: bool = False,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
     telemetry_dir: str | None = None,
@@ -249,7 +237,6 @@ def main(
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         progress=progress,
-        trial_budget=trial_budget,
         cache_dir=cache_dir,
         scenario=scenario,
         telemetry_dir=telemetry_dir,

@@ -1,10 +1,7 @@
-"""Memory controller with integrated ECC (paper Figure 2).
+"""Memory controller with integrated MUSE ECC (paper Figure 2).
 
 The controller owns the write path (encode, stripe, store) and the read
-path (gather, decode, correct-or-flag).  ECC schemes plug in through the
-small :class:`EccScheme` protocol, so the same controller runs MUSE,
-Reed-Solomon, or no ECC at all — which is exactly the comparison the
-paper's evaluation needs.
+path (gather, decode, correct-or-flag) around a :class:`MuseEcc`.
 
 The backing store is sparse (a dict of codeword-address -> codeword
 integer), with per-device fault state layered on top: a failed device
@@ -17,12 +14,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
 from repro.core.codec import DecodeStatus, MuseCode
 from repro.memory.striping import DeviceStriping
-from repro.rs.reed_solomon import RSCode, RSDecodeStatus
 
 
 class ReadStatus(enum.Enum):
@@ -38,23 +33,9 @@ class ReadResult:
     address: int
 
 
-class EccScheme(Protocol):
-    """What the controller needs from an ECC implementation."""
-
-    @property
-    def data_bits(self) -> int: ...
-
-    @property
-    def codeword_bits(self) -> int: ...
-
-    def encode(self, data: int) -> int: ...
-
-    def decode(self, codeword: int) -> tuple[ReadStatus, int | None]: ...
-
-
 @dataclass(frozen=True)
 class MuseEcc:
-    """Adapter: MUSE codec -> controller protocol."""
+    """The MUSE codec as the controller sees it."""
 
     code: MuseCode
 
@@ -78,53 +59,6 @@ class MuseEcc:
         return ReadStatus.UNCORRECTABLE, None
 
 
-@dataclass(frozen=True)
-class ReedSolomonEcc:
-    """Adapter: RS codec -> controller protocol."""
-
-    code: RSCode
-
-    @property
-    def data_bits(self) -> int:
-        return self.code.k_bits
-
-    @property
-    def codeword_bits(self) -> int:
-        return self.code.n_bits
-
-    def encode(self, data: int) -> int:
-        return self.code.encode_bits(data)
-
-    def decode(self, codeword: int) -> tuple[ReadStatus, int | None]:
-        status, data = self.code.decode_bits(codeword)
-        if status is RSDecodeStatus.CLEAN:
-            return ReadStatus.OK, data
-        if status is RSDecodeStatus.CORRECTED:
-            return ReadStatus.CORRECTED, data
-        return ReadStatus.UNCORRECTABLE, None
-
-
-@dataclass(frozen=True)
-class NoEcc:
-    """Raw storage baseline (the paper's metadata-in-ECC-bits strawman)."""
-
-    width: int
-
-    @property
-    def data_bits(self) -> int:
-        return self.width
-
-    @property
-    def codeword_bits(self) -> int:
-        return self.width
-
-    def encode(self, data: int) -> int:
-        return data
-
-    def decode(self, codeword: int) -> tuple[ReadStatus, int | None]:
-        return ReadStatus.OK, codeword
-
-
 @dataclass
 class ControllerStats:
     reads: int = 0
@@ -139,14 +73,14 @@ class MemoryController:
     Parameters
     ----------
     ecc:
-        Any :class:`EccScheme`.
+        The :class:`MuseEcc` codec.
     striping:
         Optional device striping.  Required for device-level fault
         injection; when present, its layout width must equal the ECC
         codeword width.
     """
 
-    def __init__(self, ecc: EccScheme, striping: DeviceStriping | None = None):
+    def __init__(self, ecc: MuseEcc, striping: DeviceStriping | None = None):
         if striping is not None and striping.layout.n != ecc.codeword_bits:
             raise ValueError(
                 f"striping covers {striping.layout.n} bits but the ECC "

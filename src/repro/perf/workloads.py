@@ -21,6 +21,7 @@ documented in DESIGN.md.)
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -106,7 +107,11 @@ class TraceGenerator:
     def operations(self, count: int) -> Iterator[MemoryOp]:
         """Yield ``count`` memory operations."""
         profile = self.profile
-        rng = random.Random((hash(profile.name) ^ self.seed) & 0xFFFFFFFF)
+        # A stable digest of the name, not hash(): Python salts str
+        # hashes per process, so a hash() seed would tie every trace to
+        # PYTHONHASHSEED.
+        name_key = zlib.crc32(profile.name.encode())
+        rng = random.Random((name_key ^ self.seed) & 0xFFFFFFFF)
         working_set = profile.working_set_kb * 1024
         gap = max(1, round(1000 / profile.mem_per_kilo_inst) - 1)
         stream_pointer = 0

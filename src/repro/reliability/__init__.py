@@ -5,7 +5,7 @@
 * :func:`build_table_iv` — the full MUSE-vs-RS design-point sweep,
   fixed-budget or adaptive.
 * :class:`MsedResult` — detected / miscorrected / silent accounting,
-  every rate with a Wilson / Clopper-Pearson interval.
+  every rate with a Wilson interval.
 * :mod:`~repro.reliability.sampling` — adaptive sampling: the
   :class:`AdaptivePolicy` stopping rule, applied by one campaign
   scheduler to a single point or a whole sweep.
@@ -31,13 +31,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "run_design_points_adaptive",
         "run_design_points_with_outcomes",
     ),
-    ".sampling": (
-        "AdaptivePolicy",
-        "Interval",
-        "binomial_interval",
-        "clopper_pearson_interval",
-        "wilson_interval",
-    ),
+    ".sampling": ("AdaptivePolicy", "Interval", "wilson_interval"),
 })
 
 __all__ = [
@@ -50,9 +44,7 @@ __all__ = [
     "MuseMsedSimulator",
     "RsMsedSimulator",
     "TableIV",
-    "binomial_interval",
     "build_table_iv",
-    "clopper_pearson_interval",
     "largest_144_multiplier",
     "muse_design_point",
     "predict",

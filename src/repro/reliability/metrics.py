@@ -156,23 +156,15 @@ class MsedResult:
         return self.count(metric) / self.trials
 
     def interval(
-        self,
-        kind: str = "wilson",
-        confidence: float = 0.95,
-        metric: str = "msed",
+        self, confidence: float = 0.95, metric: str = "msed"
     ) -> "Interval":
-        """Confidence interval on one named rate over this run's trials.
-
-        ``kind`` is ``"wilson"`` or ``"clopper-pearson"``
-        (:mod:`repro.reliability.sampling.intervals`).
-        """
+        """Wilson confidence interval on one named rate over this run's
+        trials (:mod:`repro.reliability.sampling.intervals`)."""
         # Runtime import: the sampling package imports this module, so
         # a module-level import here would be circular.
-        from repro.reliability.sampling.intervals import binomial_interval
+        from repro.reliability.sampling.intervals import wilson_interval
 
-        return binomial_interval(
-            self.count(metric), self.trials, kind=kind, confidence=confidence
-        )
+        return wilson_interval(self.count(metric), self.trials, confidence)
 
     def describe(self, confidence: float = 0.95) -> str:
         interval = self.interval(confidence=confidence)

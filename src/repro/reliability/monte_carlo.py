@@ -390,7 +390,6 @@ def run_design_points_adaptive(
     progress: ProgressCallback | None = None,
     executor=None,
     group_ns: str | None = None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
 ) -> list[CampaignOutcome]:
     """Adaptive sibling of :func:`run_design_points`.
@@ -398,23 +397,20 @@ def run_design_points_adaptive(
     Every simulator consumes the same counter-hashed stream, but the
     sweep is now scheduled as one *campaign*
     (:class:`~repro.reliability.sampling.scheduler.CampaignRunner`):
-    each round spends the next batch of trials on the points furthest
-    from the policy's CI target instead of finishing points one at a
-    time, optionally under a campaign-wide ``trial_budget`` and backed
-    by a ``cache_dir`` result cache.  Results are positionally aligned
+    each round grants every unfinished point the trials projected to
+    reach the policy's CI target instead of finishing points one at a
+    time, optionally backed by a ``cache_dir`` result cache.  Results
+    are positionally aligned
     with ``simulators`` and, like the fixed-budget runner, independent
     of ``jobs``/``chunk_size``/backend/transport at a fixed seed
     (including each point's ``trials_used`` and ``trials_cached``) —
     allocation is a pure function of the folded tallies.
     """
-    from repro.reliability.sampling.scheduler import (
-        CampaignPolicy,
-        CampaignRunner,
-    )
+    from repro.reliability.sampling.scheduler import CampaignRunner
 
-    return CampaignRunner(
-        CampaignPolicy(policy, trial_budget), cache=_result_cache(cache_dir)
-    ).run(simulators, seed, jobs, chunk_size, progress, executor, group_ns)
+    return CampaignRunner(policy, cache=_result_cache(cache_dir)).run(
+        simulators, seed, jobs, chunk_size, progress, executor, group_ns
+    )
 
 
 def run_design_points_with_outcomes(
@@ -427,7 +423,6 @@ def run_design_points_with_outcomes(
     adaptive: AdaptivePolicy | None = None,
     executor=None,
     group_ns: str | None = None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
 ) -> "tuple[list[MsedResult], list[CampaignOutcome | None]]":
     """The one fixed-vs-adaptive dispatch every experiment shares.
@@ -435,9 +430,8 @@ def run_design_points_with_outcomes(
     Returns ``(results, outcomes)`` positionally aligned with
     ``simulators``; ``outcomes`` is all ``None`` for fixed-budget runs
     (``adaptive is None``), so callers render trial counts and
-    convergence flags from one shape.  ``trial_budget`` only applies
-    to adaptive (campaign) runs; ``cache_dir`` serves and fills the
-    result cache in both, on every transport.  ``progress`` is called
+    convergence flags from one shape.  ``cache_dir`` serves and fills
+    the result cache in both, on every transport.  ``progress`` is called
     once per computed chunk; the ``--progress`` printer
     (:class:`repro.distribute.progress.ChunkProgress`) also prints a
     campaign's allocation rounds.
@@ -445,7 +439,7 @@ def run_design_points_with_outcomes(
     if adaptive is not None:
         outcomes = run_design_points_adaptive(
             simulators, adaptive, seed, jobs, chunk_size, progress, executor,
-            group_ns, trial_budget, cache_dir,
+            group_ns, cache_dir,
         )
         return [outcome.result for outcome in outcomes], list(outcomes)
     results = run_design_points(
@@ -466,7 +460,6 @@ def build_table_iv(
     progress: ProgressCallback | None = None,
     adaptive: AdaptivePolicy | None = None,
     executor=None,
-    trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
 ) -> TableIV:
@@ -481,10 +474,9 @@ def build_table_iv(
     set accelerates the whole table without altering it.
 
     With ``adaptive`` set, ``trials`` is ignored: the whole table runs
-    as one campaign (trials flow to the points furthest from the CI
-    target each round), optionally capped by ``trial_budget``, and
-    every :class:`DesignPoint` carries its campaign outcome in
-    ``.sampling``.  Fixed or adaptive, ``cache_dir`` folds the chunks
+    as one campaign (each round grants every unfinished point the
+    trials projected to reach its CI target), and every
+    :class:`DesignPoint` carries its campaign outcome in ``.sampling``.  Fixed or adaptive, ``cache_dir`` folds the chunks
     an earlier run computed from the result cache and files the rest.
 
     ``scenario`` swaps the injected corruption stream for any fault
@@ -514,7 +506,7 @@ def build_table_iv(
 
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress, adaptive,
-        executor, trial_budget=trial_budget, cache_dir=cache_dir,
+        executor, cache_dir=cache_dir,
     )
 
     table = TableIV()

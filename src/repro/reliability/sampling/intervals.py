@@ -2,23 +2,12 @@
 
 The Table-IV Monte-Carlo reports event *rates* — detected, miscorrected,
 silent fractions of the sampled trials — and a bare rate with no error
-bar is meaningless for the rare cells ("0 events in N trials").  This
-module provides the two standard binomial intervals, in pure stdlib
-Python (no scipy in the container):
-
-* **Wilson score** — the score-test inversion.  Near-nominal coverage
-  at every ``n`` and well-behaved at the 0/``n`` boundaries, which is
-  why it drives the adaptive stopping rule
-  (:mod:`repro.reliability.sampling.sequential`).
-* **Clopper-Pearson** — the exact (beta-quantile) interval.  Coverage
-  is *guaranteed* at least nominal for every ``(n, p)`` — conservative,
-  never anti-conservative — making it the right choice for headline
-  numbers on rare events.
-
-Both are pure functions of ``(successes, trials, confidence)``; the
-beta quantiles come from a regularised-incomplete-beta continued
-fraction (Numerical Recipes 6.4) inverted by bisection, accurate to
-~1e-12 — far below Monte-Carlo noise.
+bar is meaningless for the rare cells ("0 events in N trials").  Every
+reported rate carries a **Wilson score** interval, in pure stdlib
+Python: the score-test inversion, with near-nominal coverage at every
+``n`` and well-behaved at the 0/``n`` boundaries, which is why it also
+drives the adaptive stopping rule
+(:mod:`repro.reliability.sampling.sequential`).
 """
 
 from __future__ import annotations
@@ -28,10 +17,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 __all__ = [
-    "INTERVAL_KINDS",
     "Interval",
-    "binomial_interval",
-    "clopper_pearson_interval",
     "wilson_interval",
 ]
 
@@ -42,7 +28,6 @@ class Interval:
 
     lo: float
     hi: float
-    kind: str
     confidence: float
 
     @property
@@ -89,7 +74,7 @@ def wilson_interval(
     """
     _validate(successes, trials, confidence)
     if trials == 0:
-        return Interval(0.0, 1.0, "wilson", confidence)
+        return Interval(0.0, 1.0, confidence)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = float(trials)
     p = successes / n
@@ -103,133 +88,4 @@ def wilson_interval(
     # float roundoff can't leave hi at 0.9999999... for k = n.
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
     hi = 1.0 if successes == trials else min(1.0, centre + half)
-    return Interval(lo, hi, "wilson", confidence)
-
-
-# ----------------------------------------------------------------------
-# Regularised incomplete beta (Numerical Recipes 6.4) and its inverse —
-# all Clopper-Pearson needs, in stdlib floats.
-# ----------------------------------------------------------------------
-
-_BETACF_MAX_ITER = 300
-_BETACF_EPS = 3e-16
-_BETACF_FPMIN = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
-    return h  # pragma: no cover - the fraction converges in < 100 steps
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """``I_x(a, b)``, the CDF of the Beta(a, b) distribution at ``x``."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fast for x < (a+1)/(a+b+2); use
-    # the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other side.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def beta_quantile(q: float, a: float, b: float) -> float:
-    """Inverse Beta(a, b) CDF by bisection (monotone, 100 halvings)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if regularized_incomplete_beta(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def clopper_pearson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> Interval:
-    """Clopper-Pearson exact interval for ``successes`` out of ``trials``.
-
-    ``lo = BetaInv(alpha/2; k, n-k+1)``, ``hi = BetaInv(1-alpha/2; k+1,
-    n-k)``, with the conventional closed endpoints at ``k = 0`` (lo = 0)
-    and ``k = n`` (hi = 1).  Coverage >= nominal for every ``(n, p)``.
-    """
-    _validate(successes, trials, confidence)
-    if trials == 0:
-        return Interval(0.0, 1.0, "clopper-pearson", confidence)
-    alpha = 1.0 - confidence
-    k, n = successes, trials
-    lo = 0.0 if k == 0 else beta_quantile(alpha / 2.0, k, n - k + 1)
-    hi = 1.0 if k == n else beta_quantile(1.0 - alpha / 2.0, k + 1, n - k)
-    return Interval(lo, hi, "clopper-pearson", confidence)
-
-
-#: Registry of interval constructors by kind name.
-INTERVAL_KINDS = {
-    "wilson": wilson_interval,
-    "clopper-pearson": clopper_pearson_interval,
-}
-
-
-def binomial_interval(
-    successes: int,
-    trials: int,
-    kind: str = "wilson",
-    confidence: float = 0.95,
-) -> Interval:
-    """Dispatch to one of :data:`INTERVAL_KINDS` by name."""
-    try:
-        build = INTERVAL_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown interval kind {kind!r}; choose from "
-            f"{sorted(INTERVAL_KINDS)}"
-        ) from None
-    return build(successes, trials, confidence)
+    return Interval(lo, hi, confidence)

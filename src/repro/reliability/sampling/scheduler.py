@@ -3,27 +3,18 @@
 A campaign runs one design point (``run_adaptive``) or a whole sweep
 (``--adaptive``) until every point meets its
 :class:`AdaptivePolicy` stopping rule.  Instead of growing each point
-on a fixed look schedule, which overshoots a point's true requirement
-and tells its neighbours nothing, each round looks at the folded
-tallies of **all** points and spends the next batch of trials where
-they shrink confidence intervals fastest:
+on a fixed look schedule, which overshoots a point's true requirement,
+each round looks at every unfinished point's folded tally and grants
+it the projected number of trials that closes the gap between its
+interval and its goal (binomial half-widths shrink like
+``1/sqrt(n)``, so ``n_goal ≈ n · (half/goal)² · SAFETY``), capped per
+round at a doubling so noisy early projections are re-examined at the
+next barrier.  A point whose stream sees zero events has no relative
+goal, so it keeps doubling to ``max_trials`` and reports its interval
+there.
 
-* the *priority* of a point is ``half_width / goal_half_width`` — how
-  far its current interval is from the stopping rule of the base
-  :class:`AdaptivePolicy` (largest first, bandit-style);
-* the *allocation* for a point is the projected number of trials that
-  closes the gap (binomial half-widths shrink like ``1/sqrt(n)``, so
-  ``n_goal ≈ n · (half/goal)² · SAFETY``), capped per round at a
-  doubling so noisy early projections are re-examined at the next
-  barrier;
-* a per-campaign ``trial_budget`` is drained greedily in priority
-  order, so a fixed fleet spends a fixed budget where it buys the most
-  certainty;
-* a point whose stream sees zero events runs to ``max_trials`` and
-  reports its interval there.
-
-Determinism contract (same as every other runner in this repo): the
-allocation is a **pure function of the folded tallies** — never of
+Determinism contract (same as every other runner in this repo): each
+point's grant is a **pure function of its own folded tally** — never of
 wall-clock, worker count, or chunk arrival order.  Trials are
 allocated in trial units and chunked with
 :func:`~repro.orchestrate.plan.plan_chunk_range` *after* allocation,
@@ -49,7 +40,7 @@ events emitted here keep that property.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Sequence
 
@@ -65,7 +56,6 @@ from repro.reliability.sampling.sequential import AdaptivePolicy
 __all__ = [
     "Allocation",
     "CampaignOutcome",
-    "CampaignPolicy",
     "CampaignRunner",
     "CampaignScheduler",
     "PointView",
@@ -74,20 +64,6 @@ __all__ = [
 #: Margin on the 1/sqrt(n) half-width projection, so a point's
 #: projected total lands just past its goal rather than just short.
 SAFETY = 1.15
-
-
-@dataclass(frozen=True)
-class CampaignPolicy:
-    """How a campaign spends trials across a whole sweep: the per-point
-    stopping rule (``base``) and an optional campaign-wide
-    ``trial_budget``."""
-
-    base: AdaptivePolicy = field(default_factory=AdaptivePolicy)
-    trial_budget: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.trial_budget is not None and self.trial_budget < 1:
-            raise ValueError("trial_budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -110,7 +86,6 @@ class Allocation:
 
     index: int
     trials: int
-    priority: float
     half_width: float
 
 
@@ -118,67 +93,50 @@ class Allocation:
 class CampaignScheduler:
     """Pure allocator: folded tallies in, next round's trials out."""
 
-    policy: CampaignPolicy
+    policy: AdaptivePolicy
 
     def goal_half_width(self, result: MsedResult) -> float:
-        """The half-width at which ``base.satisfied`` would stop.
+        """The half-width at which ``policy.satisfied`` would stop, or 0
+        when no finite goal exists.
 
         Mirrors :meth:`AdaptivePolicy.satisfied`: the absolute
         tolerance if set, or the relative tolerance scaled by the
         observed rate.  A zero-event cell has no rate to be relative
-        to, so aim at ``ci_target·hi`` — the optimistic upper bound —
-        which keeps the projection growing until events appear or the
-        point reaches ``max_trials``.
+        to, so the relative tolerance sets no goal there and the point
+        keeps doubling until events appear or it reaches
+        ``max_trials``.
         """
-        base = self.policy.base
+        policy = self.policy
         goals = []
-        if base.ci_abs > 0:
-            goals.append(base.ci_abs)
-        if base.ci_target > 0:
-            rate = result.rate(base.metric)
-            if rate > 0:
-                goals.append(base.ci_target * rate)
-            else:
-                goals.append(base.ci_target * base.interval_of(result).hi)
+        if policy.ci_abs > 0:
+            goals.append(policy.ci_abs)
+        rate = result.rate(policy.metric)
+        if policy.ci_target > 0 and rate > 0:
+            goals.append(policy.ci_target * rate)
         return max(goals, default=0.0)
 
-    def priority(self, view: PointView) -> float:
-        """How far ``view`` is from stopping (larger = more urgent)."""
-        if view.trials == 0 or view.result is None or view.result.trials == 0:
-            return math.inf
-        goal = self.goal_half_width(view.result)
-        if goal <= 0:
-            return math.inf
-        return self.policy.base.interval_of(view.result).half_width / goal
-
     def desired_total(self, view: PointView) -> int:
-        """Projected total trials that would satisfy the base policy."""
-        base = self.policy.base
+        """Projected total trials that would satisfy the policy."""
+        policy = self.policy
         if view.trials == 0 or view.result is None or view.result.trials == 0:
-            return min(base.initial_trials, base.max_trials)
+            return min(policy.initial_trials, policy.max_trials)
         goal = self.goal_half_width(view.result)
         if goal <= 0:
-            return base.max_trials
-        half = base.interval_of(view.result).half_width
+            return policy.max_trials
+        half = policy.interval_of(view.result).half_width
         if half <= goal:
             return view.trials
         projected = math.ceil(view.trials * (half / goal) ** 2 * SAFETY)
-        return max(view.trials + 1, min(base.max_trials, projected))
+        return max(view.trials + 1, min(policy.max_trials, projected))
 
-    def allocate(
-        self, views: Sequence[PointView], budget_left: int | None = None
-    ) -> list[Allocation]:
-        """Split the next round's trials across ``views``.
-
-        Returns allocations sorted by ``(-priority, index)``; the
-        budget is drained greedily in that order and the last grant is
-        truncated to fit.  Empty when every point is done or the
-        budget is exhausted.
-        """
-        base = self.policy.base
-        requests: list[Allocation] = []
+    def allocate(self, views: Sequence[PointView]) -> list[Allocation]:
+        """The next round's grant for every point of ``views`` that
+        still wants trials, in point order; empty when every point is
+        done."""
+        policy = self.policy
+        allocations: list[Allocation] = []
         for index, view in enumerate(views):
-            if not view.active or view.trials >= base.max_trials:
+            if not view.active or view.trials >= policy.max_trials:
                 continue
             want = self.desired_total(view) - view.trials
             if want <= 0:
@@ -186,31 +144,15 @@ class CampaignScheduler:
             # Never more than double a point in one round: projections
             # from a handful of events are noisy, and the next barrier
             # re-projects from the fresher tally anyway.
-            want = min(want, max(base.initial_trials, view.trials))
+            want = min(want, max(policy.initial_trials, view.trials))
             if view.result is not None and view.result.trials > 0:
-                half = base.interval_of(view.result).half_width
+                half = policy.interval_of(view.result).half_width
             else:
                 half = 0.5  # a-priori binomial uncertainty
-            requests.append(
-                Allocation(
-                    index=index,
-                    trials=want,
-                    priority=self.priority(view),
-                    half_width=half,
-                )
+            allocations.append(
+                Allocation(index=index, trials=want, half_width=half)
             )
-        requests.sort(key=lambda alloc: (-alloc.priority, alloc.index))
-        if budget_left is None:
-            return requests
-        granted: list[Allocation] = []
-        remaining = budget_left
-        for alloc in requests:
-            if remaining <= 0:
-                break
-            take = min(alloc.trials, remaining)
-            granted.append(replace(alloc, trials=take))
-            remaining -= take
-        return granted
+        return allocations
 
 
 @dataclass(frozen=True)
@@ -238,12 +180,7 @@ class CampaignOutcome:
         return self.policy.interval_of(self.result)
 
     def describe(self) -> str:
-        if self.converged:
-            reason = "converged"
-        elif self.result.trials >= self.policy.max_trials:
-            reason = "hit trial ceiling"
-        else:
-            reason = "budget exhausted"
+        reason = "converged" if self.converged else "hit trial ceiling"
         cached = (
             f", {self.trials_cached} cached" if self.trials_cached else ""
         )
@@ -255,7 +192,7 @@ class CampaignOutcome:
 
 @dataclass
 class CampaignRunner:
-    """Run a whole sweep under one :class:`CampaignPolicy`.
+    """Run a whole sweep under one :class:`AdaptivePolicy`.
 
     Every round is one :func:`~repro.orchestrate.pool.run_grid` call,
     which serves and fills ``cache`` (the distribute layer's
@@ -267,7 +204,7 @@ class CampaignRunner:
     prints each round's allocation.
     """
 
-    policy: CampaignPolicy = field(default_factory=CampaignPolicy)
+    policy: AdaptivePolicy = field(default_factory=AdaptivePolicy)
     cache: Any | None = None
 
     def run(
@@ -280,8 +217,8 @@ class CampaignRunner:
         executor: Any | None = None,
         group_ns: str | None = None,
     ) -> list[CampaignOutcome]:
-        base = self.policy.base
-        scheduler = CampaignScheduler(self.policy)
+        policy = self.policy
+        scheduler = CampaignScheduler(policy)
         key = derive_key(seed)
         count = len(simulators)
         groups = group_labels(count, group_ns)
@@ -289,7 +226,6 @@ class CampaignRunner:
         trials = [0] * count
         rounds = [0] * count
         converged = [False] * count
-        budget_left = self.policy.trial_budget
         allocation = getattr(progress, "allocation", None)
 
         # One spec per point, built on first use (cache fingerprints,
@@ -313,7 +249,7 @@ class CampaignRunner:
                 )
                 for i in range(count)
             ]
-            allocations = scheduler.allocate(views, budget_left)
+            allocations = scheduler.allocate(views)
             if not allocations:
                 break
             round_no += 1
@@ -321,18 +257,12 @@ class CampaignRunner:
             telemetry.event(
                 "campaign.round",
                 round=round_no,
-                budget_left=budget_left,
                 allocations=[
                     {
                         "point": str(groups[alloc.index]),
                         "trials": alloc.trials,
                         "total": trials[alloc.index] + alloc.trials,
                         "half_width": alloc.half_width,
-                        "priority": (
-                            alloc.priority
-                            if math.isfinite(alloc.priority)
-                            else None
-                        ),
                     }
                     for alloc in allocations
                 ],
@@ -346,7 +276,6 @@ class CampaignRunner:
                             alloc.trials,
                             trials[alloc.index] + alloc.trials,
                             alloc.half_width,
-                            alloc.priority,
                         )
                         for alloc in allocations
                     ],
@@ -363,8 +292,6 @@ class CampaignRunner:
                 ]
                 trials[i] += alloc.trials
                 rounds[i] += 1
-                if budget_left is not None:
-                    budget_left -= alloc.trials
 
             # Progress counts the campaign's computed chunks so far:
             # each round's grid reports on top of the rounds before it.
@@ -386,7 +313,7 @@ class CampaignRunner:
 
             for alloc in allocations:
                 i = alloc.index
-                if base.satisfied(tallies[i].freeze()):
+                if policy.satisfied(tallies[i].freeze()):
                     converged[i] = True
 
         return [
@@ -394,7 +321,7 @@ class CampaignRunner:
                 result=tallies[i].freeze(),
                 converged=converged[i],
                 rounds=rounds[i],
-                policy=base,
+                policy=policy,
                 trials_cached=(
                     trials[i] - computed[i] if self.cache is not None else 0
                 ),

@@ -21,8 +21,7 @@ The statistical caveat baked into the design: evaluating a confidence
 interval repeatedly and stopping at the first success is *optional
 stopping*, which inflates the error rate of naive fixed-n intervals.
 Checking at round barriers (a handful of looks, not one per trial)
-keeps the inflation small — the standard practical compromise — and the
-Clopper-Pearson option stays conservative per look.
+keeps the inflation small — the standard practical compromise.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.reliability.metrics import METRICS, MsedResult
-from repro.reliability.sampling.intervals import INTERVAL_KINDS, Interval
+from repro.reliability.sampling.intervals import Interval
 
 __all__ = [
     "AdaptivePolicy",
@@ -43,7 +42,7 @@ class AdaptivePolicy:
     """When to stop sampling one design point.
 
     A point stops at the first round barrier where either bound holds
-    for the ``metric`` rate's two-sided ``confidence`` interval:
+    for the ``metric`` rate's two-sided Wilson ``confidence`` interval:
 
     * half-width <= ``ci_abs`` (absolute tolerance, skipped when 0), or
     * half-width <= ``ci_target`` x the point estimate (relative
@@ -59,7 +58,6 @@ class AdaptivePolicy:
     ci_target: float = 0.1
     ci_abs: float = 0.0
     confidence: float = 0.95
-    kind: str = "wilson"
     metric: str = "failure"
     initial_trials: int = 1_000
     max_trials: int = 1_000_000
@@ -69,11 +67,6 @@ class AdaptivePolicy:
             raise ValueError("ci_target and ci_abs must be >= 0")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.kind not in INTERVAL_KINDS:
-            raise ValueError(
-                f"unknown interval kind {self.kind!r}; choose from "
-                f"{sorted(INTERVAL_KINDS)}"
-            )
         if self.metric not in METRICS:
             raise ValueError(
                 f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}"
@@ -84,9 +77,7 @@ class AdaptivePolicy:
             raise ValueError("max_trials must be >= 1")
 
     def interval_of(self, result: MsedResult) -> Interval:
-        return result.interval(
-            kind=self.kind, confidence=self.confidence, metric=self.metric
-        )
+        return result.interval(confidence=self.confidence, metric=self.metric)
 
     def satisfied(self, result: MsedResult) -> bool:
         """Is ``result``'s target-rate interval tight enough to stop?"""

@@ -6,18 +6,13 @@ reproduced the same way: a generator-power table and its inverse give
 O(1) multiply/divide/log, which is both the hardware structure the paper
 costs (the LUTs in Table V) and a fast software path.
 
-Two execution styles share the same tables:
-
-* scalar ``mul``/``div``/``inv`` index a *doubled* exp table
-  (``exp[i % order] == _exp2[i]`` for ``i < 2 * order``) so the hot
-  path needs no ``% order`` reduction;
-* :meth:`GaloisField.mul_batch` / :meth:`div_batch` /
-  :meth:`pow_alpha_batch` run the same lookups over whole ndarrays.
-
-The native RS kernels read the tables as the immutable machine-order
-buffers of :attr:`GaloisField.buffers`; ``exp_nd``/``log_nd`` are
-read-only numpy views of those same buffers, so numpy loads only when
-an ndarray path first asks for one.
+Scalar ``mul``/``div``/``inv`` index a *doubled* exp table
+(``exp[i % order] == _exp2[i]`` for ``i < 2 * order``) so the hot path
+needs no ``% order`` reduction.  The native RS kernels read the same
+tables as the immutable machine-order buffers of
+:attr:`GaloisField.buffers`; ``exp_nd``/``log_nd`` are read-only numpy
+views of those buffers (what :class:`repro.engine.tables.RsTables`
+reads), so numpy loads only when an ndarray path first asks for one.
 
 Symbol sizes 2..16 bits are supported — Table IV needs 5-, 6-, 7- and
 8-bit symbols.
@@ -140,7 +135,7 @@ class GaloisField:
         return result
 
     # ------------------------------------------------------------------
-    # Vectorised field operations
+    # Table buffers
     # ------------------------------------------------------------------
 
     @cached_property
@@ -163,28 +158,6 @@ class GaloisField:
         """The log table as a read-only int64 view of :attr:`buffers`;
         ``log_nd[0]`` is a 0 sentinel."""
         return np.frombuffer(self.buffers[1], dtype=np.int64)
-
-    def mul_batch(self, a, b):
-        """Elementwise field product of two symbol ndarrays (broadcasts)."""
-        exp2, log = self.exp_nd, self.log_nd
-        a = np.asarray(a)
-        b = np.asarray(b)
-        product = exp2[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), np.uint32(0), product)
-
-    def div_batch(self, a, b):
-        """Elementwise field quotient; raises if any divisor is zero."""
-        exp2, log = self.exp_nd, self.log_nd
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if np.any(b == 0):
-            raise ZeroDivisionError("division by zero field element")
-        quotient = exp2[log[a] - log[b] + self.order]
-        return np.where(a == 0, np.uint32(0), quotient)
-
-    def pow_alpha_batch(self, i):
-        """``alpha^i`` for an ndarray of integers (negative allowed)."""
-        return self.exp_nd[np.asarray(i) % self.order]
 
 
 @lru_cache(maxsize=None)

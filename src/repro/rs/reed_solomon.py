@@ -122,8 +122,12 @@ class RSCode:
 
     @cached_property
     def symbol_widths(self) -> tuple[int, ...]:
-        """Physical bit width of every codeword symbol."""
-        return tuple(self._symbol_width(i) for i in range(self.n_symbols))
+        """Physical bit width of every codeword symbol (the last data
+        symbol may be partial)."""
+        widths = [self.symbol_bits] * self.n_symbols
+        if self.partial_bits:
+            widths[self.data_symbols - 1] = self.partial_bits
+        return tuple(widths)
 
     @cached_property
     def symbol_bit_offsets(self) -> tuple[int, ...]:
@@ -235,66 +239,6 @@ class RSCode:
             error_position=position,
             error_magnitude=magnitude,
         )
-
-    # ------------------------------------------------------------------
-    # Bit-level convenience (shared geometry with MUSE experiments)
-    # ------------------------------------------------------------------
-
-    def encode_bits(self, data: int) -> int:
-        """Encode an integer of ``k_bits`` into an ``n_bits`` codeword.
-
-        Symbol 0 occupies the least-significant bits.
-        """
-        if not 0 <= data < (1 << self.k_bits):
-            raise ValueError(f"data must fit in {self.k_bits} bits")
-        data_syms = []
-        remaining = data
-        for index in range(self.data_symbols):
-            width = self._symbol_width(index)
-            data_syms.append(remaining & ((1 << width) - 1))
-            remaining >>= width
-        codeword_syms = self.encode(data_syms)
-        return self.pack(codeword_syms)
-
-    def _symbol_width(self, index: int) -> int:
-        if self.partial_bits and index == self.data_symbols - 1:
-            return self.partial_bits
-        return self.symbol_bits
-
-    def pack(self, symbols: tuple[int, ...] | list[int]) -> int:
-        """Pack codeword symbols into an integer (symbol 0 in low bits)."""
-        value = 0
-        for index, symbol in enumerate(symbols):
-            width = self.symbol_widths[index]
-            if symbol >> width:
-                raise ValueError(
-                    f"symbol {index} value {symbol:#x} exceeds its "
-                    f"{width} physical bits"
-                )
-            value |= symbol << self.symbol_bit_offsets[index]
-        return value
-
-    def unpack(self, codeword: int) -> tuple[int, ...]:
-        """Inverse of :meth:`pack`."""
-        if not 0 <= codeword < (1 << self.n_bits):
-            raise ValueError(f"codeword must fit in {self.n_bits} bits")
-        return tuple(
-            (codeword >> offset) & ((1 << width) - 1)
-            for offset, width in zip(self.symbol_bit_offsets, self.symbol_widths)
-        )
-
-    def decode_bits(self, codeword: int) -> tuple[RSDecodeStatus, int | None]:
-        """Bit-level decode; returns (status, data or None)."""
-        result = self.decode(self.unpack(codeword))
-        if result.symbols is None:
-            return result.status, None
-        data = 0
-        offset = 0
-        for index in range(self.data_symbols):
-            width = self._symbol_width(index)
-            data |= result.symbols[index] << offset
-            offset += width
-        return result.status, data
 
 
 def rs_144_128() -> RSCode:

@@ -1,21 +1,9 @@
-"""Unit tests for repro.core.residue (Eqs. 1-4, Table II)."""
+"""Unit tests for repro.core.residue (Eq. 4, Table II)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.residue import (
-    ResidueParameters,
-    an_decode,
-    an_encode,
-    an_is_codeword,
-    an_remainder,
-    check_bits,
-    redundancy_bits,
-    systematic_check_field,
-    systematic_data,
-    systematic_encode,
-    systematic_remainder,
-)
+from repro.core.residue import check_bits, redundancy_bits, systematic_encode
 
 
 class TestRedundancyBits:
@@ -33,44 +21,6 @@ class TestRedundancyBits:
             redundancy_bits(1)
 
 
-class TestANCode:
-    def test_encode_is_multiplication(self):
-        assert an_encode(7, 3) == 21
-
-    def test_clean_codeword_has_zero_remainder(self):
-        assert an_remainder(an_encode(123456, 4065), 4065) == 0
-
-    def test_decode_roundtrip(self):
-        data, remainder = an_decode(an_encode(99, 2005), 2005)
-        assert (data, remainder) == (99, 0)
-
-    def test_corrupted_codeword_has_nonzero_remainder(self):
-        codeword = an_encode(99, 2005) + 4  # bit-2 flip 0->1
-        _, remainder = an_decode(codeword, 2005)
-        assert remainder == 4 % 2005
-
-    def test_is_codeword(self):
-        assert an_is_codeword(4065 * 5, 4065)
-        assert not an_is_codeword(4065 * 5 + 1, 4065)
-        assert not an_is_codeword(-4065, 4065)
-
-    def test_negative_data_rejected(self):
-        with pytest.raises(ValueError):
-            an_encode(-1, 3)
-
-    @given(
-        data=st.integers(min_value=0, max_value=(1 << 64) - 1),
-        m=st.sampled_from([4065, 2005, 5621, 821, 3621]),
-    )
-    def test_an_homomorphism_under_addition(self, data, m):
-        """The AN-code property the paper leverages for PIM:
-        e(x) + e(y) == e(x + y)."""
-        other = (data * 7919 + 13) & ((1 << 64) - 1)
-        assert an_encode(data, m) + an_encode(other, m) == an_encode(
-            data + other, m
-        )
-
-
 class TestSystematic:
     def test_check_bits_make_codeword_divisible(self):
         for data in (0, 1, 0xFFFF, 0xDEADBEEF):
@@ -86,13 +36,13 @@ class TestSystematic:
         """Eq. 4 / Figure 3a: data recovery is a shift, no arithmetic."""
         data = 0xCAFED00D
         codeword = systematic_encode(data, 4065)
-        assert systematic_data(codeword, 12) == data
+        assert codeword >> 12 == data
 
     def test_check_field_extraction(self):
         data = 12345
         r = redundancy_bits(2005)
         codeword = systematic_encode(data, 2005)
-        assert systematic_check_field(codeword, r) == check_bits(data, 2005)
+        assert codeword & ((1 << r) - 1) == check_bits(data, 2005)
 
     def test_error_shifts_remainder_by_error_value(self):
         """The residue fingerprint: remainder == error value mod m."""
@@ -101,7 +51,7 @@ class TestSystematic:
         codeword = systematic_encode(data, m)
         for error in (1, -1, 1 << 40, -(1 << 40), 0b101 << 8):
             corrupted = codeword + error
-            assert systematic_remainder(corrupted, m) == error % m
+            assert corrupted % m == error % m
 
     @given(
         data=st.integers(min_value=0, max_value=(1 << 132) - 1),
@@ -111,28 +61,45 @@ class TestSystematic:
         r = redundancy_bits(m)
         codeword = systematic_encode(data, m, r)
         assert codeword % m == 0
-        assert systematic_data(codeword, r) == data
+        assert codeword >> r == data
+
+    def test_negative_data_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            systematic_encode(-1, 4065)
 
 
-class TestResidueParameters:
-    def test_muse_144_132_shape(self):
-        params = ResidueParameters(n=144, m=4065)
-        assert params.r == 12
-        assert params.k == 132
+class TestArithmetic:
+    """The residue arithmetic the paper leverages for PIM: check values
+    and codewords compose under addition, so a sum can be checked
+    without decoding its operands."""
 
-    def test_encode_checks_width(self):
-        params = ResidueParameters(n=80, m=2005)
-        with pytest.raises(ValueError, match="does not fit"):
-            params.encode(1 << 69)
+    @given(
+        a=st.integers(min_value=0, max_value=(1 << 132) - 1),
+        b=st.integers(min_value=0, max_value=(1 << 132) - 1),
+        m=st.sampled_from([4065, 2005, 5621, 821, 3621]),
+    )
+    def test_check_bits_add_modulo_m(self, a, b, m):
+        assert (check_bits(a, m) + check_bits(b, m)) % m == check_bits(
+            a + b, m
+        )
 
-    def test_is_clean(self):
-        params = ResidueParameters(n=80, m=2005)
-        codeword = params.encode(0xABCDEF)
-        assert params.is_clean(codeword)
-        assert not params.is_clean(codeword + 1)
-        assert not params.is_clean(codeword + (1 << 80))
+    @given(
+        a=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        b=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        m=st.sampled_from([4065, 2005, 5621, 821, 3621]),
+    )
+    def test_sum_of_codewords_is_divisible(self, a, b, m):
+        total = systematic_encode(a, m) + systematic_encode(b, m)
+        assert total % m == 0
 
-    @given(data=st.integers(min_value=0, max_value=(1 << 69) - 1))
-    def test_roundtrip(self, data):
-        params = ResidueParameters(n=80, m=2005)
-        assert params.data(params.encode(data)) == data
+    @given(
+        a=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        b=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        error=st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    )
+    def test_error_in_a_sum_keeps_its_fingerprint(self, a, b, error):
+        """An error striking a summed word leaves ``error % m``, the
+        same fingerprint it leaves on a single codeword."""
+        m = 4065
+        total = systematic_encode(a, m) + systematic_encode(b, m)
+        assert (total + error) % m == error % m

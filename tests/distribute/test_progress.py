@@ -50,7 +50,7 @@ class TestChunkProgress:
         progress = ChunkProgress(stream=stream, min_interval=3600)
         progress(1, 16)  # consumes the throttle slot
         progress.allocation(
-            2, [("muse+2", 500, 1500, 0.12, 3.4), ("rs+4", 250, 750, 0.3, 1.1)]
+            2, [("muse+2", 500, 1500, 0.12), ("rs+4", 250, 750, 0.3)]
         )
         progress(2, 16)  # still throttled: allocations leave it alone
         lines = stream.getvalue().splitlines()
@@ -60,7 +60,7 @@ class TestChunkProgress:
             f"elapsed {lines[1].split()[-1].rstrip('s')}s"
         )
         assert "[campaign]   point muse+2: +500 trials (-> 1500)" in lines[2]
-        assert "ci-half 0.12 priority 3.4" in lines[2]
+        assert lines[2].endswith("ci-half 0.12")
         assert "[campaign]   point rs+4: +250 trials (-> 750)" in lines[3]
 
     def test_silent_gate_mutes_everything(self, monkeypatch):
@@ -69,7 +69,7 @@ class TestChunkProgress:
         progress = ChunkProgress(stream=stream, min_interval=0)
         progress(5, 10)
         progress(10, 10)
-        progress.allocation(1, [("a", 10, 10, 0.5, 1.0)])
+        progress.allocation(1, [("a", 10, 10, 0.5)])
         assert stream.getvalue() == ""
 
 

@@ -71,6 +71,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["table99"])
 
+    def test_trial_budget_flag_is_gone(self, capsys):
+        """A campaign-wide budget no longer exists: argparse refuses
+        the old flag with its usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["table4", "--adaptive", "--trial-budget", "1000"]
+            )
+        assert exit_info.value.code == 2
+        assert "--trial-budget" in capsys.readouterr().err
+
     def test_backend_flag_parses_and_defaults_to_auto(self):
         parser = build_parser()
         assert parser.parse_args(["table4"]).backend == "auto"
@@ -302,6 +312,69 @@ class TestTable4Report:
         details = table4.details(table)
         assert details["adaptive"]["max_trials"] == 400
         assert {p["converged"] for p in details["points"]} <= {True, False}
+
+    def test_adaptive_stopping_decisions_are_pinned(self):
+        """The campaign's per-point stopping decisions at the CLI's
+        ``--adaptive --ci-target 0.3 --max-trials 4000``, literally: a
+        scheduler edit that moves any point's ``n=`` fails here."""
+        from repro.experiments import table4
+        from repro.reliability.sampling.sequential import policy_from_cli
+
+        table = table4.build(seed=2022, adaptive=policy_from_cli(0.3, 4000))
+        used = [p["trials_used"] for p in table4.details(table)["points"]]
+        assert used == [
+            2393, 2521, 1805, 1000, 1000, 1000,  # MUSE +0..5b
+            4000, 1975, 1000, 1000,  # RS +0/2/4/6b
+        ]
+        assert sum(used) == 17_694
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            *(
+                pytest.param({"backend": backend}, id=f"backend-{backend}")
+                for backend in available_backends()
+            ),
+            pytest.param({"jobs": 2, "chunk_size": 517}, id="jobs2-chunk517"),
+            pytest.param({"distribute": "local:2"}, id="local2"),
+        ],
+    )
+    def test_stopping_decisions_match_on_every_path(self, shape):
+        """The pinned decisions above hold on every backend, over a
+        process pool with an odd chunk size, and on a 2-worker
+        loopback fleet: allocation reads only the folded tallies."""
+        from repro.experiments import table4
+        from repro.reliability.sampling.sequential import policy_from_cli
+
+        table = table4.build(
+            seed=2022, adaptive=policy_from_cli(0.3, 4000), **shape
+        )
+        used = [p["trials_used"] for p in table4.details(table)["points"]]
+        assert used == [
+            2393, 2521, 1805, 1000, 1000, 1000,  # MUSE +0..5b
+            4000, 1975, 1000, 1000,  # RS +0/2/4/6b
+        ]
+
+    def test_zero_event_points_run_to_the_ceiling_at_a_loose_target(self):
+        """rowfail's RS +0b and +4b points flag every failed row, so
+        their failure tallies stay at 0 events: at a relative target of
+        0.5 they still double to the ceiling, and the footer counts
+        them as having hit it."""
+        from repro.experiments import table4
+        from repro.reliability.sampling.sequential import policy_from_cli
+
+        table = table4.build(
+            adaptive=policy_from_cli(0.5, 20_000), scenario="rowfail"
+        )
+        report = table4.render(table)
+        ceiling = [
+            (p["family"], p["extra_bits"])
+            for p in table4.details(table)["points"]
+            if p["trials_used"] == 20_000 and not p["converged"]
+        ]
+        assert ceiling == [("RS", 0), ("RS", 4)]
+        assert report.rstrip().endswith("8 converged, 2 hit the ceiling")
+        assert "out of budget" not in report
 
     def test_ablation_reports_include_intervals(self):
         from repro.experiments import ablation_shuffle

@@ -4,35 +4,15 @@ import pytest
 
 from repro.core.codes import muse_80_69, muse_144_132
 from repro.core.symbols import SymbolLayout
-from repro.memory.controller import (
-    MemoryController,
-    MuseEcc,
-    NoEcc,
-    ReadStatus,
-    ReedSolomonEcc,
-)
+from repro.memory.controller import MemoryController, MuseEcc, ReadStatus
 from repro.memory.dram import ddr4_144bit, ddr5_80bit_x4
 from repro.memory.striping import DeviceStriping
-from repro.rs.reed_solomon import rs_144_128
 
 
 def muse_controller() -> MemoryController:
     code = muse_144_132()
     striping = DeviceStriping(code.layout, ddr4_144bit())
     return MemoryController(MuseEcc(code), striping)
-
-
-def ddr4_144bit_8():
-    """18 x8 view of the same 144 wires (one symbol per device)."""
-    from repro.memory.dram import ChannelGeometry
-
-    return ChannelGeometry(name="DDR4-x8-view", device_bits=8, devices=18)
-
-
-def rs_controller() -> MemoryController:
-    code = rs_144_128()
-    striping = DeviceStriping(SymbolLayout.sequential(144, 8), ddr4_144bit_8())
-    return MemoryController(ReedSolomonEcc(code), striping)
 
 
 class TestWriteRead:
@@ -70,14 +50,59 @@ class TestChipKill:
             assert result.data == address * 0xABCDEF0123
         assert controller.stats.uncorrectable == 0
 
-    def test_rs_survives_device_failure(self):
-        controller = rs_controller()
-        for address in range(8):
-            controller.write(address, address * 0x1111_2222)
-        controller.fail_device(3)
-        for address in range(8):
-            result = controller.read(address)
-            assert result.data == address * 0x1111_2222
+    @pytest.mark.parametrize(
+        "stuck_value", (0x0, 0xF), ids=("stuck-at-0", "stuck-at-1")
+    )
+    def test_muse_corrects_any_single_stuck_device(self, stuck_value):
+        """Every one of the 36 x4 devices, stuck at all-zeros or
+        all-ones, in turn."""
+        controller = muse_controller()
+        payloads = [address * 0x0123_4567_89AB_CDEF for address in range(4)]
+        for address, payload in enumerate(payloads):
+            controller.write(address, payload)
+        for device in range(controller.striping.geometry.devices):
+            controller.fail_device(device, stuck_value=stuck_value)
+            for address, payload in enumerate(payloads):
+                assert controller.read(address).data == payload
+            controller.repair_device(device)
+        assert controller.stats.uncorrectable == 0
+
+    def test_device_stuck_at_its_stored_bits_reads_clean(self):
+        """A fault that forces the bits the device already holds
+        changes nothing: the read is clean, not a correction."""
+        controller = muse_controller()
+        controller.write(0, 0xC0FFEE)
+        stored = controller.striping.device_slice(
+            controller.ecc.encode(0xC0FFEE), 7
+        )
+        controller.fail_device(7, stuck_value=stored)
+        result = controller.read(0)
+        assert result.status is ReadStatus.OK
+        assert result.data == 0xC0FFEE
+        assert controller.stats.corrected == 0
+
+    def test_muse_80_69_survives_each_ddr5_device(self):
+        code = muse_80_69()
+        geometry = ddr5_80bit_x4()
+        controller = MemoryController(
+            MuseEcc(code), DeviceStriping(code.layout, geometry)
+        )
+        controller.write(0, 0x1F_2E3D_4C5B_6A79)
+        for device in range(geometry.devices):
+            controller.fail_device(device)
+            assert controller.read(0).data == 0x1F_2E3D_4C5B_6A79
+            controller.repair_device(device)
+        assert controller.stats.uncorrectable == 0
+
+    def test_failed_devices_listed_until_repaired(self):
+        controller = muse_controller()
+        controller.fail_device(9)
+        controller.fail_device(2)
+        assert controller.failed_devices == (2, 9)
+        controller.repair_device(9)
+        assert controller.failed_devices == (2,)
+        controller.repair_device(9)  # repairing twice is harmless
+        assert controller.failed_devices == (2,)
 
     def test_two_failed_devices_detected_not_miscorrected_silently(self):
         controller = muse_controller()
@@ -113,13 +138,8 @@ class TestChipKill:
 
 
 class TestAdapters:
-    def test_no_ecc_passthrough(self):
-        controller = MemoryController(NoEcc(64))
-        controller.write(0, 0xFFFF)
-        assert controller.read(0).data == 0xFFFF
-
     def test_device_fault_requires_striping(self):
-        controller = MemoryController(NoEcc(64))
+        controller = MemoryController(MuseEcc(muse_144_132()))
         with pytest.raises(RuntimeError):
             controller.fail_device(0)
 

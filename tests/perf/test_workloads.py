@@ -47,6 +47,34 @@ class TestTraceGenerator:
         second = list(TraceGenerator(profile, seed=3).operations(500))
         assert first == second
 
+    def test_trace_does_not_depend_on_hash_salt(self):
+        """Two interpreters with differently salted str hashes generate
+        the same trace at the same seed."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "from repro.perf.workloads import TraceGenerator, "
+            "profile_by_name\n"
+            "ops = TraceGenerator(profile_by_name('505.mcf_r'), seed=3)"
+            ".operations(50)\n"
+            "print([(op.address, op.is_write) for op in ops])"
+        )
+        traces = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for salt in ("1", "2")
+        ]
+        assert traces[0] == traces[1]
+
     def test_different_seeds_differ(self):
         profile = profile_by_name("505.mcf_r")
         first = list(TraceGenerator(profile, seed=3).operations(500))
@@ -72,3 +100,25 @@ class TestTraceGenerator:
     def test_op_count_exact(self):
         profile = profile_by_name("502.gcc_r")
         assert sum(1 for _ in TraceGenerator(profile).operations(123)) == 123
+
+    @pytest.mark.parametrize(
+        "profile", SPEC2017_PROFILES, ids=lambda profile: profile.name
+    )
+    def test_trace_follows_its_profile(self, profile):
+        """Every Figure 6/7 benchmark's trace: the instruction gap its
+        memory intensity implies, addresses inside the hot region plus
+        its working set, and its store share."""
+        ops = list(TraceGenerator(profile, seed=5).operations(3000))
+        (gap,) = {op.gap_instructions for op in ops}
+        # One memory op (plus its gap) per 1000 / MPKI instructions.
+        assert abs(gap + 1 - 1000 / profile.mem_per_kilo_inst) <= 0.5
+        limit = (
+            TraceGenerator.BASE_ADDRESS
+            + TraceGenerator.HOT_REGION_BYTES
+            + profile.working_set_kb * 1024
+        )
+        assert all(
+            TraceGenerator.BASE_ADDRESS <= op.address < limit for op in ops
+        )
+        write_share = sum(op.is_write for op in ops) / len(ops)
+        assert write_share == pytest.approx(profile.write_fraction, abs=0.05)

@@ -27,11 +27,7 @@ from repro.reliability.monte_carlo import (
     build_table_iv,
     run_design_points_adaptive,
 )
-from repro.reliability.sampling.scheduler import (
-    CampaignPolicy,
-    CampaignScheduler,
-    PointView,
-)
+from repro.reliability.sampling.scheduler import CampaignScheduler, PointView
 from repro.reliability.sampling.sequential import (
     AdaptivePolicy,
     policy_from_cli,
@@ -71,8 +67,6 @@ class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="metric"):
             AdaptivePolicy(metric="typo")
-        with pytest.raises(ValueError, match="kind"):
-            AdaptivePolicy(kind="wald")
         with pytest.raises(ValueError, match="ci_target"):
             AdaptivePolicy(ci_target=-0.1)
         with pytest.raises(ValueError, match="initial_trials"):
@@ -99,7 +93,7 @@ def _barriers(simulator, policy, seed):
     """The campaign's round barriers for one point, replayed from the
     scheduler on fixed-run prefixes: ``[(total, satisfied), ...]`` up
     to the first satisfied barrier or the ceiling."""
-    scheduler = CampaignScheduler(CampaignPolicy(base=policy))
+    scheduler = CampaignScheduler(policy)
     barriers, total, result = [], 0, None
     while True:
         grants = scheduler.allocate([PointView(total, result)])

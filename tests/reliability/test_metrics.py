@@ -106,12 +106,11 @@ class TestTally:
         small = MsedResult(100, 90, 0, 8, 2)
         large = MsedResult(10_000, 9_000, 0, 800, 200)
         for metric in ("msed", "failure", "silent"):
-            for kind in ("wilson", "clopper-pearson"):
-                s = small.interval(kind=kind, metric=metric)
-                l = large.interval(kind=kind, metric=metric)
-                assert s.contains(small.rate(metric))
-                assert l.contains(large.rate(metric))
-                assert l.width < s.width
+            s = small.interval(metric=metric)
+            l = large.interval(metric=metric)
+            assert s.contains(small.rate(metric))
+            assert l.contains(large.rate(metric))
+            assert l.width < s.width
 
     def test_zero_trials_interval_is_vacuous(self):
         interval = MsedTally().freeze().interval()

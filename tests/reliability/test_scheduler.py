@@ -1,19 +1,19 @@
-"""Campaign-scheduler tests: fleet-wide budget allocation contracts.
+"""Campaign-scheduler tests: per-point allocation contracts.
 
-* **pure allocator** — priorities, 1/sqrt(n) projections, doubling
-  caps, and greedy budget draining are a pure function of the folded
-  tallies (unit-tested on hand-built views, no simulation);
+* **pure allocator** — 1/sqrt(n) projections and doubling caps are a
+  pure function of each point's folded tally (unit-tested on hand-built
+  views, no simulation);
 * **execution-shape invariance** — a campaign's per-point
   ``trials_used`` and tallies are byte-identical across
   ``(chunk_size, jobs, workers)`` and backends at a fixed seed,
   including through a 2-worker loopback :class:`DistributedSession`;
-* **budget** — a campaign-wide ``trial_budget`` is honoured exactly
-  and reported as "budget exhausted" on the points it starves;
 * **zero-event points** — a point whose stream sees no events runs
-  to its trial ceiling;
+  to its trial ceiling, at any relative target;
 * **result cache** — a warm re-run folds every cell from disk with
   zero new trials and byte-identical outcomes.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +27,6 @@ from repro.reliability.monte_carlo import (
     run_design_points_adaptive,
 )
 from repro.reliability.sampling.scheduler import (
-    CampaignPolicy,
     CampaignRunner,
     CampaignScheduler,
     PointView,
@@ -55,7 +54,7 @@ def _rs(backend="auto"):
 
 #: muse_80_69's failure rate is ~15% — a loose relative CI converges in
 #: a few hundred trials; rs_144_128's ~0.6% takes noticeably more, so a
-#: two-point campaign exercises real priority contrast.
+#: two-point campaign runs its points for different numbers of rounds.
 EASY = AdaptivePolicy(
     ci_target=0.3, metric="failure", initial_trials=200, max_trials=4_000
 )
@@ -70,26 +69,14 @@ def _view(counts: int, trials: int) -> PointView:
     return PointView(trials=trials, result=tally.freeze())
 
 
-class TestCampaignPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="trial_budget"):
-            CampaignPolicy(trial_budget=0)
-
-    def test_defaults_wrap_base_policy(self):
-        policy = CampaignPolicy(base=EASY)
-        assert policy.base == EASY
-        assert policy.trial_budget is None
-
-
 class TestScheduler:
     """The allocator is a pure function of the folded tallies."""
 
     def setup_method(self):
-        self.scheduler = CampaignScheduler(CampaignPolicy(base=EASY))
+        self.scheduler = CampaignScheduler(EASY)
 
     def test_unexplored_point_bootstraps_at_initial_trials(self):
         view = PointView(trials=0, result=None)
-        assert self.scheduler.priority(view) == float("inf")
         assert self.scheduler.desired_total(view) == EASY.initial_trials
 
     def test_satisfied_point_requests_nothing(self):
@@ -97,13 +84,6 @@ class TestScheduler:
         view = _view(3000, 20_000)
         assert self.scheduler.desired_total(view) == view.trials
         assert self.scheduler.allocate([view]) == []
-
-    def test_priority_orders_hungrier_points_first(self):
-        hungry = _view(3, 200)  # wide CI relative to its tiny rate
-        nearly = _view(20, 300)  # unsatisfied, but much closer
-        allocations = self.scheduler.allocate([nearly, hungry])
-        assert [alloc.index for alloc in allocations] == [1, 0]
-        assert allocations[0].priority > allocations[1].priority
 
     def test_round_grant_never_more_than_doubles(self):
         view = _view(1, 1_000)  # projection wants far more than 2x
@@ -120,22 +100,74 @@ class TestScheduler:
         view = PointView(trials=0, result=None, active=False)
         assert self.scheduler.allocate([view]) == []
 
-    def test_budget_drains_greedily_and_truncates_last_grant(self):
-        views = [PointView(trials=0, result=None) for _ in range(3)]
-        allocations = self.scheduler.allocate(views, budget_left=450)
-        assert sum(alloc.trials for alloc in allocations) == 450
-        # initial_trials=200 each: full, full, truncated to 50, by index
-        assert [alloc.trials for alloc in allocations] == [200, 200, 50]
-        assert [alloc.index for alloc in allocations] == [0, 1, 2]
+    def test_allocations_follow_point_order(self):
+        """No priority sort: grants come back in point order, however
+        far each point is from its goal."""
+        hungry = _view(3, 200)  # wide CI relative to its tiny rate
+        nearly = _view(20, 300)  # unsatisfied, but much closer
+        allocations = self.scheduler.allocate([nearly, hungry])
+        assert [alloc.index for alloc in allocations] == [0, 1]
 
-    def test_zero_budget_allocates_nothing(self):
-        views = [PointView(trials=0, result=None)]
-        assert self.scheduler.allocate(views, budget_left=0) == []
+    def test_grant_depends_only_on_its_own_tally(self):
+        views = [
+            _view(3, 200), _view(300, 2_000), PointView(0, None),
+            _view(20, 300), _view(1, EASY.max_trials),
+        ]
+        together = {
+            alloc.index: alloc for alloc in self.scheduler.allocate(views)
+        }
+        for index, view in enumerate(views):
+            alone = self.scheduler.allocate([view])
+            if index not in together:
+                assert alone == []
+                continue
+            (single,) = alone
+            assert replace(single, index=index) == together[index]
+
+    def test_unexplored_points_each_bootstrap_at_initial_trials(self):
+        views = [PointView(trials=0, result=None) for _ in range(3)]
+        allocations = self.scheduler.allocate(views)
+        assert [(alloc.index, alloc.trials) for alloc in allocations] == [
+            (0, EASY.initial_trials),
+            (1, EASY.initial_trials),
+            (2, EASY.initial_trials),
+        ]
+        # No tally yet: the a-priori binomial half-width.
+        assert {alloc.half_width for alloc in allocations} == {0.5}
+
+    def test_point_at_the_ceiling_gets_no_grant(self):
+        view = _view(1, EASY.max_trials)  # unsatisfied, but out of trials
+        assert not EASY.satisfied(view.result)
+        assert self.scheduler.allocate([view]) == []
+
+    @pytest.mark.parametrize("ci_target", [0.1, 0.38, 0.5, 0.9])
+    def test_zero_event_point_has_no_relative_goal(self, ci_target):
+        """0 events give no rate to be relative to, so the point
+        projects to the ceiling at any relative target; a goal of
+        ``ci_target`` x the interval's upper end would stop it after
+        one round as soon as that product passes the zero-event
+        half-width (``hi / 2``)."""
+        policy = replace(EASY, ci_target=ci_target)
+        scheduler = CampaignScheduler(policy)
+        view = _view(0, 400)
+        assert scheduler.goal_half_width(view.result) == 0.0
+        assert scheduler.desired_total(view) == policy.max_trials
+        (alloc,) = scheduler.allocate([view])
+        assert alloc.trials == view.trials  # doubling, the per-round cap
+
+    def test_absolute_tolerance_gives_a_zero_event_point_a_goal(self):
+        policy = replace(EASY, ci_abs=0.01)
+        scheduler = CampaignScheduler(policy)
+        view = _view(0, 100)  # Wilson half-width ~0.018 > 0.01
+        assert scheduler.goal_half_width(view.result) == 0.01
+        assert view.trials < scheduler.desired_total(view) < policy.max_trials
+        satisfied = _view(0, 1_000)  # half-width ~0.0019 <= 0.01
+        assert scheduler.allocate([satisfied]) == []
 
     def test_allocation_is_deterministic(self):
         views = [_view(3, 200), _view(300, 2_000), PointView(0, None)]
-        first = self.scheduler.allocate(views, budget_left=1_000)
-        second = self.scheduler.allocate(views, budget_left=1_000)
+        first = self.scheduler.allocate(views)
+        second = self.scheduler.allocate(views)
         assert first == second
 
 
@@ -144,7 +176,7 @@ class TestExecutionShapeInvariance:
     ``trials_used`` and tallies match across every execution shape."""
 
     def test_jobs_and_chunking_invariant(self):
-        runner = CampaignRunner(CampaignPolicy(base=EASY))
+        runner = CampaignRunner(EASY)
         simulators = [_muse(), _rs()]
         baseline = runner.run(simulators, seed=7)
         for jobs, chunk_size in ((1, 64), (1, 333), (2, 128), (2, None)):
@@ -157,7 +189,7 @@ class TestExecutionShapeInvariance:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_backends_agree(self, backend):
-        runner = CampaignRunner(CampaignPolicy(base=EASY))
+        runner = CampaignRunner(EASY)
         auto = runner.run([_muse(), _rs()], seed=9)
         explicit = runner.run([_muse(backend), _rs(backend)], seed=9)
         assert [o.result for o in explicit] == [o.result for o in auto]
@@ -168,10 +200,9 @@ class TestExecutionShapeInvariance:
     def test_two_worker_loopback_matches_in_process(self):
         from repro.distribute import DistributedSession
 
-        policy = CampaignPolicy(base=EASY)
-        serial = CampaignRunner(policy).run([_muse(), _rs()], seed=7)
+        serial = CampaignRunner(EASY).run([_muse(), _rs()], seed=7)
         with DistributedSession(local_workers=2) as session:
-            distributed = CampaignRunner(policy).run(
+            distributed = CampaignRunner(EASY).run(
                 [_muse(), _rs()], seed=7, chunk_size=500, executor=session
             )
         assert distributed == serial
@@ -213,62 +244,41 @@ class TestProgress:
             assert self._calls(executor=session) == calls
 
 
-class TestBudget:
-    def test_budget_is_honoured_exactly_when_it_starves_the_sweep(self):
-        policy = CampaignPolicy(base=EASY, trial_budget=500)
-        outcomes = CampaignRunner(policy).run([_muse(), _rs()], seed=7)
-        assert sum(o.trials_used for o in outcomes) == 500
-        starved = [o for o in outcomes if not o.converged]
-        assert starved
-        for outcome in starved:
-            assert outcome.trials_used < outcome.policy.max_trials
-            assert "budget exhausted" in outcome.describe()
-
-    def test_ample_budget_changes_nothing(self):
-        unbounded = CampaignRunner(CampaignPolicy(base=EASY)).run(
-            [_muse(), _rs()], seed=7
-        )
-        spent = sum(o.trials_used for o in unbounded)
-        bounded = CampaignRunner(
-            CampaignPolicy(base=EASY, trial_budget=spent)
-        ).run([_muse(), _rs()], seed=7)
-        assert [o.result for o in bounded] == [o.result for o in unbounded]
-        assert [o.converged for o in bounded] == [
-            o.converged for o in unbounded
-        ]
-
-    def test_trial_budget_kwarg_threads_through_runner_api(self):
-        outcomes = run_design_points_adaptive(
-            [_muse(), _rs()], EASY, seed=7, trial_budget=500
-        )
-        assert sum(o.trials_used for o in outcomes) == 500
-
-
 class TestEscalation:
-    #: muse_80_69's *silent* rate is ~0: the plain stream sees no
-    #: events, so this policy runs to the ceiling.
-    ZERO_EVENT = AdaptivePolicy(
-        ci_target=0.1, metric="silent", initial_trials=200, max_trials=4_000
-    )
+    @staticmethod
+    def zero_event(ci_target: float) -> AdaptivePolicy:
+        """muse_80_69's *silent* rate is ~0: the plain stream sees no
+        events, so this policy runs to the ceiling — whatever its
+        relative target, since 0 events set no relative goal."""
+        return AdaptivePolicy(
+            ci_target=ci_target, metric="silent", initial_trials=200,
+            max_trials=4_000,
+        )
 
-    def test_without_escalation_the_point_runs_to_the_ceiling(self):
-        policy = CampaignPolicy(base=self.ZERO_EVENT)
+    @pytest.mark.parametrize("ci_target", [0.1, 0.5])
+    def test_without_escalation_the_point_runs_to_the_ceiling(
+        self, ci_target
+    ):
+        policy = self.zero_event(ci_target)
         (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
-        assert outcome.trials_used == self.ZERO_EVENT.max_trials
+        assert outcome.trials_used == policy.max_trials
 
-    def test_zero_event_point_reports_its_interval_at_the_ceiling(self):
+    @pytest.mark.parametrize("ci_target", [0.1, 0.5])
+    def test_zero_event_point_reports_its_interval_at_the_ceiling(
+        self, ci_target
+    ):
         """No events and no convergence: the outcome says it hit the
         ceiling and carries the policy's own interval there, a
         positive upper bound rather than a point estimate of 0."""
-        policy = CampaignPolicy(base=self.ZERO_EVENT)
+        policy = self.zero_event(ci_target)
         (outcome,) = CampaignRunner(policy).run([_muse()], seed=7)
         assert outcome.result.count("silent") == 0
         assert not outcome.converged
         assert outcome.describe().startswith(
-            f"hit trial ceiling after {self.ZERO_EVENT.max_trials} trials"
+            f"hit trial ceiling after {policy.max_trials} trials"
         )
         interval = outcome.interval()
-        assert interval == self.ZERO_EVENT.interval_of(outcome.result)
+        assert interval == policy.interval_of(outcome.result)
         assert interval.lo == 0.0
         assert 0.0 < interval.hi < 1.0
 
@@ -295,7 +305,7 @@ class TestResultCache:
 
         # And the cache itself confirms: the warm run recorded nothing.
         probe = ResultCache(tmp_path)
-        runner = CampaignRunner(CampaignPolicy(base=EASY), cache=probe)
+        runner = CampaignRunner(EASY, cache=probe)
         runner.run(simulators, seed=7)
         assert probe.trials_recorded == 0
         assert probe.hits > 0 and probe.misses == 0
@@ -311,8 +321,11 @@ class TestResultCache:
 
         simulators = [_muse(), _rs()]
         cold = tmp_path / "cold"
+        # A lower ceiling stops the cold run partway through RS's
+        # stream; its last round is cut short of EASY's grant.
         run_design_points_adaptive(
-            simulators, EASY, seed=7, trial_budget=1500, cache_dir=str(cold)
+            simulators, replace(EASY, max_trials=1_500), seed=7,
+            cache_dir=str(cold),
         )
 
         def warm(name, **kwargs):
@@ -327,7 +340,7 @@ class TestResultCache:
 
         in_process = warm("in-process")
         (_, muse_used, muse_cached), (_, rs_used, rs_cached) = in_process
-        assert muse_cached == muse_used  # converged inside the budget
+        assert muse_cached == muse_used  # converged inside the cold run
         assert 0 < rs_cached < rs_used  # the cold run's prefix, no more
         assert warm("pool", jobs=2) == in_process
         with DistributedSession(local_workers=2) as session:
@@ -342,20 +355,6 @@ class TestResultCache:
             [_muse()], EASY, seed=7, cache_dir=str(tmp_path)
         )
         assert [o.result for o in cached] == [o.result for o in baseline]
-
-    def test_budget_counts_cached_trials(self, tmp_path):
-        """Allocation must not depend on cache state: a warm run under
-        the same budget makes the same grants (served from disk)."""
-        policy = CampaignPolicy(base=EASY, trial_budget=500)
-        cold = CampaignRunner(
-            policy, cache=_fresh_cache(tmp_path)
-        ).run([_muse(), _rs()], seed=7)
-        warm = CampaignRunner(
-            policy, cache=_fresh_cache(tmp_path)
-        ).run([_muse(), _rs()], seed=7)
-        assert [o.result for o in warm] == [o.result for o in cold]
-        assert sum(o.trials_used for o in warm) == 500
-        assert sum(o.trials_cached for o in warm) == 500
 
     def test_cache_survives_chunk_size_changes_via_allocation_history(
         self, tmp_path
@@ -411,15 +410,18 @@ class TestResultCache:
         del probe
 
 
-def _fresh_cache(tmp_path):
-    from repro.distribute import ResultCache
-
-    return ResultCache(tmp_path)
+class TestPointIndependence:
+    def test_a_point_runs_alike_alone_and_in_a_sweep(self):
+        """With no campaign-wide budget, the other points of a sweep
+        cannot move a point's rounds, grants or tally."""
+        swept, _ = CampaignRunner(EASY).run([_muse(), _rs()], seed=7)
+        (alone,) = CampaignRunner(EASY).run([_muse()], seed=7)
+        assert swept == alone
 
 
 class TestCampaignOutcome:
     def test_duck_types_adaptive_outcome(self):
-        (outcome,) = CampaignRunner(CampaignPolicy(base=EASY)).run(
+        (outcome,) = CampaignRunner(EASY).run(
             [_muse()], seed=7
         )
         assert outcome.policy == EASY

@@ -1,5 +1,7 @@
 """Galois-field arithmetic tests."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,57 +108,48 @@ class TestDoubledExpTable:
 
 
 class TestVectorisedOps:
-    """GF ndarray arithmetic must mirror the scalar tables exactly."""
+    """The read-only ndarray views of the field tables: what
+    :class:`repro.engine.tables.RsTables` reads."""
 
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 255), st.integers(0, 255)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=100)
-    def test_mul_batch_matches_scalar(self, pairs):
+    @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYNOMIALS))
+    def test_nd_views_mirror_the_scalar_tables(self, m):
+        field = get_field(m)
+        assert field.exp_nd.dtype == np.uint32
+        assert field.log_nd.dtype == np.int64
+        assert field.exp_nd.tolist() == field._exp2
+        assert field.log_nd.tolist() == field.log
+        assert field.log_nd[0] == 0  # the zero sentinel
+
+    def test_nd_views_are_read_only(self):
         field = get_field(8)
-        a = np.array([p[0] for p in pairs])
-        b = np.array([p[1] for p in pairs])
-        assert field.mul_batch(a, b).tolist() == [
-            field.mul(x, y) for x, y in pairs
-        ]
+        for table in (field.exp_nd, field.log_nd):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 0
 
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 31), st.integers(1, 31)),
-            min_size=1,
-            max_size=40,
+    @pytest.mark.parametrize("m", (5, 6, 7, 8))
+    def test_log_sum_lookup_is_field_multiplication(self, m):
+        """Masking zero operands and indexing the doubled exp view at
+        ``log a + log b`` multiplies, over every pair of the field."""
+        field = get_field(m)
+        values = np.arange(field.size)
+        a, b = np.meshgrid(values, values, indexing="ij")
+        product = np.where(
+            (a == 0) | (b == 0),
+            0,
+            field.exp_nd[field.log_nd[a] + field.log_nd[b]],
         )
-    )
-    @settings(max_examples=100)
-    def test_div_batch_matches_scalar(self, pairs):
-        field = get_field(5)
-        a = np.array([p[0] for p in pairs])
-        b = np.array([p[1] for p in pairs])
-        assert field.div_batch(a, b).tolist() == [
-            field.div(x, y) for x, y in pairs
+        assert product.tolist() == [
+            [field.mul(x, y) for y in range(field.size)]
+            for x in range(field.size)
         ]
 
-    def test_div_batch_rejects_zero_divisor(self):
-        field = get_field(4)
-        with pytest.raises(ZeroDivisionError):
-            field.div_batch(np.array([1, 2]), np.array([3, 0]))
-
-    def test_pow_alpha_batch_handles_negative_exponents(self):
+    def test_buffers_hold_the_tables_in_machine_order(self):
+        """The native RS kernels read these bytes directly."""
         field = get_field(6)
-        exponents = np.array([-130, -1, 0, 1, 62, 63, 200])
-        assert field.pow_alpha_batch(exponents).tolist() == [
-            field.pow_alpha(int(i)) for i in exponents
-        ]
-
-    def test_mul_batch_broadcasts_scalars(self):
-        field = get_field(8)
-        values = np.arange(256)
-        assert field.mul_batch(values, 1).tolist() == list(range(256))
-        assert field.mul_batch(values, 0).tolist() == [0] * 256
+        exp_bytes, log_bytes = field.buffers
+        assert array("I", exp_bytes).tolist() == field._exp2
+        assert array("q", log_bytes).tolist() == field.log
 
     def test_nd_tables_cached(self):
         field = get_field(7)

@@ -159,51 +159,3 @@ class TestDetection:
         assert result.status is not RSDecodeStatus.CLEAN
         if result.status is RSDecodeStatus.CORRECTED:
             assert result.symbols[code.data_symbols - 1] >> 4 == 0
-
-
-class TestBitLevel:
-    @given(data=st.integers(0, (1 << 128) - 1))
-    @settings(max_examples=100)
-    def test_bit_roundtrip(self, data):
-        code = rs_144_128()
-        codeword = code.encode_bits(data)
-        assert codeword < 1 << 144
-        status, decoded = code.decode_bits(codeword)
-        assert status is RSDecodeStatus.CLEAN
-        assert decoded == data
-
-    @given(
-        data=st.integers(0, (1 << 128) - 1),
-        symbol=st.integers(0, 17),
-        magnitude=st.integers(1, 255),
-    )
-    @settings(max_examples=100)
-    def test_bit_level_single_symbol_correction(self, data, symbol, magnitude):
-        code = rs_144_128()
-        codeword = code.encode_bits(data)
-        bad = codeword ^ (magnitude << (8 * symbol))
-        status, decoded = code.decode_bits(bad)
-        assert status is RSDecodeStatus.CORRECTED
-        assert decoded == data
-
-    def test_pack_unpack_roundtrip_partial(self):
-        code = rs_for_channel(5, 144)
-        rng = random.Random(17)
-        data = [rng.randrange(32) for _ in range(code.data_symbols)]
-        data[-1] &= 0b1111  # respect partial width
-        codeword_syms = code.encode(data)
-        packed = code.pack(codeword_syms)
-        assert packed < 1 << 144
-        assert code.unpack(packed) == codeword_syms
-
-    def test_pack_rejects_padding_overflow(self):
-        code = rs_for_channel(5, 144)
-        symbols = [0] * code.n_symbols
-        symbols[code.data_symbols - 1] = 0b10000
-        with pytest.raises(ValueError, match="exceeds"):
-            code.pack(symbols)
-
-    def test_encode_bits_width_check(self):
-        code = rs_80_64()
-        with pytest.raises(ValueError):
-            code.encode_bits(1 << 64)

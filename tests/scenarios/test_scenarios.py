@@ -11,9 +11,15 @@ The acceptance contract this file pins:
 * native ``mbu`` chunks run in the fused kernels (no corruption batch
   is generated) and still tally the scalar reference stream, and a
   native msed build never loads the scenario table;
+* each fault scenario's scalar reference does to a stored word what
+  its fault model says (burst shape, stuck levels, row, upset count,
+  wear), and is a pure function of seed and trial;
 * scenario cells take the campaign's one path: a zero-event cell runs
   to its ceiling and reports the policy's interval there.
 """
+
+import random
+import statistics
 
 import pytest
 
@@ -23,18 +29,28 @@ from repro.engine import available_backends
 from repro.orchestrate import CodeRef, derive_key
 from repro.orchestrate.plan import Chunk
 from repro.reliability.monte_carlo import MuseMsedSimulator, RsMsedSimulator
-from repro.reliability.sampling.intervals import clopper_pearson_interval
-from repro.reliability.sampling.scheduler import (
-    CampaignPolicy,
-    CampaignRunner,
-)
+from repro.reliability.sampling.intervals import wilson_interval
+from repro.reliability.sampling.scheduler import CampaignRunner
 from repro.reliability.sampling.sequential import AdaptivePolicy
-from repro.rs.reed_solomon import rs_144_128
+from repro.orchestrate.corruption import MUSE, RS
+from repro.rs.reed_solomon import rs_144_128, rs_for_channel
 from repro.scenarios import (
     SCENARIOS,
+    WordSymbolView,
     resolve_scenario,
     scenario_names,
     scenario_stream_key,
+)
+from repro.scenarios.library import (
+    MBU_MAX_BURST,
+    S_FBIT,
+    S_FSYM,
+    S_FVAL,
+    SCRUB_MAX_READS,
+    STUCK_FAULTS,
+    WEAR_TRIAL_CAP,
+    _chosen_sorted_word,
+    _draw,
 )
 
 SEED = 99
@@ -357,25 +373,185 @@ class TestFusedRoute:
         assert tally.freeze() == self._reference(simulator, name)
 
 
+#: The word shapes the fault models are checked on: MUSE(80,69)'s 20
+#: 4-bit symbols, RS(144,128)'s 18 bytes, and the 5-bit RS code whose
+#: one 4-bit symbol exercises clipping to a short symbol.
+WIDTHS = {
+    "muse": MUSE.widths(muse_80_69()),
+    "rs": RS.widths(rs_144_128()),
+    "rs-partial": RS.widths(rs_for_channel(5, 144)),
+}
+MODEL_TRIALS = range(3, 403)
+
+
+def corrupt(name, widths, trial, k_symbols=2, seed=SEED):
+    """``name``'s scalar reference applied to a clean row of ``widths``
+    (random, fixed per trial): the clean and the delivered symbols."""
+    rng = random.Random(trial)
+    clean = [rng.getrandbits(width) for width in widths]
+    delivered = list(clean)
+    view = WordSymbolView(
+        trial=trial, widths=widths,
+        get=delivered.__getitem__, put=delivered.__setitem__,
+    )
+    resolve_scenario(name).corrupt_word(
+        scenario_stream_key(derive_key(seed), name), view, k_symbols
+    )
+    return clean, delivered
+
+
+def flip_masks(name, widths, trial, k_symbols=2):
+    clean, delivered = corrupt(name, widths, trial, k_symbols)
+    return [a ^ b for a, b in zip(clean, delivered)]
+
+
+def popcount(masks) -> int:
+    return sum(bin(mask).count("1") for mask in masks)
+
+
+class TestFaultModels:
+    """What each fault scenario does to a stored word, checked on its
+    scalar reference (the batch path matches it bit for bit, above)."""
+
+    @pytest.mark.parametrize("k_symbols", (1, 3))
+    @pytest.mark.parametrize("shape", WIDTHS)
+    def test_mbu_bursts_adjacent_bits_inside_k_symbols(
+        self, shape, k_symbols
+    ):
+        widths = WIDTHS[shape]
+        for trial in MODEL_TRIALS:
+            masks = flip_masks("mbu", widths, trial, k_symbols)
+            hit = [index for index, mask in enumerate(masks) if mask]
+            assert len(hit) == k_symbols
+            for index in hit:
+                mask = masks[index]
+                burst = mask >> ((mask & -mask).bit_length() - 1)
+                length = burst.bit_length()
+                assert burst == (1 << length) - 1  # one adjacent run
+                assert 2 <= length <= min(MBU_MAX_BURST, widths[index])
+                assert mask >> widths[index] == 0  # inside its symbol
+
+    @pytest.mark.parametrize("shape", WIDTHS)
+    def test_stuck_cells_win_over_the_transient_replacement(self, shape):
+        """The k replaced symbols change, the stuck cells read their
+        forced level (the later fault on a shared cell wins), and
+        nothing else moves."""
+        widths = WIDTHS[shape]
+        skey = scenario_stream_key(derive_key(SEED), "stuck")
+        for trial in MODEL_TRIALS:
+            clean, delivered = corrupt("stuck", widths, trial, k_symbols=2)
+            forced = {}
+            for fault in range(STUCK_FAULTS):
+                index = _draw(skey, S_FSYM, fault, trial) % len(widths)
+                bit = _draw(skey, S_FBIT, fault, trial) % widths[index]
+                forced[index, bit] = _draw(skey, S_FVAL, fault, trial) & 1
+            for (index, bit), level in forced.items():
+                assert delivered[index] >> bit & 1 == level
+            replaced = set(_chosen_sorted_word(skey, trial, len(widths), 2))
+            stuck = {index for index, _ in forced}
+            changed = {
+                index
+                for index, (a, b) in enumerate(zip(clean, delivered))
+                if a != b
+            }
+            assert replaced - stuck <= changed <= replaced | stuck
+
+    @pytest.mark.parametrize("shape", WIDTHS)
+    def test_rowfail_flips_one_row_in_every_symbol(self, shape):
+        widths = WIDTHS[shape]
+        widest = widths.index(max(widths))
+        rows = set()
+        for trial in MODEL_TRIALS:
+            masks = flip_masks("rowfail", widths, trial)
+            row = masks[widest].bit_length() - 1
+            assert masks == [1 << (row % width) for width in widths]
+            rows.add(row)
+        assert rows == set(range(max(widths)))  # every row fails somewhere
+
+    @pytest.mark.parametrize("name", ("rowfail", "scrub", "wear"))
+    def test_whole_word_scenarios_ignore_k(self, name):
+        widths = WIDTHS["muse"]
+        for trial in MODEL_TRIALS[:100]:
+            assert corrupt(name, widths, trial, 1) == corrupt(
+                name, widths, trial, 4
+            )
+
+    @pytest.mark.parametrize("shape", WIDTHS)
+    def test_scrub_upsets_are_single_bits_up_to_the_cap(self, shape):
+        widths = WIDTHS[shape]
+        for trial in MODEL_TRIALS:
+            upsets = popcount(flip_masks("scrub", widths, trial))
+            assert 1 <= upsets <= SCRUB_MAX_READS
+
+    def test_scrub_read_count_is_a_capped_geometric(self):
+        """Reads between scrubs are 1 + Geometric(1/4), capped at 8, and
+        each read's upset lands on a distinct bit: P(1 upset) = 1/4,
+        P(8) = (3/4)^7 and the mean is 4 (1 - (3/4)^8)."""
+        widths = WIDTHS["rs"]
+        upsets = [
+            popcount(flip_masks("scrub", widths, trial))
+            for trial in range(4_000)
+        ]
+        assert upsets.count(1) / len(upsets) == pytest.approx(0.25, abs=0.03)
+        assert upsets.count(SCRUB_MAX_READS) / len(upsets) == pytest.approx(
+            0.75**7, abs=0.03
+        )
+        assert statistics.mean(upsets) == pytest.approx(
+            4 * (1 - 0.75**8), abs=0.15
+        )
+
+    @pytest.mark.parametrize("shape", WIDTHS)
+    def test_wear_disturbs_every_word(self, shape):
+        """Even a low-wear trial with no cell past its threshold fails
+        its most-worn cell."""
+        widths = WIDTHS[shape]
+        for trial in MODEL_TRIALS:
+            assert any(flip_masks("wear", widths, trial))
+
+    def test_wear_flip_rate_rises_with_writes(self):
+        """Each cell flips with probability 2^-8 (1 + t / 50,000), t
+        capped at 10^7: about one flip per 80-bit word at first, about
+        seven at t = 10^6, and most of the word at the cap."""
+        widths = WIDTHS["muse"]
+
+        def mean_flips(start):
+            return statistics.mean(
+                popcount(flip_masks("wear", widths, trial))
+                for trial in range(start, start + 200)
+            )
+
+        early = mean_flips(0)
+        middle = mean_flips(1_000_000)
+        worn = mean_flips(WEAR_TRIAL_CAP)
+        assert early < 1.5 < middle < 10 < worn
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_reference_is_a_pure_function_of_seed_and_trial(self, name):
+        widths = WIDTHS["rs"]
+        trials = MODEL_TRIALS[:50]
+        first = [corrupt(name, widths, trial) for trial in trials]
+        again = [corrupt(name, widths, trial) for trial in trials]
+        reseeded = [
+            corrupt(name, widths, trial, seed=SEED + 1) for trial in trials
+        ]
+        assert first == again
+        assert first != reseeded
+
+
 class TestCampaignZeroEvent:
-    def test_zero_event_scenario_cell_gets_clopper_pearson_bound(self):
+    def test_zero_event_scenario_cell_gets_wilson_bound(self):
         """mbu on MUSE(80,69) yields zero silent events at this seed
         (pinned); the campaign runs the cell to its ceiling and reports
-        the policy's exact Clopper-Pearson bound there."""
+        the policy's Wilson bound there."""
         simulator = muse_simulator("mbu")
-        base = AdaptivePolicy(
-            metric="silent",
-            kind="clopper-pearson",
-            initial_trials=256,
-            max_trials=2000,
+        policy = AdaptivePolicy(
+            metric="silent", initial_trials=256, max_trials=2000
         )
-        [outcome] = CampaignRunner(CampaignPolicy(base=base)).run(
-            [simulator], seed=7
-        )
+        [outcome] = CampaignRunner(policy).run([simulator], seed=7)
         assert outcome.result.count("silent") == 0
         assert not outcome.converged
-        assert outcome.trials_used == base.max_trials
-        assert outcome.interval() == clopper_pearson_interval(0, 2000)
+        assert outcome.trials_used == policy.max_trials
+        assert outcome.interval() == wilson_interval(0, 2000)
         assert outcome.interval().hi > 0.0
         assert "hit trial ceiling" in outcome.describe()
 
@@ -387,11 +563,11 @@ class TestCampaignZeroEvent:
             muse_simulator("mbu"),
             rs_simulator("stuck"),
         ]
-        base = AdaptivePolicy(
+        policy = AdaptivePolicy(
             ci_target=0.3, metric="failure", initial_trials=200,
             max_trials=3000,
         )
-        outcomes = CampaignRunner(CampaignPolicy(base=base)).run(
+        outcomes = CampaignRunner(policy).run(
             simulators, seed=7, chunk_size=128
         )
         for simulator, outcome in zip(simulators, outcomes):
